@@ -2,11 +2,10 @@
 
 import pytest
 
+from repro.backends import get_backend
 from repro.exact.boolean import intersection_area
 from repro.experiments import fig7_speedup
 from repro.experiments.common import representative_pairs
-from repro.pixelbox.api import batch_areas
-from repro.pixelbox.cpu import PixelBoxCpu
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +29,10 @@ def test_bench_geos_baseline(benchmark, pairs):
 
 
 def test_bench_pixelbox_cpu_scalar(benchmark, pairs):
-    cpu = PixelBoxCpu(mode="scalar", workers=1)
-    benchmark(lambda: cpu.compute_many(pairs))
+    cpu = get_backend("scalar")
+    benchmark(lambda: cpu.compare_pairs(pairs))
 
 
 def test_bench_pixelbox_device(benchmark, pairs):
-    benchmark(lambda: batch_areas(pairs))
+    device = get_backend("batch")
+    benchmark(lambda: device.compare_pairs(pairs))

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments import fig8_sampling
 from repro.experiments.common import representative_pairs
 from repro.pixelbox.common import Method
-from repro.pixelbox.engine import compute_pairs
+from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
 
 
 def test_fig08_report(benchmark, save_report):
@@ -24,4 +24,5 @@ def test_fig08_report(benchmark, save_report):
 def test_bench_variant_sf5(benchmark, method):
     base = representative_pairs(quick=True, limit=200)
     pairs = [(p.scale(5), q.scale(5)) for p, q in base]
-    benchmark(lambda: compute_pairs(pairs, method))
+    kernel = ChunkKernel(ExecutionPolicy(method=method))
+    benchmark(lambda: kernel.compute(pairs))

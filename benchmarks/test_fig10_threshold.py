@@ -2,8 +2,8 @@
 
 from repro.experiments import fig10_threshold
 from repro.experiments.common import representative_pairs
-from repro.pixelbox.common import LaunchConfig, Method
-from repro.pixelbox.engine import compute_pairs
+from repro.pixelbox.common import LaunchConfig
+from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
 
 
 def test_fig10_report(benchmark, save_report):
@@ -26,4 +26,5 @@ def test_bench_threshold_paper_default(benchmark):
     base = representative_pairs(quick=True, limit=200)
     pairs = [(p.scale(5), q.scale(5)) for p, q in base]
     cfg = LaunchConfig(block_size=64, pixel_threshold=2048)
-    benchmark(lambda: compute_pairs(pairs, Method.PIXELBOX, cfg))
+    kernel = ChunkKernel(ExecutionPolicy(), cfg)
+    benchmark(lambda: kernel.compute(pairs))

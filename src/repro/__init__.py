@@ -42,9 +42,6 @@ __all__ = [
     "PairOutcome",
     "ResolvedPlan",
     "explain",
-    "cross_compare",
-    "cross_compare_files",
-    "CrossCompareResult",
     "ComparisonService",
     "ServiceConfig",
 ]
@@ -57,9 +54,6 @@ _API_NAMES = {
     "PairOutcome",
     "ResolvedPlan",
     "explain",
-    "cross_compare",
-    "cross_compare_files",
-    "CrossCompareResult",
     "ComparisonService",
     "ServiceConfig",
 }

@@ -19,19 +19,10 @@ For serving many concurrent requests from one warm executor with
 admission control and request coalescing, the async
 :class:`ComparisonService` (re-exported from :mod:`repro.service`)
 remains the entry point.
-
-The pre-session functions ``cross_compare`` / ``cross_compare_files``
-live on as deprecation shims with bit-for-bit identical results (see
-:mod:`repro.api.legacy`).
 """
 
 from __future__ import annotations
 
-from repro.api.legacy import (
-    CrossCompareResult,
-    cross_compare,
-    cross_compare_files,
-)
 from repro.api.options import DEFAULT_OPTIONS, CompareOptions
 from repro.api.plan import ResolvedPlan, explain
 from repro.api.request import (
@@ -53,9 +44,6 @@ __all__ = [
     "explain",
     "request_from_cli",
     "request_from_wire",
-    "CrossCompareResult",
-    "cross_compare",
-    "cross_compare_files",
     "ComparisonService",
     "ServiceConfig",
 ]

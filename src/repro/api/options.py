@@ -4,8 +4,8 @@ Before this module existed the one logical operation — cross-compare two
 spatial result sets — was configured through four drifting surfaces:
 ``LaunchConfig`` (kernel launch), ``PipelineOptions`` (file pipeline),
 ``ServiceConfig`` (serving), and ad-hoc backend-option dicts plus
-``REPRO_*`` environment variables.  The drift was real:
-``api.cross_compare_files`` defaulted ``LaunchConfig()`` while the
+``REPRO_*`` environment variables.  The drift was real: the old
+file-comparison front door defaulted ``LaunchConfig()`` while the
 pipeline defaulted ``tight_mbr=True``, and it silently dropped the
 ``buffer_capacity`` / ``batch_pairs`` / ``migration`` knobs entirely.
 
@@ -185,9 +185,8 @@ class CompareOptions:
     def pipeline_options(self, devices=None):
         """The :class:`~repro.pipeline.engine.PipelineOptions` equivalent.
 
-        Unlike the old ``cross_compare_files`` plumbing, *every* pipeline
-        knob of this spec is honored — ``buffer_capacity``,
-        ``batch_pairs``, and ``migration`` included.
+        *Every* pipeline knob of this spec is honored —
+        ``buffer_capacity``, ``batch_pairs``, and ``migration`` included.
         """
         from repro.pipeline.engine import PipelineOptions
         from repro.pipeline.migration import MigrationConfig

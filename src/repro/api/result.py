@@ -1,9 +1,8 @@
 """Front-door result types: one comparison, one record.
 
 :class:`CompareResult` is what :class:`repro.Session` returns for set-
-and file-level comparisons — the legacy ``CrossCompareResult`` fields
-plus the performance accounting (wall seconds, input bytes) the pipeline
-already measured but the old front door threw away.
+and file-level comparisons — the similarity fields plus the performance
+accounting (wall seconds, input bytes) the pipeline measures.
 :class:`PairOutcome` is the per-pair record :meth:`repro.Session.stream`
 yields incrementally as shards complete.
 """

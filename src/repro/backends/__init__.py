@@ -9,7 +9,10 @@ seam that makes the claim structural instead of incidental:
 * :mod:`repro.backends.base` defines the :class:`Backend` protocol
   (``compare_pairs(pairs, config) -> BatchAreas``) and a name-keyed
   registry of backend factories;
-* each executor lives in its own module and self-registers on import:
+* executors self-register on import — :mod:`repro.backends.kernel`
+  registers the three in-process kernel backends (``vectorized``,
+  ``batch``, ``numba``: one :class:`KernelBackend`, three
+  ``ExecutionPolicy`` rows), every other executor has its own module:
 
   ===============  ====================================================
   ``scalar``       single-core plain-Python engine (PixelBox-CPU-S)
@@ -54,16 +57,15 @@ from repro.backends.base import (
 )
 
 # Import for registration side effects (each module self-registers; the
-# cluster coordinator and the numba backend register through lazy shims
-# so the registry lists them even when their dependency is absent).
+# cluster coordinator registers through a lazy shim and ``numba`` behind
+# an availability probe, so the registry lists both even when their
+# dependency is absent).
 from repro.backends import auto as _auto  # noqa: E402,F401
-from repro.backends import batch as _batch  # noqa: E402,F401
 from repro.backends import cluster as _cluster  # noqa: E402,F401
+from repro.backends import kernel as _kernel  # noqa: E402,F401
 from repro.backends import multiprocess as _multiprocess  # noqa: E402,F401
-from repro.backends import numba_backend as _numba_backend  # noqa: E402,F401
 from repro.backends import scalar as _scalar  # noqa: E402,F401
 from repro.backends import simt as _simt  # noqa: E402,F401
-from repro.backends import vectorized as _vectorized  # noqa: E402,F401
 from repro.backends.auto import AutoBackend, profile_pairs
 from repro.backends.multiprocess import MultiprocessBackend, default_workers
 

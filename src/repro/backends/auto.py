@@ -17,7 +17,7 @@ from repro.backends.base import (
 )
 from repro.gpu.cost import recommend_backend
 from repro.pixelbox.common import LaunchConfig
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["AutoBackend", "profile_pairs"]
 

@@ -3,7 +3,7 @@
 A *backend* is one executor for the PixelBox cross-comparison workload:
 given a list of polygon pairs it returns the exact per-pair areas (and
 the kernel work counters) as a
-:class:`~repro.pixelbox.engine.BatchAreas`.  Backends differ only in
+:class:`~repro.pixelbox.kernel.BatchAreas`.  Backends differ only in
 *how* they execute — scalar Python, wide NumPy arrays, sharded worker
 processes, a simulated SIMT device — never in *what* they compute: every
 registered backend must be bit-for-bit identical to the exact overlay
@@ -22,9 +22,8 @@ import dataclasses
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.errors import BackendError, KernelError
-from repro.geometry.polygon import RectilinearPolygon
 from repro.pixelbox.common import LaunchConfig
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas, Pairs
 
 __all__ = [
     "Backend",
@@ -113,8 +112,6 @@ def cover_mbr_config(config: LaunchConfig | None) -> LaunchConfig:
     if cfg.tight_mbr:
         cfg = dataclasses.replace(cfg, tight_mbr=False)
     return cfg
-
-Pairs = list[tuple[RectilinearPolygon, RectilinearPolygon]]
 
 
 @runtime_checkable

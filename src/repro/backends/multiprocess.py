@@ -11,12 +11,12 @@ intersection-area vector.  The parent scatter-gathers the slices and
 derives unions indirectly (``|p u q| = |p| + |q| - |p n q|``).
 
 Each worker drives the shared chunk kernel
-(:meth:`repro.pixelbox.kernel.ChunkKernel.run_shard` under the shard
-policy) — the same plan+stacked-pixelize sequence every in-process
-executor runs — so every pair's result is an exact integer computed
-independently of its shard and the output is bit-for-bit identical to
-the vectorized backend for any worker count, with identical work
-counters; the parity harness checks this.
+(:meth:`repro.pixelbox.kernel.ChunkKernel.run_shard` under the plain
+always-subdivide policy) — the same plan+stacked-pixelize sequence every
+in-process executor runs — so every pair's result is an exact integer
+computed independently of its shard and the output is bit-for-bit
+identical to the vectorized backend for any worker count, with identical
+work counters; the parity harness checks this.
 
 Small inputs (fewer than ``min_pairs`` candidates) skip the pool and run
 in-process: forking workers for a handful of pairs would cost more than
@@ -54,13 +54,14 @@ from repro.backends.base import (
 )
 from repro.errors import KernelError
 from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.kernel import BatchAreas, ChunkKernel, shard_policy
-from repro.pixelbox.vectorized import EdgeTable
+from repro.pixelbox.kernel import (
+    BatchAreas,
+    ChunkKernel,
+    ExecutionPolicy,
+    ShardInput,
+)
 
 __all__ = ["MultiprocessBackend", "default_workers"]
-
-# Fields of one serialized EdgeTable, in manifest order.
-_TABLE_FIELDS = ("xs", "lo", "hi", "ys", "xlo", "xhi", "offsets")
 
 
 def default_workers() -> int:
@@ -160,69 +161,23 @@ def _views(
     }
 
 
-def _table_from(views: dict[str, np.ndarray], prefix: str) -> EdgeTable:
-    return EdgeTable(*(views[f"{prefix}.{f}"] for f in _TABLE_FIELDS))
-
-
-def _table_arrays(table: EdgeTable, prefix: str) -> dict[str, np.ndarray]:
-    return {
-        f"{prefix}.{f}": getattr(table, f) for f in _TABLE_FIELDS
-    }
-
-
 # ----------------------------------------------------------------------
 # Worker body
 # ----------------------------------------------------------------------
-def _compute_shard(
-    table_p: EdgeTable,
-    table_q: EdgeTable,
-    boxes: np.ndarray,
-    has_box: np.ndarray,
-    lo: int,
-    hi: int,
-    cfg: LaunchConfig,
-    stats: KernelStats,
-    substrate: str = "numpy",
-) -> np.ndarray:
-    """Intersection areas for global pair indices ``[lo, hi)``.
-
-    A thin adapter over :meth:`ChunkKernel.run_shard` under the shard
-    policy — the exact plan+stacked-pixelize sequence every other
-    executor runs, so sharding at any boundary preserves bit-for-bit
-    results *and* identical work counters (on either substrate).
-    """
-    kernel = ChunkKernel(shard_policy(substrate=substrate), cfg)
-    inter, _ = kernel.run_shard(
-        table_p, table_q, boxes, has_box, lo, hi, stats
-    )
-    return inter
-
-
 def _worker(
     shm_name: str,
     manifest: dict[str, tuple[int, tuple, str]],
     lo: int,
     hi: int,
-    cfg: LaunchConfig,
+    kernel: ChunkKernel,
     unregister: bool,
-    substrate: str = "numpy",
 ) -> tuple[int, np.ndarray, dict[str, int]]:
     """Pool task: attach, compute one shard, detach."""
     shm = _attach(shm_name, unregister)
     try:
-        views = _views(shm.buf, manifest)
+        shard = ShardInput.from_arrays(_views(shm.buf, manifest))
         stats = KernelStats()
-        inter = _compute_shard(
-            _table_from(views, "p"),
-            _table_from(views, "q"),
-            views["boxes"],
-            views["has_box"],
-            lo,
-            hi,
-            cfg,
-            stats,
-            substrate,
-        )
+        inter, _ = kernel.run_shard(shard, lo, hi, stats)
         # Copy out: the view's backing segment dies with this task.
         return lo, np.array(inter, copy=True), stats.as_dict()
     finally:
@@ -288,10 +243,9 @@ class MultiprocessBackend(BackendLifecycle):
         resolved = default_workers() if workers is None else workers
         if resolved < 1:
             raise KernelError(f"workers must be >= 1, got {resolved}")
-        if substrate not in ("numpy", "numba"):
-            raise KernelError(
-                f"substrate must be 'numpy' or 'numba', got {substrate!r}"
-            )
+        # The plain always-subdivide plan on the chosen substrate (the
+        # policy validates the substrate name).
+        self.policy = ExecutionPolicy(substrate=substrate)
         if substrate == "numba":
             # Fail at construction, not inside a worker process.
             from repro.pixelbox import numba_kernel
@@ -387,46 +341,22 @@ class MultiprocessBackend(BackendLifecycle):
     def compare_pairs(
         self, pairs: Pairs, config: LaunchConfig | None = None
     ) -> BatchAreas:
-        cfg = config or LaunchConfig()
-        n = len(pairs)
+        kernel = ChunkKernel(self.policy, config)
+        shard = ShardInput.build(pairs, kernel.policy, kernel.cfg)
+        n = len(shard)
         stats = KernelStats()
-        if n == 0:
-            zero = np.zeros(0, dtype=np.int64)
-            return BatchAreas(zero, zero.copy(), zero.copy(), zero.copy(), stats)
-
-        kernel = ChunkKernel(shard_policy(substrate=self.substrate), cfg)
-        a_p, a_q, boxes, has_box = kernel.route_pairs(pairs)
-        table_p = EdgeTable.build([p for p, _ in pairs])
-        table_q = EdgeTable.build([q for _, q in pairs])
-
         if self.workers == 1 or n < max(self.min_pairs, 2 * self.workers):
-            inter = _compute_shard(
-                table_p, table_q, boxes, has_box, 0, n, cfg, stats,
-                self.substrate,
-            )
+            inter, _ = kernel.run_shard(shard, 0, n, stats)
         else:
-            inter = self._run_pool(table_p, table_q, boxes, has_box, cfg, stats)
-
-        union = kernel.finalize_union(inter, None, a_p, a_q, has_box)
-        return BatchAreas(inter, union, a_p, a_q, stats)
+            inter = self._run_pool(kernel, shard, stats)
+        return shard.finalize(kernel.policy, inter, None, stats)
 
     # ------------------------------------------------------------------
     def _run_pool(
-        self,
-        table_p: EdgeTable,
-        table_q: EdgeTable,
-        boxes: np.ndarray,
-        has_box: np.ndarray,
-        cfg: LaunchConfig,
-        stats: KernelStats,
+        self, kernel: ChunkKernel, shard: ShardInput, stats: KernelStats
     ) -> np.ndarray:
-        n = len(has_box)
-        arrays = {
-            **_table_arrays(table_p, "p"),
-            **_table_arrays(table_q, "q"),
-            "boxes": boxes,
-            "has_box": has_box,
-        }
+        n = len(shard)
+        arrays = shard.to_arrays()
         inter = np.zeros(n, dtype=np.int64)
         step = -(-n // self.workers)
         shards = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
@@ -436,10 +366,9 @@ class MultiprocessBackend(BackendLifecycle):
             from repro.cluster import wire
 
             cache = self._result_cache
-            policy = shard_policy(substrate=self.substrate)
             digest = wire.bundle_digest(arrays)
             keys = {
-                (lo, hi): shard_key(digest, lo, hi, policy, cfg)
+                (lo, hi): shard_key(digest, lo, hi, kernel.policy, kernel.cfg)
                 for lo, hi in shards
             }
             todo = []
@@ -462,16 +391,13 @@ class MultiprocessBackend(BackendLifecycle):
         try:
             shm, manifest = _pack_arrays(arrays)
         except OSError:  # pragma: no cover - hosts without shm support
-            return _compute_shard(
-                table_p, table_q, boxes, has_box, 0, n, cfg, stats,
-                self.substrate,
-            )
+            return kernel.run_shard(shard, 0, n, stats)[0]
         try:
             if self.persistent:
                 pool, unregister = self._ensure_pool()
                 self._collect(
-                    pool, shm, manifest, shards, cfg, unregister, inter, stats,
-                    record,
+                    pool, shm, manifest, shards, kernel, unregister, inter,
+                    stats, record,
                 )
             else:
                 ctx = _mp_context()
@@ -480,8 +406,8 @@ class MultiprocessBackend(BackendLifecycle):
                     max_workers=len(shards), mp_context=ctx
                 ) as pool:
                     self._collect(
-                        pool, shm, manifest, shards, cfg, unregister, inter,
-                        stats, record,
+                        pool, shm, manifest, shards, kernel, unregister,
+                        inter, stats, record,
                     )
         finally:
             shm.close()
@@ -497,7 +423,7 @@ class MultiprocessBackend(BackendLifecycle):
         shm: shared_memory.SharedMemory,
         manifest: dict[str, tuple[int, tuple, str]],
         shards: list[tuple[int, int]],
-        cfg: LaunchConfig,
+        kernel: ChunkKernel,
         unregister: bool,
         inter: np.ndarray,
         stats: KernelStats,
@@ -505,10 +431,7 @@ class MultiprocessBackend(BackendLifecycle):
     ) -> None:
         """Submit every shard to ``pool`` and gather slices into ``inter``."""
         futures = [
-            pool.submit(
-                _worker, shm.name, manifest, lo, hi, cfg, unregister,
-                self.substrate,
-            )
+            pool.submit(_worker, shm.name, manifest, lo, hi, kernel, unregister)
             for lo, hi in shards
         ]
         for future in futures:

@@ -19,7 +19,7 @@ from repro.backends.base import (
 )
 from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.cpu import pair_areas_scalar
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["ScalarBackend"]
 

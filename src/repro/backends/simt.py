@@ -20,7 +20,7 @@ from repro.backends.base import (
 )
 from repro.gpu.simt_kernel import collect_block_counts
 from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["SimtBackend"]
 

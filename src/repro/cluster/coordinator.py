@@ -53,14 +53,17 @@ from repro.cluster.scheduler import (
     ShardOutcome,
     ShardScheduler,
 )
-from repro.cluster.worker import TABLE_FIELDS
 from repro.errors import ClusterConfigError, ClusterError
 from repro.gpu.cost import recommend_shard_pairs
 from repro.obs.events import EVENTS
 from repro.obs.trace import activate, current_context, current_tracer
 from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.kernel import BatchAreas, ChunkKernel, shard_policy
-from repro.pixelbox.vectorized import EdgeTable
+from repro.pixelbox.kernel import (
+    BatchAreas,
+    ChunkKernel,
+    ExecutionPolicy,
+    ShardInput,
+)
 
 __all__ = ["ClusterBackend", "WorkerClient", "parse_hosts"]
 
@@ -327,10 +330,6 @@ class WorkerClient:
         return stats if isinstance(stats, dict) else {}
 
 
-def _table_arrays(table: EdgeTable, prefix: str) -> dict[str, np.ndarray]:
-    return {f"{prefix}.{f}": getattr(table, f) for f in TABLE_FIELDS}
-
-
 class ClusterBackend(BackendLifecycle):
     """Shard dispatch to remote ``repro worker`` processes.
 
@@ -535,29 +534,22 @@ class ClusterBackend(BackendLifecycle):
     def compare_pairs(
         self, pairs: Pairs, config: LaunchConfig | None = None
     ) -> BatchAreas:
-        cfg = config or LaunchConfig()
+        policy = ExecutionPolicy()
+        kernel = ChunkKernel(policy, config)
+        cfg = kernel.cfg
         n = len(pairs)
         stats = KernelStats()
-        if n == 0:
-            zero = np.zeros(0, dtype=np.int64)
-            return BatchAreas(zero, zero.copy(), zero.copy(), zero.copy(), stats)
-
-        policy = shard_policy()
-        kernel = ChunkKernel(policy, cfg)
         # Tracing: scheduler threads do not inherit this thread's
         # ContextVar, so capture the tracer and the parent span id here
         # and re-activate them inside the shard closures.
         tracer = current_tracer()
         ctx = current_context()
         trace_parent = ctx[1] if ctx is not None else None
-        a_p, a_q, boxes, has_box = kernel.route_pairs(pairs)
         if tracer is not None:
             with tracer.span("cluster.build_tables", pairs=n):
-                table_p = EdgeTable.build([p for p, _ in pairs])
-                table_q = EdgeTable.build([q for _, q in pairs])
+                tables = ShardInput.build(pairs, policy, cfg)
         else:
-            table_p = EdgeTable.build([p for p, _ in pairs])
-            table_q = EdgeTable.build([q for _, q in pairs])
+            tables = ShardInput.build(pairs, policy, cfg)
 
         def local_run(shard: Shard) -> ShardOutcome:
             part = KernelStats()
@@ -567,29 +559,17 @@ class ClusterBackend(BackendLifecycle):
                         "cluster.local_shard", lo=shard.lo, hi=shard.hi
                     ):
                         inter, _ = kernel.run_shard(
-                            table_p, table_q, boxes, has_box,
-                            shard.lo, shard.hi, part,
+                            tables, shard.lo, shard.hi, part
                         )
             else:
-                inter, _ = kernel.run_shard(
-                    table_p, table_q, boxes, has_box, shard.lo, shard.hi, part
-                )
+                inter, _ = kernel.run_shard(tables, shard.lo, shard.hi, part)
             return ShardOutcome(inter=inter, stats=part)
 
         if n < self.min_pairs:
             outcome = local_run(Shard(0, 0, n))
-            stats.merge(outcome.stats)
-            union = kernel.finalize_union(
-                outcome.inter, None, a_p, a_q, has_box
-            )
-            return BatchAreas(outcome.inter, union, a_p, a_q, stats)
+            return tables.finalize(policy, outcome.inter, None, outcome.stats)
 
-        bundle = {
-            **_table_arrays(table_p, "p"),
-            **_table_arrays(table_q, "q"),
-            "boxes": boxes,
-            "has_box": has_box,
-        }
+        bundle = tables.to_arrays()
         digest = wire.bundle_digest(bundle)
         if self._merge_cache is not None:
             mkey = merge_key(digest, policy, cfg)
@@ -613,8 +593,7 @@ class ClusterBackend(BackendLifecycle):
                     outcome = local_run(shard)
                     inter[shard.lo : shard.hi] = outcome.inter
                     stats.merge(outcome.stats)
-                union = kernel.finalize_union(inter, None, a_p, a_q, has_box)
-                return BatchAreas(inter, union, a_p, a_q, stats)
+                return tables.finalize(policy, inter, None, stats)
 
             def _call_remote(client: WorkerClient, shard: Shard) -> ShardOutcome:
                 try:
@@ -695,8 +674,7 @@ class ClusterBackend(BackendLifecycle):
             outcome = outcomes[shard.index]
             inter[shard.lo : shard.hi] = outcome.inter
             stats.merge(outcome.stats)
-        union = kernel.finalize_union(inter, None, a_p, a_q, has_box)
-        result = BatchAreas(inter, union, a_p, a_q, stats)
+        result = tables.finalize(policy, inter, None, stats)
         if self._merge_cache is not None:
             entry = copy_areas(result)
             self._merge_cache.put(mkey, entry, areas_nbytes(entry))

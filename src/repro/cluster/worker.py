@@ -12,8 +12,8 @@ contract is:
   the coordinator re-sends instead of failing the request;
 * **shard execution** — ``RUN_SHARD`` attaches the cached bundle and
   calls :meth:`repro.pixelbox.kernel.ChunkKernel.run_shard` under the
-  shard policy over ``[lo, hi)``, returning the intersection slice plus
-  the work counters.  No other kernel entry point exists here, so a
+  plain always-subdivide policy over ``[lo, hi)``, returning the
+  intersection slice plus the work counters.  No other kernel entry point exists here, so a
   remote shard is bit-for-bit one of the local backends' shards.
 
 Each accepted connection is served by one thread, frames handled
@@ -34,28 +34,18 @@ import numpy as np
 
 from repro.cache import LRUCacheStore, copy_shard_result, shard_key, shard_result_nbytes
 from repro.cluster import wire
-from repro.errors import ClusterProtocolError, ReproError
+from repro.errors import ClusterProtocolError, KernelError, ReproError
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate
 from repro.pixelbox.common import KernelStats
-from repro.pixelbox.kernel import ChunkKernel, shard_policy
-from repro.pixelbox.vectorized import EdgeTable
+from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy, ShardInput
 
-__all__ = ["DEFAULT_RESULT_CACHE_BYTES", "ShardWorker", "TABLE_FIELDS"]
+__all__ = ["DEFAULT_RESULT_CACHE_BYTES", "ShardWorker"]
 
 # Default byte budget for the worker-side shard-result cache: big enough
 # that speculation/re-dispatch of a live request always hits, small
 # enough to be invisible next to the table cache itself.
 DEFAULT_RESULT_CACHE_BYTES = 64 * 2**20
-
-# Fields of one serialized EdgeTable, in manifest order (shared with the
-# coordinator; mirrors the multiprocess backend's shared-memory layout).
-TABLE_FIELDS = ("xs", "lo", "hi", "ys", "xlo", "xhi", "offsets")
-
-
-def table_from_bundle(bundle: dict[str, np.ndarray], prefix: str) -> EdgeTable:
-    """Rebuild one side's CSR edge table from a cached bundle."""
-    return EdgeTable(*(bundle[f"{prefix}.{f}"] for f in TABLE_FIELDS))
 
 
 class ShardWorker:
@@ -101,7 +91,7 @@ class ShardWorker:
                 f"{substrate!r}"
             )
         if substrate == "auto":
-            from repro.backends.numba_backend import numba_unavailable_reason
+            from repro.backends.kernel import numba_unavailable_reason
 
             substrate = (
                 "numba" if numba_unavailable_reason() is None else "numpy"
@@ -113,7 +103,7 @@ class ShardWorker:
         self.host = host
         self.substrate = substrate
         self.max_tables = max_tables
-        self._tables: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()
+        self._tables: OrderedDict[str, ShardInput] = OrderedDict()
         self._results = (
             LRUCacheStore(result_cache_bytes, name="worker.shard")
             if result_cache_bytes > 0
@@ -319,16 +309,12 @@ class ShardWorker:
         digest = header.get("digest")
         if not isinstance(digest, str) or not digest:
             raise ClusterProtocolError("PUT_TABLES needs a 'digest'")
-        required = {f"p.{f}" for f in TABLE_FIELDS}
-        required |= {f"q.{f}" for f in TABLE_FIELDS}
-        required |= {"boxes", "has_box"}
-        missing = required - set(arrays)
-        if missing:
-            raise ClusterProtocolError(
-                f"PUT_TABLES bundle missing arrays: {sorted(missing)}"
-            )
+        try:
+            shard = ShardInput.from_arrays(arrays)
+        except KernelError as exc:
+            raise ClusterProtocolError(f"PUT_TABLES: {exc}") from None
         with self._lock:
-            self._tables[digest] = arrays
+            self._tables[digest] = shard
             self._tables.move_to_end(digest)
             self.tables_received += 1
             while len(self._tables) > self.max_tables:
@@ -364,14 +350,14 @@ class ShardWorker:
             raise ClusterProtocolError(
                 "RUN_SHARD needs integer 'lo' and 'hi'"
             ) from None
-        n = len(bundle["has_box"])
+        n = len(bundle)
         if not 0 <= lo <= hi <= n:
             raise ClusterProtocolError(
                 f"shard [{lo}, {hi}) out of range for {n} pairs"
             )
         cfg = wire.config_from_wire(header.get("config"))
         self._before_shard(header)
-        policy = shard_policy(substrate=self.substrate)
+        policy = ExecutionPolicy(substrate=self.substrate)
         key = shard_key(digest, lo, hi, policy, cfg)
         # Trace context shipped by a feature-aware coordinator: run the
         # shard under a local tracer seeded with the remote trace id and
@@ -412,7 +398,7 @@ class ShardWorker:
         wire.send_frame(conn, wire.MsgType.SHARD_RESULT, reply, {"inter": inter})
 
     def _execute_shard(
-        self, bundle: dict, lo: int, hi: int, policy, cfg, key: str
+        self, bundle: ShardInput, lo: int, hi: int, policy, cfg, key: str
     ) -> tuple[np.ndarray, dict, bool]:
         """Serve one shard from the result cache or the kernel."""
         cached = self._results.get(key) if self._results is not None else None
@@ -422,16 +408,7 @@ class ShardWorker:
                 self.shard_hits += 1
             return inter, stats_dict, True
         stats = KernelStats()
-        kernel = ChunkKernel(policy, cfg)
-        inter, _ = kernel.run_shard(
-            table_from_bundle(bundle, "p"),
-            table_from_bundle(bundle, "q"),
-            bundle["boxes"],
-            bundle["has_box"],
-            lo,
-            hi,
-            stats,
-        )
+        inter, _ = ChunkKernel(policy, cfg).run_shard(bundle, lo, hi, stats)
         stats_dict = stats.as_dict()
         with self._lock:
             self.shards_run += 1

@@ -13,8 +13,8 @@ from repro.experiments.common import (
     representative_pairs,
     time_call,
 )
-from repro.pixelbox.common import LaunchConfig, Method
-from repro.pixelbox.engine import compute_pairs
+from repro.pixelbox.common import LaunchConfig
+from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
 
 __all__ = ["run", "THRESHOLDS"]
 
@@ -31,9 +31,8 @@ def run(quick: bool = True) -> ExperimentResult:
         row: list[object] = [f"SF{sf}"]
         for threshold in THRESHOLDS:
             cfg = LaunchConfig(block_size=64, pixel_threshold=threshold)
-            row.append(
-                time_call(lambda: compute_pairs(pairs, Method.PIXELBOX, cfg))
-            )
+            kernel = ChunkKernel(ExecutionPolicy(), cfg)
+            row.append(time_call(lambda: kernel.compute(pairs)))
         rows.append(row)
     return ExperimentResult(
         name="Figure 10 — pixelization threshold sensitivity (seconds)",

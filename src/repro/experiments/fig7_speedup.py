@@ -8,14 +8,13 @@ GTX 580 finishes in 3.6 s — two orders of magnitude over GEOS.
 
 from __future__ import annotations
 
+from repro.backends import get_backend
 from repro.exact.boolean import intersection_area
 from repro.experiments.common import (
     ExperimentResult,
     representative_pairs,
     time_call,
 )
-from repro.pixelbox.api import batch_areas
-from repro.pixelbox.cpu import PixelBoxCpu
 
 __all__ = ["run"]
 
@@ -28,11 +27,12 @@ def run(quick: bool = True) -> ExperimentResult:
         for p, q in pairs:
             intersection_area(p, q)
 
-    cpu = PixelBoxCpu(mode="scalar", workers=1)
+    cpu = get_backend("scalar")
+    device = get_backend("batch")
 
     t_geos = time_call(geos_baseline, repeats=1 if quick else 2)
-    t_cpu = time_call(lambda: cpu.compute_many(pairs), repeats=1 if quick else 2)
-    t_gpu = time_call(lambda: batch_areas(pairs), repeats=3)
+    t_cpu = time_call(lambda: cpu.compare_pairs(pairs), repeats=1 if quick else 2)
+    t_gpu = time_call(lambda: device.compare_pairs(pairs), repeats=3)
 
     rows = [
         ["GEOS (exact overlay)", t_geos, 1.0],

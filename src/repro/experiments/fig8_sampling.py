@@ -14,7 +14,7 @@ from repro.experiments.common import (
     time_call,
 )
 from repro.pixelbox.common import LaunchConfig, Method
-from repro.pixelbox.engine import compute_pairs
+from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
 
 __all__ = ["run", "SCALE_FACTORS"]
 
@@ -28,9 +28,12 @@ def run(quick: bool = True) -> ExperimentResult:
     rows: list[list[object]] = []
     for sf in SCALE_FACTORS:
         pairs = [(p.scale(sf), q.scale(sf)) for p, q in base_pairs]
-        t_po = time_call(lambda: compute_pairs(pairs, Method.PIXEL_ONLY, cfg))
-        t_ns = time_call(lambda: compute_pairs(pairs, Method.NOSEP, cfg))
-        t_pb = time_call(lambda: compute_pairs(pairs, Method.PIXELBOX, cfg))
+        t_po, t_ns, t_pb = (
+            time_call(
+                lambda: ChunkKernel(ExecutionPolicy(method=m), cfg).compute(pairs)
+            )
+            for m in (Method.PIXEL_ONLY, Method.NOSEP, Method.PIXELBOX)
+        )
         rows.append([f"SF{sf}", t_po, t_ns, t_pb, t_ns / t_po, t_pb / t_po])
     return ExperimentResult(
         name="Figure 8 — sampling boxes and indirect union vs pixelization",

@@ -115,7 +115,7 @@ def _measure_compiled(pairs, repeats: int, cycles_per_second: float):
     cycles-per-second constant, is exactly the warm-up charge
     ``recommend_backend`` amortizes against.
     """
-    from repro.backends.numba_backend import numba_unavailable_reason
+    from repro.backends.kernel import numba_unavailable_reason
 
     if numba_unavailable_reason() is not None:
         return None

@@ -364,7 +364,7 @@ def estimate_comparison_cycles(
 def compiled_substrate_available() -> bool:
     """Whether the compiled (numba) substrate can run in this process."""
     try:
-        from repro.backends.numba_backend import numba_unavailable_reason
+        from repro.backends.kernel import numba_unavailable_reason
     except ImportError:  # pragma: no cover - defensive
         return False
     return numba_unavailable_reason() is None

@@ -23,9 +23,8 @@ from repro.exact.decompose import decompose
 from repro.exact.measure import union_area_of_boxes
 from repro.geometry.polygon import RectilinearPolygon
 from repro.index.join import mbr_pair_join
-from repro.pixelbox.api import compare_pairs
 from repro.pixelbox.common import LaunchConfig
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["PairwiseJaccard", "jaccard_pairwise", "jaccard_from_areas",
            "jaccard_global"]
@@ -100,8 +99,11 @@ def jaccard_pairwise(
     >>> jaccard_pairwise(a, b).mean_ratio
     0.5
     """
+    from repro.backends import get_backend
+
     join = mbr_pair_join(set_a, set_b)
-    areas = compare_pairs(join.pairs(set_a, set_b), backend, config)
+    with get_backend(backend) as executor:
+        areas = executor.compare_pairs(join.pairs(set_a, set_b), config)
     return jaccard_from_areas(
         areas, join.left_idx, join.right_idx, len(set_a), len(set_b)
     )

@@ -23,7 +23,7 @@ from repro.errors import DeviceError
 from repro.geometry.polygon import RectilinearPolygon
 from repro.io.parser_gpu import gpu_parse
 from repro.pixelbox.common import LaunchConfig
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["GpuDevice", "DeviceStats"]
 

@@ -113,7 +113,7 @@ def aggregator_migrator(
             ):
                 results_out.put(result)
             timers.add("aggregator", time.perf_counter() - t0)
-            timers.migrated_cpu_tasks += 1
+            timers.add("migrated_cpu_tasks", 1)
 
 
 def parser_migrator(
@@ -159,5 +159,5 @@ def parser_migrator(
             task.tile_id, polygons_a, polygons_b, task.input_bytes
         )
         timers.add("parser", time.perf_counter() - t0)
-        timers.migrated_gpu_tasks += 1
+        timers.add("migrated_gpu_tasks", 1)
         parsed_out.put(tile)

@@ -17,6 +17,7 @@ kernel, the multiprocess shards, or any future executor — selected by
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -34,7 +35,7 @@ from repro.pipeline.tasks import (
     TileResult,
 )
 from repro.pixelbox.common import LaunchConfig
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = [
     "StageTimers",
@@ -56,10 +57,14 @@ class StageTimers:
     aggregator: float = 0.0
     migrated_cpu_tasks: int = 0
     migrated_gpu_tasks: int = 0
-    _lock: object = field(default=None, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
-    def add(self, stage: str, seconds: float) -> None:
-        setattr(self, stage, getattr(self, stage) + seconds)
+    def add(self, stage: str, amount: float) -> None:
+        """Add to one counter; called concurrently from stage threads."""
+        with self._lock:
+            setattr(self, stage, getattr(self, stage) + amount)
 
 
 def parser_worker(

@@ -7,22 +7,25 @@ subdivision whose positions are decided by Lemma 1.
 
 All batched execution flows through one shared chunk kernel
 (:class:`~repro.pixelbox.kernel.ChunkKernel`, configured by an explicit
-:class:`~repro.pixelbox.kernel.ExecutionPolicy`), so execution policy —
+:class:`~repro.pixelbox.kernel.ExecutionPolicy`, fed one
+:class:`~repro.pixelbox.kernel.ShardInput`), so execution policy —
 chunking, batching, sharding, union mode — can never change results.
+Pair lists are compared through a named backend
+(:func:`repro.backends.get_backend`) or ``ChunkKernel(policy).compute``.
 
-Implementations, from fastest to most faithful:
+What lives here:
 
-* :func:`batch_areas` — stacked NumPy kernel, many pairs per launch (the
-  simulated device's production path);
-* :func:`variant_areas` / :func:`pair_areas` — per-pair NumPy engine with
-  selectable variant (PixelOnly / NoSep / PixelBox);
-* :class:`PixelBoxCpu` — the CPU port (scalar or vector mode);
-* :class:`ReferenceKernel` — a line-by-line transcription of the paper's
-  Algorithm 1 including the shared-stack discipline.
+* ``kernel`` — :class:`ChunkKernel`, :class:`ExecutionPolicy`,
+  :class:`ShardInput`, :class:`BatchAreas`;
+* ``vectorized`` / ``numba_kernel`` — the two substrates the kernel runs
+  on (level-synchronous NumPy programs, compiled per-pair walk);
+* references — :func:`compute_pair` (per-pair NumPy engine, every
+  variant), :func:`pair_areas_scalar` (PixelBox-CPU-S) and
+  :class:`ReferenceKernel` (a line-by-line transcription of the paper's
+  Algorithm 1 including the shared-stack discipline);
+* ``operators`` — spatial predicates on top of :func:`compute_pair`.
 """
 
-from repro.pixelbox.api import batch_areas, pair_areas, variant_areas
-from repro.pixelbox.batch import BATCH_MAX_DIM, compute_batch
 from repro.pixelbox.common import (
     DEFAULT_BLOCK_SIZE,
     BoxPosition,
@@ -32,14 +35,13 @@ from repro.pixelbox.common import (
     PairAreas,
     split_grid,
 )
-from repro.pixelbox.cpu import PixelBoxCpu, pair_areas_scalar
-from repro.pixelbox.engine import BatchAreas, compute_pair, compute_pairs
+from repro.pixelbox.cpu import pair_areas_scalar
+from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.kernel import (
+    BatchAreas,
     ChunkKernel,
     ExecutionPolicy,
-    batch_policy,
-    engine_policy,
-    shard_policy,
+    ShardInput,
 )
 from repro.pixelbox.operators import (
     contains_pixelbox,
@@ -58,17 +60,10 @@ from repro.pixelbox.sampling import (
 )
 
 __all__ = [
-    "pair_areas",
-    "batch_areas",
-    "variant_areas",
     "compute_pair",
-    "compute_pairs",
-    "compute_batch",
     "ChunkKernel",
     "ExecutionPolicy",
-    "engine_policy",
-    "batch_policy",
-    "shard_policy",
+    "ShardInput",
     "BatchAreas",
     "PairAreas",
     "KernelStats",
@@ -77,8 +72,6 @@ __all__ = [
     "BoxPosition",
     "split_grid",
     "DEFAULT_BLOCK_SIZE",
-    "BATCH_MAX_DIM",
-    "PixelBoxCpu",
     "pair_areas_scalar",
     "contains_pixelbox",
     "equals_pixelbox",

@@ -1,42 +1,22 @@
-"""PixelBox-CPU: the algorithm ported to CPU execution (paper §4.2).
+"""PixelBox-CPU-S: the algorithm as single-core scalar Python (paper §4.2).
 
-The paper ports PixelBox to CPUs both as a comparison point
-(PixelBox-CPU-S in Figure 7) and as the execution target for aggregator
-tasks migrated off a congested GPU.  Two modes are provided:
-
-* ``scalar`` — a single-core, plain-Python implementation whose inner loop
-  carves each sampling box into per-row pixel runs.  It does strictly less
-  bookkeeping than the exact overlay baseline (no geometry construction),
-  which is why the paper measures it faster than GEOS despite running on
-  one core.
-* ``vector`` — the per-pair NumPy engine; this is what migrated aggregator
-  tasks run on CPU worker threads (NumPy releases the GIL, so migrated
-  work genuinely overlaps the device).
-
-Thread-level parallelism (the paper uses Intel TBB) is provided by
-:meth:`PixelBoxCpu.compute_many` over a thread pool.
+The paper ports PixelBox to CPUs as a comparison point (PixelBox-CPU-S
+in Figure 7).  :func:`pair_areas_scalar` is that port: plain Python whose
+inner loop carves each sampling box into per-row pixel runs.  It does
+strictly less bookkeeping than the exact overlay baseline (no geometry
+construction), which is why the paper measures it faster than GEOS
+despite running on one core.  The ``scalar`` backend runs it over a pair
+list.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
-
-from repro.errors import KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
-from repro.pixelbox.common import (
-    BoxPosition,
-    KernelStats,
-    LaunchConfig,
-    Method,
-    PairAreas,
-)
-from repro.pixelbox.engine import BatchAreas, compute_pair
+from repro.pixelbox.common import KernelStats, LaunchConfig, PairAreas
 from repro.pixelbox.sampling import box_continue, box_contribute, box_position
 
-__all__ = ["PixelBoxCpu", "pair_areas_scalar"]
+__all__ = ["pair_areas_scalar"]
 
 
 def _row_runs(edges: list[tuple[int, int, int]], y: int) -> list[int]:
@@ -110,73 +90,3 @@ def pair_areas_scalar(
                     inter += child.size
     area_p, area_q = p.area, q.area
     return PairAreas(inter, area_p + area_q - inter, area_p, area_q)
-
-
-class PixelBoxCpu:
-    """CPU executor for PixelBox over pair lists.
-
-    Parameters
-    ----------
-    mode:
-        ``"scalar"`` (plain Python, Figure 7's PixelBox-CPU-S profile) or
-        ``"vector"`` (per-pair NumPy engine, the migration target).
-    workers:
-        Thread count for :meth:`compute_many`; ``1`` reproduces the
-        single-core PixelBox-CPU-S configuration.
-    """
-
-    def __init__(
-        self,
-        mode: str = "vector",
-        workers: int = 1,
-        config: LaunchConfig | None = None,
-    ) -> None:
-        if mode not in ("scalar", "vector"):
-            raise KernelError(f"unknown PixelBox-CPU mode {mode!r}")
-        if workers < 1:
-            raise KernelError(f"workers must be >= 1, got {workers}")
-        self.mode = mode
-        self.workers = workers
-        self.config = config or LaunchConfig()
-
-    def compute_one(
-        self, p: RectilinearPolygon, q: RectilinearPolygon
-    ) -> PairAreas:
-        """Areas for one pair in the configured mode."""
-        if self.mode == "scalar":
-            return pair_areas_scalar(p, q, self.config)
-        return compute_pair(p, q, Method.PIXELBOX, self.config)
-
-    def compute_many(
-        self, pairs: list[tuple[RectilinearPolygon, RectilinearPolygon]]
-    ) -> BatchAreas:
-        """Areas for a pair list, parallelized across worker threads."""
-        n = len(pairs)
-        inter = np.zeros(n, dtype=np.int64)
-        a_p = np.zeros(n, dtype=np.int64)
-        a_q = np.zeros(n, dtype=np.int64)
-        stats = KernelStats()
-
-        def work(span: tuple[int, int]) -> None:
-            lo, hi = span
-            local = KernelStats()
-            for i in range(lo, hi):
-                p, q = pairs[i]
-                if self.mode == "scalar":
-                    res = pair_areas_scalar(p, q, self.config, local)
-                else:
-                    res = compute_pair(p, q, Method.PIXELBOX, self.config, local)
-                inter[i] = res.intersection
-                a_p[i] = res.area_p
-                a_q[i] = res.area_q
-            stats.merge(local)
-
-        if self.workers == 1 or n < 2:
-            work((0, n))
-        else:
-            step = -(-n // self.workers)
-            spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                list(pool.map(work, spans))
-        union = a_p + a_q - inter
-        return BatchAreas(inter, union, a_p, a_q, stats)

@@ -1,16 +1,11 @@
-"""NumPy PixelBox engine (all algorithm variants).
+"""Per-pair NumPy PixelBox engine (all algorithm variants).
 
-It follows Algorithm 1's structure — an explicit sampling-box stack, a
-partition-classify step, pixelization below the threshold ``T`` — with the
-thread-block-wide data parallelism mapped onto NumPy array operations:
-
-* :func:`compute_pair` walks one pair with an explicit stack, the
-  per-pair reference for every batched executor;
-* :func:`compute_pairs` delegates to the shared chunk kernel
-  (:class:`repro.pixelbox.kernel.ChunkKernel`) under the plain engine
-  policy: every pair subdivides level-synchronously and all leaf boxes
-  pixelize in one stacked XOR-scan launch, the way the GPU pixelizes
-  thousands of thread-block leaves per kernel call.
+:func:`compute_pair` follows Algorithm 1's structure — an explicit
+sampling-box stack, a partition-classify step, pixelization below the
+threshold ``T`` — one pair at a time, with the thread-block-wide data
+parallelism mapped onto NumPy array operations.  It is the per-pair
+reference for the batched executors, which all run
+:class:`repro.pixelbox.kernel.ChunkKernel`.
 
 Results are exact integer areas, cross-validated against
 :mod:`repro.exact` in the test-suite (the paper validated against PostGIS
@@ -31,15 +26,10 @@ from repro.pixelbox.common import (
     Method,
     PairAreas,
 )
-from repro.pixelbox.kernel import (
-    BatchAreas,
-    ChunkKernel,
-    engine_policy,
-    start_box as _start_box,
-)
+from repro.pixelbox.kernel import start_box as _start_box
 from repro.pixelbox.sampling import box_positions_vectorized
 
-__all__ = ["compute_pair", "compute_pairs", "BatchAreas"]
+__all__ = ["compute_pair"]
 
 _IN = BoxPosition.INSIDE.value
 _OUT = BoxPosition.OUTSIDE.value
@@ -85,23 +75,6 @@ def compute_pair(
     if method is Method.PIXELBOX:
         return PairAreas(dec_i, area_p + area_q - dec_i, area_p, area_q)
     return PairAreas(dec_i, dec_u, area_p, area_q)
-
-
-def compute_pairs(
-    pairs: list[tuple[RectilinearPolygon, RectilinearPolygon]],
-    method: Method = Method.PIXELBOX,
-    config: LaunchConfig | None = None,
-) -> BatchAreas:
-    """Areas for a pair list, executed the way the device executes them.
-
-    A thin adapter over the shared chunk kernel: phase 1 runs the
-    sampling-box subdivision for *all* pairs level by level (pure array
-    classification, no pixel work); phase 2 pixelizes the leaf boxes of
-    all pairs in one stacked XOR-scan launch.  This is the execution
-    shape of the GPU kernel and 10-50x faster than per-pair evaluation,
-    with bit-identical results.
-    """
-    return ChunkKernel(engine_policy(method), config).compute(pairs)
 
 
 # ----------------------------------------------------------------------

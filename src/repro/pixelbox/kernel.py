@@ -5,40 +5,36 @@ executions differ only in *policy* — how pairs are grouped into chunks,
 whether the union is measured directly or derived from
 ``|p u q| = |p| + |q| - |p n q|``, and whether small pairs skip the
 sampling-box subdivision and pixelize straight over their MBR (the
-production batching trick).  Before this module existed, the
-plan+stacked-pixelize sequence was hand-assembled three times —
-``engine.compute_pairs``, ``batch.compute_batch``, and the multiprocess
-backend's worker shard — and the copies drifted: the batched path
-under-counted ``pops``, ignored ``leaf_mode``, and the no-start-box
-branch left a zero union for direct-union methods, which the final
-consistency check would report as a :class:`~repro.errors.KernelError`
-on perfectly valid disjoint input.  (That last branch was latent —
-reachable only once a policy prefilters disjoint MBRs, which the
-tight-MBR policy does for PIXELBOX and future backends may do for any
-method — the kernel closes it for every policy rather than copying it a
-fourth time.)
-
-Now the sequence lives here exactly once:
+production batching trick).  Hand-assembled copies of the
+plan+stacked-pixelize sequence drift — one once under-counted ``pops``,
+ignored ``leaf_mode``, and left a zero union for direct-union pairs
+routed to no start box, which the final consistency check reports as a
+:class:`~repro.errors.KernelError` on valid disjoint input — so the
+sequence lives here exactly once:
 
 * :class:`ExecutionPolicy` — declarative knobs (algorithm variant, union
   mode, small-pair skip-subdivision dimension, chunk size);
-* :class:`ChunkKernel` — edge-table build, start-box routing,
-  level-synchronous planning, stacked leaf pixelization, and per-pair
-  scatter, parameterized by a policy;
-* the three execution paths (and any future CUDA or distributed-shard
-  backend) are thin adapters that pick a policy and call
-  :meth:`ChunkKernel.compute` or :meth:`ChunkKernel.run_shard`.
+* :class:`ChunkKernel` — level-synchronous planning, stacked leaf
+  pixelization, and per-pair scatter, parameterized by a policy;
+* :class:`ShardInput` — the data a kernel run consumes (both CSR edge
+  tables, start boxes, routing mask, polygon areas): built from a pair
+  list, flattened to and rebuilt from the named-array bundle that
+  crosses process and socket boundaries, and finalized into a
+  :class:`BatchAreas`;
+* every executor (in-process, worker process, remote worker) constructs
+  an ``ExecutionPolicy`` and calls :meth:`ChunkKernel.compute` or
+  :meth:`ChunkKernel.run_shard`.
 
 This module is the **only** caller of
 :func:`repro.pixelbox.vectorized.plan_levels` and
-:func:`repro.pixelbox.vectorized.stacked_leaf_counts`
-(``tools/check_kernel_seam.py`` enforces the seam), so an execution
-policy can never change results — only wall-clock.
+:func:`repro.pixelbox.vectorized.stacked_leaf_counts` (reprolint RL701
+enforces the seam), so an execution policy can never change results —
+only wall-clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,13 +58,10 @@ __all__ = [
     "BatchAreas",
     "ChunkKernel",
     "ExecutionPolicy",
+    "ShardInput",
     "DEFAULT_CHUNK_PAIRS",
     "DEFAULT_SKIP_SUBDIVISION_DIM",
     "start_box",
-    "engine_policy",
-    "batch_policy",
-    "shard_policy",
-    "compiled_policy",
 ]
 
 # Pairs processed per level-synchronous chunk (bounds peak memory of the
@@ -131,7 +124,8 @@ class ExecutionPolicy:
         When set, pairs whose start-box width *and* height are at most
         this bound skip the sampling-box subdivision and pixelize
         directly over the start box — the production batch policy
-        (``BATCH_MAX_DIM``).  ``None`` (default) always subdivides.
+        (:data:`DEFAULT_SKIP_SUBDIVISION_DIM`).  ``None`` (default)
+        always subdivides.
     chunk_pairs:
         Pairs per level-synchronous chunk (bounds peak memory).
     substrate:
@@ -199,36 +193,6 @@ class ExecutionPolicy:
         return not self.indirect_union
 
 
-def engine_policy(method: Method = Method.PIXELBOX) -> ExecutionPolicy:
-    """The per-variant engine policy: always subdivide, chunked."""
-    return ExecutionPolicy(method=method)
-
-
-def batch_policy(
-    max_dim: int = DEFAULT_SKIP_SUBDIVISION_DIM,
-) -> ExecutionPolicy:
-    """The production batched-device policy (small pairs skip subdivision)."""
-    return ExecutionPolicy(
-        method=Method.PIXELBOX, skip_subdivision_max_dim=max_dim
-    )
-
-
-def shard_policy(substrate: str = "numpy") -> ExecutionPolicy:
-    """The multiprocess shard policy (identical plan to the engine)."""
-    return ExecutionPolicy(method=Method.PIXELBOX, substrate=substrate)
-
-
-def compiled_policy(
-    max_dim: int = DEFAULT_SKIP_SUBDIVISION_DIM,
-) -> ExecutionPolicy:
-    """The compiled-substrate policy: the batch plan on machine code."""
-    return ExecutionPolicy(
-        method=Method.PIXELBOX,
-        skip_subdivision_max_dim=max_dim,
-        substrate="numba",
-    )
-
-
 def start_box(
     p: RectilinearPolygon,
     q: RectilinearPolygon,
@@ -242,7 +206,7 @@ def start_box(
     MBRs.  Every execution path must then report
     ``union = |p| + |q|`` for direct-union methods instead of leaving the
     slot zero (the latent batched disjoint-pair crash closed by
-    :meth:`ChunkKernel.finalize_union`).
+    :meth:`ShardInput.finalize`).
     """
     if not isinstance(method, Method):
         raise KernelError(f"unknown method {method!r}")
@@ -251,6 +215,129 @@ def start_box(
             raise KernelError("tight_mbr is only valid for the PIXELBOX variant")
         return p.mbr.intersect(q.mbr)
     return p.mbr.cover(q.mbr)
+
+
+Pairs = list[tuple[RectilinearPolygon, RectilinearPolygon]]
+
+_SIDES = ("p", "q")
+_EDGE_FIELDS = tuple(f.name for f in fields(EdgeTable))
+
+
+@dataclass(slots=True)
+class ShardInput:
+    """What one kernel run consumes, and the one owner of its layout.
+
+    ``table_p``/``table_q`` hold the CSR edges of every pair's two
+    sides, ``boxes[i]`` pair ``i``'s start box (meaningful only where
+    ``has_box[i]``).  ``area_p``/``area_q`` are the polygon areas
+    :meth:`finalize` needs; they stay with the process that built the
+    input and are ``None`` on one rebuilt by :meth:`from_arrays`.
+
+    An empty pair list is a valid input: empty tables, a zero-length
+    shard, an empty :class:`BatchAreas` with zero counters.
+    """
+
+    table_p: EdgeTable
+    table_q: EdgeTable
+    boxes: np.ndarray
+    has_box: np.ndarray
+    area_p: np.ndarray | None = None
+    area_q: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.has_box)
+
+    @classmethod
+    def build(
+        cls, pairs: Pairs, policy: ExecutionPolicy, cfg: LaunchConfig
+    ) -> "ShardInput":
+        """Route every pair to its start box and build both edge tables."""
+        n = len(pairs)
+        area_p = np.zeros(n, dtype=np.int64)
+        area_q = np.zeros(n, dtype=np.int64)
+        boxes = np.zeros((n, 4), dtype=np.int64)
+        has_box = np.zeros(n, dtype=bool)
+        for i, (p, q) in enumerate(pairs):
+            area_p[i] = p.area
+            area_q[i] = q.area
+            start = start_box(p, q, policy.method, cfg)
+            if start is not None:
+                has_box[i] = True
+                boxes[i] = start.as_tuple()
+        return cls(
+            EdgeTable.build([p for p, _ in pairs]),
+            EdgeTable.build([q for _, q in pairs]),
+            boxes,
+            has_box,
+            area_p,
+            area_q,
+        )
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The named-array bundle shipped to worker processes and hosts.
+
+        ``p.<field>``/``q.<field>`` for every :class:`EdgeTable` field,
+        plus ``boxes`` and ``has_box``; areas never leave the builder.
+        """
+        arrays = {
+            f"{side}.{name}": getattr(table, name)
+            for side, table in zip(_SIDES, (self.table_p, self.table_q))
+            for name in _EDGE_FIELDS
+        }
+        arrays["boxes"] = self.boxes
+        arrays["has_box"] = self.has_box
+        return arrays
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ShardInput":
+        """Rebuild a (zero-copy) input from a :meth:`to_arrays` bundle."""
+        required = [
+            f"{side}.{name}" for side in _SIDES for name in _EDGE_FIELDS
+        ] + ["boxes", "has_box"]
+        missing = sorted(set(required) - set(arrays))
+        if missing:
+            raise KernelError(f"shard bundle missing arrays: {missing}")
+        tables = (
+            EdgeTable(*(arrays[f"{side}.{name}"] for name in _EDGE_FIELDS))
+            for side in _SIDES
+        )
+        return cls(*tables, arrays["boxes"], arrays["has_box"])
+
+    def finalize(
+        self,
+        policy: ExecutionPolicy,
+        inter: np.ndarray,
+        uni: np.ndarray | None,
+        stats: KernelStats,
+    ) -> BatchAreas:
+        """Measured counts -> consistency-checked :class:`BatchAreas`.
+
+        Direct-union methods only measure what the kernel visited: a pair
+        routed to no start box (disjoint MBRs under a pre-filtering
+        policy) was never planned or pixelized, so its union is completed
+        here as ``|p| + |q|`` — exactly what the per-pair engine returns
+        for a ``None`` start box.  ``uni`` may be ``None`` under an
+        indirect-union policy (nothing was measured).
+        """
+        a_p, a_q = self.area_p, self.area_q
+        if a_p is None or a_q is None:
+            raise KernelError(
+                "a shard input rebuilt from arrays carries no polygon "
+                "areas; finalize on the input that was built from pairs"
+            )
+        if policy.indirect_union:
+            uni = a_p + a_q - inter
+        else:
+            if uni is None:
+                raise KernelError(
+                    "direct-union policy requires measured union counts"
+                )
+            uni = uni.copy()
+            no_box = ~self.has_box
+            uni[no_box] = a_p[no_box] + a_q[no_box]
+        if np.any(uni < inter) or np.any(uni != a_p + a_q - inter):
+            raise KernelError("inconsistent areas in batch result")
+        return BatchAreas(inter, uni, a_p, a_q, stats)
 
 
 class ChunkKernel:
@@ -264,8 +351,8 @@ class ChunkKernel:
       chunking, edge tables, finalization): what in-process executors
       call.
     * :meth:`run_shard` — the chunk loop over a contiguous index range of
-      *prebuilt* global edge tables: what a worker process (or a future
-      remote shard) calls after attaching shared state.
+      one prebuilt :class:`ShardInput`: what a worker process or remote
+      worker calls after attaching the shared bundle.
     * :meth:`run_chunk` — one chunk of the sequence: the only code in the
       repository invoking ``plan_levels`` / ``stacked_leaf_counts``.
 
@@ -279,31 +366,6 @@ class ChunkKernel:
     ):
         self.policy = policy
         self.cfg = config or LaunchConfig()
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def route_pairs(
-        self, pairs: list[tuple[RectilinearPolygon, RectilinearPolygon]]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Areas and start boxes for every pair.
-
-        Returns ``(a_p, a_q, boxes, has_box)``; ``boxes[i]`` is only
-        meaningful where ``has_box[i]``.
-        """
-        n = len(pairs)
-        a_p = np.zeros(n, dtype=np.int64)
-        a_q = np.zeros(n, dtype=np.int64)
-        boxes = np.zeros((n, 4), dtype=np.int64)
-        has_box = np.zeros(n, dtype=bool)
-        for i, (p, q) in enumerate(pairs):
-            a_p[i] = p.area
-            a_q[i] = q.area
-            start = start_box(p, q, self.policy.method, self.cfg)
-            if start is not None:
-                has_box[i] = True
-                boxes[i] = start.as_tuple()
-        return a_p, a_q, boxes, has_box
 
     # ------------------------------------------------------------------
     # The shared sequence
@@ -406,16 +468,9 @@ class ChunkKernel:
         return inter, uni
 
     def run_shard(
-        self,
-        table_p: EdgeTable,
-        table_q: EdgeTable,
-        boxes: np.ndarray,
-        has_box: np.ndarray,
-        lo: int,
-        hi: int,
-        stats: KernelStats,
+        self, shard: ShardInput, lo: int, hi: int, stats: KernelStats
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Chunked kernel over global pair indices ``[lo, hi)``.
+        """Chunked kernel over pair indices ``[lo, hi)`` of ``shard``.
 
         The edge tables cover *all* pairs (one serialization, many
         shards); the plan and the stacked pixelization never mix pairs,
@@ -428,30 +483,21 @@ class ChunkKernel:
         tracer = current_tracer()
         if tracer is not None:
             with tracer.span("kernel.run_shard", lo=lo, hi=hi):
-                return self._run_shard(
-                    table_p, table_q, boxes, has_box, lo, hi, stats
-                )
-        return self._run_shard(table_p, table_q, boxes, has_box, lo, hi, stats)
+                return self._run_shard(shard, lo, hi, stats)
+        return self._run_shard(shard, lo, hi, stats)
 
     def _run_shard(
-        self,
-        table_p: EdgeTable,
-        table_q: EdgeTable,
-        boxes: np.ndarray,
-        has_box: np.ndarray,
-        lo: int,
-        hi: int,
-        stats: KernelStats,
+        self, shard: ShardInput, lo: int, hi: int, stats: KernelStats
     ) -> tuple[np.ndarray, np.ndarray]:
         inter = np.zeros(hi - lo, dtype=np.int64)
         uni = np.zeros(hi - lo, dtype=np.int64)
         for c_lo in range(lo, hi, self.policy.chunk_pairs):
             c_hi = min(c_lo + self.policy.chunk_pairs, hi)
             c_inter, c_uni = self.run_chunk(
-                table_p,
-                table_q,
-                boxes[c_lo:c_hi],
-                has_box[c_lo:c_hi],
+                shard.table_p,
+                shard.table_q,
+                shard.boxes[c_lo:c_hi],
+                shard.has_box[c_lo:c_hi],
                 c_lo,
                 stats,
             )
@@ -463,59 +509,32 @@ class ChunkKernel:
     # Full pipeline
     # ------------------------------------------------------------------
     def compute(
-        self,
-        pairs: list[tuple[RectilinearPolygon, RectilinearPolygon]],
-        stats: KernelStats | None = None,
+        self, pairs: Pairs, stats: KernelStats | None = None
     ) -> BatchAreas:
-        """Exact areas for a pair list under this kernel's policy."""
-        st = stats if stats is not None else KernelStats()
-        n = len(pairs)
-        a_p, a_q, boxes, has_box = self.route_pairs(pairs)
-        inter = np.zeros(n, dtype=np.int64)
-        uni = np.zeros(n, dtype=np.int64)
-        for lo in range(0, n, self.policy.chunk_pairs):
-            hi = min(lo + self.policy.chunk_pairs, n)
-            chunk = pairs[lo:hi]
-            table_p = EdgeTable.build([p for p, _ in chunk])
-            table_q = EdgeTable.build([q for _, q in chunk])
-            inter[lo:hi], uni[lo:hi] = self.run_chunk(
-                table_p, table_q, boxes[lo:hi], has_box[lo:hi], 0, st
-            )
-        uni = self.finalize_union(inter, uni, a_p, a_q, has_box)
-        return BatchAreas(inter, uni, a_p, a_q, st)
+        """Exact areas for a pair list under this kernel's policy.
 
-    def finalize_union(
-        self,
-        inter: np.ndarray,
-        uni: np.ndarray | None,
-        a_p: np.ndarray,
-        a_q: np.ndarray,
-        has_box: np.ndarray,
-    ) -> np.ndarray:
-        """Union vector under the policy's union mode, consistency-checked.
-
-        Direct-union methods only measure what the kernel visited: a pair
-        routed to no start box (disjoint MBRs under a pre-filtering
-        policy) was never planned or pixelized, so its union is completed
-        here as ``|p| + |q|`` — exactly what the per-pair engine returns
-        for a ``None`` start box.  Leaving those slots zero was the
-        latent drift in the hand-copied paths: a direct-union method
-        meeting a prefiltered pair would have tripped the consistency
-        check below as a ``KernelError`` on valid disjoint input.
-
-        ``uni`` may be ``None`` under an indirect-union policy (nothing
-        was measured, so there is nothing to pass).
+        Each chunk builds its own :class:`ShardInput`, so peak memory is
+        bounded by ``chunk_pairs`` however long the pair list is.
         """
-        if self.policy.indirect_union:
-            uni = a_p + a_q - inter
-        else:
-            if uni is None:
-                raise KernelError(
-                    "direct-union policy requires measured union counts"
-                )
-            uni = uni.copy()
-            no_box = ~has_box
-            uni[no_box] = a_p[no_box] + a_q[no_box]
-        if np.any(uni < inter) or np.any(uni != a_p + a_q - inter):
-            raise KernelError("inconsistent areas in batch result")
-        return uni
+        st = stats if stats is not None else KernelStats()
+        step = self.policy.chunk_pairs
+        # An empty pair list still runs one (empty) chunk.
+        chunks = [
+            pairs[lo : lo + step] for lo in range(0, len(pairs), step)
+        ] or [pairs]
+        parts = []
+        for chunk in chunks:
+            part = ShardInput.build(chunk, self.policy, self.cfg)
+            inter, uni = self.run_chunk(
+                part.table_p, part.table_q, part.boxes, part.has_box, 0, st
+            )
+            parts.append(part.finalize(self.policy, inter, uni, st))
+        if len(parts) == 1:
+            return parts[0]
+        return BatchAreas(
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name in ("intersection", "union", "area_p", "area_q")
+            ),
+            st,
+        )

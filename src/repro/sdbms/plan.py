@@ -241,11 +241,11 @@ class BackendAreaProject(PlanNode):
     def rows(self, profiler: Profiler) -> Iterator[Row]:
         from repro.backends import get_backend
 
-        executor = get_backend(self.backend)
         materialized = list(self.child.rows(profiler))
         pairs = [(row["a"], row["b"]) for row in materialized]
-        with profiler.measure(Bucket.AREA_OF_INTERSECTION):
-            areas = executor.compare_pairs(pairs, self.config)
+        with get_backend(self.backend) as executor:
+            with profiler.measure(Bucket.AREA_OF_INTERSECTION):
+                areas = executor.compare_pairs(pairs, self.config)
         for i, row in enumerate(materialized):
             row["ai"] = int(areas.intersection[i])
             row["ap"] = int(areas.area_p[i])

@@ -59,7 +59,7 @@ from repro.metrics.service import ServiceMetrics, ServiceSnapshot
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_context, current_tracer
 from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["ServiceConfig", "ComparisonService"]
 

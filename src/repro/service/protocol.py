@@ -42,7 +42,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.geometry.wkt import polygon_to_wkt
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = [
     "OPS",

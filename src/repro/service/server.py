@@ -20,11 +20,16 @@ import sys
 from typing import Any, Callable
 
 from repro.api.request import request_from_wire
+from repro.errors import RequestError
 from repro.obs.export import MetricsServer, render_snapshot
 from repro.service import protocol
 from repro.service.core import ComparisonService, ServiceConfig
 
 __all__ = ["serve"]
+
+# Longest request line a connection accepts, in bytes (asyncio's stream
+# default, made explicit so the rejection can name it).
+_LINE_LIMIT = 2**16
 
 
 async def _answer(
@@ -77,6 +82,14 @@ async def _handle_line(
     except Exception as exc:  # noqa: BLE001 - every failure goes on the wire
         response = protocol.error_payload(exc)
     response["id"] = request_id
+    await _send(response, writer, write_lock)
+
+
+async def _send(
+    response: dict[str, Any],
+    writer: asyncio.StreamWriter,
+    write_lock: asyncio.Lock,
+) -> None:
     async with write_lock:
         writer.write(protocol.encode(response))
         try:
@@ -112,7 +125,21 @@ async def _connection(
                 with contextlib.suppress(asyncio.CancelledError):
                     await read
                 break
-            line = read.result()
+            try:
+                line = read.result()
+            except ValueError:
+                # The line outgrew the stream limit and asyncio dropped
+                # what it had buffered: the framing is lost, so answer
+                # once and close this connection.
+                oversize = RequestError(
+                    f"request line exceeds the {_LINE_LIMIT}-byte limit"
+                )
+                await _send(
+                    {**protocol.error_payload(oversize), "id": None},
+                    writer,
+                    write_lock,
+                )
+                break
             if not line:
                 break
             task = asyncio.ensure_future(
@@ -136,7 +163,7 @@ async def _connection(
 async def _stdio_streams() -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     """Asyncio stream pair over this process's stdin/stdout."""
     loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
+    reader = asyncio.StreamReader(limit=_LINE_LIMIT)
     await loop.connect_read_pipe(
         lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
     )
@@ -225,7 +252,9 @@ async def _serve_streams(
         finally:
             connections.discard(task)
 
-    server = await asyncio.start_server(on_connection, host, port)
+    server = await asyncio.start_server(
+        on_connection, host, port, limit=_LINE_LIMIT
+    )
     bound_port = server.sockets[0].getsockname()[1]
     announce(f"repro-serve ready {host} {bound_port}")
     announce_metrics()

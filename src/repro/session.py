@@ -29,9 +29,7 @@ Usage::
             ...
 
 Results are bit-for-bit identical across every backend and every entry
-point — execution choices are performance knobs, never semantics — and
-bit-for-bit identical to the legacy ``cross_compare*`` functions, which
-are now deprecation shims over this class.
+point — execution choices are performance knobs, never semantics.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from repro.errors import RequestError, SessionClosedError
 from repro.metrics.jaccard import jaccard_from_areas
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_tracer
-from repro.pixelbox.engine import BatchAreas
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["Session"]
 

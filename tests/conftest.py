@@ -37,6 +37,22 @@ def mask_of(polygon: RectilinearPolygon, box: Box) -> np.ndarray:
     return polygon_to_mask(polygon, box)
 
 
+def chunked_areas(pairs, method=None, cfg=None):
+    """The chunk kernel under the always-subdivide policy of ``method``."""
+    from repro.pixelbox.common import Method
+    from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
+
+    policy = ExecutionPolicy(method=method or Method.PIXELBOX)
+    return ChunkKernel(policy, cfg).compute(pairs)
+
+
+def batched_areas(pairs, cfg=None):
+    """The production batch policy, through the registry."""
+    from repro.backends import get_backend
+
+    return get_backend("batch").compare_pairs(pairs, cfg)
+
+
 @pytest.fixture(autouse=True)
 def _clean_cost_calibration():
     """No test inherits (or leaks) a process-global cost profile.

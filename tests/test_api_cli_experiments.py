@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.api import cross_compare, cross_compare_files
+from repro.api import Session
 from repro.cli import build_parser, main
 from repro.errors import ExperimentError
 from repro.experiments.common import ExperimentResult, geometric_mean
@@ -13,26 +13,25 @@ from repro.metrics.jaccard import jaccard_pairwise
 
 
 class TestApi:
-    def test_cross_compare_in_memory(self, tile_pair):
+    def test_compare_sets_in_memory(self, tile_pair):
         a, b = tile_pair
-        with pytest.deprecated_call():
-            result = cross_compare(a, b)
+        with Session() as session:
+            result = session.compare_sets(a, b)
         pw = jaccard_pairwise(a, b)
         assert result.jaccard_mean == pytest.approx(pw.mean_ratio)
         assert result.intersecting_pairs == pw.intersecting_pairs
         assert "J'" in str(result)
 
-    def test_cross_compare_files(self, small_dataset):
+    def test_compare_files(self, small_dataset):
         dir_a, dir_b = small_dataset
-        with pytest.deprecated_call():
-            result = cross_compare_files(dir_a, dir_b)
+        with Session() as session:
+            result = session.compare_files(dir_a, dir_b)
         assert 0.3 < result.jaccard_mean < 1.0
         assert result.tiles == 4
 
     def test_lazy_api_import(self):
         import repro
 
-        assert callable(repro.cross_compare)
         assert callable(repro.Session)
         with pytest.raises(AttributeError):
             _ = repro.not_a_symbol

@@ -1,42 +1,47 @@
 """The public-surface guard runs green against the checked-in manifest.
 
-Mirrors the CI step (``python tools/check_api_surface.py``) so a surface
-drift fails the tier-1 suite locally too, and exercises the tool's own
-diff logic on synthetic drift.
+Mirrors the CI step (``python -m tools.reprolint``, checker RL801) so a
+surface drift fails the tier-1 suite locally too, and exercises the
+checker's own diff logic on synthetic drift.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import json
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+sys.path.insert(0, str(REPO_ROOT))
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "check_api_surface", REPO_ROOT / "tools" / "check_api_surface.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tools.reprolint import ApiSurfaceChecker, Project  # noqa: E402
+from tools.reprolint import api_surface  # noqa: E402
+from tools.reprolint.__main__ import main  # noqa: E402
 
 
-def test_api_surface_matches_manifest(capsys):
-    tool = _load_tool()
-    assert tool.main([]) == 0, capsys.readouterr().out
-    out = capsys.readouterr().out
-    assert "api surface intact" in out
+def test_api_surface_matches_manifest():
+    found = ApiSurfaceChecker().check(Project(REPO_ROOT))
+    assert not found, "\n".join(f.message for f in found)
 
 
 def test_manifest_is_checked_in():
-    manifest = REPO_ROOT / "tools" / "api_surface.json"
-    assert manifest.exists(), "run `python tools/check_api_surface.py --update`"
+    manifest = REPO_ROOT / api_surface.MANIFEST_REL
+    assert manifest.exists(), (
+        "run `python -m tools.reprolint --update-api-surface`"
+    )
+
+
+def test_update_flag_rewrites_the_manifest(tmp_path, capsys):
+    (tmp_path / "tools").mkdir()
+    assert main(["--root", str(tmp_path), "--update-api-surface"]) == 0
+    assert "manifest updated" in capsys.readouterr().out
+    written = json.loads((tmp_path / api_surface.MANIFEST_REL).read_text())
+    assert written == api_surface.snapshot()
 
 
 def test_diff_reports_removals_and_changes():
-    tool = _load_tool()
     expected = {
         "m": {
             "gone": {"kind": "function", "signature": "()"},
@@ -51,7 +56,7 @@ def test_diff_reports_removals_and_changes():
             "added": {"kind": "function", "signature": "()"},
         }
     }
-    problems = "\n".join(tool.diff(expected, actual))
+    problems = "\n".join(api_surface.diff(expected, actual))
     assert "m.gone: removed" in problems
     assert "m.changed: signature changed" in problems
     assert "m.added: added" in problems
@@ -59,14 +64,10 @@ def test_diff_reports_removals_and_changes():
 
 
 def test_snapshot_covers_the_front_door():
-    tool = _load_tool()
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    surface = tool.snapshot()
+    surface = api_surface.snapshot()
     assert "Session" in surface["repro.api"]
     assert "CompareRequest" in surface["repro.api"]
     assert "explain" in surface["repro.api"]
-    assert "cross_compare" in surface["repro.api"]
+    assert "cross_compare" not in surface["repro.api"]
     assert surface["repro.api"]["Session"]["kind"] == "class"
     assert "compare_files" in surface["repro.api"]["Session"]["methods"]

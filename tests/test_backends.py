@@ -20,7 +20,6 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.gpu.cost import estimate_comparison_cycles, recommend_backend
 from repro.pipeline.device import GpuDevice
-from repro.pixelbox.api import compare_pairs
 from repro.pixelbox.common import LaunchConfig
 
 
@@ -180,10 +179,12 @@ class TestWiring:
         with pytest.raises(KernelError):
             GpuDevice(backend="nope")
 
-    def test_pixelbox_api_compare_pairs(self):
-        via_api = compare_pairs(_pairs(5), backend="multiprocess", workers=2)
-        ref = compare_pairs(_pairs(5))
-        assert np.array_equal(via_api.intersection, ref.intersection)
+    def test_backend_options_reach_the_factory(self):
+        with get_backend("multiprocess", workers=2) as sharded:
+            assert sharded.workers == 2
+            via_options = sharded.compare_pairs(_pairs(5))
+        ref = get_backend("batch").compare_pairs(_pairs(5))
+        assert np.array_equal(via_options.intersection, ref.intersection)
 
     def test_pipeline_options_backend(self, small_dataset):
         from repro.pipeline.engine import PipelineOptions, run_pipelined
@@ -206,6 +207,37 @@ class TestWiring:
             row_at_a_time.jaccard_mean
         )
         assert batched.pair_count == row_at_a_time.pair_count
+
+    @pytest.mark.parametrize("site", ["jaccard_pairwise", "sdbms-plan"])
+    def test_by_name_call_sites_close_their_backend(self, site):
+        """Regression: both sites resolved a backend by name and never
+        closed it, so every call on ``cluster`` left its self-hosted
+        loopback worker threads running."""
+        import threading
+        import time
+
+        from repro.metrics.jaccard import jaccard_pairwise
+        from repro.sdbms.queries import run_cross_compare
+
+        # 400 one-to-one overlapping squares: above the cluster's
+        # min_pairs, so the loopback workers really start.
+        grid = [(10 * i, 10 * j) for i in range(20) for j in range(20)]
+        set_a = [RectilinearPolygon.from_box(Box(x, y, x + 6, y + 6))
+                 for x, y in grid]
+        set_b = [RectilinearPolygon.from_box(Box(x + 2, y + 2, x + 8, y + 8))
+                 for x, y in grid]
+        before = threading.active_count()
+        for _ in range(3):
+            if site == "jaccard_pairwise":
+                res = jaccard_pairwise(set_a, set_b, backend="cluster")
+                assert res.candidate_pairs == 400
+            else:
+                res = run_cross_compare(set_a, set_b, backend="cluster")
+                assert res.pair_count == 400
+        deadline = time.monotonic() + 5
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.05)  # connection threads notice the close
+        assert threading.active_count() == before
 
     def test_sdbms_backend_plan_explain(self):
         from repro.sdbms.queries import build_backend_plan

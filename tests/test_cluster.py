@@ -346,6 +346,31 @@ def test_worker_rejects_run_shard_for_unknown_digest():
             assert header["kind"] == "missing-tables"
 
 
+def test_worker_rejects_a_bundle_with_a_missing_array(workload):
+    """PUT_TABLES validates through ``ShardInput.from_arrays``: a typed
+    protocol error naming the array, and the worker keeps serving."""
+    from repro.pixelbox.kernel import ExecutionPolicy, ShardInput
+
+    pairs, _ = workload
+    arrays = ShardInput.build(
+        pairs[:4], ExecutionPolicy(), LaunchConfig()
+    ).to_arrays()
+    del arrays["q.offsets"]
+    with LoopbackCluster(1) as cluster:
+        worker = cluster.workers[0]
+        with pytest.raises(ClusterProtocolError, match="q.offsets"):
+            worker._put_tables({"digest": "d"}, arrays)
+        with socket.create_connection(worker.address, timeout=5) as sock:
+            wire.send_frame(sock, wire.MsgType.PUT_TABLES, {"digest": "d"}, arrays)
+            msgtype, header, _ = wire.recv_frame(sock)
+            assert msgtype == wire.MsgType.ERROR
+            assert header["kind"] == "bad-request"
+            assert "q.offsets" in header["error"]
+            wire.send_frame(sock, wire.MsgType.HAS_TABLES, {"digest": "d"})
+            msgtype, header, _ = wire.recv_frame(sock)
+            assert msgtype == wire.MsgType.TABLES_ACK and not header["cached"]
+
+
 # ----------------------------------------------------------------------
 # Scheduler unit behavior (no sockets)
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.data.datasets import DatasetSpec, generate_dataset, suite_specs
 from repro.data.perturb import PerturbModel
 from repro.data.shapes import rasterize_shape, sample_shape
@@ -18,7 +19,6 @@ from repro.metrics.jaccard import (
     jaccard_global,
     jaccard_pairwise,
 )
-from repro.pixelbox.api import batch_areas
 
 
 class TestShapes:
@@ -178,6 +178,6 @@ class TestJaccardMetrics:
 
     def test_from_areas_validates_lengths(self, tile_pair):
         a, b = tile_pair
-        areas = batch_areas([(a[0], b[0])])
+        areas = get_backend("batch").compare_pairs([(a[0], b[0])])
         with pytest.raises(GeometryError):
             jaccard_from_areas(areas, np.array([0, 1]), np.array([0]), 1, 1)

@@ -2,9 +2,9 @@
 
 A fourth hand-rolled copy of the plan+stacked-pixelize sequence is the
 failure mode behind the latent batched disjoint-pair crash and the
-per-path counter drift; this test
-(and the identical CI step, ``tools/check_kernel_seam.py``) makes such a
-copy fail loudly at review time instead of drifting silently.
+per-path counter drift; this test (and the CI step,
+``python -m tools.reprolint``, checker RL701) makes such a copy fail
+loudly at review time instead of drifting silently.
 """
 
 from __future__ import annotations
@@ -14,20 +14,25 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-sys.path.insert(0, str(REPO_ROOT / "tools"))
+sys.path.insert(0, str(REPO_ROOT))
 
-from check_kernel_seam import ALLOWLIST, violations  # noqa: E402
+from tools.reprolint import KernelSeamChecker, Project  # noqa: E402
+from tools.reprolint.kernel_seam import SEAM_ALLOWLIST  # noqa: E402
 
 
 def test_kernel_sequence_is_invoked_from_exactly_one_module():
-    found = violations(REPO_ROOT / "src")
+    found = KernelSeamChecker().check(Project(REPO_ROOT))
     assert not found, (
         "plan_levels/stacked_leaf_counts used outside the kernel seam "
-        f"(allowlist: {sorted(ALLOWLIST)}): "
-        + "; ".join(f"{p}:{n}" for p, n, _ in found)
+        f"(allowlist: {sorted(SEAM_ALLOWLIST)}): "
+        + "; ".join(f"{f.path}:{f.line}" for f in found)
     )
 
 
-def test_allowlisted_modules_exist():
-    for rel in ALLOWLIST:
+def test_allowlist_is_the_kernel_and_its_definition_site():
+    assert sorted(SEAM_ALLOWLIST) == [
+        "repro/pixelbox/kernel.py",
+        "repro/pixelbox/vectorized.py",
+    ]
+    for rel in SEAM_ALLOWLIST:
         assert (REPO_ROOT / "src" / rel).is_file(), rel

@@ -23,16 +23,15 @@ import numpy as np
 import pytest
 
 from repro.backends import backend_availability, get_backend
-from repro.backends.numba_backend import numba_unavailable_reason
+from repro.backends.kernel import numba_unavailable_reason
 from repro.errors import BackendError, KernelError, ReproError
 from repro.gpu.cost import recommend_backend
 from repro.pixelbox.common import KernelStats, LaunchConfig, Method
 from repro.pixelbox.kernel import (
+    DEFAULT_SKIP_SUBDIVISION_DIM,
     ChunkKernel,
     ExecutionPolicy,
-    batch_policy,
-    compiled_policy,
-    shard_policy,
+    ShardInput,
 )
 from repro.pixelbox.numba_kernel import NUMBA_AVAILABLE, run_chunk_compiled
 from repro.pixelbox.vectorized import EdgeTable
@@ -48,10 +47,10 @@ HEAVY = dict(
 @pytest.fixture
 def numba_absent(monkeypatch):
     """Force the availability probe to report numba as missing."""
-    from repro.backends import numba_backend
+    from repro.backends import kernel
 
     monkeypatch.setattr(
-        numba_backend,
+        kernel,
         "numba_unavailable_reason",
         lambda: "numba is not installed (forced by test)",
     )
@@ -188,12 +187,17 @@ class TestCostModel:
 # ----------------------------------------------------------------------
 # Algorithm parity: the DFS walk is bit-for-bit the BFS array program
 # ----------------------------------------------------------------------
+BATCH_POLICY = ExecutionPolicy(
+    skip_subdivision_max_dim=DEFAULT_SKIP_SUBDIVISION_DIM
+)
+
+
 def _chunk_inputs(pairs, policy, cfg):
-    kernel = ChunkKernel(policy, cfg)
-    _, _, boxes, has_box = kernel.route_pairs(pairs)
-    table_p = EdgeTable.build([p for p, _ in pairs])
-    table_q = EdgeTable.build([q for _, q in pairs])
-    return kernel, table_p, table_q, boxes, has_box
+    shard = ShardInput.build(pairs, policy, cfg)
+    return (
+        ChunkKernel(policy, cfg), shard.table_p, shard.table_q,
+        shard.boxes, shard.has_box,
+    )
 
 
 def _parity_pairs(seed=20260807, n=40, h=90, w=110):
@@ -204,9 +208,9 @@ def _parity_pairs(seed=20260807, n=40, h=90, w=110):
 @pytest.mark.parametrize(
     "policy",
     [
-        shard_policy(),
-        batch_policy(),
-        batch_policy(max_dim=8),
+        ExecutionPolicy(),
+        BATCH_POLICY,
+        ExecutionPolicy(skip_subdivision_max_dim=8),
         ExecutionPolicy(skip_subdivision_max_dim=4096),
     ],
     ids=["subdivide-all", "batch-64", "batch-8", "skip-all"],
@@ -251,7 +255,7 @@ def test_compiled_chunk_matches_on_degenerate_pairs():
         (unit, square),
     ]
     cfg = LaunchConfig(tight_mbr=True)  # routes disjoint MBRs to no box
-    policy = batch_policy()
+    policy = BATCH_POLICY
     kernel, table_p, table_q, boxes, has_box = _chunk_inputs(
         pairs, policy, cfg
     )
@@ -272,7 +276,7 @@ def test_compiled_chunk_matches_on_degenerate_pairs():
 def test_compiled_chunk_respects_row_base():
     """A shard walking global tables addresses edge rows by row_base."""
     pairs = _parity_pairs(seed=99, n=12, h=40, w=40)
-    policy = shard_policy()
+    policy = ExecutionPolicy()
     cfg = LaunchConfig()
     kernel, table_p, table_q, boxes, has_box = _chunk_inputs(
         pairs, policy, cfg
@@ -292,7 +296,9 @@ def test_compiled_chunk_respects_row_base():
 
 
 def test_compiled_chunk_handles_empty_chunk():
-    policy = compiled_policy()
+    policy = ExecutionPolicy(
+        skip_subdivision_max_dim=DEFAULT_SKIP_SUBDIVISION_DIM, substrate="numba"
+    )
     cfg = LaunchConfig()
     stats = KernelStats()
     inter, uni = run_chunk_compiled(

@@ -41,8 +41,7 @@ from repro.obs import (
     render_spans,
 )
 from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
-from repro.pixelbox.vectorized import EdgeTable
+from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy, ShardInput
 from repro.service.core import ComparisonService, ServiceConfig
 from repro.session import Session
 
@@ -283,19 +282,15 @@ def test_untraced_sessions_share_no_state():
 def test_tracing_off_adds_zero_obs_allocations_to_run_shard():
     pairs = _pairs(16)
     kernel = ChunkKernel(ExecutionPolicy(), LaunchConfig())
-    _, _, boxes, has_box = kernel.route_pairs(pairs)
-    table_p = EdgeTable.build([p for p, _ in pairs])
-    table_q = EdgeTable.build([q for _, q in pairs])
+    shard = ShardInput.build(pairs, kernel.policy, kernel.cfg)
     assert current_tracer() is None
     # Warm up lazy imports/caches outside the measurement window.
-    kernel.run_shard(table_p, table_q, boxes, has_box, 0, 4, KernelStats())
+    kernel.run_shard(shard, 0, 4, KernelStats())
 
     obs_filter = tracemalloc.Filter(True, "*repro/obs/*")
     tracemalloc.start()
     try:
-        kernel.run_shard(
-            table_p, table_q, boxes, has_box, 0, len(pairs), KernelStats()
-        )
+        kernel.run_shard(shard, 0, len(pairs), KernelStats())
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

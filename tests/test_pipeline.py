@@ -236,3 +236,34 @@ class TestSchemes:
             PipelineOptions(parser_workers=0)
         with pytest.raises(PipelineError):
             PipelineOptions(batch_pairs=0)
+
+
+class TestStageTimers:
+    def test_concurrent_adds_sum_exactly(self):
+        """Every parser thread calls ``add`` on the one shared record; a
+        lost update would leave the totals short."""
+        import sys
+
+        from repro.pipeline.stages import StageTimers
+
+        timers = StageTimers()
+        threads_n, adds = 8, 5000
+
+        def work():
+            for _ in range(adds):
+                timers.add("parser", 1.0)
+                timers.add("migrated_gpu_tasks", 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert timers.parser == threads_n * adds
+        assert timers.migrated_gpu_tasks == threads_n * adds

@@ -63,7 +63,7 @@ class TestAggregatorMigratorBackendRouting:
         from repro.data.synth import generate_tile_pair
         from repro.index.join import mbr_pair_join
         from repro.pipeline.tasks import FilteredBatch
-        from repro.pixelbox.api import compare_pairs
+        from repro.backends import get_backend
 
         set_a, set_b = generate_tile_pair(
             seed=21, nuclei=30, width=128, height=128
@@ -95,7 +95,8 @@ class TestAggregatorMigratorBackendRouting:
         assert result is not None
         assert result.executed_on == "cpu"
         # The migrated result matches a direct backend launch exactly.
-        areas = compare_pairs(pairs, backend=backend, config=LaunchConfig())
+        with get_backend(backend) as direct:
+            areas = direct.compare_pairs(pairs, LaunchConfig())
         hit = areas.intersection > 0
         assert result.intersecting_pairs == int(hit.sum())
         assert result.candidate_pairs == len(pairs)

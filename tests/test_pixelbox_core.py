@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.errors import KernelError
 from repro.exact.boolean import intersection_area, union_area
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
-from repro.pixelbox.api import batch_areas, pair_areas, variant_areas
 from repro.pixelbox.common import (
     KernelStats,
     LaunchConfig,
@@ -15,10 +15,12 @@ from repro.pixelbox.common import (
     PairAreas,
     split_grid,
 )
-from repro.pixelbox.cpu import PixelBoxCpu, pair_areas_scalar
-from repro.pixelbox.engine import compute_pair, compute_pairs
+from repro.pixelbox.cpu import pair_areas_scalar
+from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.reference import ReferenceKernel
-from tests.conftest import random_pair
+from tests.conftest import batched_areas, chunked_areas, random_pair
+
+pair_areas = compute_pair
 
 
 def square(x0, y0, x1, y1):
@@ -82,7 +84,7 @@ class TestVariantsAgainstExact:
     @pytest.mark.parametrize("method", list(Method))
     def test_matches_exact_overlay(self, rng, method):
         pairs = [random_pair(rng) for _ in range(40)]
-        res = variant_areas(pairs, method)
+        res = chunked_areas(pairs, method)
         for k, (p, q) in enumerate(pairs):
             assert res.intersection[k] == intersection_area(p, q)
             assert res.union[k] == union_area(p, q)
@@ -91,14 +93,14 @@ class TestVariantsAgainstExact:
     def test_scaled_pairs(self, rng, method):
         pairs = [random_pair(rng) for _ in range(10)]
         scaled = [(p.scale(6), q.scale(6)) for p, q in pairs]
-        res = variant_areas(scaled, method)
+        res = chunked_areas(scaled, method)
         for k, (p, q) in enumerate(scaled):
             assert res.intersection[k] == intersection_area(p, q)
 
     def test_deep_recursion_config(self, rng):
         cfg = LaunchConfig(block_size=16, pixel_threshold=8)
         pairs = [random_pair(rng) for _ in range(15)]
-        res = variant_areas(pairs, Method.PIXELBOX, cfg)
+        res = chunked_areas(pairs, Method.PIXELBOX, cfg)
         for k, (p, q) in enumerate(pairs):
             assert res.intersection[k] == intersection_area(p, q)
 
@@ -106,7 +108,7 @@ class TestVariantsAgainstExact:
         cfg = LaunchConfig(leaf_mode="crossing")
         pairs = [random_pair(rng) for _ in range(20)]
         for method in Method:
-            res = variant_areas(pairs, method, cfg)
+            res = chunked_areas(pairs, method, cfg)
             for k, (p, q) in enumerate(pairs):
                 assert res.intersection[k] == intersection_area(p, q)
                 assert res.union[k] == union_area(p, q)
@@ -121,7 +123,7 @@ class TestVariantsAgainstExact:
 
     def test_single_pair_matches_batch(self, rng):
         pairs = [random_pair(rng) for _ in range(10)]
-        batch = compute_pairs(pairs, Method.PIXELBOX)
+        batch = chunked_areas(pairs, Method.PIXELBOX)
         for k, (p, q) in enumerate(pairs):
             single = compute_pair(p, q, Method.PIXELBOX)
             assert batch.pair(k) == single
@@ -130,7 +132,7 @@ class TestVariantsAgainstExact:
 class TestBatchKernel:
     def test_matches_exact(self, rng):
         pairs = [random_pair(rng) for _ in range(50)]
-        res = batch_areas(pairs)
+        res = batched_areas(pairs)
         for k, (p, q) in enumerate(pairs):
             assert res.intersection[k] == intersection_area(p, q)
             assert res.union[k] == union_area(p, q)
@@ -138,7 +140,7 @@ class TestBatchKernel:
     def test_large_pairs_take_fallback_path(self, rng):
         pairs = [(p.scale(9), q.scale(9)) for p, q in
                  (random_pair(rng) for _ in range(5))]
-        res = batch_areas(pairs)
+        res = batched_areas(pairs)
         assert res.stats.fallback_pairs == 5
         for k, (p, q) in enumerate(pairs):
             assert res.intersection[k] == intersection_area(p, q)
@@ -146,16 +148,16 @@ class TestBatchKernel:
     def test_mixed_sizes(self, rng):
         small = [random_pair(rng) for _ in range(10)]
         large = [(p.scale(9), q.scale(9)) for p, q in small[:3]]
-        res = batch_areas(small + large)
+        res = batched_areas(small + large)
         assert res.stats.batched_pairs == 10
         assert res.stats.fallback_pairs == 3
 
     def test_empty_batch(self):
-        res = batch_areas([])
+        res = batched_areas([])
         assert len(res) == 0
 
     def test_ratios(self):
-        res = batch_areas([(square(0, 0, 2, 2), square(0, 0, 2, 2)),
+        res = batched_areas([(square(0, 0, 2, 2), square(0, 0, 2, 2)),
                            (square(0, 0, 2, 2), square(5, 5, 6, 6))])
         assert res.ratios().tolist() == [1.0, 0.0]
 
@@ -176,18 +178,11 @@ class TestCpuPort:
             assert pair_areas_scalar(p, q, cfg).intersection == \
                 intersection_area(p, q)
 
-    @pytest.mark.parametrize("mode,workers", [("scalar", 1), ("vector", 1),
-                                              ("vector", 3)])
-    def test_compute_many(self, rng, mode, workers):
+    def test_scalar_backend_over_a_pair_list(self, rng):
         pairs = [random_pair(rng) for _ in range(21)]
-        cpu = PixelBoxCpu(mode=mode, workers=workers)
-        res = cpu.compute_many(pairs)
+        res = get_backend("scalar").compare_pairs(pairs)
         for k, (p, q) in enumerate(pairs):
             assert res.intersection[k] == intersection_area(p, q)
-
-    def test_invalid_mode(self):
-        with pytest.raises(KernelError):
-            PixelBoxCpu(mode="simd")
 
 
 class TestReferenceKernel:
@@ -218,7 +213,7 @@ class TestReferenceKernel:
 class TestStats:
     def test_stats_accumulate(self, rng):
         pairs = [random_pair(rng) for _ in range(12)]
-        res = compute_pairs(pairs, Method.PIXELBOX)
+        res = chunked_areas(pairs, Method.PIXELBOX)
         assert res.stats.pairs == 12
         assert res.stats.leaf_boxes >= 12
         assert res.stats.pixel_tests > 0
@@ -233,14 +228,14 @@ class TestStats:
     def test_sampling_reduces_pixel_tests_on_large_pairs(self, rng):
         pairs = [(p.scale(8), q.scale(8)) for p, q in
                  (random_pair(rng) for _ in range(10))]
-        po = compute_pairs(pairs, Method.PIXEL_ONLY).stats
-        pb = compute_pairs(pairs, Method.PIXELBOX).stats
+        po = chunked_areas(pairs, Method.PIXEL_ONLY).stats
+        pb = chunked_areas(pairs, Method.PIXELBOX).stats
         assert pb.pixel_tests < po.pixel_tests
 
     def test_nosep_partitions_at_least_as_much(self, rng):
         cfg = LaunchConfig(block_size=16, pixel_threshold=64)
         pairs = [(p.scale(6), q.scale(6)) for p, q in
                  (random_pair(rng) for _ in range(10))]
-        ns = compute_pairs(pairs, Method.NOSEP, cfg).stats
-        pb = compute_pairs(pairs, Method.PIXELBOX, cfg).stats
+        ns = chunked_areas(pairs, Method.NOSEP, cfg).stats
+        pb = chunked_areas(pairs, Method.PIXELBOX, cfg).stats
         assert ns.partitions >= pb.partitions

@@ -26,18 +26,29 @@ from repro.errors import KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
-from repro.pixelbox.batch import BATCH_MAX_DIM, compute_batch
 from repro.pixelbox.common import KernelStats, LaunchConfig, Method
-from repro.pixelbox.engine import compute_pair, compute_pairs
+from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.kernel import (
     DEFAULT_CHUNK_PAIRS,
+    DEFAULT_SKIP_SUBDIVISION_DIM,
     ChunkKernel,
     ExecutionPolicy,
-    batch_policy,
-    engine_policy,
-    shard_policy,
+    ShardInput,
     start_box,
 )
+from repro.pixelbox.vectorized import EdgeTable
+
+from conftest import batched_areas, chunked_areas
+
+
+def finalize(method, inter, uni, a_p, a_q, has_box):
+    """``ShardInput.finalize`` over hand-made measurements."""
+    empty = EdgeTable.build([])
+    boxes = np.zeros((len(has_box), 4), dtype=np.int64)
+    shard = ShardInput(empty, empty, boxes, has_box, a_p, a_q)
+    return shard.finalize(
+        ExecutionPolicy(method=method), inter, uni, KernelStats()
+    ).union
 
 
 def rect(x0, y0, x1, y1):
@@ -77,11 +88,11 @@ def _contact_cases():
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("case", sorted(_contact_cases()))
 def test_batched_agrees_with_per_pair_on_contact_cases(method, case):
-    """Regression: ``compute_pairs`` must never raise on disjoint MBRs and
+    """Regression: ``chunked_areas`` must never raise on disjoint MBRs and
     must agree bit-for-bit with ``compute_pair`` for every variant."""
     p, q = _contact_cases()[case]
     expected = compute_pair(p, q, method)
-    got = compute_pairs([(p, q)], method).pair(0)
+    got = chunked_areas([(p, q)], method).pair(0)
     assert got == expected
     if "overlap" not in case:
         assert got.intersection == 0
@@ -108,7 +119,7 @@ def test_tight_mbr_disjoint_pair_has_full_union():
     p, q = rect(0, 0, 10, 10), rect(20, 20, 30, 30)
     cfg = LaunchConfig(tight_mbr=True)
     assert start_box(p, q, Method.PIXELBOX, cfg) is None
-    res = compute_pairs([(p, q)], Method.PIXELBOX, cfg).pair(0)
+    res = chunked_areas([(p, q)], Method.PIXELBOX, cfg).pair(0)
     assert res == compute_pair(p, q, Method.PIXELBOX, cfg)
     assert res.intersection == 0 and res.union == 200
 
@@ -124,21 +135,19 @@ def test_finalize_completes_union_for_unrouted_pairs(method):
     policy met a direct-union method; the kernel closes it for every
     policy, current and future.
     """
-    kernel = ChunkKernel(engine_policy(method))
     inter = np.array([0, 3], dtype=np.int64)
     uni = np.array([0, 9], dtype=np.int64)  # slot 0 never measured
     a_p = np.array([4, 6], dtype=np.int64)
     a_q = np.array([5, 6], dtype=np.int64)
     has_box = np.array([False, True])
-    union = kernel.finalize_union(inter, uni, a_p, a_q, has_box)
+    union = finalize(method, inter, uni, a_p, a_q, has_box)
     assert union.tolist() == [9, 9]
 
 
 def test_finalize_requires_measured_union_for_direct_policies():
-    kernel = ChunkKernel(engine_policy(Method.NOSEP))
     ones = np.ones(1, dtype=np.int64)
     with pytest.raises(KernelError):
-        kernel.finalize_union(ones * 0, None, ones, ones, np.array([True]))
+        finalize(Method.NOSEP, ones * 0, None, ones, ones, np.array([True]))
 
 
 def test_default_workers_rejects_malformed_env(monkeypatch):
@@ -155,13 +164,12 @@ def test_default_workers_rejects_malformed_env(monkeypatch):
 
 
 def test_finalize_still_rejects_inconsistent_measurements():
-    kernel = ChunkKernel(engine_policy(Method.NOSEP))
     inter = np.array([2], dtype=np.int64)
     uni = np.array([5], dtype=np.int64)  # should be 4 + 4 - 2 = 6
     a_p = np.array([4], dtype=np.int64)
     a_q = np.array([4], dtype=np.int64)
     with pytest.raises(KernelError):
-        kernel.finalize_union(inter, uni, a_p, a_q, np.array([True]))
+        finalize(Method.NOSEP, inter, uni, a_p, a_q, np.array([True]))
 
 
 # ----------------------------------------------------------------------
@@ -195,11 +203,18 @@ class TestExecutionPolicy:
         with pytest.raises(KernelError):
             ExecutionPolicy(skip_subdivision_max_dim=0)
 
-    def test_canned_policies(self):
-        assert engine_policy(Method.NOSEP).skip_subdivision_max_dim is None
-        assert batch_policy().skip_subdivision_max_dim == BATCH_MAX_DIM
-        assert shard_policy().indirect_union
-        assert engine_policy().chunk_pairs == DEFAULT_CHUNK_PAIRS
+    def test_registered_policies(self):
+        """Each in-process name keeps exactly the policy it always ran."""
+        policies = {
+            name: get_backend(name).policy for name in ("vectorized", "batch")
+        }
+        assert policies["vectorized"] == ExecutionPolicy()
+        assert policies["vectorized"].skip_subdivision_max_dim is None
+        assert policies["vectorized"].chunk_pairs == DEFAULT_CHUNK_PAIRS
+        assert policies["batch"] == ExecutionPolicy(
+            skip_subdivision_max_dim=DEFAULT_SKIP_SUBDIVISION_DIM
+        )
+        assert all(p.indirect_union for p in policies.values())
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +234,7 @@ def test_stats_agree_per_pair_vs_chunked(rng, method):
     pairs.append((pairs[0][0], pairs[0][0].translate(400, 400)))
     cfg = LaunchConfig(block_size=16, pixel_threshold=32)
     assert _per_pair_stats(pairs, method, cfg) == \
-        compute_pairs(pairs, method, cfg).stats.as_dict()
+        chunked_areas(pairs, method, cfg).stats.as_dict()
 
 
 def test_stats_agree_across_all_entry_points(rng):
@@ -235,7 +250,7 @@ def test_stats_agree_across_all_entry_points(rng):
     cfg = LaunchConfig()
     reference = _per_pair_stats(pairs, Method.PIXELBOX, cfg)
 
-    chunked = compute_pairs(pairs, Method.PIXELBOX, cfg).stats.as_dict()
+    chunked = chunked_areas(pairs, Method.PIXELBOX, cfg).stats.as_dict()
     assert chunked == reference
 
     sharded_1 = get_backend("multiprocess", workers=1) \
@@ -246,7 +261,7 @@ def test_stats_agree_across_all_entry_points(rng):
         .compare_pairs(pairs, cfg).stats.as_dict()
     assert sharded_2 == reference
 
-    batched = compute_batch(pairs, cfg).stats.as_dict()
+    batched = batched_areas(pairs, cfg).stats.as_dict()
     routing = {"batched_pairs", "fallback_pairs"}
     assert {k: v for k, v in batched.items() if k not in routing} == \
         {k: v for k, v in reference.items() if k not in routing}
@@ -254,12 +269,115 @@ def test_stats_agree_across_all_entry_points(rng):
     assert batched["batched_pairs"] + batched["fallback_pairs"] == len(pairs)
 
 
+# Work counters the parent of the one-executor-path refactor produced
+# for `_pinned_pairs()` under LaunchConfig(block_size=16), in
+# KernelStats field order, cover MBR then tight MBR.  `auto` and
+# `cluster` delegate to these; `numba` runs `batch`'s plan.
+_ALWAYS_SUBDIVIDE = (
+    (28, 406, 42, 672, 294, 364, 25996, 0, 0),
+    (28, 328, 30, 480, 178, 298, 25684, 0, 0),
+)
+_REPLAY = ((28, 406, 0, 0, 0, 0, 0, 0, 0),) * 2
+PINNED_STATS = {
+    "scalar": (_ALWAYS_SUBDIVIDE[0],) * 2,  # always starts from the cover
+    "vectorized": _ALWAYS_SUBDIVIDE,
+    "multiprocess": _ALWAYS_SUBDIVIDE,
+    "batch": (
+        (28, 146, 15, 240, 122, 131, 34004, 27, 1),
+        (28, 144, 15, 240, 122, 129, 29388, 25, 1),
+    ),
+    "simt": _REPLAY,
+}
+PINNED_AREA_SUMS = (8974, 16484)
+
+
+def _pinned_pairs():
+    """20 small + 6 mid pairs, one above the 64-pixel skip bound, one
+    with disjoint MBRs (no start box under the tight-MBR policy)."""
+    rng = np.random.default_rng(20260928)
+    pairs = [random_pair(rng) for _ in range(20)]
+    pairs += [random_pair(rng, h=40, w=44) for _ in range(6)]
+    pairs.append(random_pair(rng, h=72, w=80))
+    pairs.append((rect(0, 0, 10, 10), rect(20, 20, 30, 30)))
+    return pairs
+
+
+def test_every_in_process_name_is_pinned():
+    delegating = {"auto", "cluster", "numba"}
+    assert set(PINNED_STATS) == set(available_backends()) - delegating
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["cover", "tight"])
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        pytest.param(name, {}, id=name)
+        for name in sorted(set(PINNED_STATS) - {"multiprocess"})
+    ]
+    + [  # min_pairs low enough that two workers take the pool path
+        pytest.param(
+            "multiprocess", {"workers": w, "min_pairs": 2}, id=f"multiprocess-w{w}"
+        )
+        for w in (1, 2)
+    ],
+)
+def test_kernel_stats_are_bit_for_bit_what_they_were(name, options, tight):
+    cfg = LaunchConfig(block_size=16, tight_mbr=tight)
+    with get_backend(name, **options) as backend:
+        res = backend.compare_pairs(_pinned_pairs(), cfg)
+    assert tuple(res.stats.as_dict().values()) == PINNED_STATS[name][tight]
+    assert (
+        int(res.intersection.sum()), int(res.union.sum())
+    ) == PINNED_AREA_SUMS
+
+
+# ----------------------------------------------------------------------
+# ShardInput: the one owner of the bundle layout
+# ----------------------------------------------------------------------
+def test_shard_input_round_trips_through_its_arrays(rng):
+    pairs = [random_pair(rng) for _ in range(5)]
+    cfg = LaunchConfig(tight_mbr=True)
+    built = ShardInput.build(pairs, ExecutionPolicy(), cfg)
+    arrays = built.to_arrays()
+    rebuilt = ShardInput.from_arrays(arrays)
+    assert len(rebuilt) == len(built) == 5
+    assert set(rebuilt.to_arrays()) == set(arrays)
+    for key, value in rebuilt.to_arrays().items():
+        assert value is arrays[key], key  # zero-copy
+    assert rebuilt.area_p is None and rebuilt.area_q is None
+    kernel = ChunkKernel(ExecutionPolicy(), cfg)
+    want, _ = kernel.run_shard(built, 0, 5, KernelStats())
+    got, _ = kernel.run_shard(rebuilt, 0, 5, KernelStats())
+    assert np.array_equal(got, want)
+    with pytest.raises(KernelError, match="no polygon areas"):
+        rebuilt.finalize(ExecutionPolicy(), got, None, KernelStats())
+
+
+@pytest.mark.parametrize("missing", ["p.xs", "q.offsets", "boxes", "has_box"])
+def test_shard_input_names_a_missing_array(rng, missing):
+    arrays = ShardInput.build(
+        [random_pair(rng)], ExecutionPolicy(), LaunchConfig()
+    ).to_arrays()
+    del arrays[missing]
+    with pytest.raises(KernelError, match=missing):
+        ShardInput.from_arrays(arrays)
+
+
+def test_shard_input_of_no_pairs_is_an_empty_result():
+    policy, cfg = ExecutionPolicy(), LaunchConfig()
+    shard = ShardInput.build([], policy, cfg)
+    stats = KernelStats()
+    inter, _ = ChunkKernel(policy, cfg).run_shard(shard, 0, 0, stats)
+    res = shard.finalize(policy, inter, None, stats)
+    assert len(res) == 0 and res.stats.as_dict() == KernelStats().as_dict()
+
+
 def test_batch_charges_pops_for_skip_routed_pairs(rng):
     """Regression: the batched path used to drop the start-box pop of
     every skip-routed pair, so `pops` disagreed with the other paths."""
     pairs = [random_pair(rng) for _ in range(8)]
     cfg = LaunchConfig()
-    res = compute_batch(pairs, cfg)
+    res = batched_areas(pairs, cfg)
     assert res.stats.batched_pairs == len(pairs)
     assert res.stats.pops == _per_pair_stats(pairs, Method.PIXELBOX, cfg)["pops"]
 
@@ -270,8 +388,8 @@ def test_batch_honors_leaf_mode(rng):
     like the engine policy (same results, same counters)."""
     pairs = [random_pair(rng) for _ in range(8)]
     cfg = LaunchConfig(leaf_mode="crossing")
-    batched = compute_batch(pairs, cfg)
-    engine = compute_pairs(pairs, Method.PIXELBOX, cfg)
+    batched = batched_areas(pairs, cfg)
+    engine = chunked_areas(pairs, Method.PIXELBOX, cfg)
     assert np.array_equal(batched.intersection, engine.intersection)
     assert batched.stats.pixel_tests == engine.stats.pixel_tests
 
@@ -283,7 +401,7 @@ def test_batch_honors_leaf_mode(rng):
 def test_chunk_size_never_changes_results_or_stats(rng, chunk_pairs):
     pairs = [random_pair(rng) for _ in range(10)]
     cfg = LaunchConfig()
-    base = ChunkKernel(engine_policy(), cfg).compute(pairs)
+    base = chunked_areas(pairs, cfg=cfg)
     policy = ExecutionPolicy(method=Method.PIXELBOX, chunk_pairs=chunk_pairs)
     res = ChunkKernel(policy, cfg).compute(pairs)
     assert np.array_equal(res.intersection, base.intersection)
@@ -293,24 +411,16 @@ def test_chunk_size_never_changes_results_or_stats(rng, chunk_pairs):
 
 def test_shard_boundaries_never_change_results(rng):
     """run_shard at arbitrary split points reproduces the full compute."""
-    from repro.pixelbox.vectorized import EdgeTable
-
     pairs = [random_pair(rng) for _ in range(9)]
     cfg = LaunchConfig()
-    kernel = ChunkKernel(shard_policy(), cfg)
+    kernel = ChunkKernel(ExecutionPolicy(), cfg)
     base = kernel.compute(pairs)
 
-    a_p, a_q, boxes, has_box = kernel.route_pairs(pairs)
-    table_p = EdgeTable.build([p for p, _ in pairs])
-    table_q = EdgeTable.build([q for _, q in pairs])
+    shard = ShardInput.build(pairs, kernel.policy, cfg)
     for split in (1, 4, 8):
         stats = KernelStats()
-        left, _ = kernel.run_shard(
-            table_p, table_q, boxes, has_box, 0, split, stats
-        )
-        right, _ = kernel.run_shard(
-            table_p, table_q, boxes, has_box, split, len(pairs), stats
-        )
+        left, _ = kernel.run_shard(shard, 0, split, stats)
+        right, _ = kernel.run_shard(shard, split, len(pairs), stats)
         inter = np.concatenate([left, right])
         assert np.array_equal(inter, base.intersection)
         assert stats.as_dict() == base.stats.as_dict()

@@ -14,6 +14,7 @@ These encode the correctness arguments of the paper:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.backends import get_backend
 from repro.exact.boolean import intersection_area, union_area
 from repro.exact.decompose import decompose
 from repro.exact.measure import union_area_of_boxes
@@ -24,8 +25,8 @@ from repro.index.hilbert import d_to_xy, xy_to_d
 from repro.index.join import mbr_pair_join, mbr_pair_join_bruteforce
 from repro.io.parser_cpu import parse_fsm, parse_vectorized
 from repro.io.polyfile import format_polygon, parse_line
-from repro.pixelbox.api import batch_areas, pair_areas
 from repro.pixelbox.common import BoxPosition, LaunchConfig, Method
+from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.sampling import box_position
 
 # ----------------------------------------------------------------------
@@ -128,7 +129,7 @@ def test_decomposition_is_exact_partition(poly):
 @given(polygon_strategy(), polygon_strategy(),
        st.sampled_from(list(Method)))
 def test_pixelbox_equals_exact(p, q, method):
-    res = pair_areas(p, q, method)
+    res = compute_pair(p, q, method)
     assert res.intersection == intersection_area(p, q)
     assert res.union == union_area(p, q)
 
@@ -138,7 +139,7 @@ def test_pixelbox_equals_exact(p, q, method):
 def test_pixelbox_scaled_deep_recursion(p, q, factor):
     cfg = LaunchConfig(block_size=16, pixel_threshold=16)
     ps, qs = p.scale(factor), q.scale(factor)
-    res = pair_areas(ps, qs, Method.PIXELBOX, cfg)
+    res = compute_pair(ps, qs, Method.PIXELBOX, cfg)
     assert res.intersection == intersection_area(ps, qs)
 
 
@@ -146,7 +147,7 @@ def test_pixelbox_scaled_deep_recursion(p, q, factor):
 @given(st.lists(st.tuples(polygon_strategy(), polygon_strategy()),
                 min_size=1, max_size=6))
 def test_batch_kernel_equals_exact(pairs):
-    res = batch_areas(pairs)
+    res = get_backend("batch").compare_pairs(pairs)
     for k, (p, q) in enumerate(pairs):
         assert res.intersection[k] == intersection_area(p, q)
         assert res.union[k] == union_area(p, q)

@@ -168,6 +168,21 @@ class TestTcpServer:
             assert bad_timeout["kind"] == "bad-request"
             assert "timeout" in bad_timeout["error"]
 
+    def test_oversize_request_line_is_rejected_typed(self, server):
+        """A line above the stream limit gets one typed error, a clean
+        close of that connection, and a server that keeps serving."""
+        host, port = server
+        with socket.create_connection((host, port), timeout=10) as sock:
+            f = sock.makefile("rwb")
+            f.write(b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n')
+            f.flush()
+            reply = json.loads(f.readline())
+            assert reply["ok"] is False and reply["kind"] == "bad-request"
+            assert "65536-byte limit" in reply["error"]
+            assert f.readline() == b""  # closed cleanly: EOF, no reset
+        with ServiceClient(host, port) as client:
+            assert client.ping()
+
     def test_client_rejects_mismatched_response_id(self, server):
         host, port = server
         client = ServiceClient(host, port)

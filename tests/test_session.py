@@ -7,10 +7,7 @@ Covers the three contract families of :class:`repro.Session`:
   processes or shared-memory segments once a session is closed;
 * **parity** — session results are bit-for-bit equal to the legacy
   metrics-layer path on *every* registry backend (cluster included),
-  and the incremental/async entry points equal the synchronous one;
-* **deprecation shims** — ``cross_compare`` / ``cross_compare_files``
-  emit :class:`DeprecationWarning` and return bit-for-bit identical
-  results to the session API.
+  and the incremental/async entry points equal the synchronous one.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ from repro.api import (
     CompareOptions,
     CompareRequest,
     Session,
-    cross_compare,
-    cross_compare_files,
     explain,
 )
 from repro.backends import available_backends
@@ -226,24 +221,12 @@ class TestParity:
 
 
 class TestCompareFiles:
-    def test_session_files_matches_legacy_bit_for_bit(self, small_dataset):
+    def test_session_files_reports_performance_accounting(self, small_dataset):
         dir_a, dir_b = small_dataset
         with Session() as session:
             result = session.compare_files(dir_a, dir_b)
-        with pytest.deprecated_call():
-            legacy = cross_compare_files(dir_a, dir_b)
-        # Per-pair areas are exact integers on every path; the mean's
-        # float summation order follows tile completion order (threaded
-        # pipeline), so it is reproducible only to rounding.
-        assert result.jaccard_mean == pytest.approx(
-            legacy.jaccard_mean, rel=1e-12
-        )
-        assert result.intersecting_pairs == legacy.intersecting_pairs
-        assert result.candidate_pairs == legacy.candidate_pairs
-        assert result.missing_a == legacy.missing_a
-        assert result.missing_b == legacy.missing_b
-        assert result.tiles == legacy.tiles
-        # The session result additionally reports performance accounting.
+        assert 0.3 < result.jaccard_mean < 1.0
+        assert result.tiles == 4
         assert result.wall_seconds > 0
         assert result.input_bytes > 0
         assert result.throughput > 0
@@ -270,38 +253,12 @@ class TestCompareFiles:
         )
 
 
-class TestDeprecationShims:
-    def test_cross_compare_warns_and_matches(self, tile_pair):
-        set_a, set_b = tile_pair
-        with Session() as session:
-            result = session.compare_sets(set_a, set_b)
-        with pytest.deprecated_call():
-            legacy = cross_compare(set_a, set_b)
-        assert legacy.jaccard_mean == result.jaccard_mean
-        assert legacy.intersecting_pairs == result.intersecting_pairs
-        assert legacy.candidate_pairs == result.candidate_pairs
-        assert legacy.missing_a == result.missing_a
-        assert legacy.missing_b == result.missing_b
-
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized", "batch"])
-    def test_cross_compare_backend_kwarg_still_works(self, backend):
-        set_a = [p for p, _ in PAIRS]
-        set_b = [q for _, q in PAIRS]
-        with pytest.deprecated_call():
-            legacy = cross_compare(set_a, set_b, backend=backend)
-        reference = jaccard_pairwise(set_a, set_b, backend=backend)
-        assert legacy.jaccard_mean == reference.mean_ratio
-
-    def test_cross_compare_files_warns(self, small_dataset):
-        dir_a, dir_b = small_dataset
-        with pytest.deprecated_call():
-            cross_compare_files(dir_a, dir_b, parser_workers=1)
-
+class TestTopLevelExports:
     def test_lazy_top_level_exports(self):
         import repro
 
         assert repro.Session is Session
-        assert callable(repro.cross_compare)
+        assert not hasattr(repro, "cross_compare")
         assert repro.CompareOptions is CompareOptions
         with pytest.raises(AttributeError):
             _ = repro.not_a_symbol

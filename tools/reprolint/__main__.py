@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from tools.reprolint import ALL_CHECKERS
+from tools.reprolint.api_surface import MANIFEST_REL, write_manifest
 from tools.reprolint.core import (
     Project,
     load_baseline,
@@ -43,6 +44,11 @@ def main(argv: list[str] | None = None) -> int:
         help="accept every current finding into the baseline and exit 0",
     )
     parser.add_argument(
+        "--update-api-surface",
+        action="store_true",
+        help=f"rewrite {MANIFEST_REL} from the current surface and exit 0",
+    )
+    parser.add_argument(
         "--json",
         type=Path,
         default=None,
@@ -58,6 +64,10 @@ def main(argv: list[str] | None = None) -> int:
         else root / "tools" / "reprolint_baseline.json"
     )
     project = Project(root)
+    if args.update_api_surface:
+        write_manifest(project)
+        print(f"api surface manifest updated: {root / MANIFEST_REL}")
+        return 0
     try:
         baseline = load_baseline(baseline_path)
     except (ValueError, json.JSONDecodeError) as exc:

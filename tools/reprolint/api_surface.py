@@ -10,7 +10,7 @@ executes repository code rather than parsing it — signatures with
 computed defaults cannot be read faithfully from the AST.
 
 A *deliberate* surface change ships with a regenerated manifest
-(``python tools/check_api_surface.py --update``) in the same commit.
+(``python -m tools.reprolint --update-api-surface``) in the same commit.
 The checker is skipped when the manifest or the ``src/repro`` package
 is absent, so it stays inert over test fixture trees.
 """
@@ -32,6 +32,7 @@ __all__ = [
     "PUBLIC_MODULES",
     "diff",
     "snapshot",
+    "write_manifest",
 ]
 
 MANIFEST_REL = "tools/api_surface.json"
@@ -157,6 +158,20 @@ def diff(expected: dict, actual: dict) -> list[str]:
     return problems
 
 
+def _import_from(project: Project) -> None:
+    src = str(project.root / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+
+
+def write_manifest(project: Project) -> None:
+    """Rewrite the manifest from the current surface."""
+    _import_from(project)
+    (project.root / MANIFEST_REL).write_text(
+        json.dumps(snapshot(), indent=2, sort_keys=True) + "\n"
+    )
+
+
 class ApiSurfaceChecker:
     name = "api-surface"
     codes = ("RL801",)
@@ -166,9 +181,7 @@ class ApiSurfaceChecker:
             return []  # fixture tree, or manifest deliberately absent
         if not project.exists("src/repro/__init__.py"):
             return []
-        src = str(project.root / "src")
-        if src not in sys.path:
-            sys.path.insert(0, src)
+        _import_from(project)
         expected = json.loads(project.read(MANIFEST_REL))
         actual = snapshot()
         findings = []
@@ -184,7 +197,7 @@ class ApiSurfaceChecker:
                     ident=ident,
                     message=(
                         f"api surface drifted: {problem} (deliberate? "
-                        f"`python tools/check_api_surface.py --update`)"
+                        f"`python -m tools.reprolint --update-api-surface`)"
                     ),
                 )
             )

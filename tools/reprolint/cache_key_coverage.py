@@ -14,11 +14,10 @@ has two statically checkable halves:
    itself, and — when a hard-coded list exists — every field it misses.
 
 2. **Hard-coded mirror lists stay complete** (RL401).  Three places
-   intentionally enumerate another dataclass's fields:
+   intentionally enumerate ``LaunchConfig``'s fields:
    ``wire._CONFIG_FIELDS`` and ``api/request.py WIRE_CONFIG_FIELDS``
-   mirror ``LaunchConfig``, ``worker.TABLE_FIELDS`` mirrors
-   ``EdgeTable``, and ``CompareOptions.launch_config()`` must forward
-   every ``LaunchConfig`` field.  A field added on one side but not the
+   mirror them, and ``CompareOptions.launch_config()`` must forward
+   every one.  A field added on one side but not the
    other ships configs that silently drop a knob over the wire.
 
 Fields excluded *on purpose* go on ``EXCLUDED_FIELDS`` below with a
@@ -43,9 +42,7 @@ _KEYS = "src/repro/cache/keys.py"
 _OPTIONS = "src/repro/api/options.py"
 _REQUEST = "src/repro/api/request.py"
 _WIRE = "src/repro/cluster/wire.py"
-_WORKER = "src/repro/cluster/worker.py"
 _COMMON = "src/repro/pixelbox/common.py"
-_VECTORIZED = "src/repro/pixelbox/vectorized.py"
 
 #: Fields deliberately excluded from key derivation, with the reason.
 #: An entry here is the *only* sanctioned way to keep a field out of a
@@ -220,18 +217,6 @@ class CacheKeyCoverageChecker:
             )
             findings.extend(
                 self._check_launch_config_call(project, launch_fields)
-            )
-        vectorized = project.tree(_VECTORIZED)
-        table_fields = (
-            dataclass_fields(vectorized, "EdgeTable")
-            if vectorized is not None
-            else []
-        )
-        if table_fields:
-            findings.extend(
-                self._check_string_mirror(
-                    project, _WORKER, "TABLE_FIELDS", table_fields
-                )
             )
         return findings
 

@@ -25,7 +25,7 @@ from tools.reprolint.core import Finding, Project
 
 __all__ = ["ErrorTaxonomyChecker", "PUBLIC_MODULE_FILES"]
 
-#: File form of check_api_surface.PUBLIC_MODULES — the front doors.
+#: File form of api_surface.PUBLIC_MODULES — the front doors.
 PUBLIC_MODULE_FILES = (
     "src/repro/__init__.py",
     "src/repro/api/__init__.py",

@@ -7,22 +7,18 @@ that a fourth hand-rolled copy of the plan+stacked-pixelize sequence
 counter misalignment) cannot land silently.  ``vectorized.py`` is
 allowlisted as the definition site.
 
-This is the AST-based successor of ``tools/check_kernel_seam.py``
-(which now shims to :func:`seam_violations`): instead of a word-regex
-over raw lines, it matches actual ``Name`` / ``Attribute`` references,
-so a mention in a comment or docstring no longer trips the guard while
-a real call through an alias still does.
+The check matches actual ``Name`` / ``Attribute`` references, so a
+mention in a comment or docstring does not trip the guard while a real
+call through an alias does.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 from tools.reprolint.core import Finding, Project
 
-__all__ = ["KernelSeamChecker", "SEAM_NAMES", "SEAM_ALLOWLIST",
-           "seam_violations"]
+__all__ = ["KernelSeamChecker", "SEAM_NAMES", "SEAM_ALLOWLIST"]
 
 SEAM_NAMES = ("plan_levels", "stacked_leaf_counts")
 
@@ -48,28 +44,6 @@ def _seam_refs(tree: ast.Module) -> list[tuple[int, str]]:
                         (node.lineno, alias.name.split(".")[-1])
                     )
     return out
-
-
-def seam_violations(src_root: Path) -> list[tuple[Path, int, str]]:
-    """``(file, line number, stripped line)`` per out-of-seam reference.
-
-    Same return shape as the legacy ``check_kernel_seam.violations`` so
-    the shim (and its tests) keep working unchanged.
-    """
-    found: list[tuple[Path, int, str]] = []
-    for path in sorted(src_root.rglob("*.py")):
-        rel = path.relative_to(src_root).as_posix()
-        if rel in SEAM_ALLOWLIST:
-            continue
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except (OSError, SyntaxError):
-            continue
-        lines = path.read_text().splitlines()
-        for lineno, _name in sorted(set(_seam_refs(tree))):
-            text = lines[lineno - 1].strip() if lineno <= len(lines) else ""
-            found.append((path, lineno, text))
-    return found
 
 
 class KernelSeamChecker:
