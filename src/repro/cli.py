@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trc_sub = trc.add_subparsers(dest="trace_command", required=True)
     trc_show = trc_sub.add_parser(
-        "show", help="pretty-print the span tree of a trace JSONL file"
+        "show",
+        help="pretty-print the span tree and by-stage table of a trace JSONL file",
     )
     trc_show.add_argument("file", type=Path, help="trace JSONL file")
 

@@ -56,7 +56,7 @@ from repro.cluster.scheduler import (
 from repro.errors import ClusterConfigError, ClusterError
 from repro.gpu.cost import recommend_shard_pairs
 from repro.obs.events import EVENTS
-from repro.obs.trace import activate, current_context, current_tracer
+from repro.obs.trace import current_context, current_tracer, span
 from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import (
     BatchAreas,
@@ -539,29 +539,16 @@ class ClusterBackend(BackendLifecycle):
         cfg = kernel.cfg
         n = len(pairs)
         stats = KernelStats()
-        # Tracing: scheduler threads do not inherit this thread's
-        # ContextVar, so capture the tracer and the parent span id here
-        # and re-activate them inside the shard closures.
+        # Tracing: the scheduler starts its worker threads in a copy of
+        # this thread's context, so the shard spans below (and, via the
+        # wire context, the remote worker's) stitch under this request.
         tracer = current_tracer()
-        ctx = current_context()
-        trace_parent = ctx[1] if ctx is not None else None
-        if tracer is not None:
-            with tracer.span("cluster.build_tables", pairs=n):
-                tables = ShardInput.build(pairs, policy, cfg)
-        else:
+        with span("cluster.build_tables", pairs=n):
             tables = ShardInput.build(pairs, policy, cfg)
 
         def local_run(shard: Shard) -> ShardOutcome:
             part = KernelStats()
-            if tracer is not None:
-                with activate(tracer, trace_parent):
-                    with tracer.span(
-                        "cluster.local_shard", lo=shard.lo, hi=shard.hi
-                    ):
-                        inter, _ = kernel.run_shard(
-                            tables, shard.lo, shard.hi, part
-                        )
-            else:
+            with span("cluster.local_shard", lo=shard.lo, hi=shard.hi):
                 inter, _ = kernel.run_shard(tables, shard.lo, shard.hi, part)
             return ShardOutcome(inter=inter, stats=part)
 
@@ -595,30 +582,20 @@ class ClusterBackend(BackendLifecycle):
                     stats.merge(outcome.stats)
                 return tables.finalize(policy, inter, None, stats)
 
-            def _call_remote(client: WorkerClient, shard: Shard) -> ShardOutcome:
-                try:
-                    outcome = client.run_shard(digest, bundle, shard, cfg)
-                except ClusterError:
-                    client.note_failure()
-                    raise
-                client.note_success()
-                return outcome
-
             def remote_run(client: WorkerClient, shard: Shard) -> ShardOutcome:
-                if tracer is not None:
-                    # Scheduler worker threads start without the request
-                    # context; re-establish it so the dispatch span (and
-                    # the remote worker's spans, via the wire context)
-                    # stitch under the request tree.
-                    with activate(tracer, trace_parent):
-                        with tracer.span(
-                            "cluster.remote_shard",
-                            worker=str(client),
-                            lo=shard.lo,
-                            hi=shard.hi,
-                        ):
-                            return _call_remote(client, shard)
-                return _call_remote(client, shard)
+                with span(
+                    "cluster.remote_shard",
+                    worker=str(client),
+                    lo=shard.lo,
+                    hi=shard.hi,
+                ):
+                    try:
+                        outcome = client.run_shard(digest, bundle, shard, cfg)
+                    except ClusterError:
+                        client.note_failure()
+                        raise
+                    client.note_success()
+                    return outcome
 
             cache_lookup = cache_store = None
             if self._shard_cache is not None:

@@ -32,6 +32,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.obs.events import EVENTS
+from repro.obs.trace import context_thread
 from repro.pixelbox.common import KernelStats
 
 __all__ = ["Shard", "ShardOutcome", "ScheduleReport", "ShardScheduler"]
@@ -261,9 +262,8 @@ class ShardScheduler:
 
         threads = []
         for worker in workers:
-            t = threading.Thread(
-                target=worker_loop, args=(worker,), daemon=True
-            )
+            # In the caller's context: shard spans join its trace.
+            t = context_thread(worker_loop, worker)
             t.start()
             threads.append(t)
             report.workers_used.append(str(worker))

@@ -67,9 +67,10 @@ def run(quick: bool = True) -> ExperimentResult:
         rows.append(
             [label, off.throughput / 1e6, on.throughput / 1e6, gain]
         )
+        moved = on.timers.counts
         details.append(
-            f"{label}: migrated {on.timers.migrated_gpu_tasks} parser "
-            f"task(s) to GPU, {on.timers.migrated_cpu_tasks} aggregator "
+            f"{label}: migrated {moved['migrated_gpu_tasks']} parser "
+            f"task(s) to GPU, {moved['migrated_cpu_tasks']} aggregator "
             f"task(s) to CPU"
         )
     return ExperimentResult(

@@ -65,5 +65,7 @@ def run(quick: bool = True) -> ExperimentResult:
             "(batching consolidates launches)",
             f"GPU lock wait: NoPipe-M {out_m.device_stats[0][2]:.3f}s vs "
             f"Pipelined {out_p.device_stats[0][2]:.3f}s (contention)",
+            "Pipelined stage decomposition (busy seconds; stages overlap) — "
+            + out_p.timers.report(),
         ],
     )

@@ -41,8 +41,8 @@ class PairJoinResult:
     ) -> list[tuple[RectilinearPolygon, RectilinearPolygon]]:
         """Materialize ``(p, q)`` polygon tuples for the kernel."""
         return [
-            (left[int(i)], right[int(j)])
-            for i, j in zip(self.left_idx, self.right_idx)
+            (left[i], right[j])
+            for i, j in zip(self.left_idx.tolist(), self.right_idx.tolist())
         ]
 
 

@@ -17,7 +17,7 @@ its boot storm.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
@@ -56,29 +56,8 @@ class ServiceSnapshot:
     workers: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
-        """Plain-dict view (wire protocol / reports)."""
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "timeouts": self.timeouts,
-            "cancelled": self.cancelled,
-            "failures": self.failures,
-            "batches": self.batches,
-            "pairs": self.pairs,
-            "queue_depth": self.queue_depth,
-            "max_queue_depth": self.max_queue_depth,
-            "mean_batch_requests": self.mean_batch_requests,
-            "mean_batch_pairs": self.mean_batch_pairs,
-            "p50_ms": self.p50_ms,
-            "p99_ms": self.p99_ms,
-            "request_cache_hits": self.request_cache_hits,
-            "request_cache_misses": self.request_cache_misses,
-            "caches": {name: dict(snap) for name, snap in self.caches.items()},
-            "latency_histogram": dict(self.latency_histogram),
-            "kernel": dict(self.kernel),
-            "workers": {name: dict(snap) for name, snap in self.workers.items()},
-        }
+        """Plain-dict view (wire protocol / reports), one key per field."""
+        return asdict(self)
 
     def render(self) -> str:
         """Human-readable multi-line summary (CLI / reports)."""

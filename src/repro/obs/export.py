@@ -1,11 +1,12 @@
-"""Bridges existing counters into Prometheus families + HTTP endpoint.
+"""One renderer: a ``ServiceSnapshot`` as Prometheus families + HTTP.
 
-Nothing here keeps its own state: the exporter reads a live
-:class:`~repro.metrics.service.ServiceSnapshot` at scrape time and
-translates it — service request counters, the latency histogram,
-per-tier cache hit/miss counts (with a ``tier`` label), kernel work
-counters (the paper's compute-intensity numbers, with a ``counter``
-label), and per-worker cluster shard-cache counters (``worker`` label).
+Nothing here keeps its own state and there is no registry to feed: the
+exporter reads a live :class:`~repro.metrics.service.ServiceSnapshot` at
+scrape time and translates it — service request counters, the latency
+histogram, per-tier cache hit/miss counts (with a ``tier`` label),
+kernel work counters (the paper's compute-intensity numbers, with a
+``counter`` label), and per-worker cluster shard-cache counters
+(``worker`` label).
 
 :class:`MetricsServer` is the ``repro serve --metrics`` endpoint: a
 stdlib ``http.server`` on its own daemon thread serving ``/metrics``.

@@ -1,36 +1,25 @@
-"""A zero-dependency metrics registry with Prometheus text exposition.
+"""Metric primitives shared by the service counters and the exporter.
 
-Three instrument kinds, mirroring the Prometheus data model:
-
-* :class:`Counter` — monotonically increasing, optionally labelled.
-* :class:`Gauge` — a value that goes up and down (queue depth).
 * :class:`Histogram` — fixed buckets, cumulative ``le`` counts plus
   ``_sum`` / ``_count`` series; the latency buckets default to a spread
   that resolves both the sub-millisecond warm-cache path and multi-second
-  cold cluster rounds.
+  cold cluster rounds.  :class:`repro.metrics.service.ServiceMetrics`
+  keeps one for request latency.
+* :data:`Sample` and the ``_fmt_*`` helpers — the row type and the
+  Prometheus text formatting :mod:`repro.obs.export` renders with.
 
-A registry can also hold *collectors*: callables invoked at scrape time
-that return fully-formed sample rows.  The export bridge
-(:mod:`repro.obs.export`) uses collectors to read the live
-``ServiceMetrics`` / ``CacheSnapshot`` / ``KernelStats`` state without
-double-bookkeeping.
+There is no registry: the only live counters are ``ServiceMetrics``'s,
+read through one :class:`~repro.metrics.service.ServiceSnapshot` at
+scrape time.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "Sample",
-    "DEFAULT_LATENCY_BUCKETS",
-]
+__all__ = ["Histogram", "Sample", "DEFAULT_LATENCY_BUCKETS"]
 
 #: Seconds.  Spans warm-cache hits (~100us) through cold cluster rounds.
 DEFAULT_LATENCY_BUCKETS = (
@@ -62,57 +51,8 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-class _Instrument:
-    """Shared labelled-series storage."""
-
-    def __init__(self, name: str, help_text: str) -> None:
-        self.name = name
-        self.help = help_text
-        self._lock = threading.Lock()
-
-
-class Counter(_Instrument):
-    kind = "counter"
-
-    def __init__(self, name: str, help_text: str) -> None:
-        super().__init__(name, help_text)
-        self._series: dict[tuple[tuple[str, str], ...], float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def samples(self) -> list[Sample]:
-        with self._lock:
-            return [
-                (self.name, dict(key), value)
-                for key, value in sorted(self._series.items())
-            ]
-
-
-class Gauge(_Instrument):
-    kind = "gauge"
-
-    def __init__(self, name: str, help_text: str) -> None:
-        super().__init__(name, help_text)
-        self._series: dict[tuple[tuple[str, str], ...], float] = {}
-
-    def set(self, value: float, **labels: str) -> None:
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        with self._lock:
-            self._series[key] = float(value)
-
-    def samples(self) -> list[Sample]:
-        with self._lock:
-            return [
-                (self.name, dict(key), value)
-                for key, value in sorted(self._series.items())
-            ]
-
-
-class Histogram(_Instrument):
-    kind = "histogram"
+class Histogram:
+    """Fixed buckets: cumulative ``le`` counts plus ``_sum`` / ``_count``."""
 
     def __init__(
         self,
@@ -120,7 +60,9 @@ class Histogram(_Instrument):
         help_text: str,
         buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        super().__init__(name, help_text)
+        self.name = name
+        self.help = help_text
+        self._lock = threading.Lock()
         self.buckets = tuple(sorted(buckets))
         self._counts = [0] * (len(self.buckets) + 1)  # +1 for +Inf
         self._sum = 0.0
@@ -145,100 +87,3 @@ class Histogram(_Instrument):
             cumulative[_fmt_value(bound)] = running
         cumulative["+Inf"] = total_count
         return {"buckets": cumulative, "sum": total_sum, "count": total_count}
-
-    def samples(self) -> list[Sample]:
-        snap = self.snapshot()
-        rows: list[Sample] = [
-            (f"{self.name}_bucket", {"le": bound}, float(count))
-            for bound, count in snap["buckets"].items()
-        ]
-        rows.append((f"{self.name}_sum", {}, snap["sum"]))
-        rows.append((f"{self.name}_count", {}, float(snap["count"])))
-        return rows
-
-
-class MetricsRegistry:
-    """Holds instruments and scrape-time collectors; renders exposition."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._instruments: dict[str, _Instrument] = {}
-        self._collectors: list[Callable[[], list[tuple[str, str, str, list[Sample]]]]] = []
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help_text)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Iterable[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, Histogram):
-                    raise ValueError(f"metric {name} already registered as {existing.kind}")
-                return existing
-            inst = Histogram(name, help_text, buckets)
-            self._instruments[name] = inst
-            return inst
-
-    def _get_or_create(self, cls, name: str, help_text: str):
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(f"metric {name} already registered as {existing.kind}")
-                return existing
-            inst = cls(name, help_text)
-            self._instruments[name] = inst
-            return inst
-
-    def add_collector(
-        self,
-        fn: Callable[[], list[tuple[str, str, str, list[Sample]]]],
-    ) -> None:
-        """Register a scrape-time producer of ``(name, kind, help, samples)``."""
-        with self._lock:
-            self._collectors.append(fn)
-
-    def render(self) -> str:
-        """Prometheus text exposition format, version 0.0.4."""
-        families: list[tuple[str, str, str, list[Sample]]] = []
-        with self._lock:
-            instruments = list(self._instruments.values())
-            collectors = list(self._collectors)
-        for inst in instruments:
-            families.append((inst.name, inst.kind, inst.help, inst.samples()))
-        for fn in collectors:
-            try:
-                families.extend(fn())
-            except Exception:
-                continue
-        lines: list[str] = []
-        seen: set[str] = set()
-        for name, kind, help_text, samples in families:
-            if name in seen:
-                # Merge duplicate families silently: emit samples only.
-                lines.extend(
-                    f"{sample_name}{_fmt_labels(labels)} {_fmt_value(value)}"
-                    for sample_name, labels, value in samples
-                )
-                continue
-            seen.add(name)
-            if help_text:
-                lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            lines.extend(
-                f"{sample_name}{_fmt_labels(labels)} {_fmt_value(value)}"
-                for sample_name, labels, value in samples
-            )
-        return "\n".join(lines) + "\n"
-
-
-#: Process-wide registry used by the service exporter and CLI.
-REGISTRY = MetricsRegistry()

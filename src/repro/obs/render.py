@@ -3,7 +3,10 @@
 ``repro trace show <file>`` reads a trace JSON-lines file (the
 ``--trace-out`` sink) and renders each trace as an indented tree — the
 paper's Fig. 2 stage breakdown, but live: every stage's share of the
-request's total wall time is printed next to its duration.
+request's total wall time is printed next to its duration.  Below the
+trees comes the by-stage table: span self time summed per name into a
+:class:`~repro.obs.clock.StageClock` and printed by its ``report()``,
+the renderer ``PipelineOutcome.timers`` uses.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Mapping, TextIO
 
+from repro.obs.clock import StageClock
 from repro.obs.trace import SpanRecord
 
-__all__ = ["load_trace_file", "render_spans", "render_trace_file"]
+__all__ = ["load_trace_file", "render_spans", "render_trace_file", "stage_clock"]
 
 
 def load_trace_file(fh: TextIO) -> list[SpanRecord]:
@@ -88,5 +92,39 @@ def render_spans(records: Iterable[SpanRecord]) -> str:
     return "\n\n".join(blocks)
 
 
+def stage_clock(records: Iterable[SpanRecord]) -> StageClock:
+    """Span self time summed per name.
+
+    Self time is a span's duration minus the part of its interval that
+    its child spans cover; children on concurrent threads overlap, so
+    the covered part is the union of their intervals, not their sum.
+    """
+    spans = list(records)
+    ids = {s.span_id for s in spans}
+    children: dict[str | None, list[SpanRecord]] = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append(span)
+    clock = StageClock()
+    for span in spans:
+        end = span.start + span.duration
+        covered, edge = 0.0, span.start
+        for child in sorted(children.get(span.span_id, ()), key=lambda c: c.start):
+            lo, hi = max(child.start, edge), min(child.start + child.duration, end)
+            if hi > lo:
+                covered += hi - lo
+                edge = hi
+        clock.add(span.name, span.duration - covered)
+        if span.parent_id not in ids:
+            clock.wall_total += span.duration
+    return clock
+
+
 def render_trace_file(fh: TextIO) -> str:
-    return render_spans(load_trace_file(fh))
+    """The span trees, then the by-stage self-time table."""
+    records = load_trace_file(fh)
+    if not records:
+        return render_spans(records)
+    return (
+        f"{render_spans(records)}\n\nby stage (self time)\n"
+        f"{stage_clock(records).report()}"
+    )

@@ -29,9 +29,9 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, ContextManager, Iterator, Mapping
 
 __all__ = [
     "SpanRecord",
@@ -39,6 +39,8 @@ __all__ = [
     "current_tracer",
     "current_context",
     "activate",
+    "span",
+    "context_thread",
 ]
 
 
@@ -140,6 +142,48 @@ def activate(tracer: "Tracer", parent_id: str | None = None) -> Iterator[None]:
         yield
     finally:
         _CURRENT.reset(token)
+
+
+class _NoSpan:
+    """What :func:`span` returns with no tracer ambient: one shared,
+    stateless context manager, so the off path allocates no span."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NoSpan":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+    def set(self, **attrs: Any) -> None:
+        pass
+
+
+_NO_SPAN = _NoSpan()
+
+
+def span(name: str, **attrs: Any) -> ContextManager[Any]:
+    """A span under the ambient tracer, or the shared no-op without one."""
+    ctx = _CURRENT.get()
+    if ctx is None:
+        return _NO_SPAN
+    return ctx[0].span(name, **attrs)
+
+
+def context_thread(
+    target: Callable[..., Any], *args: Any, name: str | None = None
+) -> threading.Thread:
+    """An unstarted daemon thread that runs ``target(*args)`` in a copy of
+    the creator's context.
+
+    A plain ``threading.Thread`` starts with an empty context, so spans
+    opened on it would lose the request's tracer and parent; every thread
+    that does traced work on behalf of a request is made here.
+    """
+    return threading.Thread(
+        target=copy_context().run, args=(target, *args), name=name, daemon=True
+    )
 
 
 class Tracer:

@@ -1,4 +1,10 @@
-"""The SCCG pipelined framework with dynamic task migration (paper §4)."""
+"""The SCCG pipelined framework with dynamic task migration (paper §4).
+
+Per-stage busy time is a :class:`repro.obs.clock.StageClock`
+(``PipelineOutcome.timers``); :mod:`repro.pipeline.stages` holds each
+stage body once, shared by the workers, the NoPipe schemes and the
+migrators.
+"""
 
 from repro.pipeline.buffers import BoundedBuffer, BufferStats
 from repro.pipeline.device import DeviceStats, GpuDevice
@@ -10,7 +16,6 @@ from repro.pipeline.engine import (
     run_pipelined,
 )
 from repro.pipeline.migration import MigrationConfig
-from repro.pipeline.stages import StageTimers
 from repro.pipeline.tasks import (
     BuiltTile,
     FilteredBatch,
@@ -30,7 +35,6 @@ __all__ = [
     "run_nopipe_single",
     "run_nopipe_multi",
     "MigrationConfig",
-    "StageTimers",
     "ParseTask",
     "ParsedTile",
     "BuiltTile",

@@ -16,16 +16,13 @@ topology differs.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from repro.errors import PipelineError
-from repro.index.hilbert_rtree import bulk_load_polygons
-from repro.io.parser_cpu import parse_vectorized
 from repro.io.tiles import pair_result_sets
+from repro.obs.clock import StageClock
+from repro.obs.trace import context_thread
 from repro.pipeline.buffers import BoundedBuffer
 from repro.pipeline.device import GpuDevice
 from repro.pipeline.migration import (
@@ -34,14 +31,12 @@ from repro.pipeline.migration import (
     parser_migrator,
 )
 from repro.pipeline.stages import (
-    StageTimers,
+    TILE_STAGES,
+    aggregate_group,
     aggregator_worker,
-    builder_worker,
-    filter_worker,
-    parser_worker,
-    split_batch_results,
+    stage_worker,
 )
-from repro.pipeline.tasks import FilteredBatch, ParseTask, TileResult
+from repro.pipeline.tasks import ParseTask, TileResult
 from repro.pixelbox.common import LaunchConfig
 
 __all__ = [
@@ -102,7 +97,11 @@ class PipelineOutcome:
     tiles: int
     wall_seconds: float
     input_bytes: int
-    timers: StageTimers
+    #: Busy seconds per stage (``timers.seconds("parser")``, buffer waits
+    #: excluded), the ``migrated_*_tasks`` tallies in ``timers.counts``
+    #: and the run's wall time; ``timers.report()`` is Table 1's
+    #: decomposition.
+    timers: StageClock
     device_stats: list[tuple[str, float, float, int]]
 
     @property
@@ -113,7 +112,7 @@ class PipelineOutcome:
         return self.input_bytes / self.wall_seconds
 
 
-def _collect(results: list[TileResult], wall: float, timers: StageTimers,
+def _collect(results: list[TileResult], timers: StageClock,
              devices: list[GpuDevice]) -> PipelineOutcome:
     """Merge per-tile partial results into the final outcome."""
     by_tile: dict[int, list[TileResult]] = {}
@@ -142,7 +141,7 @@ def _collect(results: list[TileResult], wall: float, timers: StageTimers,
         count_a=count_a,
         count_b=count_b,
         tiles=len(by_tile),
-        wall_seconds=wall,
+        wall_seconds=timers.wall_total,
         input_bytes=sum(r.input_bytes for r in results),
         timers=timers,
         device_stats=[
@@ -172,7 +171,7 @@ def run_pipelined(
     opts = options or PipelineOptions()
     devices = opts.make_devices()
     tasks = _make_parse_tasks(dir_a, dir_b)
-    timers = StageTimers()
+    timers = StageClock("pipeline.")
 
     parse_in: BoundedBuffer[ParseTask] = BoundedBuffer(
         max(len(tasks), 1), "parse_in"
@@ -189,88 +188,69 @@ def run_pipelined(
 
     failures: list[BaseException] = []
 
-    def guarded(fn, *args):
-        def run():
+    def stage_thread(name, fn, *args) -> threading.Thread:
+        def guarded():
             try:
                 fn(*args)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
                 failures.append(exc)
                 for buf in (parsed, built, batches, results):
                     buf.close()
-        return run
+        return context_thread(guarded, name=name)
 
     stop_migration = threading.Event()
+    parser, builder, filter_ = TILE_STAGES
     parser_threads = [
-        threading.Thread(
-            target=guarded(parser_worker, parse_in, parsed, timers),
-            name=f"parser-{i}",
-            daemon=True,
+        stage_thread(
+            f"parser-{i}", stage_worker, *parser, parse_in, parsed, timers
         )
         for i in range(opts.parser_workers)
     ]
-    builder_thread = threading.Thread(
-        target=guarded(builder_worker, parsed, built, timers),
-        name="builder",
-        daemon=True,
+    builder_thread = stage_thread(
+        "builder", stage_worker, *builder, parsed, built, timers
     )
-    filter_thread = threading.Thread(
-        target=guarded(filter_worker, built, batches, timers),
-        name="filter",
-        daemon=True,
+    filter_thread = stage_thread(
+        "filter", stage_worker, *filter_, built, batches, timers
     )
-    aggregator_thread = threading.Thread(
-        target=guarded(
-            aggregator_worker, batches, results, devices,
-            opts.launch_config, opts.batch_pairs, timers,
-        ),
-        name="aggregator",
-        daemon=True,
+    aggregator_thread = stage_thread(
+        "aggregator", aggregator_worker, batches, results, devices,
+        opts.launch_config, opts.batch_pairs, timers,
     )
     migration_threads: list[threading.Thread] = []
     if opts.migration is not None:
         migration_threads = [
-            threading.Thread(
-                target=guarded(
-                    aggregator_migrator, batches, results,
-                    opts.launch_config, opts.migration, timers,
-                    stop_migration,
-                ),
-                name="migrator-aggregator",
-                daemon=True,
+            stage_thread(
+                "migrator-aggregator", aggregator_migrator, batches, results,
+                opts.launch_config, opts.migration, timers, stop_migration,
             ),
-            threading.Thread(
-                target=guarded(
-                    parser_migrator, parse_in, parsed, batches, devices,
-                    opts.migration, timers, stop_migration,
-                ),
-                name="migrator-parser",
-                daemon=True,
+            stage_thread(
+                "migrator-parser", parser_migrator, parse_in, parsed, batches,
+                devices, opts.migration, timers, stop_migration,
             ),
         ]
 
-    start = time.perf_counter()
-    for thread in (
-        parser_threads
-        + [builder_thread, filter_thread, aggregator_thread]
-        + migration_threads
-    ):
-        thread.start()
+    with timers.run():
+        for thread in (
+            parser_threads
+            + [builder_thread, filter_thread, aggregator_thread]
+            + migration_threads
+        ):
+            thread.start()
 
-    for thread in parser_threads:
-        thread.join()
-    if migration_threads:
-        migration_threads[1].join()  # parser migrator drains parse_in too
-    parsed.close()
-    builder_thread.join()
-    built.close()
-    filter_thread.join()
-    batches.close()
-    aggregator_thread.join()
-    if migration_threads:
-        stop_migration.set()
-        migration_threads[0].join()
-    results.close()
-    wall = time.perf_counter() - start
+        for thread in parser_threads:
+            thread.join()
+        if migration_threads:
+            migration_threads[1].join()  # parser migrator drains parse_in too
+        parsed.close()
+        builder_thread.join()
+        built.close()
+        filter_thread.join()
+        batches.close()
+        aggregator_thread.join()
+        if migration_threads:
+            stop_migration.set()
+            migration_threads[0].join()
+        results.close()
 
     if failures:
         raise PipelineError("pipeline stage failed") from failures[0]
@@ -281,7 +261,7 @@ def run_pipelined(
         if item is None:
             break
         collected.append(item)
-    return _collect(collected, wall, timers, devices)
+    return _collect(collected, timers, devices)
 
 
 # ----------------------------------------------------------------------
@@ -291,45 +271,21 @@ def _process_tile_sequential(
     task: ParseTask,
     devices: list[GpuDevice],
     config: LaunchConfig,
-    timers: StageTimers,
+    timers: StageClock,
     cursor: int,
 ) -> TileResult:
     """All four stages inline for one tile (one NoPipe iteration)."""
-    t0 = time.perf_counter()
-    polygons_a = parse_vectorized(task.file_a.read_bytes())
-    polygons_b = parse_vectorized(task.file_b.read_bytes())
-    timers.add("parser", time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    index = bulk_load_polygons(polygons_b)
-    timers.add("builder", time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    lefts: list[int] = []
-    rights: list[int] = []
-    pairs = []
-    for i, poly in enumerate(polygons_a):
-        for j in index.search(poly.mbr):
-            lefts.append(i)
-            rights.append(j)
-            pairs.append((poly, polygons_b[j]))
-    batch = FilteredBatch(
-        tile_id=task.tile_id,
-        pairs=pairs,
-        left_idx=np.asarray(lefts, dtype=np.int64),
-        right_idx=np.asarray(rights, dtype=np.int64),
-        count_a=len(polygons_a),
-        count_b=len(polygons_b),
-        input_bytes=task.input_bytes,
-    )
-    timers.add("filter", time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
+    item = task
+    for stage, body in TILE_STAGES:
+        with timers.measure(stage, tile=task.tile_id):
+            item = body(item)
     device = devices[cursor % len(devices)]
-    areas = device.run_aggregate(batch.pairs, config)
-    result = split_batch_results([batch], areas, executed_on=device.name)[0]
-    timers.add("aggregator", time.perf_counter() - t0)
-    return result
+    with timers.measure("aggregator", tiles=1, pairs=item.size):
+        return aggregate_group(
+            [item],
+            lambda pairs: device.run_aggregate(pairs, config),
+            device.name,
+        )[0]
 
 
 def run_nopipe_single(
@@ -341,14 +297,15 @@ def run_nopipe_single(
     opts = options or PipelineOptions()
     devices = opts.make_devices()
     tasks = _make_parse_tasks(dir_a, dir_b)
-    timers = StageTimers()
-    start = time.perf_counter()
-    results = [
-        _process_tile_sequential(task, devices, opts.launch_config, timers, k)
-        for k, task in enumerate(tasks)
-    ]
-    wall = time.perf_counter() - start
-    return _collect(results, wall, timers, devices)
+    timers = StageClock("pipeline.")
+    with timers.run():
+        results = [
+            _process_tile_sequential(
+                task, devices, opts.launch_config, timers, k
+            )
+            for k, task in enumerate(tasks)
+        ]
+    return _collect(results, timers, devices)
 
 
 def run_nopipe_multi(
@@ -363,7 +320,7 @@ def run_nopipe_multi(
     opts = options or PipelineOptions()
     devices = opts.make_devices()
     tasks = _make_parse_tasks(dir_a, dir_b)
-    timers = StageTimers()
+    timers = StageClock("pipeline.")
     results: list[TileResult] = []
     results_lock = threading.Lock()
     failures: list[BaseException] = []
@@ -381,16 +338,14 @@ def run_nopipe_multi(
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             failures.append(exc)
 
-    start = time.perf_counter()
     threads = [
-        threading.Thread(target=stream_body, args=(tasks[i::streams],), daemon=True)
-        for i in range(streams)
+        context_thread(stream_body, tasks[i::streams]) for i in range(streams)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - start
+    with timers.run():
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     if failures:
         raise PipelineError("NoPipe-M stream failed") from failures[0]
-    return _collect(results, wall, timers, devices)
+    return _collect(results, timers, devices)

@@ -26,9 +26,10 @@ from typing import Any, Mapping
 
 from repro.backends import available_backends, get_backend
 from repro.errors import MigrationError
+from repro.obs.clock import StageClock
 from repro.pipeline.buffers import BoundedBuffer
 from repro.pipeline.device import GpuDevice
-from repro.pipeline.stages import StageTimers, split_batch_results
+from repro.pipeline.stages import aggregate_group, parse_tile
 from repro.pipeline.tasks import FilteredBatch, ParsedTile, ParseTask, TileResult
 from repro.pixelbox.common import LaunchConfig
 
@@ -86,7 +87,7 @@ def aggregator_migrator(
     results_out: BoundedBuffer[TileResult],
     config: LaunchConfig,
     migration: MigrationConfig,
-    timers: StageTimers,
+    timers: StageClock,
     stop: threading.Event,
 ) -> None:
     """GPU-to-CPU migration: absorb small batches when the GPU clogs.
@@ -106,14 +107,16 @@ def aggregator_migrator(
             batch = batches_in.steal_smallest(key=lambda b: b.size)
             if batch is None:
                 continue
-            t0 = time.perf_counter()
-            areas = backend.compare_pairs(batch.pairs, config)
-            for result in split_batch_results(
-                [batch], areas, executed_on="cpu"
+            with timers.measure(
+                "aggregator", tiles=1, pairs=batch.size, migrated=True
             ):
-                results_out.put(result)
-            timers.add("aggregator", time.perf_counter() - t0)
-            timers.add("migrated_cpu_tasks", 1)
+                for result in aggregate_group(
+                    [batch],
+                    lambda pairs: backend.compare_pairs(pairs, config),
+                    "cpu",
+                ):
+                    results_out.put(result)
+            timers.count("migrated_cpu_tasks")
 
 
 def parser_migrator(
@@ -122,7 +125,7 @@ def parser_migrator(
     batches_in: BoundedBuffer[FilteredBatch],
     devices: list[GpuDevice],
     migration: MigrationConfig,
-    timers: StageTimers,
+    timers: StageClock,
     stop: threading.Event,
 ) -> None:
     """CPU-to-GPU migration: parse on an idle device.
@@ -152,12 +155,7 @@ def parser_migrator(
         if task is None:
             time.sleep(migration.poll_seconds)
             continue
-        t0 = time.perf_counter()
-        polygons_a = device.run_parse(task.file_a)
-        polygons_b = device.run_parse(task.file_b)
-        tile = ParsedTile(
-            task.tile_id, polygons_a, polygons_b, task.input_bytes
-        )
-        timers.add("parser", time.perf_counter() - t0)
-        timers.add("migrated_gpu_tasks", 1)
+        with timers.measure("parser", tile=task.tile_id, migrated=True):
+            tile = parse_tile(task, device.run_parse)
+        timers.count("migrated_gpu_tasks")
         parsed_out.put(tile)

@@ -2,7 +2,9 @@
 
 Polygon tables with Hilbert R-tree indexes, a Volcano-style executor,
 ``ST_*`` spatial functions backed by exact overlay geometry, per-component
-profiling (Figure 2), and chunked parallel execution (PostGIS-M).
+profiling (Figure 2: the :class:`Bucket` names, charged to a
+:class:`repro.obs.clock.StageClock`), and chunked parallel execution
+(PostGIS-M).
 """
 
 from repro.sdbms.functions import FUNCTIONS, get_function, st_area
@@ -19,7 +21,7 @@ from repro.sdbms.plan import (
     PlanNode,
     Project,
 )
-from repro.sdbms.profiler import Bucket, Profiler
+from repro.sdbms.profiler import Bucket
 from repro.sdbms.queries import (
     QueryResult,
     build_optimized_plan,
@@ -31,7 +33,6 @@ from repro.sdbms.table import Catalog, PolygonTable
 __all__ = [
     "PolygonTable",
     "Catalog",
-    "Profiler",
     "Bucket",
     "FUNCTIONS",
     "get_function",

@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.errors import QueryError
+from repro.obs.clock import StageClock
 from repro.pixelbox.common import LaunchConfig
 from repro.sdbms.functions import get_function
-from repro.sdbms.profiler import Bucket, Profiler
+from repro.sdbms.profiler import Bucket
 from repro.sdbms.table import PolygonTable
 
 __all__ = [
@@ -43,14 +44,14 @@ class Expr:
 
     bucket: str | None = None
 
-    def evaluate(self, row: Row, profiler: Profiler) -> Any:
+    def evaluate(self, row: Row, profiler: StageClock) -> Any:
         """Evaluate against ``row``, charging ``bucket`` when annotated."""
         if self.bucket is None:
             return self._compute(row, profiler)
         with profiler.measure(self.bucket):
             return self._compute(row, profiler)
 
-    def _compute(self, row: Row, profiler: Profiler) -> Any:
+    def _compute(self, row: Row, profiler: StageClock) -> Any:
         raise NotImplementedError
 
 
@@ -60,7 +61,7 @@ class Col(Expr):
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def _compute(self, row: Row, profiler: Profiler) -> Any:
+    def _compute(self, row: Row, profiler: StageClock) -> Any:
         if self.name not in row:
             raise QueryError(f"unknown column {self.name!r}")
         return row[self.name]
@@ -75,7 +76,7 @@ class Const(Expr):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def _compute(self, row: Row, profiler: Profiler) -> Any:
+    def _compute(self, row: Row, profiler: StageClock) -> Any:
         return self.value
 
     def __repr__(self) -> str:
@@ -91,7 +92,7 @@ class Func(Expr):
         self.fn = get_function(name)
         self.bucket = bucket
 
-    def _compute(self, row: Row, profiler: Profiler) -> Any:
+    def _compute(self, row: Row, profiler: StageClock) -> Any:
         values = [arg.evaluate(row, profiler) for arg in self.args]
         return self.fn(*values)
 
@@ -120,7 +121,7 @@ class BinOp(Expr):
         self.left = left
         self.right = right
 
-    def _compute(self, row: Row, profiler: Profiler) -> Any:
+    def _compute(self, row: Row, profiler: StageClock) -> Any:
         return self._OPS[self.op](
             self.left.evaluate(row, profiler),
             self.right.evaluate(row, profiler),
@@ -136,7 +137,7 @@ class BinOp(Expr):
 class PlanNode:
     """Base iterator-model operator."""
 
-    def rows(self, profiler: Profiler) -> Iterator[Row]:
+    def rows(self, profiler: StageClock) -> Iterator[Row]:
         """Yield result rows."""
         raise NotImplementedError
 
@@ -157,7 +158,7 @@ class IndexNestLoopJoin(PlanNode):
         self.outer = outer
         self.inner = inner
 
-    def rows(self, profiler: Profiler) -> Iterator[Row]:
+    def rows(self, profiler: StageClock) -> Iterator[Row]:
         self.inner.build_index(profiler)
         index = self.inner.index
         inner_polys = self.inner.polygons
@@ -181,7 +182,7 @@ class Filter(PlanNode):
         self.child = child
         self.predicate = predicate
 
-    def rows(self, profiler: Profiler) -> Iterator[Row]:
+    def rows(self, profiler: StageClock) -> Iterator[Row]:
         for row in self.child.rows(profiler):
             if self.predicate.evaluate(row, profiler):
                 yield row
@@ -201,7 +202,7 @@ class Project(PlanNode):
         self.child = child
         self.columns = columns
 
-    def rows(self, profiler: Profiler) -> Iterator[Row]:
+    def rows(self, profiler: StageClock) -> Iterator[Row]:
         for row in self.child.rows(profiler):
             for name, expr in self.columns.items():
                 row[name] = expr.evaluate(row, profiler)
@@ -238,7 +239,7 @@ class BackendAreaProject(PlanNode):
         self.backend = backend
         self.config = config
 
-    def rows(self, profiler: Profiler) -> Iterator[Row]:
+    def rows(self, profiler: StageClock) -> Iterator[Row]:
         from repro.backends import get_backend
 
         materialized = list(self.child.rows(profiler))
@@ -277,7 +278,7 @@ class AvgAggregate(PlanNode):
         self.column = column
         self.where = where
 
-    def rows(self, profiler: Profiler) -> Iterator[Row]:
+    def rows(self, profiler: StageClock) -> Iterator[Row]:
         total = 0.0
         count = 0
         for row in self.child.rows(profiler):

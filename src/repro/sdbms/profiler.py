@@ -1,20 +1,18 @@
-"""Per-component execution profiling (reproduces Figure 2's methodology).
+"""Component names of the SDBMS profile (Figure 2's bars).
 
 The paper splits cross-comparing query execution into components — index
 build, index search, ``ST_Intersects``, area-of-intersection,
 area-of-union, stand-alone ``ST_Area`` — and measures the time the engine
-spends in each on a single core.  :class:`Profiler` provides named
-accumulation buckets; the executor and spatial functions charge their
-work to the bucket the current expression is annotated with.
+spends in each on a single core.  The executor and spatial functions
+charge their work to these buckets of a
+:class:`repro.obs.clock.StageClock`.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from repro.obs.clock import OTHER
 
-__all__ = ["Profiler", "Bucket"]
+__all__ = ["Bucket"]
 
 
 class Bucket:
@@ -26,84 +24,4 @@ class Bucket:
     AREA_OF_INTERSECTION = "Area_Of_Intersection"
     AREA_OF_UNION = "Area_Of_Union"
     ST_AREA = "ST_Area"
-    OTHER = "Other"
-
-
-@dataclass(slots=True)
-class Profiler:
-    """Named wall-time accumulation buckets.
-
-    >>> prof = Profiler()
-    >>> with prof.measure("Index_Build"):
-    ...     _ = sum(range(100))
-    >>> prof.seconds("Index_Build") >= 0.0
-    True
-    """
-
-    totals: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-    wall_start: float | None = None
-    wall_total: float = 0.0
-
-    @contextmanager
-    def measure(self, bucket: str):
-        """Charge the enclosed block's wall time to ``bucket``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.totals[bucket] = self.totals.get(bucket, 0.0) + elapsed
-            self.counts[bucket] = self.counts.get(bucket, 0) + 1
-
-    @contextmanager
-    def run(self):
-        """Measure the total query wall time (for the Other residual)."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.wall_total += time.perf_counter() - start
-
-    def seconds(self, bucket: str) -> float:
-        """Accumulated seconds in ``bucket``."""
-        return self.totals.get(bucket, 0.0)
-
-    def decomposition(self) -> dict[str, float]:
-        """Component shares of the total wall time (fractions, sum ~1).
-
-        The residual between total wall time and the measured buckets is
-        reported as ``Other`` — in the paper's profile this is tuple
-        shuffling, predicate glue, and aggregation.
-        """
-        measured = sum(self.totals.values())
-        total = max(self.wall_total, measured)
-        if total == 0:
-            return {}
-        out = {name: value / total for name, value in self.totals.items()}
-        other = (total - measured) / total
-        if other > 0:
-            out[Bucket.OTHER] = out.get(Bucket.OTHER, 0.0) + other
-        return out
-
-    def merge(self, other: "Profiler") -> None:
-        """Accumulate another profiler's buckets into this one."""
-        for name, value in other.totals.items():
-            self.totals[name] = self.totals.get(name, 0.0) + value
-        for name, value in other.counts.items():
-            self.counts[name] = self.counts.get(name, 0) + value
-        self.wall_total += other.wall_total
-
-    def report(self) -> str:
-        """Human-readable decomposition table."""
-        rows = sorted(
-            self.decomposition().items(), key=lambda kv: kv[1], reverse=True
-        )
-        lines = [f"total wall time: {self.wall_total:.3f}s"]
-        for name, share in rows:
-            lines.append(
-                f"  {name:<22} {100 * share:6.2f}%  "
-                f"({self.totals.get(name, 0.0):.3f}s, "
-                f"{self.counts.get(name, 0)} calls)"
-            )
-        return "\n".join(lines)
+    OTHER = OTHER

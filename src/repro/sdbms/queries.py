@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.geometry.polygon import RectilinearPolygon
+from repro.obs.clock import StageClock
 from repro.sdbms.plan import (
     AvgAggregate,
     BackendAreaProject,
@@ -34,7 +35,7 @@ from repro.sdbms.plan import (
     PlanNode,
     Project,
 )
-from repro.sdbms.profiler import Bucket, Profiler
+from repro.sdbms.profiler import Bucket
 from repro.sdbms.table import PolygonTable
 
 __all__ = [
@@ -53,7 +54,7 @@ class QueryResult:
     jaccard_mean: float
     pair_count: int
     ratio_sum: float
-    profiler: Profiler
+    profiler: StageClock
 
 
 def build_unoptimized_plan(
@@ -155,7 +156,7 @@ def run_cross_compare(
     polygons_a: list[RectilinearPolygon],
     polygons_b: list[RectilinearPolygon],
     optimized: bool = True,
-    profiler: Profiler | None = None,
+    profiler: StageClock | None = None,
     backend: str | None = None,
 ) -> QueryResult:
     """Execute a cross-comparing query over two polygon sets.
@@ -170,7 +171,7 @@ def run_cross_compare(
     else:
         build = build_optimized_plan if optimized else build_unoptimized_plan
         plan = build(table_a, table_b)
-    prof = profiler or Profiler()
+    prof = profiler or StageClock()
     with prof.run():
         rows = list(plan.rows(prof))
     result = rows[0]

@@ -16,7 +16,8 @@ from repro.geometry.polygon import RectilinearPolygon
 from repro.index.hilbert_rtree import bulk_load_polygons
 from repro.index.rtree import RTree
 from repro.io.polyfile import read_polygons
-from repro.sdbms.profiler import Bucket, Profiler
+from repro.obs.clock import StageClock
+from repro.sdbms.profiler import Bucket
 
 __all__ = ["PolygonTable", "Catalog"]
 
@@ -54,10 +55,10 @@ class PolygonTable:
     # ------------------------------------------------------------------
     # Index
     # ------------------------------------------------------------------
-    def build_index(self, profiler: Profiler | None = None) -> RTree:
+    def build_index(self, profiler: StageClock | None = None) -> RTree:
         """Build (or return) the spatial index over polygon MBRs."""
         if self._index is None:
-            prof = profiler or Profiler()
+            prof = profiler or StageClock()
             with prof.measure(Bucket.INDEX_BUILD):
                 self._index = bulk_load_polygons(self.polygons)
         return self._index

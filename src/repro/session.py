@@ -35,7 +35,6 @@ point — execution choices are performance knobs, never semantics.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import dataclasses
 import functools
 import threading
@@ -58,7 +57,7 @@ from repro.cache import (
 from repro.errors import RequestError, SessionClosedError
 from repro.metrics.jaccard import jaccard_from_areas
 from repro.obs.events import EVENTS
-from repro.obs.trace import Tracer, activate, current_tracer
+from repro.obs.trace import Tracer, activate, current_tracer, span
 from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["Session"]
@@ -326,18 +325,12 @@ class Session:
 
     def _execute_pairs(self, request: CompareRequest) -> BatchAreas:
         backend, throwaway = self._backend_for(request.options)
-        tracer = current_tracer()
-        span = (
-            tracer.span(
+        try:
+            with span(
                 "backend.compare_pairs",
                 backend=request.options.backend,
                 pairs=len(request.pairs),
-            )
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
-        try:
-            with span:
+            ):
                 if throwaway:
                     return backend.compare_pairs(
                         list(request.pairs), request.launch_config()
@@ -355,13 +348,7 @@ class Session:
 
         set_a, set_b = list(request.set_a), list(request.set_b)
         start = time.perf_counter()
-        tracer = current_tracer()
-        join_span = (
-            tracer.span("index.mbr_join", count_a=len(set_a), count_b=len(set_b))
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
-        with join_span:
+        with span("index.mbr_join", count_a=len(set_a), count_b=len(set_b)):
             join = mbr_pair_join(set_a, set_b)
         areas = self._run_pairs(
             CompareRequest.from_pairs(
@@ -386,13 +373,7 @@ class Session:
             # device: lifecycle stays owned here, the pipeline only
             # borrows the instance for the run.
             device = GpuDevice(backend_instance=backend)
-            tracer = current_tracer()
-            span = (
-                tracer.span("pipeline.run", backend=options.backend)
-                if tracer is not None
-                else contextlib.nullcontext()
-            )
-            with span:
+            with span("pipeline.run", backend=options.backend):
                 outcome = run_pipelined(
                     request.dir_a,
                     request.dir_b,

@@ -30,7 +30,7 @@ from repro.cluster import LoopbackCluster
 from repro.geometry.polygon import Box, RectilinearPolygon
 from repro.obs import (
     EventLog,
-    MetricsRegistry,
+    Histogram,
     MetricsServer,
     Tracer,
     activate,
@@ -39,7 +39,10 @@ from repro.obs import (
     load_trace_file,
     render_snapshot,
     render_spans,
+    render_trace_file,
+    span,
 )
+from repro.obs.export import render_families
 from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy, ShardInput
 from repro.service.core import ComparisonService, ServiceConfig
@@ -86,10 +89,19 @@ def test_spans_nest_and_link_parents():
 def test_context_is_inactive_by_default():
     assert current_tracer() is None
     assert current_context() is None
+    # The off path allocates no span: one shared no-op for every call.
+    assert span("a", k=1) is span("b")
+    with span("a") as off:
+        off.set(ignored=True)
     tracer = Tracer()
     with activate(tracer):
         assert current_tracer() is tracer
+        with span("on") as active:
+            active.set(seen=True)
     assert current_tracer() is None
+    assert [(r.name, r.attrs) for r in tracer.records()] == [
+        ("on", {"seen": True})
+    ]
 
 
 def test_adopt_merges_foreign_spans():
@@ -146,7 +158,7 @@ def test_event_tail_filters_by_kind():
 
 
 # ----------------------------------------------------------------------
-# Metrics registry + Prometheus text exposition
+# Prometheus text exposition
 # ----------------------------------------------------------------------
 _SAMPLE_LINE = re.compile(
     r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0-9eE+.\-]+$|'
@@ -163,32 +175,19 @@ def assert_valid_exposition(text: str) -> None:
         assert _SAMPLE_LINE.match(line), f"malformed sample line: {line!r}"
 
 
-def test_registry_renders_valid_exposition():
-    reg = MetricsRegistry()
-    reg.counter("repro_test_total", "things").inc(3)
-    reg.counter("repro_test_labelled_total", "labelled").inc(
-        1, tier='we"ird\\tier\n'
+def test_render_families_escapes_labels():
+    name = "repro_test_labelled_total"
+    text = render_families(
+        [(name, "counter", "labelled", [(name, {"tier": 'we"ird\\tier\n'}, 1.0)])]
     )
-    reg.gauge("repro_test_depth", "depth").set(7)
-    hist = reg.histogram(
-        "repro_test_seconds", "latency", buckets=(0.1, 1.0)
-    )
-    hist.observe(0.05)
-    hist.observe(0.5)
-    hist.observe(5.0)
-    text = reg.render()
     assert_valid_exposition(text)
-    assert "# TYPE repro_test_total counter" in text
-    assert "# HELP repro_test_seconds latency" in text
-    assert 'le="+Inf"' in text
-    assert "repro_test_seconds_count 3" in text
+    assert f"# TYPE {name} counter" in text
     # Label escaping: quote, backslash, newline all survive.
     assert '\\"' in text and "\\\\" in text and "\\n" in text
 
 
 def test_histogram_buckets_are_cumulative():
-    reg = MetricsRegistry()
-    hist = reg.histogram("h_seconds", "x", buckets=(0.5, 2.5))
+    hist = Histogram("h_seconds", "x", buckets=(0.5, 2.5))
     for v in (0.4, 1.5, 1.7, 9.0):
         hist.observe(v)
     snap = hist.snapshot()
@@ -274,6 +273,62 @@ def test_untraced_sessions_share_no_state():
     with Session() as session:
         session.run(CompareRequest.from_pairs(_pairs(4)))
         assert session.last_trace is None
+
+
+def test_traced_compare_files_has_stage_spans_matching_the_clock(
+    tmp_path, monkeypatch
+):
+    """One instrumentation point per stage: the stage threads inherit the
+    request's tracer, and a stage's spans sum to its clock bucket."""
+    from repro.data.datasets import DatasetSpec, generate_dataset
+    from repro.pipeline import engine
+
+    dir_a, dir_b = generate_dataset(
+        DatasetSpec(name="traced", tiles=3, nuclei_per_tile=25,
+                    tile_width=256, tile_height=256, seed=5),
+        tmp_path,
+    )
+    outcomes = []
+    run_pipelined = engine.run_pipelined
+
+    def keep_outcome(*args, **kwargs):
+        outcomes.append(run_pipelined(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(engine, "run_pipelined", keep_outcome)
+    out = tmp_path / "trace.jsonl"
+    with Session() as session:
+        session.compare_files(dir_a, dir_b)
+        assert session.last_trace is None  # untraced: no span opened
+        session.compare_files(
+            dir_a, dir_b, CompareOptions(trace_out=str(out))
+        )
+        records = session.last_trace.records()
+
+    timers = outcomes[-1].timers
+    by_id = {r.span_id: r for r in records}
+    (run,) = [r for r in records if r.name == "pipeline.run"]
+
+    def under_run(record):
+        while record.parent_id in by_id:
+            record = by_id[record.parent_id]
+            if record is run:
+                return True
+        return False
+
+    with open(out, encoding="utf-8") as fh:
+        shown = render_trace_file(fh)
+    for stage, at_least in (
+        ("parser", 3), ("builder", 3), ("filter", 3), ("aggregator", 1)
+    ):
+        spans = [r for r in records if r.name == f"pipeline.{stage}"]
+        assert len(spans) >= at_least, stage
+        assert all(under_run(r) for r in spans), stage
+        busy = timers.seconds(stage)
+        spanned = sum(r.duration for r in spans)
+        assert abs(spanned - busy) <= 0.05 * busy + 1e-3, stage
+        assert f"pipeline.{stage}" in timers.report()
+        assert f"pipeline.{stage}" in shown.split("by stage")[1]
 
 
 # ----------------------------------------------------------------------

@@ -170,18 +170,33 @@ class TestSchemes:
         assert out.input_bytes > 0
         assert out.throughput > 0
 
-    def test_all_schemes_agree(self, small_dataset):
+    @pytest.mark.parametrize(
+        "migration", [None, MigrationConfig(cpu_workers=2, poll_seconds=0.001)]
+    )
+    def test_all_schemes_agree(self, small_dataset, migration):
+        """One set of stage bodies serves the workers, the NoPipe loop and
+        the migrators, so every scheme counts the same things."""
         dir_a, dir_b = small_dataset
-        out_p = run_pipelined(dir_a, dir_b, self._options())
-        out_s = run_nopipe_single(dir_a, dir_b, self._options())
-        out_m = run_nopipe_multi(dir_a, dir_b, self._options(), streams=3)
-        assert out_p.jaccard_mean == pytest.approx(out_s.jaccard_mean, abs=1e-12)
-        assert out_p.jaccard_mean == pytest.approx(out_m.jaccard_mean, abs=1e-12)
-        assert (
-            out_p.intersecting_pairs
-            == out_s.intersecting_pairs
-            == out_m.intersecting_pairs
-        )
+        outs = [
+            run_pipelined(dir_a, dir_b, self._options(migration=migration)),
+            run_nopipe_single(dir_a, dir_b, self._options(migration=migration)),
+            run_nopipe_multi(
+                dir_a, dir_b, self._options(migration=migration), streams=3
+            ),
+        ]
+        counts = [
+            (o.candidate_pairs, o.intersecting_pairs, o.missing_a,
+             o.missing_b, o.count_a, o.count_b, o.tiles)
+            for o in outs
+        ]
+        assert counts[0] == counts[1] == counts[2]
+        for out in outs:
+            assert out.jaccard_mean == pytest.approx(
+                outs[0].jaccard_mean, abs=1e-9
+            )
+            assert {"parser", "builder", "filter", "aggregator"} <= set(
+                out.timers.totals
+            )
 
     def test_pipelined_batches_launches(self, small_dataset):
         dir_a, dir_b = small_dataset
@@ -212,7 +227,7 @@ class TestSchemes:
             migration=MigrationConfig(cpu_workers=2, poll_seconds=0.001),
         )
         out = run_pipelined(dir_a, dir_b, options)
-        assert out.timers.migrated_cpu_tasks > 0
+        assert out.timers.counts["migrated_cpu_tasks"] > 0
         base = run_pipelined(dir_a, dir_b, self._options())
         assert out.jaccard_mean == pytest.approx(base.jaccard_mean, abs=1e-12)
 
@@ -238,21 +253,23 @@ class TestSchemes:
             PipelineOptions(batch_pairs=0)
 
 
-class TestStageTimers:
+class TestStageClock:
     def test_concurrent_adds_sum_exactly(self):
-        """Every parser thread calls ``add`` on the one shared record; a
-        lost update would leave the totals short."""
+        """Every stage thread charges the one shared clock; a lost update
+        would leave the totals short."""
         import sys
 
-        from repro.pipeline.stages import StageTimers
+        from repro.obs.clock import StageClock
 
-        timers = StageTimers()
+        timers = StageClock()
         threads_n, adds = 8, 5000
 
         def work():
             for _ in range(adds):
                 timers.add("parser", 1.0)
-                timers.add("migrated_gpu_tasks", 1)
+                with timers.measure("builder"):
+                    pass
+                timers.count("migrated_gpu_tasks")
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -265,5 +282,6 @@ class TestStageTimers:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert timers.parser == threads_n * adds
-        assert timers.migrated_gpu_tasks == threads_n * adds
+        assert timers.seconds("parser") == threads_n * adds
+        assert timers.counts["builder"] == threads_n * adds
+        assert timers.counts["migrated_gpu_tasks"] == threads_n * adds

@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import MigrationError, PipelineError
 from repro.io.tiles import tile_name
+from repro.obs.clock import StageClock
 from repro.pipeline.buffers import BoundedBuffer
 from repro.pipeline.device import GpuDevice
 from repro.pipeline.engine import PipelineOptions, run_pipelined
@@ -23,7 +24,6 @@ from repro.pipeline.migration import (
     aggregator_migrator,
     parser_migrator,
 )
-from repro.pipeline.stages import StageTimers
 from repro.pipeline.tasks import ParseTask
 from repro.pixelbox.common import LaunchConfig
 
@@ -82,7 +82,7 @@ class TestAggregatorMigratorBackendRouting:
         results = BoundedBuffer(8, "results")
         batches.put(batch)  # capacity 1 -> the buffer is now "full"
         batches.close()
-        timers = StageTimers()
+        timers = StageClock()
 
         aggregator_migrator(
             batches, results, LaunchConfig(),
@@ -90,7 +90,7 @@ class TestAggregatorMigratorBackendRouting:
             timers, threading.Event(),
         )
 
-        assert timers.migrated_cpu_tasks == 1
+        assert timers.counts["migrated_cpu_tasks"] == 1
         result = results.try_get()
         assert result is not None
         assert result.executed_on == "cpu"
@@ -116,8 +116,8 @@ class TestMigrationDisabled:
                 devices=[GpuDevice(launch_overhead=0.0)], migration=None
             ),
         )
-        assert out.timers.migrated_cpu_tasks == 0
-        assert out.timers.migrated_gpu_tasks == 0
+        assert out.timers.counts["migrated_cpu_tasks"] == 0
+        assert out.timers.counts["migrated_gpu_tasks"] == 0
         assert out.tiles == 4
 
 
@@ -129,7 +129,7 @@ class TestZeroGpuCapacity:
         parse_in: BoundedBuffer[ParseTask] = BoundedBuffer(4, "parse_in")
         parsed = BoundedBuffer(4, "parsed")
         batches = BoundedBuffer(4, "batches")
-        timers = StageTimers()
+        timers = StageClock()
         stop = threading.Event()
 
         tile = tmp_path / tile_name(0)
@@ -149,7 +149,7 @@ class TestZeroGpuCapacity:
             )
             thread.start()
             time.sleep(0.05)
-            assert timers.migrated_gpu_tasks == 0
+            assert timers.counts["migrated_gpu_tasks"] == 0
             assert len(parsed) == 0
             stop.set()
         thread.join(timeout=2.0)
@@ -161,7 +161,7 @@ class TestZeroGpuCapacity:
         parse_in: BoundedBuffer[ParseTask] = BoundedBuffer(4, "parse_in")
         parsed = BoundedBuffer(4, "parsed")
         batches = BoundedBuffer(4, "batches")
-        timers = StageTimers()
+        timers = StageClock()
         stop = threading.Event()
 
         tile = tmp_path / tile_name(0)
@@ -174,7 +174,7 @@ class TestZeroGpuCapacity:
         parser_migrator(
             parse_in, parsed, batches, [device], _FAST_POLL, timers, stop
         )
-        assert timers.migrated_gpu_tasks == 1
+        assert timers.counts["migrated_gpu_tasks"] == 1
         assert device.stats.parse_launches == 2  # file_a + file_b
         assert len(parsed) == 1
 
@@ -184,7 +184,7 @@ class TestZeroGpuCapacity:
         parse_in: BoundedBuffer[ParseTask] = BoundedBuffer(4, "parse_in")
         parsed = BoundedBuffer(4, "parsed")
         batches = BoundedBuffer(4, "batches")
-        timers = StageTimers()
+        timers = StageClock()
         stop = threading.Event()
 
         tile = tmp_path / tile_name(0)
@@ -199,7 +199,7 @@ class TestZeroGpuCapacity:
         )
         thread.start()
         time.sleep(0.05)
-        assert timers.migrated_gpu_tasks == 0  # gate held it back
+        assert timers.counts["migrated_gpu_tasks"] == 0  # gate held it back
         stop.set()
         thread.join(timeout=2.0)
         assert not thread.is_alive()
@@ -221,7 +221,7 @@ class TestMigratorShutdown:
         thread = threading.Thread(
             target=parser_migrator,
             args=(parse_in, parsed, batches, [GpuDevice(launch_overhead=0.0)],
-                  _FAST_POLL, StageTimers(), threading.Event()),
+                  _FAST_POLL, StageClock(), threading.Event()),
             daemon=True,
         )
         thread.start()
@@ -234,7 +234,7 @@ class TestMigratorShutdown:
         batches.close()
         # Returns immediately: closed + empty input means no work will come.
         aggregator_migrator(
-            batches, results, LaunchConfig(), _FAST_POLL, StageTimers(),
+            batches, results, LaunchConfig(), _FAST_POLL, StageClock(),
             threading.Event(),
         )
 
@@ -245,7 +245,7 @@ class TestMigratorShutdown:
         thread = threading.Thread(
             target=aggregator_migrator,
             args=(batches, results, LaunchConfig(), _FAST_POLL,
-                  StageTimers(), stop),
+                  StageClock(), stop),
             daemon=True,
         )
         thread.start()

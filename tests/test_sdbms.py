@@ -6,6 +6,7 @@ from repro.errors import CatalogError, QueryError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.metrics.jaccard import jaccard_pairwise
+from repro.obs.clock import StageClock
 from repro.sdbms.functions import get_function, st_area
 from repro.sdbms.parallel import parallel_cross_compare
 from repro.sdbms.plan import (
@@ -18,7 +19,7 @@ from repro.sdbms.plan import (
     IndexNestLoopJoin,
     Project,
 )
-from repro.sdbms.profiler import Bucket, Profiler
+from repro.sdbms.profiler import Bucket
 from repro.sdbms.queries import (
     build_optimized_plan,
     build_unoptimized_plan,
@@ -75,23 +76,23 @@ class TestCatalogAndTables:
 
 class TestExpressions:
     def test_col_and_const(self):
-        prof = Profiler()
+        prof = StageClock()
         assert Col("x").evaluate({"x": 5}, prof) == 5
         assert Const(7).evaluate({}, prof) == 7
 
     def test_unknown_column(self):
         with pytest.raises(QueryError):
-            Col("missing").evaluate({}, Profiler())
+            Col("missing").evaluate({}, StageClock())
 
     def test_binop(self):
-        prof = Profiler()
+        prof = StageClock()
         expr = BinOp("/", Const(6), Const(4))
         assert expr.evaluate({}, prof) == 1.5
         with pytest.raises(QueryError):
             BinOp("%", Const(1), Const(2))
 
     def test_func_with_bucket_charges_profiler(self):
-        prof = Profiler()
+        prof = StageClock()
         expr = Func("ST_Area", [Col("g")], bucket=Bucket.ST_AREA)
         assert expr.evaluate({"g": square(0, 0, 3, 3)}, prof) == 9
         assert prof.counts[Bucket.ST_AREA] == 1
@@ -109,7 +110,7 @@ class TestPlans:
     def test_join_emits_mbr_pairs(self):
         a = PolygonTable("a", [square(0, 0, 4, 4)])
         b = PolygonTable("b", [square(2, 2, 6, 6), square(50, 50, 51, 51)])
-        rows = list(IndexNestLoopJoin(a, b).rows(Profiler()))
+        rows = list(IndexNestLoopJoin(a, b).rows(StageClock()))
         assert len(rows) == 1 and rows[0]["b_id"] == 0
 
     def test_filter_and_project(self):
@@ -122,7 +123,7 @@ class TestPlans:
             ),
             {"ai": Func("ST_Area", [Func("ST_Intersection", [Col("a"), Col("b")])])},
         )
-        rows = list(plan.rows(Profiler()))
+        rows = list(plan.rows(StageClock()))
         assert rows[0]["ai"] == 4
 
     def test_aggregate(self):
@@ -135,7 +136,7 @@ class TestPlans:
             ),
             "ratio",
         )
-        out = list(plan.rows(Profiler()))
+        out = list(plan.rows(StageClock()))
         assert out == [{"avg": 0.5, "count": 1, "sum": 0.5}]
 
     def test_explain_renders_tree(self):
