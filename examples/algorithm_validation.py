@@ -3,7 +3,7 @@
 A pathologist evaluates a new segmentation algorithm by cross-comparing
 its output against a reference over a whole image: per-tile similarity,
 missing-polygon counts, and the image-level J'.  This example generates a
-multi-tile dataset on disk, runs the full SCCG pipeline over it, and
+multi-tile dataset on disk, cross-compares it tile by tile, and
 prints the per-tile breakdown a validation report would contain.
 
 Run:  python examples/algorithm_validation.py
@@ -12,7 +12,7 @@ Run:  python examples/algorithm_validation.py
 import tempfile
 from pathlib import Path
 
-from repro import CompareOptions, Session
+from repro import Session
 from repro.data import DatasetSpec, PerturbModel, generate_dataset
 from repro.io import pair_result_sets, read_polygons
 
@@ -29,8 +29,8 @@ def main() -> None:
     print(f"dataset: {spec.tiles} tiles under {workdir}")
 
     # One warm session serves the per-tile breakdown and the image-level
-    # pipeline run alike; migration is one option, not a config object.
-    with Session(CompareOptions(migration=True)) as session:
+    # run alike: compare_files is compare_sets per tile, summed.
+    with Session() as session:
         # Per-tile report (what the sensitivity study reads).
         print(f"\n{'tile':>4}  {'J-prime':>8}  {'pairs':>5}  "
               f"{'missing A':>9}  {'missing B':>9}")
@@ -42,7 +42,7 @@ def main() -> None:
                   f"{tile.intersecting_pairs:>5}  {tile.missing_a:>9}  "
                   f"{tile.missing_b:>9}")
 
-        # Whole-image result through the pipelined system.
+        # Whole-image result: the same comparison over every tile.
         outcome = session.compare_files(dir_a, dir_b)
     print(f"\nimage-level J' = {outcome.jaccard_mean:.4f} over "
           f"{outcome.intersecting_pairs} pairs "

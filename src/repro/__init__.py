@@ -12,7 +12,8 @@ Public API tour
 * :mod:`repro.index` — Hilbert R-tree and the MBR pair join.
 * :mod:`repro.sdbms` — mini spatial DBMS with per-operator profiling.
 * :mod:`repro.io` / :mod:`repro.data` — polygon files and synthetic slides.
-* :mod:`repro.pipeline` — the SCCG pipelined framework + task migration.
+* :mod:`repro.pipeline` — the paper's §4 schemes (pipelined, NoPipe-S/M,
+  task migration) against the modeled device; run by Table 1, Fig. 11/12.
 * :mod:`repro.backends` — interchangeable execution backends (registry).
 * :mod:`repro.service` / :mod:`repro.cluster` — async serving + sharding.
 * :mod:`repro.metrics` — Jaccard similarity of polygon sets.
@@ -62,7 +63,7 @@ _API_NAMES = {
 def __getattr__(name: str):
     """Load the high-level API lazily.
 
-    ``repro.api`` pulls in the pipeline and kernel packages; deferring the
+    ``repro.api`` pulls in the index and kernel packages; deferring the
     import keeps ``import repro`` cheap for users who only need geometry.
     """
     if name in _API_NAMES:

@@ -4,11 +4,11 @@ The library's front door is session-centric:
 
 * :class:`repro.session.Session` (re-exported here) owns one warm
   executor and serves every comparison shape — explicit pairs, two
-  polygon sets, two on-disk result directories, incremental streams,
-  async submission;
+  polygon sets, two on-disk result directories (a per-tile loop over
+  the same set comparison), incremental streams, async submission;
 * :class:`CompareOptions` is the single typed, serializable record of
   every knob (backend + options, cluster hosts, cost profile, kernel
-  launch parameters, pipeline shape) with one set of defaults;
+  launch parameters, cache, tracing) with one set of defaults;
 * :class:`CompareRequest` is the declarative spec the CLI
   (``repro compare``), the service wire protocol (``repro serve``), and
   the library all parse into — identical spec, identical results;

@@ -1,19 +1,15 @@
 """One typed, serializable options record for every front door.
 
-Before this module existed the one logical operation — cross-compare two
-spatial result sets — was configured through four drifting surfaces:
-``LaunchConfig`` (kernel launch), ``PipelineOptions`` (file pipeline),
-``ServiceConfig`` (serving), and ad-hoc backend-option dicts plus
-``REPRO_*`` environment variables.  The drift was real: the old
-file-comparison front door defaulted ``LaunchConfig()`` while the
-pipeline defaulted ``tight_mbr=True``, and it silently dropped the
-``buffer_capacity`` / ``batch_pairs`` / ``migration`` knobs entirely.
-
-:class:`CompareOptions` is now the single place those knobs live, with a
-single set of defaults.  The CLI, the service wire protocol, and the
-library all parse into it; the legacy config objects are *derived* from
-it (:meth:`CompareOptions.launch_config`,
-:meth:`CompareOptions.pipeline_options`), never the other way around.
+:class:`CompareOptions` is the single place the knobs of the one
+logical operation — cross-compare two spatial result sets — live, with a
+single set of defaults: execution backend, kernel launch parameters,
+result cache, tracing.  The CLI, the service wire protocol, and the
+library all parse into it; the kernel's ``LaunchConfig`` is *derived*
+from it (:meth:`CompareOptions.launch_config`), never the other way
+around.  A file comparison is a per-tile loop with nothing to tune; the
+threaded pipeline of the paper's §4 and its shape knobs
+(``PipelineOptions``) live with the experiments that reproduce it
+(:mod:`repro.pipeline`).
 Every field is a JSON-able scalar or mapping, so a request spec can
 travel over a wire, live in a file, and round-trip bit-for-bit
 (:meth:`to_dict` / :meth:`from_dict`).
@@ -64,16 +60,9 @@ class CompareOptions:
     block_size, pixel_threshold, tight_mbr, leaf_mode:
         Kernel launch parameters (see
         :class:`repro.pixelbox.common.LaunchConfig`).  The defaults here
-        are **the** defaults: ``tight_mbr=True`` is the production
-        pipeline's policy, and now every front door shares it (results
+        are **the** defaults: ``tight_mbr=True`` is the paper
+        pipeline's policy, and every front door shares it (results
         are exact either way — this is purely a performance knob).
-    parser_workers, buffer_capacity, batch_pairs:
-        File-pipeline shape (worker threads for the parser stage,
-        bounded-buffer capacity, pairs per aggregator batch).  Ignored
-        for in-memory comparisons.
-    migration:
-        Enable dynamic CPU/GPU task migration for file comparisons
-        (paper §4.2).  Off by default, matching the old library default.
     cache:
         Enable the content-addressed result cache: a front-door request
         cache in :class:`~repro.session.Session` /
@@ -106,11 +95,6 @@ class CompareOptions:
     pixel_threshold: int | None = None
     tight_mbr: bool = True
     leaf_mode: str = "scan"
-    # -- file pipeline -------------------------------------------------
-    parser_workers: int = 2
-    buffer_capacity: int = 8
-    batch_pairs: int = 4096
-    migration: bool = False
     # -- result caching ------------------------------------------------
     cache: bool = False
     cache_bytes: int = 64 * 2**20
@@ -131,18 +115,6 @@ class CompareOptions:
             self.launch_config()
         except Exception as exc:
             raise RequestError(f"invalid launch parameters: {exc}") from exc
-        if self.parser_workers < 1:
-            raise RequestError(
-                f"parser_workers must be >= 1, got {self.parser_workers}"
-            )
-        if self.buffer_capacity < 1:
-            raise RequestError(
-                f"buffer_capacity must be >= 1, got {self.buffer_capacity}"
-            )
-        if self.batch_pairs < 1:
-            raise RequestError(
-                f"batch_pairs must be >= 1, got {self.batch_pairs}"
-            )
         if self.cache_bytes < 1:
             raise RequestError(
                 f"cache_bytes must be >= 1, got {self.cache_bytes}"
@@ -151,7 +123,7 @@ class CompareOptions:
             object.__setattr__(self, "trace", True)
 
     # ------------------------------------------------------------------
-    # Derived legacy config objects
+    # Derived config objects
     # ------------------------------------------------------------------
     def launch_config(self) -> LaunchConfig:
         """The kernel :class:`LaunchConfig` this spec resolves to."""
@@ -181,26 +153,6 @@ class CompareOptions:
             elif self.backend == "multiprocess":
                 options.setdefault("result_cache_bytes", self.cache_bytes)
         return options
-
-    def pipeline_options(self, devices=None):
-        """The :class:`~repro.pipeline.engine.PipelineOptions` equivalent.
-
-        *Every* pipeline knob of this spec is honored —
-        ``buffer_capacity``, ``batch_pairs``, and ``migration`` included.
-        """
-        from repro.pipeline.engine import PipelineOptions
-        from repro.pipeline.migration import MigrationConfig
-
-        return PipelineOptions(
-            parser_workers=self.parser_workers,
-            buffer_capacity=self.buffer_capacity,
-            batch_pairs=self.batch_pairs,
-            launch_config=self.launch_config(),
-            devices=devices,
-            migration=MigrationConfig() if self.migration else None,
-            backend=self.backend,
-            backend_options=self.resolved_backend_options(),
-        )
 
     def replace(self, **changes) -> "CompareOptions":
         """A copy with ``changes`` applied (frozen-dataclass update)."""

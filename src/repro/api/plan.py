@@ -47,7 +47,7 @@ class ResolvedPlan:
         Effective kernel launch parameters.
     n_pairs, mean_edges, mean_mbr_pixels:
         Workload profile (``None`` for file requests, whose pairs are
-        not known until the pipeline's filter stage runs).
+        not known until each tile's MBR filter runs).
     tiles:
         Tile-pair count for file requests (``None`` otherwise).
     coalesce_pairs:
@@ -60,8 +60,6 @@ class ResolvedPlan:
         cluster backend would self-host).
     calibration:
         Provenance of the active cost profile (``"modeled"`` when none).
-    migration:
-        Whether the file pipeline would run task migration.
     cache:
         Resolved result-cache configuration: ``enabled``, the byte
         budget, the request-cache key this request resolves to, and
@@ -89,7 +87,6 @@ class ResolvedPlan:
     shard_pairs: int | None = None
     hosts: tuple[str, ...] = ()
     calibration: str = "modeled"
-    migration: bool = False
     cache: dict[str, Any] = field(default_factory=dict)
     trace: dict[str, Any] = field(default_factory=dict)
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -114,7 +111,6 @@ class ResolvedPlan:
             },
             "hosts": list(self.hosts),
             "calibration": self.calibration,
-            "migration": self.migration,
             "cache": dict(self.cache),
             "trace": dict(self.trace),
             "notes": list(self.notes),
@@ -241,8 +237,8 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
         )
     elif options.backend == "auto":
         notes.append(
-            "auto dispatch resolves per batch once the pipeline's filter "
-            "stage produces pairs"
+            "auto dispatch resolves per tile once the MBR filter "
+            "produces its pairs"
         )
 
     resolved_caps = caps
@@ -320,7 +316,6 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
         shard_pairs=shard,
         hosts=hosts,
         calibration=cal_source,
-        migration=options.migration,
         cache=_resolve_cache(request, cal, request_cache),
         trace={"enabled": options.trace, "trace_out": options.trace_out},
         notes=tuple(notes),

@@ -11,7 +11,7 @@ A :class:`CompareRequest` is the one spec every front door produces:
 
 The payload comes in three kinds — an explicit pair list (``pairs``),
 two polygon sets to join and compare (``sets``), or two on-disk result
-directories to run the full pipeline over (``files``) — and the request
+directories to compare tile by tile (``files``) — and the request
 is fully serializable (:meth:`CompareRequest.to_dict` /
 :meth:`CompareRequest.from_dict`, polygons as WKT), so the exact same
 spec object can be logged, replayed, shipped to ``repro explain``, or
@@ -80,9 +80,9 @@ class CompareRequest:
         :attr:`set_a` / :attr:`set_b` — two polygon sets; the MBR join
         picks the candidate pairs (one tile's cross-comparison).
     ``"files"``
-        :attr:`dir_a` / :attr:`dir_b` — two result-set directories; the
-        full SCCG pipeline (parse, index, filter, aggregate) runs over
-        every tile pair.
+        :attr:`dir_a` / :attr:`dir_b` — two result-set directories;
+        every tile pair is parsed and compared as one ``sets`` payload
+        (parse, index, filter, aggregate), and the tiles are summed.
 
     Build one with :meth:`from_pairs` / :meth:`from_sets` /
     :meth:`from_files` rather than the raw constructor.
@@ -261,17 +261,12 @@ def request_from_cli(
     dir_b: str | Path,
     backend: str = "batch",
     hosts: str | None = None,
-    migration: bool = True,
     workers: int | None = None,
     cache: bool = False,
     trace: bool = False,
     trace_out: str | None = None,
 ) -> CompareRequest:
-    """``repro compare`` flags -> the same :class:`CompareRequest`.
-
-    The CLI's historical default enables task migration (the paper's
-    production configuration); ``--no-migration`` turns it off.
-    """
+    """``repro compare`` flags -> the same :class:`CompareRequest`."""
     backend_options: dict[str, Any] = {}
     if workers is not None:
         backend_options["workers"] = workers
@@ -279,7 +274,6 @@ def request_from_cli(
         backend=backend,
         backend_options=backend_options,
         hosts=hosts,
-        migration=migration,
         cache=cache,
         trace=trace,
         trace_out=trace_out,

@@ -2,7 +2,7 @@
 
 :class:`CompareResult` is what :class:`repro.Session` returns for set-
 and file-level comparisons — the similarity fields plus the performance
-accounting (wall seconds, input bytes) the pipeline measures.
+accounting (wall seconds, input bytes) the session measures.
 :class:`PairOutcome` is the per-pair record :meth:`repro.Session.stream`
 yields incrementally as shards complete.
 """
@@ -45,9 +45,13 @@ class CompareResult:
 
     @classmethod
     def from_pairwise(
-        cls, pw: PairwiseJaccard, tiles: int = 1, wall_seconds: float = 0.0
+        cls,
+        pw: PairwiseJaccard,
+        tiles: int = 1,
+        wall_seconds: float = 0.0,
+        input_bytes: int = 0,
     ) -> "CompareResult":
-        """Wrap a metrics-layer result (in-memory comparisons)."""
+        """Wrap a metrics-layer result (one tile, or the sum of several)."""
         return cls(
             jaccard_mean=pw.mean_ratio,
             intersecting_pairs=pw.intersecting_pairs,
@@ -58,22 +62,7 @@ class CompareResult:
             count_b=pw.count_b,
             tiles=tiles,
             wall_seconds=wall_seconds,
-        )
-
-    @classmethod
-    def from_outcome(cls, outcome) -> "CompareResult":
-        """Wrap a :class:`~repro.pipeline.engine.PipelineOutcome`."""
-        return cls(
-            jaccard_mean=outcome.jaccard_mean,
-            intersecting_pairs=outcome.intersecting_pairs,
-            candidate_pairs=outcome.candidate_pairs,
-            missing_a=outcome.missing_a,
-            missing_b=outcome.missing_b,
-            count_a=outcome.count_a,
-            count_b=outcome.count_b,
-            tiles=outcome.tiles,
-            wall_seconds=outcome.wall_seconds,
-            input_bytes=outcome.input_bytes,
+            input_bytes=input_bytes,
         )
 
     def as_dict(self) -> dict[str, Any]:

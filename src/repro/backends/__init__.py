@@ -30,7 +30,8 @@ seam that makes the claim structural instead of incidental:
                    installed
   ===============  ====================================================
 
-* consumers — the pipeline aggregator (:class:`repro.pipeline.device.GpuDevice`),
+* consumers — the session (:class:`repro.Session`), the §4 experiment's
+  modeled device (:class:`repro.pipeline.device.GpuDevice`),
   the SDBMS batch operator (:class:`repro.sdbms.plan.BackendAreaProject`),
   the metrics layer, and the CLI — resolve executors by name through
   :func:`get_backend` and never import an engine directly.

@@ -7,7 +7,7 @@ Subcommands::
     repro run fig7 [--full]
     repro run-all [--full]
     repro generate-suite [--scale 0.02] [--root DIR]
-    repro compare DIR_A DIR_B [--no-migration] [--backend NAME] [--hosts ...]
+    repro compare DIR_A DIR_B [--backend NAME] [--hosts ...]
     repro explain REQUEST.json
     repro serve [--backend NAME] [--port N | --stdio] [--metrics]
     repro worker [--host H] [--port N] [--max-tables N]
@@ -71,12 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="cross-compare two result sets")
     cmp_.add_argument("dir_a", type=Path)
     cmp_.add_argument("dir_b", type=Path)
-    cmp_.add_argument("--no-migration", action="store_true")
     cmp_.add_argument(
         "--backend",
         default="batch",
         help=(
-            "execution backend for the aggregator (see `repro backends`; "
+            "execution backend for each tile's pairs (see `repro backends`; "
             "'auto' picks by cost model)"
         ),
     )
@@ -356,7 +355,6 @@ def main(argv: list[str] | None = None) -> int:
             args.dir_b,
             backend=args.backend,
             hosts=args.hosts,
-            migration=not args.no_migration,
             workers=args.workers,
             cache=args.cache,
             trace=args.trace,

@@ -1,7 +1,6 @@
-"""Polygon file IO: the text format, CPU parsers, and the GPU parser."""
+"""Polygon file IO: the text format and the CPU parsers."""
 
 from repro.io.parser_cpu import parse_fsm, parse_vectorized, tokenize_numbers
-from repro.io.parser_gpu import gpu_parse
 from repro.io.polyfile import (
     format_polygon,
     parse_line,
@@ -18,7 +17,6 @@ __all__ = [
     "parse_fsm",
     "parse_vectorized",
     "tokenize_numbers",
-    "gpu_parse",
     "TilePair",
     "tile_name",
     "list_tile_files",

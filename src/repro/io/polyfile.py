@@ -11,9 +11,9 @@ image (tile offsets are already applied by the segmentation step, as in
 the paper's data layout where one polygon file holds one tile's objects).
 
 :func:`write_polygons` / :func:`read_polygons` are the canonical
-serializers; the performance parsers in :mod:`repro.io.parser_cpu` and
-:mod:`repro.io.parser_gpu` consume the same format and are validated
-against :func:`read_polygons`.
+serializers; the performance parsers in :mod:`repro.io.parser_cpu`
+consume the same format and are validated against
+:func:`read_polygons`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ Two measures are provided:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,30 +24,53 @@ from repro.errors import GeometryError
 from repro.exact.decompose import decompose
 from repro.exact.measure import union_area_of_boxes
 from repro.geometry.polygon import RectilinearPolygon
+from repro.index.hilbert_rtree import bulk_load_polygons
 from repro.index.join import mbr_pair_join
+from repro.obs.clock import StageClock
 from repro.pixelbox.common import LaunchConfig
-from repro.pixelbox.kernel import BatchAreas
+from repro.pixelbox.kernel import BatchAreas, Pairs
 
-__all__ = ["PairwiseJaccard", "jaccard_pairwise", "jaccard_from_areas",
-           "jaccard_global"]
+__all__ = ["PairwiseJaccard", "jaccard_pairwise", "jaccard_tile",
+           "jaccard_from_areas", "jaccard_global"]
 
 
 @dataclass(frozen=True, slots=True)
 class PairwiseJaccard:
-    """Result of the pairwise (J') cross-comparison of two polygon sets."""
+    """Result of the pairwise (J') cross-comparison of two polygon sets.
 
-    mean_ratio: float
-    intersecting_pairs: int
-    candidate_pairs: int
-    missing_a: int
-    missing_b: int
-    count_a: int
-    count_b: int
+    Every field is a sum over the compared pairs or polygons, so the
+    partials of several tiles add field by field (``+``) into the
+    image-level result without rounding a mean per tile;
+    ``PairwiseJaccard()`` is the empty sum.
+    """
+
+    ratio_sum: float = 0.0
+    intersecting_pairs: int = 0
+    candidate_pairs: int = 0
+    missing_a: int = 0
+    missing_b: int = 0
+    count_a: int = 0
+    count_b: int = 0
+
+    @property
+    def mean_ratio(self) -> float:
+        """``J'``: mean ratio over the intersecting pairs (0 with none)."""
+        if not self.intersecting_pairs:
+            return 0.0
+        return self.ratio_sum / self.intersecting_pairs
 
     @property
     def jaccard(self) -> float:
         """Alias for the paper's ``J'``."""
         return self.mean_ratio
+
+    def __add__(self, other: "PairwiseJaccard") -> "PairwiseJaccard":
+        return PairwiseJaccard(
+            *(
+                getattr(self, f.name) + getattr(other, f.name)
+                for f in dataclasses.fields(self)
+            )
+        )
 
     def __str__(self) -> str:
         return (
@@ -71,7 +96,7 @@ def jaccard_from_areas(
     matched_a = np.unique(np.asarray(left_idx)[hit])
     matched_b = np.unique(np.asarray(right_idx)[hit])
     return PairwiseJaccard(
-        mean_ratio=float(ratios.mean()) if len(ratios) else 0.0,
+        ratio_sum=float(ratios.sum()),
         intersecting_pairs=int(hit.sum()),
         candidate_pairs=len(areas),
         missing_a=count_a - len(matched_a),
@@ -79,6 +104,37 @@ def jaccard_from_areas(
         count_a=count_a,
         count_b=count_b,
     )
+
+
+def jaccard_tile(
+    set_a: list[RectilinearPolygon],
+    set_b: list[RectilinearPolygon],
+    areas_for: Callable[[Pairs], BatchAreas],
+    clock: StageClock | None = None,
+) -> PairwiseJaccard:
+    """One tile's two polygon sets -> its ``J'`` partial.
+
+    The pipeline's builder, filter and aggregator stages for one tile
+    (paper §4.1), each charged to ``clock``: Hilbert R-tree over
+    ``set_b``, MBR join of ``set_a`` against it, one ``areas_for`` launch
+    over the candidate pairs, :func:`jaccard_from_areas`.  Every
+    set- and file-level comparison is this function, once per tile.
+    """
+    if clock is None:
+        clock = StageClock("pipeline.")
+    with clock.measure("builder"):
+        tree = bulk_load_polygons(set_b)
+    with clock.measure("filter"):
+        join = mbr_pair_join(set_a, set_b, tree=tree)
+        pairs = join.pairs(set_a, set_b)
+    with clock.measure("aggregator", tiles=1, pairs=len(pairs)):
+        return jaccard_from_areas(
+            areas_for(pairs),
+            join.left_idx,
+            join.right_idx,
+            len(set_a),
+            len(set_b),
+        )
 
 
 def jaccard_pairwise(
@@ -101,12 +157,10 @@ def jaccard_pairwise(
     """
     from repro.backends import get_backend
 
-    join = mbr_pair_join(set_a, set_b)
     with get_backend(backend) as executor:
-        areas = executor.compare_pairs(join.pairs(set_a, set_b), config)
-    return jaccard_from_areas(
-        areas, join.left_idx, join.right_idx, len(set_a), len(set_b)
-    )
+        return jaccard_tile(
+            set_a, set_b, lambda pairs: executor.compare_pairs(pairs, config)
+        )
 
 
 def jaccard_global(

@@ -21,7 +21,7 @@ from pathlib import Path
 from repro.backends import get_backend
 from repro.errors import DeviceError
 from repro.geometry.polygon import RectilinearPolygon
-from repro.io.parser_gpu import gpu_parse
+from repro.io.parser_cpu import parse_vectorized
 from repro.pixelbox.common import LaunchConfig
 from repro.pixelbox.kernel import BatchAreas
 
@@ -50,7 +50,6 @@ class GpuDevice:
         slowdown: float = 1.0,
         backend: str = "batch",
         backend_options: dict | None = None,
-        backend_instance=None,
     ) -> None:
         if launch_overhead < 0:
             raise DeviceError("launch overhead cannot be negative")
@@ -59,16 +58,10 @@ class GpuDevice:
         self.name = name
         self.launch_overhead = launch_overhead
         self.slowdown = slowdown
-        if backend_instance is not None:
-            # A lifecycle owner (e.g. repro.Session) lends its warm
-            # executor to the pipeline; the device never closes it.
-            self.backend_name = getattr(backend_instance, "name", backend)
-            self._backend = backend_instance
-        else:
-            self.backend_name = backend
-            # Resolve through the registry up front so a typo fails at
-            # device construction, not mid-pipeline in a worker thread.
-            self._backend = get_backend(backend, **(backend_options or {}))
+        self.backend_name = backend
+        # Resolve through the registry up front so a typo fails at
+        # device construction, not mid-pipeline in a worker thread.
+        self._backend = get_backend(backend, **(backend_options or {}))
         self.stats = DeviceStats()
         self._lock = threading.Lock()
 
@@ -94,14 +87,24 @@ class GpuDevice:
         return result
 
     def run_parse(self, raw: bytes | str | Path) -> list[RectilinearPolygon]:
-        """Launch the GPU-Parser kernel (exclusive access)."""
+        """Launch the GPU-Parser kernel (exclusive access).
+
+        The paper ports text parsing to the GPU so the migrator can move
+        parser tasks onto an idle device, and notes that the GPU parser
+        "is only comparable to its CPU counterpart since text parsing
+        requires implementing a finite state machine" (§4.2).  The
+        modeled device matches: its parsing kernel is the CPU's
+        vectorized tokenizer plus the per-launch overhead, so migrating
+        parser work pays off only when the device would otherwise sit
+        idle — exactly the condition the migrator checks.
+        """
         wait_start = time.perf_counter()
         with self._lock:
             acquired = time.perf_counter()
             self.stats.lock_wait_seconds += acquired - wait_start
             self._charge_overhead()
             t0 = time.perf_counter()
-            result = gpu_parse(raw)
+            result = parse_vectorized(raw)
             kernel = time.perf_counter() - t0
             self._charge_slowdown(kernel)
             self.stats.parse_launches += 1

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro.errors import PipelineError
 from repro.io.tiles import pair_result_sets
+from repro.metrics.jaccard import PairwiseJaccard
 from repro.obs.clock import StageClock
 from repro.obs.trace import context_thread
 from repro.pipeline.buffers import BoundedBuffer
@@ -114,33 +115,18 @@ class PipelineOutcome:
 
 def _collect(results: list[TileResult], timers: StageClock,
              devices: list[GpuDevice]) -> PipelineOutcome:
-    """Merge per-tile partial results into the final outcome."""
-    by_tile: dict[int, list[TileResult]] = {}
-    for result in results:
-        by_tile.setdefault(result.tile_id, []).append(result)
-    ratio_sum = sum(r.ratio_sum for r in results)
-    pairs = sum(r.intersecting_pairs for r in results)
-    candidates = sum(r.candidate_pairs for r in results)
-    missing_a = missing_b = count_a = count_b = 0
-    for tile_results in by_tile.values():
-        matched_a: set[int] = set()
-        matched_b: set[int] = set()
-        for r in tile_results:
-            matched_a |= r.matched_a
-            matched_b |= r.matched_b
-        count_a += tile_results[0].count_a
-        count_b += tile_results[0].count_b
-        missing_a += tile_results[0].count_a - len(matched_a)
-        missing_b += tile_results[0].count_b - len(matched_b)
+    """Sum the tiles' partials, in tile order, into the final outcome."""
+    results = sorted(results, key=lambda r: r.tile_id)
+    total = sum((r.partial for r in results), PairwiseJaccard())
     return PipelineOutcome(
-        jaccard_mean=ratio_sum / pairs if pairs else 0.0,
-        intersecting_pairs=pairs,
-        candidate_pairs=candidates,
-        missing_a=missing_a,
-        missing_b=missing_b,
-        count_a=count_a,
-        count_b=count_b,
-        tiles=len(by_tile),
+        jaccard_mean=total.mean_ratio,
+        intersecting_pairs=total.intersecting_pairs,
+        candidate_pairs=total.candidate_pairs,
+        missing_a=total.missing_a,
+        missing_b=total.missing_b,
+        count_a=total.count_a,
+        count_b=total.count_b,
+        tiles=len(results),
         wall_seconds=timers.wall_total,
         input_bytes=sum(r.input_bytes for r in results),
         timers=timers,

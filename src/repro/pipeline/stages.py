@@ -31,6 +31,7 @@ from repro.geometry.polygon import RectilinearPolygon
 from repro.index.hilbert_rtree import bulk_load_polygons
 from repro.index.join import mbr_pair_join
 from repro.io.parser_cpu import parse_vectorized
+from repro.metrics.jaccard import jaccard_from_areas
 from repro.obs.clock import StageClock
 from repro.pipeline.buffers import CLOSED, BoundedBuffer
 from repro.pipeline.device import GpuDevice
@@ -41,7 +42,7 @@ from repro.pipeline.tasks import (
     ParseTask,
     TileResult,
 )
-from repro.pixelbox.common import LaunchConfig
+from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import BatchAreas, Pairs
 
 __all__ = [
@@ -107,23 +108,26 @@ def aggregate_group(
     """Stage 4: one launch over the group's pairs, sliced back per tile."""
     areas = run([pair for batch in group for pair in batch.pairs])
     out: list[TileResult] = []
-    ratios = areas.ratios()
-    hits = areas.intersection > 0
     offset = 0
     for batch in group:
-        span = slice(offset, offset + batch.size)
+        rows = slice(offset, offset + batch.size)
         offset += batch.size
-        hit = hits[span]
         out.append(
             TileResult(
                 tile_id=batch.tile_id,
-                ratio_sum=float(ratios[span][hit].sum()),
-                intersecting_pairs=int(hit.sum()),
-                candidate_pairs=batch.size,
-                matched_a=set(batch.left_idx[hit].tolist()),
-                matched_b=set(batch.right_idx[hit].tolist()),
-                count_a=batch.count_a,
-                count_b=batch.count_b,
+                partial=jaccard_from_areas(
+                    BatchAreas(
+                        areas.intersection[rows],
+                        areas.union[rows],
+                        areas.area_p[rows],
+                        areas.area_q[rows],
+                        KernelStats(pairs=batch.size),
+                    ),
+                    batch.left_idx,
+                    batch.right_idx,
+                    batch.count_a,
+                    batch.count_b,
+                ),
                 input_bytes=batch.input_bytes,
                 executed_on=executed_on,
             )

@@ -9,13 +9,14 @@ the tile's partial similarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.geometry.polygon import RectilinearPolygon
 from repro.index.rtree import RTree
+from repro.metrics.jaccard import PairwiseJaccard
 
 __all__ = ["ParseTask", "ParsedTile", "BuiltTile", "FilteredBatch", "TileResult"]
 
@@ -75,15 +76,9 @@ class FilteredBatch:
 
 @dataclass(slots=True)
 class TileResult:
-    """Aggregator output: one tile's partial similarity terms."""
+    """Aggregator output: one tile's ``J'`` partial."""
 
     tile_id: int
-    ratio_sum: float
-    intersecting_pairs: int
-    candidate_pairs: int
-    matched_a: set[int] = field(default_factory=set)
-    matched_b: set[int] = field(default_factory=set)
-    count_a: int = 0
-    count_b: int = 0
+    partial: PairwiseJaccard
     input_bytes: int = 0
     executed_on: str = "gpu"

@@ -38,9 +38,9 @@ import asyncio
 import dataclasses
 import functools
 import threading
-import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import AsyncIterator, Iterator, Sequence
+from typing import AsyncIterator, Callable, Iterator, Sequence
 
 from repro.api.options import CompareOptions
 from repro.api.plan import ResolvedPlan, explain as _explain
@@ -55,7 +55,8 @@ from repro.cache import (
     request_key,
 )
 from repro.errors import RequestError, SessionClosedError
-from repro.metrics.jaccard import jaccard_from_areas
+from repro.metrics.jaccard import PairwiseJaccard, jaccard_tile
+from repro.obs.clock import StageClock
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_tracer, span
 from repro.pixelbox.kernel import BatchAreas
@@ -128,9 +129,9 @@ class Session:
         self._request_cache: LRUCacheStore | None = None
         self._flight = SingleFlight()
         self._lock = threading.Lock()
-        # One launch at a time on the warm backend (the exclusive-device
-        # contract GpuDevice enforces for the pipeline); concurrent
-        # submit()/compare() calls from many threads serialize here.
+        # One launch at a time on the warm backend (the paper's
+        # exclusive-device contract, §4); concurrent submit()/compare()
+        # calls from many threads serialize here.
         self._dispatch_lock = threading.Lock()
         # The tracer of the most recent traced request (None until a
         # request runs with CompareOptions(trace=True)).
@@ -323,66 +324,80 @@ class Session:
         # arrays: a caller may mutate what it gets back.
         return copy_areas(value)
 
-    def _execute_pairs(self, request: CompareRequest) -> BatchAreas:
-        backend, throwaway = self._backend_for(request.options)
+    @contextmanager
+    def _launcher(
+        self, options: CompareOptions
+    ) -> Iterator[Callable[[list[Pair]], BatchAreas]]:
+        """The ``pairs -> BatchAreas`` launch of one request's executor.
+
+        Resolved once per request: the warm backend, one launch at a
+        time under the dispatch lock, or a throwaway one closed on exit.
+        """
+        backend, throwaway = self._backend_for(options)
+        lock = nullcontext() if throwaway else self._dispatch_lock
+        config = options.launch_config()
+
+        def launch(pairs: list[Pair]) -> BatchAreas:
+            with lock:
+                return backend.compare_pairs(pairs, config)
+
         try:
-            with span(
-                "backend.compare_pairs",
-                backend=request.options.backend,
-                pairs=len(request.pairs),
-            ):
-                if throwaway:
-                    return backend.compare_pairs(
-                        list(request.pairs), request.launch_config()
-                    )
-                with self._dispatch_lock:
-                    return backend.compare_pairs(
-                        list(request.pairs), request.launch_config()
-                    )
+            yield launch
         finally:
             if throwaway:
                 backend.close()
+
+    def _execute_pairs(self, request: CompareRequest) -> BatchAreas:
+        with self._launcher(request.options) as launch, span(
+            "backend.compare_pairs",
+            backend=request.options.backend,
+            pairs=len(request.pairs),
+        ):
+            return launch(list(request.pairs))
 
     def _run_sets(self, request: CompareRequest) -> CompareResult:
-        from repro.index.join import mbr_pair_join
-
-        set_a, set_b = list(request.set_a), list(request.set_b)
-        start = time.perf_counter()
-        with span("index.mbr_join", count_a=len(set_a), count_b=len(set_b)):
-            join = mbr_pair_join(set_a, set_b)
-        areas = self._run_pairs(
-            CompareRequest.from_pairs(
-                join.pairs(set_a, set_b), request.options
+        clock = StageClock("pipeline.")
+        with clock.run():
+            pw = jaccard_tile(
+                list(request.set_a),
+                list(request.set_b),
+                lambda pairs: self._run_pairs(
+                    CompareRequest.from_pairs(pairs, request.options)
+                ),
+                clock,
             )
-        )
-        pw = jaccard_from_areas(
-            areas, join.left_idx, join.right_idx, len(set_a), len(set_b)
-        )
-        return CompareResult.from_pairwise(
-            pw, wall_seconds=time.perf_counter() - start
-        )
+        return CompareResult.from_pairwise(pw, wall_seconds=clock.wall_total)
 
     def _run_files(self, request: CompareRequest) -> CompareResult:
-        from repro.pipeline.device import GpuDevice
-        from repro.pipeline.engine import run_pipelined
+        """``compare_sets`` per tile, summed in tile order.
 
-        options = request.options
-        backend, throwaway = self._backend_for(options)
-        try:
-            # The session's warm executor *is* the pipeline's aggregator
-            # device: lifecycle stays owned here, the pipeline only
-            # borrows the instance for the run.
-            device = GpuDevice(backend_instance=backend)
-            with span("pipeline.run", backend=options.backend):
-                outcome = run_pipelined(
-                    request.dir_a,
-                    request.dir_b,
-                    options.pipeline_options(devices=[device]),
-                )
-        finally:
-            if throwaway:
-                backend.close()
-        return CompareResult.from_outcome(outcome)
+        File requests bypass the request cache (they are path-addressed:
+        the payload can change under an unchanged request).
+        """
+        from repro.io.parser_cpu import parse_vectorized
+        from repro.io.tiles import pair_result_sets
+
+        tiles = pair_result_sets(request.dir_a, request.dir_b)
+        clock = StageClock("pipeline.")
+        total = PairwiseJaccard()
+        input_bytes = 0
+        with self._launcher(request.options) as launch, span(
+            "pipeline.run", backend=request.options.backend
+        ), clock.run():
+            for tile in tiles:
+                with clock.measure("parser", tile=tile.tile_id):
+                    raw_a = tile.file_a.read_bytes()
+                    raw_b = tile.file_b.read_bytes()
+                    set_a = parse_vectorized(raw_a)
+                    set_b = parse_vectorized(raw_b)
+                input_bytes += len(raw_a) + len(raw_b)
+                total += jaccard_tile(set_a, set_b, launch, clock)
+        return CompareResult.from_pairwise(
+            total,
+            tiles=len(tiles),
+            wall_seconds=clock.wall_total,
+            input_bytes=input_bytes,
+        )
 
     # ------------------------------------------------------------------
     # Front-door methods (thin wrappers building the same request spec)
@@ -414,7 +429,7 @@ class Session:
         dir_b: str | Path,
         options: CompareOptions | None = None,
     ) -> CompareResult:
-        """Cross-compare two on-disk result sets with the SCCG pipeline."""
+        """Cross-compare two on-disk result sets, tile by tile."""
         self._check_open()
         return self.run(
             CompareRequest.from_files(dir_a, dir_b, self._options_for(options))

@@ -50,7 +50,7 @@ class TestCli:
 
     def test_compare_command(self, small_dataset, capsys):
         dir_a, dir_b = small_dataset
-        assert main(["compare", str(dir_a), str(dir_b), "--no-migration"]) == 0
+        assert main(["compare", str(dir_a), str(dir_b)]) == 0
         assert "J' =" in capsys.readouterr().out
 
     def test_backends_json(self, capsys):

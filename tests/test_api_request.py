@@ -4,8 +4,7 @@ The headline guarantees:
 
 * **one set of defaults** — the old drift (``api.cross_compare_files``
   defaulting ``LaunchConfig()`` while the pipeline defaulted
-  ``tight_mbr=True``, and silently dropping ``buffer_capacity`` /
-  ``batch_pairs`` / ``migration``) is pinned closed by regression tests;
+  ``tight_mbr=True``) is pinned closed by a regression test;
 * **one spec behind every door** — the CLI adapter, the service wire
   adapter, and the library constructors produce the *identical*
   ``CompareRequest`` for equivalent inputs;
@@ -28,7 +27,6 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.wkt import polygon_to_wkt
 from repro.pipeline.engine import PipelineOptions
-from repro.pipeline.migration import MigrationConfig
 
 
 def _square(x: int, y: int, side: int = 4) -> RectilinearPolygon:
@@ -49,28 +47,6 @@ class TestCompareOptionsDefaults:
             == PipelineOptions().launch_config
         )
 
-    def test_pipeline_shape_matches_pipeline_defaults(self):
-        derived = CompareOptions().pipeline_options()
-        reference = PipelineOptions()
-        assert derived.parser_workers == reference.parser_workers
-        assert derived.buffer_capacity == reference.buffer_capacity
-        assert derived.batch_pairs == reference.batch_pairs
-        assert derived.backend == reference.backend
-        assert derived.migration == reference.migration  # both off
-
-    def test_pipeline_knobs_no_longer_dropped(self):
-        # buffer_capacity / batch_pairs / migration used to be silently
-        # discarded on the api path; now every knob arrives.
-        options = CompareOptions(
-            buffer_capacity=3, batch_pairs=77, migration=True,
-            parser_workers=5,
-        )
-        derived = options.pipeline_options()
-        assert derived.buffer_capacity == 3
-        assert derived.batch_pairs == 77
-        assert derived.parser_workers == 5
-        assert isinstance(derived.migration, MigrationConfig)
-
     def test_hosts_fold_into_cluster_factory_options(self):
         options = CompareOptions(backend="cluster", hosts="h1:9001,h2:9002")
         assert options.resolved_backend_options() == {
@@ -88,16 +64,14 @@ class TestCompareOptionsDefaults:
         with pytest.raises(RequestError):
             CompareOptions(leaf_mode="nope")
         with pytest.raises(RequestError):
-            CompareOptions(parser_workers=0)
-        with pytest.raises(RequestError):
-            CompareOptions(batch_pairs=0)
+            CompareOptions(cache_bytes=0)
 
     def test_options_round_trip(self):
         options = CompareOptions(
             backend="multiprocess",
             backend_options={"workers": 3},
             block_size=32,
-            migration=True,
+            cache=True,
         )
         assert CompareOptions.from_dict(options.to_dict()) == options
         # Defaults serialize to the empty spec.
@@ -105,8 +79,11 @@ class TestCompareOptionsDefaults:
         assert CompareOptions.from_dict(None) == DEFAULT_OPTIONS
 
     def test_options_reject_unknown_fields(self):
-        with pytest.raises(RequestError):
-            CompareOptions.from_dict({"blocksize": 32})
+        # A typo, and a spec written for the removed pipeline knobs: an
+        # old spec fails loudly, naming the field, never silently.
+        for spec in ({"blocksize": 32}, {"migration": True}):
+            with pytest.raises(RequestError, match=next(iter(spec))):
+                CompareOptions.from_dict(spec)
 
 
 class TestCompareRequest:
@@ -165,7 +142,6 @@ class TestFrontDoorEquivalence:
             "results_b",
             backend="cluster",
             hosts="h1:9001",
-            migration=False,
         )
         via_library = CompareRequest.from_files(
             "results_a",
@@ -173,14 +149,6 @@ class TestFrontDoorEquivalence:
             CompareOptions(backend="cluster", hosts="h1:9001"),
         )
         assert via_cli == via_library
-
-    def test_cli_migration_default_is_on(self):
-        # `repro compare` historically migrates unless --no-migration.
-        assert request_from_cli("a", "b").options.migration is True
-        assert (
-            request_from_cli("a", "b", migration=False).options.migration
-            is False
-        )
 
     def test_wire_adapter_builds_the_library_request(self):
         message = {

@@ -262,7 +262,7 @@ class TestWiring:
         dir_a, dir_b = small_dataset
         code = main([
             "compare", str(dir_a), str(dir_b),
-            "--no-migration", "--backend", "vectorized",
+            "--backend", "vectorized",
         ])
         assert code == 0
         assert "J' =" in capsys.readouterr().out

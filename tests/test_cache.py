@@ -209,10 +209,6 @@ _OPTIONS_PERTURB = {
     "pixel_threshold": 7,
     "tight_mbr": False,
     "leaf_mode": "crossing",
-    "parser_workers": 5,
-    "buffer_capacity": 16,
-    "batch_pairs": 999,
-    "migration": True,
     "cache": True,
     "cache_bytes": 2**20,
     # Traced requests recompute rather than alias an untraced entry — a

@@ -7,7 +7,6 @@ from repro.errors import DatasetError, ParseError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.io.parser_cpu import parse_fsm, parse_vectorized, tokenize_numbers
-from repro.io.parser_gpu import gpu_parse
 from repro.io.polyfile import (
     format_polygon,
     parse_line,
@@ -15,6 +14,7 @@ from repro.io.polyfile import (
     write_polygons,
 )
 from repro.io.tiles import list_tile_files, pair_result_sets, tile_name
+from repro.pipeline.device import GpuDevice
 from tests.conftest import random_polygon
 
 SQUARE = RectilinearPolygon.from_box(Box(3, 4, 7, 9))
@@ -65,7 +65,8 @@ class TestParsers:
 
     def test_gpu_parser_matches(self, rng):
         polys, text = self._sample_text(rng)
-        assert gpu_parse(text.encode()) == polys
+        device = GpuDevice(launch_overhead=0)
+        assert device.run_parse(text.encode()) == polys
 
     def test_parsers_agree_on_edge_formatting(self):
         text = "#c\n0,0  10,0 10,10 0,10\r\n1,1 2,1 2,2 1,2"

@@ -275,27 +275,40 @@ def test_untraced_sessions_share_no_state():
         assert session.last_trace is None
 
 
-def test_traced_compare_files_has_stage_spans_matching_the_clock(
-    tmp_path, monkeypatch
-):
-    """One instrumentation point per stage: the stage threads inherit the
-    request's tracer, and a stage's spans sum to its clock bucket."""
+def test_traced_compare_files_has_stage_spans_matching_the_clock(tmp_path):
+    """One instrumentation point per stage: a traced ``compare_files``
+    shows every tile's stages under ``pipeline.run``; in the threaded
+    scheme the stage threads inherit the tracer, and a stage's spans sum
+    to its clock bucket."""
     from repro.data.datasets import DatasetSpec, generate_dataset
-    from repro.pipeline import engine
+    from repro.pipeline import GpuDevice, PipelineOptions, run_pipelined
 
     dir_a, dir_b = generate_dataset(
         DatasetSpec(name="traced", tiles=3, nuclei_per_tile=25,
                     tile_width=256, tile_height=256, seed=5),
         tmp_path,
     )
-    outcomes = []
-    run_pipelined = engine.run_pipelined
 
-    def keep_outcome(*args, **kwargs):
-        outcomes.append(run_pipelined(*args, **kwargs))
-        return outcomes[-1]
+    def stage_spans(records):
+        by_id = {r.span_id: r for r in records}
+        (run,) = [r for r in records if r.name == "pipeline.run"]
 
-    monkeypatch.setattr(engine, "run_pipelined", keep_outcome)
+        def under_run(record):
+            while record.parent_id in by_id:
+                record = by_id[record.parent_id]
+                if record is run:
+                    return True
+            return False
+
+        out = {}
+        for stage, at_least in (
+            ("parser", 3), ("builder", 3), ("filter", 3), ("aggregator", 1)
+        ):
+            out[stage] = [r for r in records if r.name == f"pipeline.{stage}"]
+            assert len(out[stage]) >= at_least, stage
+            assert all(under_run(r) for r in out[stage]), stage
+        return out
+
     out = tmp_path / "trace.jsonl"
     with Session() as session:
         session.compare_files(dir_a, dir_b)
@@ -303,32 +316,23 @@ def test_traced_compare_files_has_stage_spans_matching_the_clock(
         session.compare_files(
             dir_a, dir_b, CompareOptions(trace_out=str(out))
         )
-        records = session.last_trace.records()
-
-    timers = outcomes[-1].timers
-    by_id = {r.span_id: r for r in records}
-    (run,) = [r for r in records if r.name == "pipeline.run"]
-
-    def under_run(record):
-        while record.parent_id in by_id:
-            record = by_id[record.parent_id]
-            if record is run:
-                return True
-        return False
-
+        stages = stage_spans(session.last_trace.records())
     with open(out, encoding="utf-8") as fh:
         shown = render_trace_file(fh)
-    for stage, at_least in (
-        ("parser", 3), ("builder", 3), ("filter", 3), ("aggregator", 1)
-    ):
-        spans = [r for r in records if r.name == f"pipeline.{stage}"]
-        assert len(spans) >= at_least, stage
-        assert all(under_run(r) for r in spans), stage
+    for stage in stages:
+        assert f"pipeline.{stage}" in shown.split("by stage")[1]
+
+    tracer = Tracer()
+    with activate(tracer), tracer.span("pipeline.run"):
+        timers = run_pipelined(
+            dir_a, dir_b,
+            PipelineOptions(devices=[GpuDevice(launch_overhead=0.0)]),
+        ).timers
+    for stage, spans in stage_spans(tracer.records()).items():
         busy = timers.seconds(stage)
         spanned = sum(r.duration for r in spans)
         assert abs(spanned - busy) <= 0.05 * busy + 1e-3, stage
         assert f"pipeline.{stage}" in timers.report()
-        assert f"pipeline.{stage}" in shown.split("by stage")[1]
 
 
 # ----------------------------------------------------------------------

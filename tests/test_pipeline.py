@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import Session
 from repro.errors import BufferClosedError, DeviceError, PipelineError
 from repro.pipeline.buffers import CLOSED, BoundedBuffer
 from repro.pipeline.device import GpuDevice
@@ -189,10 +190,20 @@ class TestSchemes:
              o.missing_b, o.count_a, o.count_b, o.tiles)
             for o in outs
         ]
-        assert counts[0] == counts[1] == counts[2]
+        # The production path is the fourth scheme: the same reduction
+        # in a plain per-tile loop, so it is NoPipe-S to the last bit.
+        with Session() as session:
+            files = session.compare_files(dir_a, dir_b)
+        counts.append(
+            (files.candidate_pairs, files.intersecting_pairs,
+             files.missing_a, files.missing_b, files.count_a, files.count_b,
+             files.tiles)
+        )
+        assert counts[0] == counts[1] == counts[2] == counts[3]
+        assert files.jaccard_mean == outs[1].jaccard_mean
         for out in outs:
             assert out.jaccard_mean == pytest.approx(
-                outs[0].jaccard_mean, abs=1e-9
+                files.jaccard_mean, abs=1e-9
             )
             assert {"parser", "builder", "filter", "aggregator"} <= set(
                 out.timers.totals

@@ -98,12 +98,13 @@ class TestAggregatorMigratorBackendRouting:
         with get_backend(backend) as direct:
             areas = direct.compare_pairs(pairs, LaunchConfig())
         hit = areas.intersection > 0
-        assert result.intersecting_pairs == int(hit.sum())
-        assert result.candidate_pairs == len(pairs)
+        partial = result.partial
+        assert partial.intersecting_pairs == int(hit.sum())
+        assert partial.candidate_pairs == len(pairs)
         ratios = areas.ratios()
-        assert result.ratio_sum == pytest.approx(float(ratios[hit].sum()))
-        assert np.array_equal(
-            sorted(result.matched_a), np.unique(join.left_idx[hit])
+        assert partial.ratio_sum == pytest.approx(float(ratios[hit].sum()))
+        assert partial.missing_a == len(set_a) - len(
+            np.unique(join.left_idx[hit])
         )
 
 

@@ -13,7 +13,10 @@ Covers the three contract families of :class:`repro.Session`:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import multiprocessing
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -22,6 +25,7 @@ import pytest
 from repro.api import (
     CompareOptions,
     CompareRequest,
+    CompareResult,
     Session,
     explain,
 )
@@ -231,25 +235,55 @@ class TestCompareFiles:
         assert result.input_bytes > 0
         assert result.throughput > 0
 
-    def test_files_request_honors_every_pipeline_knob(self, small_dataset):
+    def test_files_result_is_the_exact_sum_of_its_tiles(self, small_dataset):
+        """Tiles are summed in tile order, so repeated calls agree to the
+        last bit (the threaded pipeline summed in arrival order and did
+        not), and the sum is of the very partials ``compare_sets`` makes."""
+        from repro.io import pair_result_sets, parse_vectorized
+        from repro.metrics.jaccard import PairwiseJaccard
+
+        def similarity(result):  # every field but the measured ones
+            return dataclasses.replace(
+                result, wall_seconds=0.0, input_bytes=0
+            )
+
         dir_a, dir_b = small_dataset
-        options = CompareOptions(
-            buffer_capacity=2, batch_pairs=64, migration=True,
-            parser_workers=1,
-        )
-        with Session(options) as session:
-            migrated = session.compare_files(dir_a, dir_b)
+        total = PairwiseJaccard()
         with Session() as session:
-            plain = session.compare_files(dir_a, dir_b)
-        # Migration and pipeline shape are performance knobs, never
-        # semantics: integer aggregates agree exactly; the float mean's
-        # summation order follows batch/tile completion order.
-        assert migrated.intersecting_pairs == plain.intersecting_pairs
-        assert migrated.candidate_pairs == plain.candidate_pairs
-        assert migrated.missing_a == plain.missing_a
-        assert migrated.missing_b == plain.missing_b
-        assert migrated.jaccard_mean == pytest.approx(
-            plain.jaccard_mean, rel=1e-12
+            first, second = (
+                session.compare_files(dir_a, dir_b) for _ in range(2)
+            )
+            for tile in pair_result_sets(dir_a, dir_b):
+                sets = [
+                    parse_vectorized(path.read_bytes())
+                    for path in (tile.file_a, tile.file_b)
+                ]
+                partial = jaccard_pairwise(*sets)
+                assert similarity(session.compare_sets(*sets)) == (
+                    CompareResult.from_pairwise(partial)
+                )
+                total += partial
+        assert similarity(first) == similarity(second)
+        assert similarity(first) == CompareResult.from_pairwise(total, tiles=4)
+
+    def test_files_path_runs_no_pipeline_and_no_threads(self, small_dataset):
+        """No simulated hardware on the production path: neither the
+        library call nor the CLI imports the threaded pipeline (modeled
+        device, migrators) or leaves a thread behind."""
+        dir_a, dir_b = (str(d) for d in small_dataset)
+        check = (
+            "import sys, threading\n"
+            "from repro import Session\n"
+            "from repro.cli import main\n"
+            "for run in (lambda: Session().compare_files(*sys.argv[1:]),\n"
+            "            lambda: main(['compare', *sys.argv[1:]])):\n"
+            "    run()\n"
+            "    assert 'repro.pipeline' not in sys.modules\n"
+            "    assert threading.active_count() == 1\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", check, dir_a, dir_b],
+            check=True, timeout=120,
         )
 
 
