@@ -6,7 +6,7 @@ fresh multiprocess backend per request, so every request forks a worker
 pool and packs its own shared-memory tables.  The pooled run serves the
 same requests through :class:`repro.service.ComparisonService` with a
 persistent multiprocess backend: forking happens once at warm-up,
-requests coalesce into cost-model-sized dispatches.
+requests coalesce into shared dispatches.
 
 Acceptance bar (ISSUE 2): pooled warm-backend serving beats per-call
 backend construction by >= 2x, and every coalesced response is

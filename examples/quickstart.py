@@ -54,16 +54,15 @@ def main() -> None:
         assert routed.jaccard_mean == result.jaccard_mean
 
     # `explain` resolves a request into its plan without executing it:
-    # which executor the cost model picks, the effective launch
-    # parameters, and the shard/coalesce sizing.
+    # which executor the sizing policy picks, the effective launch
+    # parameters, and the shard sizing.
     request = CompareRequest.from_sets(
         result_a, result_b, CompareOptions(backend="auto")
     )
     plan = explain(request)
     print()
     print(f"plan: auto -> {plan.resolved_backend} "
-          f"({plan.n_pairs} candidate pairs, "
-          f"coalesce<={plan.coalesce_pairs})")
+          f"({plan.n_pairs} candidate pairs)")
 
 
 if __name__ == "__main__":

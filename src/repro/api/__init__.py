@@ -7,13 +7,13 @@ The library's front door is session-centric:
   polygon sets, two on-disk result directories (a per-tile loop over
   the same set comparison), incremental streams, async submission;
 * :class:`CompareOptions` is the single typed, serializable record of
-  every knob (backend + options, cluster hosts, cost profile, kernel
-  launch parameters, cache, tracing) with one set of defaults;
+  every knob (backend + options, cluster hosts, kernel launch
+  parameters, cache, tracing) with one set of defaults;
 * :class:`CompareRequest` is the declarative spec the CLI
   (``repro compare``), the service wire protocol (``repro serve``), and
   the library all parse into — identical spec, identical results;
 * :func:`explain` resolves a request into its execution plan (chosen
-  backend, cost-model sizing, capability report) without executing it.
+  backend, shard sizing, capability report) without executing it.
 
 For serving many concurrent requests from one warm executor with
 admission control and request coalescing, the async

@@ -46,7 +46,7 @@ class CompareOptions:
     ----------
     backend:
         Execution backend registry name (``repro backends``).  ``"auto"``
-        defers the choice to the cycle cost model at dispatch time.
+        defers the choice to :mod:`repro.backends.sizing` at dispatch time.
     backend_options:
         Keyword arguments for the backend factory (e.g.
         ``{"workers": 4}`` for the multiprocess pool).
@@ -54,9 +54,6 @@ class CompareOptions:
         Worker addresses for the ``cluster`` backend
         (``"host:port,host:port"``).  ``None`` falls back to
         ``REPRO_CLUSTER_HOSTS`` and then to self-hosted loopback workers.
-    cost_profile:
-        Path of a calibration profile written by ``repro calibrate``;
-        ``None`` uses ``REPRO_COST_PROFILE`` or the modeled constants.
     block_size, pixel_threshold, tight_mbr, leaf_mode:
         Kernel launch parameters (see
         :class:`repro.pixelbox.common.LaunchConfig`).  The defaults here
@@ -89,7 +86,6 @@ class CompareOptions:
     backend: str = "batch"
     backend_options: Mapping[str, Any] = field(default_factory=dict)
     hosts: str | None = None
-    cost_profile: str | None = None
     # -- kernel launch (the one set of defaults) -----------------------
     block_size: int = DEFAULT_BLOCK_SIZE
     pixel_threshold: int | None = None

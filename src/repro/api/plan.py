@@ -2,11 +2,10 @@
 
 Given a :class:`~repro.api.request.CompareRequest`, :func:`explain`
 reports everything the execution layer *would* decide — the chosen
-backend (including the cost model's pick when the spec says ``auto``),
-its structured capabilities, the effective launch parameters, the
-coalescing and shard sizing the cost model recommends, the cluster host
-resolution, and whether a calibration profile is active — as one
-serializable :class:`ResolvedPlan`.
+backend (including the sizing policy's pick when the spec says
+``auto``), its structured capabilities, the effective launch parameters,
+the shard sizing the policy recommends and the cluster host resolution —
+as one serializable :class:`ResolvedPlan`.
 
 Nothing is executed: no kernel runs, no worker process forks, no socket
 connects.  Backends are instantiated only to read their capability
@@ -39,7 +38,7 @@ class ResolvedPlan:
     backend:
         Backend named by the spec (possibly ``"auto"``).
     resolved_backend:
-        Concrete executor after cost-model dispatch; equals ``backend``
+        Concrete executor after ``auto`` dispatch; equals ``backend``
         unless the spec said ``auto`` and the workload could be profiled.
     capabilities:
         Structured capability report of the resolved backend.
@@ -50,16 +49,12 @@ class ResolvedPlan:
         not known until each tile's MBR filter runs).
     tiles:
         Tile-pair count for file requests (``None`` otherwise).
-    coalesce_pairs:
-        Cost-model pair budget for one coalesced service dispatch.
     shard_pairs:
-        Cost-model pairs per shard for pooled/remote executors
+        Recommended pairs per shard for pooled/remote executors
         (``None`` when the resolved backend does not shard).
     hosts:
         Resolved cluster worker addresses (``["loopback"]`` when the
         cluster backend would self-host).
-    calibration:
-        Provenance of the active cost profile (``"modeled"`` when none).
     cache:
         Resolved result-cache configuration: ``enabled``, the byte
         budget, the request-cache key this request resolves to, and
@@ -83,10 +78,8 @@ class ResolvedPlan:
     mean_edges: float | None = None
     mean_mbr_pixels: float | None = None
     tiles: int | None = None
-    coalesce_pairs: int | None = None
     shard_pairs: int | None = None
     hosts: tuple[str, ...] = ()
-    calibration: str = "modeled"
     cache: dict[str, Any] = field(default_factory=dict)
     trace: dict[str, Any] = field(default_factory=dict)
     notes: tuple[str, ...] = field(default_factory=tuple)
@@ -105,12 +98,8 @@ class ResolvedPlan:
                 "mean_mbr_pixels": self.mean_mbr_pixels,
                 "tiles": self.tiles,
             },
-            "sizing": {
-                "coalesce_pairs": self.coalesce_pairs,
-                "shard_pairs": self.shard_pairs,
-            },
+            "sizing": {"shard_pairs": self.shard_pairs},
             "hosts": list(self.hosts),
-            "calibration": self.calibration,
             "cache": dict(self.cache),
             "trace": dict(self.trace),
             "notes": list(self.notes),
@@ -130,16 +119,6 @@ def _profile(request: CompareRequest):
     return None, None
 
 
-def _resolve_calibration(options: CompareOptions) -> tuple[object, str]:
-    from repro.gpu.cost import active_calibration, load_calibration
-
-    if options.cost_profile is not None:
-        cal = load_calibration(options.cost_profile)
-        return cal, cal.source
-    cal = active_calibration()
-    return cal, (cal.source if cal is not None else "modeled")
-
-
 def _resolve_hosts(options: CompareOptions) -> tuple[tuple[str, ...], bool]:
     """``(addresses, explicit)`` the cluster backend would use."""
     from repro.cluster.coordinator import parse_hosts
@@ -155,12 +134,12 @@ def _resolve_hosts(options: CompareOptions) -> tuple[tuple[str, ...], bool]:
     )
 
 
-def _resolve_cache(request: CompareRequest, cal, request_cache) -> dict[str, Any]:
+def _resolve_cache(request: CompareRequest, request_cache) -> dict[str, Any]:
     """The plan's cache section — key and hit prediction included.
 
-    Uses the same key derivation as ``Session._run_pairs`` (canonical
-    request JSON + calibration fingerprint), so a ``would_hit: true``
-    plan and a cached answer can never disagree about identity.
+    Uses the same key derivation as ``Session._run_pairs``
+    (:func:`repro.cache.request_key`), so a ``would_hit: true`` plan and
+    a cached answer can never disagree about identity.
     """
     options = request.options
     info: dict[str, Any] = {
@@ -174,9 +153,9 @@ def _resolve_cache(request: CompareRequest, cal, request_cache) -> dict[str, Any
         # the payload can change under an unchanged request, so the
         # request tier never caches them.
         return info
-    from repro.cache import calibration_fingerprint, request_key
+    from repro.cache import request_key
 
-    key = request_key(request, extra=(calibration_fingerprint(cal),))
+    key = request_key(request)
     info["request_key"] = key
     if request_cache is not None:
         info["would_hit"] = request_cache.contains(key)
@@ -196,22 +175,19 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
     the plan's ``would_hit`` is ``None``.
     """
     from repro.backends import get_backend
-    from repro.gpu.cost import (
+    from repro.backends.sizing import (
+        profile_pairs,
         recommend_backend,
-        recommend_batch_pairs,
         recommend_shard_pairs,
     )
 
     options = request.options
-    cal, cal_source = _resolve_calibration(options)
     cfg = options.launch_config()
     notes: list[str] = []
 
     pairs, n_pairs = _profile(request)
     mean_edges = mean_pixels = None
     if pairs is not None:
-        from repro.backends.auto import profile_pairs
-
         mean_edges, mean_pixels = profile_pairs(pairs)
 
     # Capability check: instantiate (lazily — no pools, no sockets),
@@ -233,7 +209,6 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
             cfg.threshold,
             cfg.block_size,
             workers=workers,
-            calibration=cal,
         )
     elif options.backend == "auto":
         notes.append(
@@ -255,24 +230,17 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
         finally:
             delegate.close()
 
-    coalesce = shard = None
-    if pairs is not None and mean_edges is not None:
-        coalesce = recommend_batch_pairs(
-            mean_edges, mean_pixels, cfg.threshold, cfg.block_size,
-            calibration=cal,
+    shard = None
+    if pairs is not None and resolved in ("multiprocess", "cluster"):
+        shard = recommend_shard_pairs(
+            n_pairs,
+            mean_edges,
+            mean_pixels,
+            cfg.threshold,
+            cfg.block_size,
+            workers=max(1, workers),
+            substrate=options.backend_options.get("substrate", "numpy"),
         )
-        if resolved in ("multiprocess", "cluster"):
-            substrate = options.backend_options.get("substrate", "numpy")
-            shard = recommend_shard_pairs(
-                n_pairs,
-                mean_edges,
-                mean_pixels,
-                cfg.threshold,
-                cfg.block_size,
-                workers=max(1, workers),
-                calibration=cal,
-                substrate=substrate,
-            )
 
     hosts: tuple[str, ...] = ()
     if options.backend == "cluster" or resolved == "cluster":
@@ -312,11 +280,9 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
         mean_edges=mean_edges,
         mean_mbr_pixels=mean_pixels,
         tiles=tiles,
-        coalesce_pairs=coalesce,
         shard_pairs=shard,
         hosts=hosts,
-        calibration=cal_source,
-        cache=_resolve_cache(request, cal, request_cache),
+        cache=_resolve_cache(request, request_cache),
         trace={"enabled": options.trace, "trace_out": options.trace_out},
         notes=tuple(notes),
     )

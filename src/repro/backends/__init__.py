@@ -21,7 +21,8 @@ seam that makes the claim structural instead of incidental:
   ``simt``         simulated-GPU replay of Algorithm 1 (cycle-metered)
   ``multiprocess`` pair shards across worker processes over
                    shared-memory CSR edge tables
-  ``auto``         cost-model dispatch (:func:`repro.gpu.cost.recommend_backend`)
+  ``auto``         sizing-policy dispatch
+                   (:func:`repro.backends.sizing.recommend_backend`)
   ``cluster``      shards on remote ``repro worker`` processes over the
                    binary wire protocol (loopback workers when no hosts
                    are configured)
@@ -67,8 +68,9 @@ from repro.backends import kernel as _kernel  # noqa: E402,F401
 from repro.backends import multiprocess as _multiprocess  # noqa: E402,F401
 from repro.backends import scalar as _scalar  # noqa: E402,F401
 from repro.backends import simt as _simt  # noqa: E402,F401
-from repro.backends.auto import AutoBackend, profile_pairs
+from repro.backends.auto import AutoBackend
 from repro.backends.multiprocess import MultiprocessBackend, default_workers
+from repro.backends.sizing import profile_pairs
 
 __all__ = [
     "Backend",

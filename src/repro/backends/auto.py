@@ -1,9 +1,10 @@
-"""Auto backend: cost-model-driven dispatch to a concrete executor.
+"""Auto backend: sizing-policy dispatch to a concrete executor.
 
-Profiles the workload (pair count, edge density, MBR extent), asks the
-cycle cost model in :mod:`repro.gpu.cost` which executor amortizes best,
-and delegates.  Selection is pure policy — all backends are bit-for-bit
-identical — so the worst misprediction costs wall-clock, never results.
+Profiles the workload (pair count, edge density, MBR extent), asks
+:func:`repro.backends.sizing.recommend_backend` which executor amortizes
+best, and delegates.  Selection is pure policy — all backends are
+bit-for-bit identical — so the worst misprediction costs wall-clock,
+never results.
 """
 
 from __future__ import annotations
@@ -15,62 +16,32 @@ from repro.backends.base import (
     get_backend,
     register,
 )
-from repro.gpu.cost import recommend_backend
+from repro.backends.sizing import profile_pairs, recommend_backend
 from repro.pixelbox.common import LaunchConfig
 from repro.pixelbox.kernel import BatchAreas
 
-__all__ = ["AutoBackend", "profile_pairs"]
-
-
-def profile_pairs(pairs: Pairs) -> tuple[float, float]:
-    """``(mean edges per pair, mean MBR pixels per pair)`` of a workload.
-
-    Edge density counts both polygons' vertical-edge families (the edge
-    list every inner loop walks); the MBR extent is the pair cover box —
-    the first sampling box of Algorithm 1.
-    """
-    if not pairs:
-        return 0.0, 0.0
-    edges = 0
-    pixels = 0
-    for p, q in pairs:
-        edges += len(p.vertical_edges) + len(q.vertical_edges)
-        pixels += p.mbr.cover(q.mbr).size
-    return edges / len(pairs), pixels / len(pairs)
+__all__ = ["AutoBackend"]
 
 
 @register("auto")
 class AutoBackend(BackendLifecycle):
-    """Cost-model dispatch between batch, vectorized, multiprocess, numba.
+    """Sizing-policy dispatch between batch, vectorized, multiprocess, numba.
 
     Delegate executors are instantiated once and cached, so a long-lived
     ``auto`` backend (the comparison service's warm pool) reuses them
     across calls; with ``persistent=True`` the multiprocess delegate
     keeps its worker pool warm too.  :meth:`close` releases every cached
     delegate.
-
-    ``calibration`` carries a per-owner cost profile into every
-    selection; ``None`` falls back to the process environment's profile
-    (``REPRO_COST_PROFILE``), resolved inside the recommender.  A
-    :class:`~repro.Session` with a ``cost_profile`` option passes its own
-    resolved profile here, so two sessions with different profiles make
-    different choices without touching any process-global state.
     """
 
     name = "auto"
-    description = "cost-model dispatch (pair count + edge density -> backend)"
+    description = "sizing-policy dispatch (pair count + edge density -> backend)"
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        persistent: bool = False,
-        calibration=None,
-    ):
+    def __init__(self, workers: int | None = None, persistent: bool = False):
         from repro.backends.multiprocess import default_workers
 
         self.workers = workers if workers is not None else default_workers()
         self.persistent = persistent
-        self.calibration = calibration
         self._delegates: dict[str, object] = {}
         #: Name chosen by the most recent :meth:`compare_pairs` call.
         self.last_choice: str | None = None
@@ -81,11 +52,11 @@ class AutoBackend(BackendLifecycle):
             stateful_lifecycle=True,
             configurable_workers=True,
             max_workers=self.workers,
-            notes="delegates via the cycle cost model (calibratable)",
+            notes="delegates via repro.backends.sizing.recommend_backend",
         )
 
     def select(self, pairs: Pairs, config: LaunchConfig | None = None) -> str:
-        """The concrete backend the cost model picks for ``pairs``."""
+        """The concrete backend the sizing policy picks for ``pairs``."""
         cfg = config or LaunchConfig()
         mean_edges, mean_pixels = profile_pairs(pairs)
         return recommend_backend(
@@ -95,7 +66,6 @@ class AutoBackend(BackendLifecycle):
             cfg.threshold,
             cfg.block_size,
             workers=self.workers,
-            calibration=self.calibration,
         )
 
     def _delegate(self, choice: str):

@@ -66,8 +66,7 @@ class BackendCapabilities:
         Execution leaves this machine (network transport involved).
     compiled:
         The kernel sequence runs as machine code (JIT or AOT), not as
-        NumPy array programs — per-pair cost drops by the compiled
-        speedup the cost model calibrates.
+        NumPy array programs.
     notes:
         One-line human hint (requirements, configuration source).
     """

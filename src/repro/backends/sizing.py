@@ -1,0 +1,150 @@
+"""Sizing policy: how big a launch, a shard and an executor choice should be.
+
+Pure functions of a workload profile (pair count, edge density, MBR
+extent) and the launch parameters, over *modeled* ALU cycles that rank
+alternatives and predict no wall clock.  Every backend returns
+bit-identical results, so a misprediction costs time, never correctness.
+"""
+
+from __future__ import annotations
+
+import math
+
+from repro.backends.base import Pairs
+
+__all__ = [
+    "profile_pairs",
+    "estimate_comparison_cycles",
+    "recommend_backend",
+    "recommend_shard_pairs",
+]
+
+# ALU cycles per edge test (compare + select + accumulate).
+_EDGE_TEST_ALU = 4
+# A level's frontier shrinks roughly by the decided fraction.
+_LEVEL_DECIDED_FRACTION = 0.5
+# Forking a worker process, and how often a worker must amortize it.
+_PROCESS_SPINUP_CYCLES = 2.0e8
+_SPINUP_AMORTIZATION = 4.0
+# The compiled (numba) substrate: speedup over the NumPy engines, and the
+# JIT warm-up a workload must dwarf before "numba" is worth choosing.
+_COMPILED_SPEEDUP = 8.0
+_COMPILED_WARMUP_CYCLES = 1.0e9
+_COMPILED_AMORTIZATION = 2.0
+# One remote shard dispatch (round trip + scheduling, tables resident),
+# and how often a shard's compute must amortize it.
+_SHARD_DISPATCH_CYCLES = 2.0e7
+_SHARD_AMORTIZATION = 8.0
+_SHARDS_PER_WORKER = 4  # slack for speculation and re-dispatch
+
+
+def profile_pairs(pairs: Pairs) -> tuple[float, float]:
+    """``(mean edges per pair, mean MBR pixels per pair)`` of a workload.
+
+    Edges are both polygons' vertical-edge families (what every inner
+    loop walks); the MBR is the pair cover box, Algorithm 1's first box.
+    """
+    if not pairs:
+        return 0.0, 0.0
+    edges = pixels = 0
+    for p, q in pairs:
+        edges += len(p.vertical_edges) + len(q.vertical_edges)
+        pixels += p.mbr.cover(q.mbr).size
+    return edges / len(pairs), pixels / len(pairs)
+
+
+def estimate_comparison_cycles(
+    n_pairs: int,
+    mean_edges: float,
+    mean_mbr_pixels: float,
+    pixel_threshold: int,
+    block_size: int = 64,
+) -> float:
+    """Modeled ALU cycles for one batched PixelBox comparison.
+
+    * **pixelization** — subdivision decides large uniform areas without
+      pixel work, so the pixelized area per pair is the MBR capped at the
+      threshold per surviving leaf chain, growing with the level count;
+    * **classification** — each level classifies ``block_size`` sub-boxes
+      against every edge; levels are logarithmic in MBR / threshold.
+    """
+    if n_pairs <= 0:
+        return 0.0
+    pixels = max(mean_mbr_pixels, 1.0)
+    threshold = max(pixel_threshold, 1)
+    levels = 0.0
+    remaining = pixels
+    while remaining > threshold and levels < 32:
+        levels += 1.0
+        remaining /= block_size
+    leaf_pixels = min(pixels, threshold * (1.0 + levels * _LEVEL_DECIDED_FRACTION))
+    pixelize = leaf_pixels * mean_edges * _EDGE_TEST_ALU
+    classify = levels * block_size * mean_edges * _EDGE_TEST_ALU
+    return n_pairs * (pixelize + classify)
+
+
+def recommend_backend(
+    n_pairs: int,
+    mean_edges: float,
+    mean_mbr_pixels: float,
+    pixel_threshold: int,
+    block_size: int = 64,
+    workers: int = 1,
+    compiled: bool | None = None,
+) -> str:
+    """Backend choice for a workload profile (pair count + edge density).
+
+    * dwarfs the JIT warm-up, compiled substrate usable -> ``"numba"``
+      (machine code over all cores, no process spin-up);
+    * amortizes process spin-up across ``workers`` -> ``"multiprocess"``;
+    * MBRs far above the threshold (the batch path's skip-subdivision
+      policy never applies) -> ``"vectorized"``;
+    * everything else -> ``"batch"``, the production default.
+
+    ``compiled`` pins the compiled substrate usable or not; ``None`` probes.
+    """
+    cycles = estimate_comparison_cycles(
+        n_pairs, mean_edges, mean_mbr_pixels, pixel_threshold, block_size
+    )
+    if compiled is None:
+        from repro.backends.kernel import numba_unavailable_reason
+
+        compiled = numba_unavailable_reason() is None
+    if compiled and cycles > _COMPILED_WARMUP_CYCLES * _COMPILED_AMORTIZATION:
+        return "numba"
+    spinup = _PROCESS_SPINUP_CYCLES * _SPINUP_AMORTIZATION * workers
+    if workers > 1 and cycles > spinup:
+        return "multiprocess"
+    if mean_mbr_pixels > 4 * pixel_threshold:
+        return "vectorized"
+    return "batch"
+
+
+def recommend_shard_pairs(
+    n_pairs: int,
+    mean_edges: float,
+    mean_mbr_pixels: float,
+    pixel_threshold: int,
+    block_size: int = 64,
+    workers: int = 1,
+    substrate: str = "numpy",
+) -> int:
+    """Pairs per remote shard for one cluster dispatch.
+
+    Each shard's modeled compute should exceed the dispatch charge by
+    ``_SHARD_AMORTIZATION``x, while the request still splits into about
+    ``_SHARDS_PER_WORKER`` shards per worker so the scheduler has slack
+    for speculation and re-dispatch.  ``substrate="numba"`` prices a pair
+    at the compiled substrate's speed, so shards grow.
+    """
+    if n_pairs <= 0:
+        return 1
+    per_pair = estimate_comparison_cycles(
+        1, mean_edges, mean_mbr_pixels, pixel_threshold, block_size
+    )
+    if substrate == "numba":
+        per_pair /= _COMPILED_SPEEDUP
+    dispatch = _SHARD_DISPATCH_CYCLES * _SHARD_AMORTIZATION
+    floor = n_pairs if per_pair <= 0 else max(1, math.ceil(dispatch / per_pair))
+    target = max(1, math.ceil(n_pairs / (max(1, workers) * _SHARDS_PER_WORKER)))
+    return min(n_pairs, max(floor, target))

@@ -13,9 +13,8 @@ not a recomputation.  One bounded-memory LRU store implementation
 * **merge tier** — coordinator-side (``ClusterBackend``) assembled
   results keyed by the same identity minus the shard range.
 * **request tier** — front-door (``Session`` / ``ComparisonService``)
-  results keyed by the canonical serialized ``CompareRequest`` plus the
-  resolved cost-profile fingerprint, with a :class:`SingleFlight`
-  stampede guard.
+  results keyed by the canonical serialized ``CompareRequest``, with a
+  :class:`SingleFlight` stampede guard.
 
 ``CompareOptions(cache=True, cache_bytes=...)`` threads the knob through
 library, CLI, and service identically; ``repro cache stats|clear``
@@ -23,7 +22,6 @@ inspects a running service.
 """
 
 from repro.cache.keys import (
-    calibration_fingerprint,
     config_token,
     merge_key,
     pairs_key,
@@ -45,7 +43,6 @@ __all__ = [
     "LRUCacheStore",
     "SingleFlight",
     "areas_nbytes",
-    "calibration_fingerprint",
     "config_token",
     "copy_areas",
     "copy_shard_result",

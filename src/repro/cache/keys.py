@@ -13,14 +13,12 @@ produce bit-for-bit identical output:
   result per ``(bundle, policy, config)``.
 * request tier — the canonical serialized :class:`CompareRequest`
   (PR 5 made ``to_json`` canonical: sorted WKT payload, omitted-default
-  options) plus the resolved cost-profile fingerprint, so a profile
-  change invalidates cached answers exactly when it would change
-  ``explain()``'s plan.
+  options), nothing else.
 
 Tokens enumerate dataclass fields dynamically: adding a field to
-``ExecutionPolicy`` / ``LaunchConfig`` / ``CostCalibration`` changes the
-token automatically — there is no per-field list here to forget to
-update (and the invalidation-matrix test enforces coverage anyway).
+``ExecutionPolicy`` / ``LaunchConfig`` changes the token automatically —
+there is no per-field list here to forget to update (and the
+invalidation-matrix test enforces coverage anyway).
 """
 
 from __future__ import annotations
@@ -32,12 +30,10 @@ from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.request import CompareRequest
-    from repro.gpu.cost import CostCalibration
     from repro.pixelbox.common import LaunchConfig
     from repro.pixelbox.kernel import ExecutionPolicy
 
 __all__ = [
-    "calibration_fingerprint",
     "config_token",
     "merge_key",
     "pairs_key",
@@ -66,18 +62,6 @@ def policy_token(policy: "ExecutionPolicy") -> str:
 def config_token(config: "LaunchConfig") -> str:
     """Canonical serialization of a :class:`LaunchConfig`."""
     return _field_token(config)
-
-
-def calibration_fingerprint(calibration: "CostCalibration | None") -> str:
-    """Fingerprint of the effective cost profile (``"modeled"`` if none).
-
-    Folded into request keys so answers cached under one profile are
-    never served after the profile — and therefore backend resolution
-    and ``explain()``'s plan — changes.
-    """
-    if calibration is None:
-        return "modeled"
-    return _digest("calibration", (_field_token(calibration),))
 
 
 def _digest(prefix: str, tokens: Iterable[str]) -> str:
@@ -109,18 +93,12 @@ def merge_key(
     return _digest("merge", (digest, policy_token(policy), config_token(config)))
 
 
-def request_key(request: "CompareRequest", extra: Iterable[str] = ()) -> str:
-    """Key for a front-door request: canonical JSON + context tokens.
-
-    ``extra`` carries whatever resolution context the caller folds in
-    beyond the request itself (calibration fingerprint, service base
-    options) — anything that could change the answer without changing
-    the request.
-    """
-    return _digest("request", (request.to_json(), *extra))
+def request_key(request: "CompareRequest") -> str:
+    """Key for a front-door request: its canonical JSON."""
+    return _digest("request", (request.to_json(),))
 
 
-def pairs_key(pairs, config: "LaunchConfig", extra: Iterable[str] = ()) -> str:
+def pairs_key(pairs, config: "LaunchConfig") -> str:
     """Key for a raw pair list + launch config (the service submit path).
 
     Hashes each polygon's int64 vertex array directly — equivalent in
@@ -133,4 +111,4 @@ def pairs_key(pairs, config: "LaunchConfig", extra: Iterable[str] = ()) -> str:
         h.update(b"\x01")
         h.update(q.vertices.tobytes())
         h.update(b"\x02")
-    return _digest("request", (h.hexdigest(), config_token(config), *extra))
+    return _digest("request", (h.hexdigest(), config_token(config)))

@@ -14,7 +14,6 @@ Subcommands::
     repro cache {stats,clear} [--host H] [--port N]
     repro stats [--prometheus] [--host H] [--port N]
     repro trace show FILE
-    repro calibrate [--output FILE] [--quick]
 
 Every comparison-shaped subcommand parses into the same declarative
 :class:`repro.api.CompareRequest` the library and the service protocol
@@ -76,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="batch",
         help=(
             "execution backend for each tile's pairs (see `repro backends`; "
-            "'auto' picks by cost model)"
+            "'auto' picks by workload profile)"
         ),
     )
     cmp_.add_argument(
@@ -149,7 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--max-batch-pairs", type=int, default=None,
-        help="cap pairs per coalesced dispatch (default: cost model decides)",
+        help=(
+            "cap pairs per coalesced dispatch "
+            "(default: ServiceConfig.max_batch_pairs)"
+        ),
     )
     srv.add_argument(
         "--coalesce-window", type=float, default=0.002,
@@ -253,18 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trc_show.add_argument("file", type=Path, help="trace JSONL file")
 
-    cal = sub.add_parser(
-        "calibrate",
-        help="fit cost-model constants from timed runs into a JSON profile",
-    )
-    cal.add_argument(
-        "--output", type=Path, default=Path("benchmarks/reports/cost_profile.json"),
-        help="profile path (point REPRO_COST_PROFILE here to activate it)",
-    )
-    cal.add_argument(
-        "--quick", action="store_true",
-        help="smaller calibration workload (noisier constants, faster)",
-    )
     return parser
 
 
@@ -417,12 +407,15 @@ def main(argv: list[str] | None = None) -> int:
             cache=args.cache,
             cache_bytes=args.cache_bytes,
         )
+        serving_knobs = {}
+        if args.max_batch_pairs is not None:
+            serving_knobs["max_batch_pairs"] = args.max_batch_pairs
         config = ServiceConfig.from_options(
             compare_options,
             max_queue=args.max_queue,
-            max_batch_pairs=args.max_batch_pairs,
             coalesce_window=args.coalesce_window,
             default_timeout=args.timeout,
+            **serving_knobs,
         )
         try:
             asyncio.run(
@@ -525,15 +518,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"no spans in {args.file}", file=sys.stderr)
             return 1
         print(text)
-        return 0
-
-    if args.command == "calibrate":
-        from repro.gpu.calibrate import run_calibration, write_profile
-
-        profile = run_calibration(quick=args.quick)
-        write_profile(profile, args.output)
-        print(f"cost profile -> {args.output}")
-        print(f"  export REPRO_COST_PROFILE={args.output.resolve()}")
         return 0
 
     return 2  # pragma: no cover - argparse enforces the subcommands

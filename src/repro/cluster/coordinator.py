@@ -12,8 +12,8 @@ unions — only the transport changes:
 * shards are driven by :class:`repro.cluster.scheduler.ShardScheduler`,
   which owns straggler speculation, worker failure re-dispatch, and the
   deterministic first-result-wins merge;
-* shard size comes from the cycle cost model
-  (:func:`repro.gpu.cost.recommend_shard_pairs`), so transport overhead
+* shard size comes from the sizing policy
+  (:func:`repro.backends.sizing.recommend_shard_pairs`), so transport overhead
   stays amortized exactly the way process spin-up is for the local pool.
 
 With no hosts configured the backend self-hosts a loopback cluster
@@ -40,6 +40,7 @@ from repro.backends.base import (
     BackendLifecycle,
     Pairs,
 )
+from repro.backends.sizing import profile_pairs, recommend_shard_pairs
 from repro.cache import (
     LRUCacheStore,
     areas_nbytes,
@@ -54,7 +55,6 @@ from repro.cluster.scheduler import (
     ShardScheduler,
 )
 from repro.errors import ClusterConfigError, ClusterError
-from repro.gpu.cost import recommend_shard_pairs
 from repro.obs.events import EVENTS
 from repro.obs.trace import current_context, current_tracer, span
 from repro.pixelbox.common import KernelStats, LaunchConfig
@@ -346,7 +346,7 @@ class ClusterBackend(BackendLifecycle):
         Below this many pairs the request runs in-process (dispatch
         latency would dominate), identical to the multiprocess backend.
     shard_pairs:
-        Pairs per shard; ``None`` asks the cost model per request.
+        Pairs per shard; ``None`` asks the sizing policy per request.
     speculate:
         Enable straggler re-dispatch.
     shard_cache_bytes, merge_cache_bytes:
@@ -702,8 +702,6 @@ class ClusterBackend(BackendLifecycle):
         if self.shard_pairs is not None:
             size = self.shard_pairs
         else:
-            from repro.backends.auto import profile_pairs
-
             mean_edges, mean_pixels = profile_pairs(pairs)
             size = recommend_shard_pairs(
                 n,

@@ -1,9 +1,11 @@
 """SIMT GPU simulator: device models, bank conflicts, cycle costing.
 
 Used by the architecture-level experiments (Figure 9's implementation
-optimizations, the §5.4 block-size observation).  The wall-clock
-experiments run on the NumPy device engine instead; see DESIGN.md's
-substitution table.
+optimizations, the §5.4 block-size observation), which interpret only
+normalized cycle ratios.  Nothing that decides how work is run imports
+this package: inside ``repro`` only the ``simt`` backend and
+``repro.experiments`` may (reprolint RL702); executor and shard sizing
+live in :mod:`repro.backends.sizing`.
 """
 
 from repro.gpu.cost import CostModel, CycleBreakdown, OptimizationFlags

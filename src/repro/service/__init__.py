@@ -10,7 +10,7 @@ fast as one executor can; everything in this package is about answering
 * :mod:`repro.service.core` — :class:`ComparisonService`: warm backend
   pool (persistent multiprocess workers included), bounded admission
   queue with per-request timeout/cancellation, and the micro-batching
-  coalescer sized by the cycle cost model;
+  coalescer (bounded by ``ServiceConfig.max_batch_pairs``);
 * :mod:`repro.service.protocol` — the JSON-lines wire format (WKT
   polygons in, area arrays out);
 * :mod:`repro.service.server` — ``repro serve``: the protocol over

@@ -17,8 +17,8 @@ interactive system answering many small concurrent requests.
   of letting latency grow without bound, and every request can carry a
   timeout (the default comes from :class:`ServiceConfig`);
 * **micro-batching coalescer** — the dispatcher merges small concurrent
-  requests into one backend launch sized by the cycle cost model
-  (:func:`repro.gpu.cost.recommend_batch_pairs`), then scatters the
+  requests into one backend launch of at most about
+  ``ServiceConfig.max_batch_pairs`` pairs, then scatters the
   result slices back to the awaiting futures.  Merging changes *when*
   pairs are computed, never *what*: every pair's result is computed
   independently, so a coalesced dispatch is bit-for-bit identical to
@@ -44,7 +44,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.backends import get_backend
-from repro.backends.auto import profile_pairs
 from repro.backends.base import Backend, Pairs
 from repro.cache import LRUCacheStore, areas_nbytes, copy_areas, pairs_key
 from repro.errors import (
@@ -54,7 +53,6 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.gpu.cost import recommend_batch_pairs
 from repro.metrics.service import ServiceMetrics, ServiceSnapshot
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_context, current_tracer
@@ -66,11 +64,6 @@ __all__ = ["ServiceConfig", "ComparisonService"]
 # Queue sentinel: close() enqueues it behind every accepted request, so
 # the dispatcher drains the backlog before exiting (graceful shutdown).
 _STOP = object()
-
-# Pairs sampled when profiling a request for the cost-model batch
-# budget.  Profiling runs on the event loop, so it must stay O(1) in
-# request size; the workload means it feeds converge long before this.
-_PROFILE_SAMPLE = 256
 
 _UNSET = object()
 
@@ -91,8 +84,11 @@ class ServiceConfig:
         Admission-control bound: requests beyond this many waiting are
         rejected with :class:`~repro.errors.ServiceOverloadedError`.
     max_batch_pairs:
-        Hard cap on pairs per coalesced dispatch; ``None`` asks the
-        cycle cost model per batch (:func:`recommend_batch_pairs`).
+        A dispatch stops absorbing queued requests once it holds this
+        many pairs (a single larger request still runs whole).  It
+        bounds the latency a small request inherits from the batch it
+        rides in; a constant, because a per-request estimate never came
+        near binding on the queue depths closed-loop clients produce.
     coalesce_window:
         Seconds the dispatcher waits for more requests to merge once one
         is in hand and the queue runs dry.  Zero disables waiting
@@ -113,7 +109,7 @@ class ServiceConfig:
     backend: str = "batch"
     backend_options: Mapping[str, Any] = field(default_factory=dict)
     max_queue: int = 256
-    max_batch_pairs: int | None = None
+    max_batch_pairs: int = 4096
     coalesce_window: float = 0.002
     default_timeout: float | None = None
     cache: bool = False
@@ -155,10 +151,9 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ServiceError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.max_batch_pairs is not None and self.max_batch_pairs < 1:
-            raise ServiceError(
-                f"max_batch_pairs must be >= 1, got {self.max_batch_pairs}"
-            )
+        cap = self.max_batch_pairs
+        if not isinstance(cap, int) or cap < 1:
+            raise ServiceError(f"max_batch_pairs must be an int >= 1, got {cap!r}")
         if self.coalesce_window < 0:
             raise ServiceError("coalesce_window cannot be negative")
         if self.default_timeout is not None and self.default_timeout <= 0:
@@ -521,16 +516,6 @@ class ComparisonService:
             ):
                 return self._backend.compare_pairs(merged, config)
 
-    def _batch_budget(self, head: _Request) -> int:
-        """Pair budget for the dispatch opened by ``head``."""
-        if self.config.max_batch_pairs is not None:
-            return self.config.max_batch_pairs
-        cfg = head.config or LaunchConfig()
-        mean_edges, mean_pixels = profile_pairs(head.pairs[:_PROFILE_SAMPLE])
-        return recommend_batch_pairs(
-            mean_edges, mean_pixels, cfg.threshold, cfg.block_size
-        )
-
     async def _coalesce(
         self, head: _Request, batch: list[_Request]
     ) -> tuple[list[_Request], _Request | None, bool]:
@@ -544,7 +529,7 @@ class ComparisonService:
         sentinel was consumed.
         """
         total = head.size
-        budget = self._batch_budget(head)
+        budget = self.config.max_batch_pairs
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.coalesce_window
         while total < budget:

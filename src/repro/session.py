@@ -16,7 +16,7 @@ spatial result sets on whatever mix of CPU/GPU resources is available.
   through the **same** :class:`~repro.api.request.CompareRequest`
   the CLI and the service protocol parse into;
 * :meth:`explain` resolves any request into its execution plan (chosen
-  backend, cost-model sizing, capability checks) **without executing**.
+  backend, shard sizing, capability checks) **without executing**.
 
 Usage::
 
@@ -50,7 +50,6 @@ from repro.cache import (
     LRUCacheStore,
     SingleFlight,
     areas_nbytes,
-    calibration_fingerprint,
     copy_areas,
     request_key,
 )
@@ -67,38 +66,6 @@ __all__ = ["Session"]
 # long-lived owner, so (like the comparison service) it defaults their
 # pools to session lifetime instead of per-call lifetime.
 _POOLED_BACKENDS = ("multiprocess", "auto")
-
-
-def _profile_calibration(options: CompareOptions):
-    """The options' cost profile as a loaded calibration, or ``None``.
-
-    Loaded fresh per resolution and threaded explicitly — never
-    installed process-wide.  Two sessions with different profiles in one
-    process therefore plan independently, and closing a session leaves
-    global calibration state untouched (it used to call
-    ``set_calibration()``, silently corrupting every other session's
-    cost model).
-    """
-    if options.cost_profile is None:
-        return None
-    from repro.gpu.cost import load_calibration
-
-    return load_calibration(options.cost_profile)
-
-
-def _factory_options(options: CompareOptions) -> dict:
-    """Backend factory kwargs for ``options``, calibration included.
-
-    Shared by the warm-backend resolution and per-request matching so
-    the "does this request reuse the warm executor" comparison sees the
-    same dict on both sides.
-    """
-    factory_options = options.resolved_backend_options()
-    if options.backend == "auto" and options.cost_profile is not None:
-        factory_options.setdefault(
-            "calibration", _profile_calibration(options)
-        )
-    return factory_options
 
 
 class Session:
@@ -155,7 +122,7 @@ class Session:
             if self._backend is None:
                 from repro.backends import get_backend
 
-                factory_options = _factory_options(self.options)
+                factory_options = self.options.resolved_backend_options()
                 if self.options.backend in _POOLED_BACKENDS:
                     factory_options.setdefault("persistent", True)
                 self._backend = get_backend(
@@ -203,17 +170,15 @@ class Session:
 
     def _backend_for(self, options: CompareOptions):
         """The executor for one request (warm when the spec matches)."""
+        factory_options = options.resolved_backend_options()
         if (
             options.backend == self.options.backend
-            and _factory_options(options) == _factory_options(self.options)
+            and factory_options == self.options.resolved_backend_options()
         ):
             return self.backend, False
         from repro.backends import get_backend
 
-        return (
-            get_backend(options.backend, **_factory_options(options)),
-            True,
-        )
+        return get_backend(options.backend, **factory_options), True
 
     def run(self, request: CompareRequest):
         """Execute a declarative request (dispatch on its kind).
@@ -280,27 +245,11 @@ class Session:
                 )
             return self._request_cache
 
-    def _request_cache_key(self, request: CompareRequest) -> str:
-        """Canonical request JSON + effective cost-profile fingerprint.
-
-        The fingerprint is the same calibration ``explain()`` resolves,
-        so a profile change invalidates cached answers exactly when it
-        would change the plan — the two can never disagree.
-        """
-        calibration = _profile_calibration(request.options)
-        if calibration is None:
-            from repro.gpu.cost import active_calibration
-
-            calibration = active_calibration()
-        return request_key(
-            request, extra=(calibration_fingerprint(calibration),)
-        )
-
     def _run_pairs(self, request: CompareRequest) -> BatchAreas:
         store = self._store_for(request.options)
         if store is None:
             return self._execute_pairs(request)
-        key = self._request_cache_key(request)
+        key = request_key(request)
         cached = store.get(key)
         tracer = current_tracer()
         if tracer is not None:
@@ -463,7 +412,7 @@ class Session:
     ) -> Iterator[PairOutcome]:
         """Yield per-pair results incrementally as shards complete.
 
-        The request is cut into cost-model-sized shards (overridable
+        The request is cut into policy-sized shards (overridable
         with ``shard_pairs``); each shard is one backend launch, and its
         pairs are yielded in input order as soon as it returns.  Chunk
         boundaries never change results (the kernel's shard-invariance
@@ -530,11 +479,10 @@ class Session:
     def _stream_shard_pairs(
         self, pairs: list[Pair], options: CompareOptions
     ) -> int:
-        """Cost-model shard size for one incremental stream."""
+        """:mod:`repro.backends.sizing` shard size for one stream."""
         if not pairs:
             return 1
-        from repro.backends.auto import profile_pairs
-        from repro.gpu.cost import recommend_shard_pairs
+        from repro.backends.sizing import profile_pairs, recommend_shard_pairs
 
         cfg = options.launch_config()
         mean_edges, mean_pixels = profile_pairs(pairs)
@@ -544,7 +492,6 @@ class Session:
             mean_pixels,
             cfg.threshold,
             cfg.block_size,
-            calibration=_profile_calibration(options),
             substrate="numba" if options.backend == "numba" else "numpy",
         )
 

@@ -53,21 +53,6 @@ def batched_areas(pairs, cfg=None):
     return get_backend("batch").compare_pairs(pairs, cfg)
 
 
-@pytest.fixture(autouse=True)
-def _clean_cost_calibration():
-    """No test inherits (or leaks) a process-global cost profile.
-
-    ``set_calibration`` / ``REPRO_COST_PROFILE`` mutate module state in
-    :mod:`repro.gpu.cost`; a test that loads a profile must not change
-    which plan the *next* test's profile-less session resolves to.
-    """
-    from repro.gpu import cost
-
-    cost.clear_calibration()
-    yield
-    cost.clear_calibration()
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG per test."""

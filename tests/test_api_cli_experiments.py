@@ -73,28 +73,6 @@ class TestCli:
                 "compiled",
             }
 
-    def test_calibrate_prints_an_absolute_profile_path(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """The export hint must survive a later cd: relative paths in
-        REPRO_COST_PROFILE break as soon as the shell moves."""
-        from repro.gpu import calibrate
-        from repro.gpu.cost import CostCalibration
-
-        monkeypatch.setattr(
-            calibrate,
-            "run_calibration",
-            lambda quick=False: CostCalibration(1e9, 1e8, 1e6, source="t"),
-        )
-        monkeypatch.chdir(tmp_path)
-        assert main(["calibrate", "--quick", "--output", "prof.json"]) == 0
-        out = capsys.readouterr().out
-        export = next(
-            ln for ln in out.splitlines() if "REPRO_COST_PROFILE" in ln
-        )
-        assert str(tmp_path / "prof.json") in export
-        assert (tmp_path / "prof.json").exists()
-
     def test_explain_command(self, tmp_path, capsys):
         spec = {
             "kind": "pairs",

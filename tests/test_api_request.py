@@ -79,9 +79,14 @@ class TestCompareOptionsDefaults:
         assert CompareOptions.from_dict(None) == DEFAULT_OPTIONS
 
     def test_options_reject_unknown_fields(self):
-        # A typo, and a spec written for the removed pipeline knobs: an
-        # old spec fails loudly, naming the field, never silently.
-        for spec in ({"blocksize": 32}, {"migration": True}):
+        # A typo, and specs written for removed knobs (pipeline shape,
+        # calibration profile): an old spec fails loudly, naming the
+        # field, never silently.
+        for spec in (
+            {"blocksize": 32},
+            {"migration": True},
+            {"cost_profile": "p.json"},
+        ):
             with pytest.raises(RequestError, match=next(iter(spec))):
                 CompareOptions.from_dict(spec)
 

@@ -15,10 +15,14 @@ from repro.backends import (
     register,
 )
 from repro.backends.base import backend_registry
+from repro.backends.sizing import (
+    estimate_comparison_cycles,
+    recommend_backend,
+    recommend_shard_pairs,
+)
 from repro.errors import KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
-from repro.gpu.cost import estimate_comparison_cycles, recommend_backend
 from repro.pipeline.device import GpuDevice
 from repro.pixelbox.common import LaunchConfig
 
@@ -151,6 +155,12 @@ class TestCostModelSelection:
             100, 30, 40 * self.CFG.threshold, self.CFG.threshold, workers=1
         )
         assert choice == "vectorized"
+
+    def test_shard_pairs_bounds(self):
+        assert recommend_shard_pairs(0, 1.0, 1.0, 64) == 1
+        n = 1000
+        size = recommend_shard_pairs(n, 40.0, 900.0, 2048, workers=4)
+        assert 1 <= size <= n
 
     def test_profile_pairs(self):
         pairs = _pairs(3)

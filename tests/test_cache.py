@@ -4,7 +4,7 @@ The cache's one correctness contract is *transparency*: a cached hit
 must be bit-for-bit identical to the cold computation it replaces —
 areas **and** kernel work counters — across every backend, and any
 change to what would be computed (options, launch parameters, execution
-policy, cost profile) must change the cache key.  These tests pin that
+policy) must change the cache key.  These tests pin that
 contract from below (store/key units) and from above (registry-driven
 hit-equals-miss across all available backends, stampede collapse in the
 session and the service).
@@ -27,7 +27,6 @@ from repro.cache import (
     CacheSnapshot,
     LRUCacheStore,
     SingleFlight,
-    calibration_fingerprint,
     config_token,
     copy_areas,
     merge_key,
@@ -37,7 +36,6 @@ from repro.cache import (
     shard_key,
 )
 from repro.errors import CacheError
-from repro.gpu.cost import CostCalibration
 from repro.pixelbox.common import LaunchConfig, Method
 from repro.pixelbox.kernel import ExecutionPolicy
 
@@ -204,7 +202,6 @@ _OPTIONS_PERTURB = {
     "backend": "vectorized",
     "backend_options": {"workers": 3},
     "hosts": None,  # constrained: only valid with backend="cluster"
-    "cost_profile": None,  # exercised via the calibration fingerprint
     "block_size": 32,
     "pixel_threshold": 7,
     "tight_mbr": False,
@@ -288,32 +285,6 @@ class TestKeyInvalidation:
         assert shard_key("digest", 32, 64, policy, cfg) != base
         assert merge_key("digest", policy, cfg) != base
 
-    def test_calibration_fingerprint(self):
-        assert calibration_fingerprint(None) == "modeled"
-        a = CostCalibration(
-            cycles_per_second=1e9,
-            process_spinup_cycles=1e6,
-            shard_dispatch_cycles=1e5,
-        )
-        b = dataclasses.replace(a, cycles_per_second=2e9)
-        assert calibration_fingerprint(a) != calibration_fingerprint(b)
-        assert calibration_fingerprint(a) == calibration_fingerprint(
-            dataclasses.replace(a)
-        )
-
-    def test_calibration_invalidates_request_key(self, pairs):
-        cal = CostCalibration(
-            cycles_per_second=1e9,
-            process_spinup_cycles=1e6,
-            shard_dispatch_cycles=1e5,
-        )
-        request = CompareRequest.from_pairs(pairs, CompareOptions())
-        k_modeled = request_key(request, extra=(calibration_fingerprint(None),))
-        k_profile = request_key(
-            request, extra=(calibration_fingerprint(cal),)
-        )
-        assert k_modeled != k_profile
-
     def test_pairs_key_tracks_geometry_and_config(self, rng):
         pairs = [random_pair(rng) for _ in range(4)]
         other = [random_pair(rng) for _ in range(4)]
@@ -323,7 +294,6 @@ class TestKeyInvalidation:
         assert pairs_key(other, cfg) != base
         assert pairs_key(list(reversed(pairs)), cfg) != base  # order matters
         assert pairs_key(pairs, LaunchConfig(block_size=32)) != base
-        assert pairs_key(pairs, cfg, extra=("x",)) != base
 
     def test_policy_and_config_tokens_are_stable(self):
         assert policy_token(ExecutionPolicy()) == policy_token(

@@ -24,8 +24,8 @@ import pytest
 
 from repro.backends import backend_availability, get_backend
 from repro.backends.kernel import numba_unavailable_reason
+from repro.backends.sizing import recommend_backend, recommend_shard_pairs
 from repro.errors import BackendError, KernelError, ReproError
-from repro.gpu.cost import recommend_backend
 from repro.pixelbox.common import KernelStats, LaunchConfig, Method
 from repro.pixelbox.kernel import (
     DEFAULT_SKIP_SUBDIVISION_DIM,
@@ -171,8 +171,6 @@ class TestCostModel:
         assert choice != "numba"
 
     def test_shard_sizing_scales_with_the_compiled_speedup(self):
-        from repro.gpu.cost import recommend_shard_pairs
-
         # Small enough that the dispatch-amortization floor binds: the
         # compiled substrate retires each pair faster, so shards must
         # grow to keep the per-shard round trip a rounding error.

@@ -564,6 +564,21 @@ def test_seam_checker_allowlists_the_seam_modules(tmp_path):
     assert KernelSeamChecker().check(project) == []
 
 
+def test_seam_checker_keeps_the_simulator_out_of_production(tmp_path):
+    importer = "from repro.gpu.cost import CostModel\n"
+    project = make_project(
+        tmp_path,
+        {
+            "src/repro/service/core.py": importer,
+            "src/repro/backends/simt.py": importer,
+        },
+    )
+    found = KernelSeamChecker().check(project)
+    assert [(f.code, f.path, f.ident) for f in found] == [
+        ("RL702", "src/repro/service/core.py", "repro.gpu.cost")
+    ]
+
+
 # ----------------------------------------------------------------------
 # CLI: exit codes, baseline round-trip, JSON report
 # ----------------------------------------------------------------------

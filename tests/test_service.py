@@ -24,7 +24,6 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.gpu.cost import recommend_batch_pairs
 from repro.index.join import mbr_pair_join
 from repro.service import ComparisonService, ServiceConfig
 
@@ -46,11 +45,13 @@ class SlowBackend(BackendLifecycle):
     def __init__(self, delay: float = 0.2):
         self.delay = delay
         self.calls = 0
+        self.launches: list[int] = []  # pairs per compare_pairs call
         self.closed = False
         self._inner = get_backend("batch")
 
     def compare_pairs(self, pairs, config=None):
         self.calls += 1
+        self.launches.append(len(pairs))
         time.sleep(self.delay)
         return self._inner.compare_pairs(pairs, config)
 
@@ -64,6 +65,8 @@ class TestConfigValidation:
             ServiceConfig(max_queue=0)
         with pytest.raises(ServiceError):
             ServiceConfig(max_batch_pairs=0)
+        with pytest.raises(ServiceError):
+            ServiceConfig(max_batch_pairs=None)
         with pytest.raises(ServiceError):
             ServiceConfig(coalesce_window=-0.1)
         with pytest.raises(ServiceError):
@@ -346,12 +349,26 @@ class TestWarmAutoService:
             assert np.array_equal(got.intersection, want.intersection)
 
 
-class TestBatchSizingPolicy:
-    def test_budget_shrinks_with_pair_cost(self):
-        cheap = recommend_batch_pairs(8.0, 64.0, 2048)
-        dense = recommend_batch_pairs(400.0, 1.0e6, 2048)
-        assert cheap > dense
+class TestCoalescerSplit:
+    def test_max_batch_pairs_splits_concurrent_requests(self):
+        """A bound the queued work exceeds keeps launches at the bound."""
+        chunks = _request_chunks(n_chunks=6, chunk=12)
+        backend = SlowBackend(delay=0.0)
 
-    def test_budget_is_bounded(self):
-        assert recommend_batch_pairs(0.0, 0.0, 2048) == 65536
-        assert recommend_batch_pairs(1e9, 1e12, 2048) == 64
+        async def main():
+            config = ServiceConfig(max_batch_pairs=12, coalesce_window=0.05)
+            async with ComparisonService(config, backend=backend) as service:
+                return await asyncio.gather(
+                    *(service.submit(c) for c in chunks)
+                )
+
+        results = asyncio.run(main())
+        assert len(backend.launches) >= 6
+        assert max(backend.launches) <= 12
+        reference = get_backend("batch")
+        for chunk, got in zip(chunks, results):
+            want = reference.compare_pairs(chunk)
+            assert np.array_equal(got.intersection, want.intersection)
+            assert np.array_equal(got.union, want.union)
+            assert np.array_equal(got.area_p, want.area_p)
+            assert np.array_equal(got.area_q, want.area_q)

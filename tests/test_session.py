@@ -326,7 +326,6 @@ class TestExplain:
         )
         assert plan.backend == "auto"
         assert plan.resolved_backend in ("batch", "vectorized", "multiprocess")
-        assert plan.coalesce_pairs >= 64
 
     def test_explain_cluster_reports_hosts(self):
         plan = explain(

@@ -46,6 +46,7 @@ PUBLIC_MODULES = (
     "repro.session",
     "repro.errors",
     "repro.backends",
+    "repro.backends.sizing",
     "repro.cache",
     "repro.service",
     "repro.cluster",

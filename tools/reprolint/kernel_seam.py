@@ -1,4 +1,4 @@
-"""RL701: one module owns the chunk-kernel sequence (AST port).
+"""RL701/RL702: the kernel seam and the simulator seam (AST port).
 
 ``repro.pixelbox.kernel`` must be the only module invoking
 ``plan_levels`` / ``stacked_leaf_counts`` — the structural guarantee
@@ -10,6 +10,12 @@ allowlisted as the definition site.
 The check matches actual ``Name`` / ``Attribute`` references, so a
 mention in a comment or docstring does not trip the guard while a real
 call through an alias does.
+
+RL702 keeps the Fig. 9 cycle simulator out of everything that decides
+how work is run: under ``src/repro/`` only the package itself, the
+``simt`` backend and the experiments may import ``repro.gpu`` (modeled
+GTX 580 cycles are meaningful as normalized ratios, not as a sizing
+input — that policy lives in ``repro/backends/sizing.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +24,12 @@ import ast
 
 from tools.reprolint.core import Finding, Project
 
-__all__ = ["KernelSeamChecker", "SEAM_NAMES", "SEAM_ALLOWLIST"]
+__all__ = [
+    "KernelSeamChecker",
+    "SEAM_NAMES",
+    "SEAM_ALLOWLIST",
+    "SIMULATOR_IMPORTERS",
+]
 
 SEAM_NAMES = ("plan_levels", "stacked_leaf_counts")
 
@@ -27,6 +38,32 @@ SEAM_ALLOWLIST = {
     "repro/pixelbox/kernel.py": "the one caller",
     "repro/pixelbox/vectorized.py": "the definition site",
 }
+
+
+# path prefix (relative to src/) -> why it may import repro.gpu
+SIMULATOR_IMPORTERS = {
+    "repro/gpu/": "the simulator package itself",
+    "repro/backends/simt.py": "the cycle-metered replay backend",
+    "repro/experiments/": "Fig. 9 / block-size studies",
+}
+
+
+def _simulator_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, module)`` for every import that reaches ``repro.gpu``."""
+    out: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module == "repro.gpu" or module.startswith("repro.gpu."):
+                out.append((node.lineno, module))
+                break
+    return out
 
 
 def _seam_refs(tree: ast.Module) -> list[tuple[int, str]]:
@@ -48,16 +85,31 @@ def _seam_refs(tree: ast.Module) -> list[tuple[int, str]]:
 
 class KernelSeamChecker:
     name = "kernel-seam"
-    codes = ("RL701",)
+    codes = ("RL701", "RL702")
 
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
         for rel in project.source_files("src"):
             under_src = rel[len("src/"):]
-            if under_src in SEAM_ALLOWLIST:
-                continue
             tree = project.tree(rel)
             if tree is None:
+                continue
+            if not under_src.startswith(tuple(SIMULATOR_IMPORTERS)):
+                for lineno, module in _simulator_imports(tree):
+                    findings.append(
+                        Finding(
+                            code="RL702",
+                            path=rel,
+                            line=lineno,
+                            ident=module,
+                            message=(
+                                f"{module} imported outside the simulator "
+                                f"seam — sizing policy belongs in "
+                                f"repro/backends/sizing.py"
+                            ),
+                        )
+                    )
+            if under_src in SEAM_ALLOWLIST:
                 continue
             for lineno, name in sorted(set(_seam_refs(tree))):
                 findings.append(
