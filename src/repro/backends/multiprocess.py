@@ -220,13 +220,6 @@ class MultiprocessBackend(BackendLifecycle):
         ``"numba"`` — a shard runs the compiled chunk kernel inside its
         worker process, composing process sharding with the compiled
         substrate.  Requires the ``repro[numba]`` extra.
-    result_cache_bytes:
-        Byte budget of a parent-side shard-result cache keyed by the
-        content-addressed bundle digest — the exact key the cluster
-        workers use, shared store implementation and all.  Off (``0``)
-        by default; enabled by ``CompareOptions(cache=True)``.  Only the
-        pool path consults it (the in-process small path is cheaper than
-        a digest).
     """
 
     name = "multiprocess"
@@ -238,7 +231,6 @@ class MultiprocessBackend(BackendLifecycle):
         min_pairs: int = 256,
         persistent: bool = False,
         substrate: str = "numpy",
-        result_cache_bytes: int = 0,
     ):
         resolved = default_workers() if workers is None else workers
         if resolved < 1:
@@ -258,14 +250,6 @@ class MultiprocessBackend(BackendLifecycle):
         self._pool: ProcessPoolExecutor | None = None
         self._pool_unregister = False
         self._pool_lock = threading.Lock()
-        if result_cache_bytes > 0:
-            from repro.cache import LRUCacheStore
-
-            self._result_cache = LRUCacheStore(
-                result_cache_bytes, name="multiprocess.shard"
-            )
-        else:
-            self._result_cache = None
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
@@ -327,17 +311,6 @@ class MultiprocessBackend(BackendLifecycle):
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def cache_stats(self) -> dict[str, dict]:
-        """Snapshot of the parent-side shard cache, if enabled."""
-        if self._result_cache is None:
-            return {}
-        return {"multiprocess.shard": self._result_cache.snapshot().as_dict()}
-
-    def clear_caches(self) -> None:
-        """Drop every cached shard result."""
-        if self._result_cache is not None:
-            self._result_cache.clear()
-
     def compare_pairs(
         self, pairs: Pairs, config: LaunchConfig | None = None
     ) -> BatchAreas:
@@ -356,48 +329,18 @@ class MultiprocessBackend(BackendLifecycle):
         self, kernel: ChunkKernel, shard: ShardInput, stats: KernelStats
     ) -> np.ndarray:
         n = len(shard)
-        arrays = shard.to_arrays()
         inter = np.zeros(n, dtype=np.int64)
         step = -(-n // self.workers)
         shards = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        record = None
-        if self._result_cache is not None:
-            from repro.cache import copy_shard_result, shard_key, shard_result_nbytes
-            from repro.cluster import wire
-
-            cache = self._result_cache
-            digest = wire.bundle_digest(arrays)
-            keys = {
-                (lo, hi): shard_key(digest, lo, hi, kernel.policy, kernel.cfg)
-                for lo, hi in shards
-            }
-            todo = []
-            for lo, hi in shards:
-                hit = cache.get(keys[(lo, hi)])
-                if hit is not None:
-                    shard_inter, shard_stats = hit
-                    inter[lo:hi] = shard_inter
-                    stats.merge(KernelStats(**shard_stats))
-                else:
-                    todo.append((lo, hi))
-            shards = todo
-            if not shards:
-                return inter
-
-            def record(lo: int, hi: int, shard_inter, shard_stats) -> None:
-                entry = copy_shard_result((shard_inter, shard_stats))
-                cache.put(keys[(lo, hi)], entry, shard_result_nbytes(entry))
-
         try:
-            shm, manifest = _pack_arrays(arrays)
+            shm, manifest = _pack_arrays(shard.to_arrays())
         except OSError:  # pragma: no cover - hosts without shm support
             return kernel.run_shard(shard, 0, n, stats)[0]
         try:
             if self.persistent:
                 pool, unregister = self._ensure_pool()
                 self._collect(
-                    pool, shm, manifest, shards, kernel, unregister, inter,
-                    stats, record,
+                    pool, shm, manifest, shards, kernel, unregister, inter, stats
                 )
             else:
                 ctx = _mp_context()
@@ -407,7 +350,7 @@ class MultiprocessBackend(BackendLifecycle):
                 ) as pool:
                     self._collect(
                         pool, shm, manifest, shards, kernel, unregister,
-                        inter, stats, record,
+                        inter, stats,
                     )
         finally:
             shm.close()
@@ -427,7 +370,6 @@ class MultiprocessBackend(BackendLifecycle):
         unregister: bool,
         inter: np.ndarray,
         stats: KernelStats,
-        record=None,
     ) -> None:
         """Submit every shard to ``pool`` and gather slices into ``inter``."""
         futures = [
@@ -437,7 +379,4 @@ class MultiprocessBackend(BackendLifecycle):
         for future in futures:
             lo, shard_inter, shard_stats = future.result()
             inter[lo : lo + len(shard_inter)] = shard_inter
-            part = KernelStats(**shard_stats)
-            stats.merge(part)
-            if record is not None:
-                record(lo, lo + len(shard_inter), shard_inter, shard_stats)
+            stats.merge(KernelStats(**shard_stats))

@@ -1,24 +1,18 @@
-"""Canonical cache-key builders for the three result-cache tiers.
+"""The one cache-key builder: what identifies a result.
 
-All keys are content-derived sha256 hex digests with a tier prefix, so
-a key equals another key exactly when the computation it names would
-produce bit-for-bit identical output:
+A key is a content-derived sha256 hex digest, equal to another key
+exactly when the computation it names would produce bit-for-bit
+identical output — areas *and* work counters.  :func:`pairs_key` hashes
+the three things that decide that: the pair geometry (each polygon's
+int64 vertex array, in pair order), the :class:`LaunchConfig` and the
+identity of the executor (``KernelStats`` differ by execution policy).
+Both front doors — ``Session`` and ``ComparisonService`` — key through
+it; ``sets`` and ``files`` requests key each tile's candidate pairs.
 
-* shard tier  — ``(bundle_digest, shard range, ExecutionPolicy,
-  LaunchConfig)``.  The bundle digest already content-addresses the CSR
-  edge tables, MBR boxes, and box mask (``cluster.wire.bundle_digest``);
-  the policy and config tokens cover everything else a kernel run
-  depends on.
-* merge tier  — the shard-tier identity minus the range: one assembled
-  result per ``(bundle, policy, config)``.
-* request tier — the canonical serialized :class:`CompareRequest`
-  (PR 5 made ``to_json`` canonical: sorted WKT payload, omitted-default
-  options), nothing else.
-
-Tokens enumerate dataclass fields dynamically: adding a field to
-``ExecutionPolicy`` / ``LaunchConfig`` changes the token automatically —
-there is no per-field list here to forget to update (and the
-invalidation-matrix test enforces coverage anyway).
+The config token enumerates dataclass fields dynamically: adding a field
+to ``LaunchConfig`` changes the token automatically — there is no
+per-field list here to forget to update (and the invalidation-matrix
+test enforces coverage anyway).
 """
 
 from __future__ import annotations
@@ -26,21 +20,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.request import CompareRequest
     from repro.pixelbox.common import LaunchConfig
-    from repro.pixelbox.kernel import ExecutionPolicy
 
-__all__ = [
-    "config_token",
-    "merge_key",
-    "pairs_key",
-    "policy_token",
-    "request_key",
-    "shard_key",
-]
+__all__ = ["config_token", "pairs_key"]
 
 
 def _field_token(obj) -> str:
@@ -54,56 +39,20 @@ def _field_token(obj) -> str:
     return "|".join(parts)
 
 
-def policy_token(policy: "ExecutionPolicy") -> str:
-    """Canonical serialization of an :class:`ExecutionPolicy`."""
-    return _field_token(policy)
-
-
 def config_token(config: "LaunchConfig") -> str:
     """Canonical serialization of a :class:`LaunchConfig`."""
     return _field_token(config)
 
 
-def _digest(prefix: str, tokens: Iterable[str]) -> str:
-    h = hashlib.sha256()
-    for token in tokens:
-        h.update(token.encode())
-        h.update(b"\x00")
-    return f"{prefix}:{h.hexdigest()}"
-
-
-def shard_key(
-    digest: str,
-    lo: int,
-    hi: int,
-    policy: "ExecutionPolicy",
-    config: "LaunchConfig",
-) -> str:
-    """Key for one shard's result over a content-addressed bundle."""
-    return _digest(
-        "shard",
-        (digest, f"{lo}:{hi}", policy_token(policy), config_token(config)),
-    )
-
-
-def merge_key(
-    digest: str, policy: "ExecutionPolicy", config: "LaunchConfig"
-) -> str:
-    """Key for a fully assembled result over a content-addressed bundle."""
-    return _digest("merge", (digest, policy_token(policy), config_token(config)))
-
-
-def request_key(request: "CompareRequest") -> str:
-    """Key for a front-door request: its canonical JSON."""
-    return _digest("request", (request.to_json(),))
-
-
-def pairs_key(pairs, config: "LaunchConfig") -> str:
-    """Key for a raw pair list + launch config (the service submit path).
+def pairs_key(pairs, config: "LaunchConfig", executor: str = "") -> str:
+    """Key for a pair list + launch config + executor identity.
 
     Hashes each polygon's int64 vertex array directly — equivalent in
     identity to the WKT the wire protocol carries, without building the
-    strings.
+    strings.  ``executor`` names who would compute the result (a
+    ``Session`` passes :func:`repro.api.options.executor_identity`); a
+    store that only ever fronts one executor, like the service's, can
+    leave it empty.
     """
     h = hashlib.sha256(b"pairs-v1")
     for p, q in pairs:
@@ -111,4 +60,5 @@ def pairs_key(pairs, config: "LaunchConfig") -> str:
         h.update(b"\x01")
         h.update(q.vertices.tobytes())
         h.update(b"\x02")
-    return _digest("request", (h.hexdigest(), config_token(config)))
+    tokens = "\x00".join((h.hexdigest(), config_token(config), executor))
+    return f"request:{hashlib.sha256(tokens.encode()).hexdigest()}"

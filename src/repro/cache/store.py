@@ -1,11 +1,9 @@
-"""Bounded-memory LRU stores shared by every result-cache tier.
+"""The bounded-memory LRU store behind the front-door result cache.
 
-One store implementation backs all three tiers of the result cache
-(worker shard results, coordinator merges, front-door requests): a
-thread-safe LRU keyed by content-derived strings (see
+A thread-safe LRU keyed by content-derived strings (see
 :mod:`repro.cache.keys`), evicting least-recently-used entries once a
 configurable byte budget is exceeded.  Values are opaque to the store —
-the tier that owns the store is responsible for copying mutable values
+the front door that owns it is responsible for copying mutable values
 on the way in and out (see :mod:`repro.cache.values`).
 
 :class:`SingleFlight` is the companion stampede guard: concurrent
@@ -60,7 +58,7 @@ class CacheSnapshot:
 
 @runtime_checkable
 class CacheStore(Protocol):
-    """What every result-cache tier expects from its store."""
+    """What a front door expects from its result store."""
 
     def get(self, key: str) -> Any | None: ...
 
@@ -80,11 +78,11 @@ class LRUCacheStore:
     ----------
     max_bytes:
         Byte budget; inserting past it evicts least-recently-used
-        entries until the total fits again.  Must be positive — a tier
-        that wants caching off simply does not construct a store.
+        entries until the total fits again.  Must be positive — an
+        owner that wants caching off simply does not construct a store.
     name:
         Label carried into :class:`CacheSnapshot` so metrics can tell
-        tiers apart (``"worker.shard"``, ``"service.request"``, ...).
+        stores apart (``"session.request"``, ``"service.request"``).
     """
 
     def __init__(self, max_bytes: int, name: str = "cache") -> None:

@@ -1,23 +1,16 @@
-"""Copy/size helpers for the values the result-cache tiers store.
+"""Copy/size helpers for the values the result cache stores.
 
-The stores hold plain values; these helpers keep the tiers honest about
+The store holds plain values; these helpers keep its owners honest about
 aliasing (cached arrays must never be mutated by callers) and about the
 byte accounting the LRU budget runs on.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.pixelbox.common import KernelStats
 from repro.pixelbox.kernel import BatchAreas
 
-__all__ = [
-    "areas_nbytes",
-    "copy_areas",
-    "copy_shard_result",
-    "shard_result_nbytes",
-]
+__all__ = ["areas_nbytes", "copy_areas"]
 
 # Rough per-entry bookkeeping charge (key string, dict/object headers) so
 # many tiny entries still count against the budget.
@@ -45,14 +38,3 @@ def areas_nbytes(areas: BatchAreas) -> int:
         + _ENTRY_OVERHEAD
     )
 
-
-def copy_shard_result(result: tuple[np.ndarray, dict]) -> tuple[np.ndarray, dict]:
-    """Deep copy of a shard-tier ``(intersection, stats_dict)`` entry."""
-    inter, stats = result
-    return inter.copy(), dict(stats)
-
-
-def shard_result_nbytes(result: tuple[np.ndarray, dict]) -> int:
-    """Byte charge for one cached shard result."""
-    inter, _ = result
-    return inter.nbytes + _ENTRY_OVERHEAD

@@ -94,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument(
         "--cache", action="store_true",
         help=(
-            "enable the content-addressed result cache (request + "
-            "backend tiers); cached hits are bit-for-bit identical"
+            "enable the content-addressed result cache (one entry per "
+            "tile); cached hits are bit-for-bit identical"
         ),
     )
     cmp_.add_argument(
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--cache-bytes", type=int, default=64 * 2**20,
-        help="byte budget per cache tier (LRU eviction past it)",
+        help="byte budget of the request cache (LRU eviction past it)",
     )
     srv.add_argument(
         "--metrics", action="store_true",
@@ -214,13 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
             "repro[numba] extra is installed, NumPy otherwise)"
         ),
     )
-    wrk.add_argument(
-        "--result-cache-bytes", type=int, default=None,
-        help=(
-            "byte budget of the worker's content-addressed shard-result "
-            "cache (0 disables; default 64 MiB)"
-        ),
-    )
 
     cch = sub.add_parser(
         "cache",
@@ -228,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cch.add_argument(
         "action", choices=("stats", "clear"),
-        help="stats: print per-tier counters; clear: drop every tier",
+        help="stats: print hit/miss counters; clear: drop every entry",
     )
     cch.add_argument("--host", default="127.0.0.1")
     cch.add_argument("--port", type=int, default=8765)
@@ -435,17 +428,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "worker":
         from repro.cluster import ShardWorker
-        from repro.cluster.worker import DEFAULT_RESULT_CACHE_BYTES
 
-        cache_bytes = args.result_cache_bytes
-        if cache_bytes is None:
-            cache_bytes = DEFAULT_RESULT_CACHE_BYTES
         worker = ShardWorker(
             host=args.host,
             port=args.port,
             max_tables=args.max_tables,
             substrate=args.substrate,
-            result_cache_bytes=cache_bytes,
         )
         worker._bind()
         host, port = worker.address

@@ -41,13 +41,6 @@ from repro.backends.base import (
     Pairs,
 )
 from repro.backends.sizing import profile_pairs, recommend_shard_pairs
-from repro.cache import (
-    LRUCacheStore,
-    areas_nbytes,
-    copy_areas,
-    merge_key,
-    shard_key,
-)
 from repro.cluster import wire
 from repro.cluster.scheduler import (
     Shard,
@@ -349,12 +342,6 @@ class ClusterBackend(BackendLifecycle):
         Pairs per shard; ``None`` asks the sizing policy per request.
     speculate:
         Enable straggler re-dispatch.
-    shard_cache_bytes, merge_cache_bytes:
-        Coordinator-side result caches, both off (``0``) by default and
-        enabled by ``CompareOptions(cache=True)``.  The shard cache
-        settles shards without dispatching them (keyed exactly like the
-        workers' own result caches); the merge cache returns a fully
-        assembled request straight from the bundle digest.
     """
 
     name = "cluster"
@@ -370,8 +357,6 @@ class ClusterBackend(BackendLifecycle):
         loopback_workers: int | None = None,
         connect_timeout: float = 5.0,
         io_timeout: float = 60.0,
-        shard_cache_bytes: int = 0,
-        merge_cache_bytes: int = 0,
     ):
         if hosts is None:
             hosts = os.environ.get("REPRO_CLUSTER_HOSTS") or None
@@ -398,16 +383,6 @@ class ClusterBackend(BackendLifecycle):
         self.io_timeout = io_timeout
         self._clients: list[WorkerClient] | None = None
         self._loopback = None
-        self._shard_cache = (
-            LRUCacheStore(shard_cache_bytes, name="coordinator.shard")
-            if shard_cache_bytes > 0
-            else None
-        )
-        self._merge_cache = (
-            LRUCacheStore(merge_cache_bytes, name="coordinator.merge")
-            if merge_cache_bytes > 0
-            else None
-        )
         self._lock = threading.Lock()
         # One remote dispatch at a time: scheduler threads own the worker
         # sockets for the duration of a request (mirrors the exclusive
@@ -484,27 +459,11 @@ class ClusterBackend(BackendLifecycle):
         if loopback is not None:
             loopback.close()
 
-    def cache_stats(self) -> dict[str, dict]:
-        """Snapshots of the coordinator-side caches that are enabled."""
-        out: dict[str, dict] = {}
-        if self._shard_cache is not None:
-            out["coordinator.shard"] = self._shard_cache.snapshot().as_dict()
-        if self._merge_cache is not None:
-            out["coordinator.merge"] = self._merge_cache.snapshot().as_dict()
-        return out
-
-    def clear_caches(self) -> None:
-        """Drop every coordinator-side cached result."""
-        if self._shard_cache is not None:
-            self._shard_cache.clear()
-        if self._merge_cache is not None:
-            self._merge_cache.clear()
-
     def worker_stats(self) -> dict[str, dict]:
         """Per-worker observability counters, keyed by address.
 
         Queries each connected worker over ``STATS`` — the counters the
-        workers always kept (shard-cache hits, shards run, table churn)
+        workers always kept (shards run, table churn)
         but the coordinator used to drop.  Workers in health backoff or
         failing the round-trip are skipped, never raised: stats must
         stay readable while a request is degrading.
@@ -542,7 +501,6 @@ class ClusterBackend(BackendLifecycle):
         # Tracing: the scheduler starts its worker threads in a copy of
         # this thread's context, so the shard spans below (and, via the
         # wire context, the remote worker's) stitch under this request.
-        tracer = current_tracer()
         with span("cluster.build_tables", pairs=n):
             tables = ShardInput.build(pairs, policy, cfg)
 
@@ -558,18 +516,6 @@ class ClusterBackend(BackendLifecycle):
 
         bundle = tables.to_arrays()
         digest = wire.bundle_digest(bundle)
-        if self._merge_cache is not None:
-            mkey = merge_key(digest, policy, cfg)
-            cached = self._merge_cache.get(mkey)
-            if tracer is not None:
-                EVENTS.record(
-                    "cache.lookup",
-                    tier="coordinator.merge",
-                    hit=cached is not None,
-                    trace_id=tracer.trace_id,
-                )
-            if cached is not None:
-                return copy_areas(cached)
         with self._dispatch_lock:
             clients = self._live_clients(digest, bundle)
             shards = self._plan_shards(pairs, cfg, n, max(1, len(clients)))
@@ -597,45 +543,11 @@ class ClusterBackend(BackendLifecycle):
                     client.note_success()
                     return outcome
 
-            cache_lookup = cache_store = None
-            if self._shard_cache is not None:
-
-                def cache_lookup(shard: Shard) -> ShardOutcome | None:
-                    hit = self._shard_cache.get(
-                        shard_key(digest, shard.lo, shard.hi, policy, cfg)
-                    )
-                    if tracer is not None:
-                        EVENTS.record(
-                            "cache.lookup",
-                            tier="coordinator.shard",
-                            hit=hit is not None,
-                            trace_id=tracer.trace_id,
-                        )
-                    if hit is None:
-                        return None
-                    return ShardOutcome(
-                        inter=hit.inter.copy(),
-                        stats=KernelStats(**hit.stats.as_dict()),
-                    )
-
-                def cache_store(shard: Shard, outcome: ShardOutcome) -> None:
-                    entry = ShardOutcome(
-                        inter=outcome.inter.copy(),
-                        stats=KernelStats(**outcome.stats.as_dict()),
-                    )
-                    self._shard_cache.put(
-                        shard_key(digest, shard.lo, shard.hi, policy, cfg),
-                        entry,
-                        entry.inter.nbytes + 256,
-                    )
-
             scheduler = ShardScheduler(
                 remote_run,
                 local_run,
                 speculate=self.speculate,
                 speculation_delay=self.speculation_delay,
-                cache_lookup=cache_lookup,
-                cache_store=cache_store,
             )
             outcomes, report = scheduler.execute(shards, clients)
             self.last_report = report
@@ -651,11 +563,7 @@ class ClusterBackend(BackendLifecycle):
             outcome = outcomes[shard.index]
             inter[shard.lo : shard.hi] = outcome.inter
             stats.merge(outcome.stats)
-        result = tables.finalize(policy, inter, None, stats)
-        if self._merge_cache is not None:
-            entry = copy_areas(result)
-            self._merge_cache.put(mkey, entry, areas_nbytes(entry))
-        return result
+        return tables.finalize(policy, inter, None, stats)
 
     # ------------------------------------------------------------------
     def _live_clients(

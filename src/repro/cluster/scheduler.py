@@ -72,7 +72,6 @@ class ScheduleReport:
     speculative: int = 0
     worker_failures: int = 0
     local_shards: int = 0
-    cache_hits: int = 0
     workers_used: list[str] = field(default_factory=list)
 
 
@@ -106,13 +105,6 @@ class ShardScheduler:
         least this long *and* at least ``speculation_factor`` times the
         median completed-shard duration — an idle worker must not clone
         work that is merely milliseconds from finishing.
-    cache_lookup, cache_store:
-        Optional shard-result cache hooks.  ``cache_lookup(shard)``
-        returning an outcome settles the shard before any dispatch
-        (counted in ``ScheduleReport.cache_hits``); ``cache_store(shard,
-        outcome)`` records each winning execution.  The scheduler stays
-        transport-agnostic — key derivation lives with the caller, which
-        knows the bundle digest and policy.
     """
 
     def __init__(
@@ -122,16 +114,12 @@ class ShardScheduler:
         speculate: bool = True,
         speculation_delay: float = 0.2,
         speculation_factor: float = 2.0,
-        cache_lookup: Callable[[Shard], ShardOutcome | None] | None = None,
-        cache_store: Callable[[Shard, ShardOutcome], None] | None = None,
     ):
         self._run = run
         self._local_run = local_run
         self._speculate = speculate
         self._speculation_delay = speculation_delay
         self._speculation_factor = speculation_factor
-        self._cache_lookup = cache_lookup
-        self._cache_store = cache_store
 
     def execute(
         self, shards: list[Shard], workers: list[Any]
@@ -141,22 +129,10 @@ class ShardScheduler:
         results: dict[int, ShardOutcome] = {}
         if not shards:
             return results, report
-        todo = list(shards)
-        if self._cache_lookup is not None:
-            todo = []
-            for shard in shards:
-                hit = self._cache_lookup(shard)
-                if hit is not None:
-                    results[shard.index] = hit
-                    report.cache_hits += 1
-                else:
-                    todo.append(shard)
-            if not todo:
-                return results, report
         lock = threading.Condition()
-        pending: list[_ShardState] = [_ShardState(s) for s in todo]
+        pending: list[_ShardState] = [_ShardState(s) for s in shards]
         states = list(pending)
-        remaining = len(todo)
+        remaining = len(shards)
         durations: list[float] = []  # completed-shard wall times
 
         def take_next() -> _ShardState | None:
@@ -216,12 +192,10 @@ class ShardScheduler:
         def settle(state: _ShardState, outcome: ShardOutcome | None) -> None:
             """Record one execution's end (win, loss, or failure)."""
             nonlocal remaining
-            won = False
             with lock:
                 state.running -= 1
                 if outcome is not None and not state.done:
                     state.done = True
-                    won = True
                     results[state.shard.index] = outcome
                     if state.started is not None:
                         durations.append(time.monotonic() - state.started)
@@ -235,8 +209,6 @@ class ShardScheduler:
                             "shard.redispatch", shard=state.shard.index
                         )
                 lock.notify_all()
-            if won and self._cache_store is not None:
-                self._cache_store(state.shard, outcome)
 
         def worker_loop(worker: Any) -> None:
             while True:

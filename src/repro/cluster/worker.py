@@ -32,20 +32,13 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.cache import LRUCacheStore, copy_shard_result, shard_key, shard_result_nbytes
 from repro.cluster import wire
 from repro.errors import ClusterProtocolError, KernelError, ReproError
-from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate
 from repro.pixelbox.common import KernelStats
 from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy, ShardInput
 
-__all__ = ["DEFAULT_RESULT_CACHE_BYTES", "ShardWorker"]
-
-# Default byte budget for the worker-side shard-result cache: big enough
-# that speculation/re-dispatch of a live request always hits, small
-# enough to be invisible next to the table cache itself.
-DEFAULT_RESULT_CACHE_BYTES = 64 * 2**20
+__all__ = ["ShardWorker"]
 
 
 class ShardWorker:
@@ -67,12 +60,6 @@ class ShardWorker:
         Results are bit-for-bit identical either way — only wall-clock
         differs — so a heterogeneous cluster (some workers compiled,
         some not) stays exact.
-    result_cache_bytes:
-        Byte budget of the shard-result cache (LRU).  A ``RUN_SHARD``
-        whose ``(bundle digest, range, policy, config)`` was computed
-        before answers from the cache, which makes straggler
-        speculation, failure re-dispatch, and service retries free.
-        ``0`` disables result caching entirely.
     """
 
     def __init__(
@@ -81,7 +68,6 @@ class ShardWorker:
         port: int = 0,
         max_tables: int = 8,
         substrate: str = "auto",
-        result_cache_bytes: int = DEFAULT_RESULT_CACHE_BYTES,
     ):
         if max_tables < 1:
             raise ReproError(f"max_tables must be >= 1, got {max_tables}")
@@ -104,11 +90,6 @@ class ShardWorker:
         self.substrate = substrate
         self.max_tables = max_tables
         self._tables: OrderedDict[str, ShardInput] = OrderedDict()
-        self._results = (
-            LRUCacheStore(result_cache_bytes, name="worker.shard")
-            if result_cache_bytes > 0
-            else None
-        )
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._listener: socket.socket | None = None
@@ -118,7 +99,6 @@ class ShardWorker:
         self.tables_received = 0
         self.tables_evicted = 0
         self.shards_run = 0
-        self.shard_hits = 0
         self.protocol_errors = 0
         self._requested_port = port
 
@@ -357,8 +337,6 @@ class ShardWorker:
             )
         cfg = wire.config_from_wire(header.get("config"))
         self._before_shard(header)
-        policy = ExecutionPolicy(substrate=self.substrate)
-        key = shard_key(digest, lo, hi, policy, cfg)
         # Trace context shipped by a feature-aware coordinator: run the
         # shard under a local tracer seeded with the remote trace id and
         # return the finished span records in the reply header, where
@@ -373,20 +351,11 @@ class ShardWorker:
                     lo=lo,
                     hi=hi,
                     substrate=self.substrate,
-                ) as span:
-                    inter, stats_dict, hit = self._execute_shard(
-                        bundle, lo, hi, policy, cfg, key
-                    )
-                    span.set(cache_hit=hit)
-            EVENTS.record(
-                "cache.lookup", tier="worker.shard", hit=hit,
-                trace_id=trace_id,
-            )
+                ):
+                    inter, stats_dict = self._execute_shard(bundle, lo, hi, cfg)
         else:
             tracer = None
-            inter, stats_dict, hit = self._execute_shard(
-                bundle, lo, hi, policy, cfg, key
-            )
+            inter, stats_dict = self._execute_shard(bundle, lo, hi, cfg)
         reply = {
             "task": header.get("task"),
             "lo": lo,
@@ -398,37 +367,24 @@ class ShardWorker:
         wire.send_frame(conn, wire.MsgType.SHARD_RESULT, reply, {"inter": inter})
 
     def _execute_shard(
-        self, bundle: ShardInput, lo: int, hi: int, policy, cfg, key: str
-    ) -> tuple[np.ndarray, dict, bool]:
-        """Serve one shard from the result cache or the kernel."""
-        cached = self._results.get(key) if self._results is not None else None
-        if cached is not None:
-            inter, stats_dict = copy_shard_result(cached)
-            with self._lock:
-                self.shard_hits += 1
-            return inter, stats_dict, True
+        self, bundle: ShardInput, lo: int, hi: int, cfg
+    ) -> tuple[np.ndarray, dict]:
+        """Run one shard through the kernel (a worker never memoizes)."""
         stats = KernelStats()
+        policy = ExecutionPolicy(substrate=self.substrate)
         inter, _ = ChunkKernel(policy, cfg).run_shard(bundle, lo, hi, stats)
-        stats_dict = stats.as_dict()
         with self._lock:
             self.shards_run += 1
-        if self._results is not None:
-            entry = copy_shard_result((inter, stats_dict))
-            self._results.put(key, entry, shard_result_nbytes(entry))
-        return inter, stats_dict, False
+        return inter, stats.as_dict()
 
     def stats(self) -> dict:
         """Observability counters (also served over ``STATS``)."""
         with self._lock:
             cached = len(self._tables)
-        out = {
+        return {
             "cached_tables": cached,
             "tables_received": self.tables_received,
             "tables_evicted": self.tables_evicted,
             "shards_run": self.shards_run,
-            "shard_hits": self.shard_hits,
             "protocol_errors": self.protocol_errors,
         }
-        if self._results is not None:
-            out["result_cache"] = self._results.snapshot().as_dict()
-        return out

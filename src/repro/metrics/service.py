@@ -117,10 +117,10 @@ class ServiceMetrics:
         # (the paper's compute-intensity counters: pairs, pops, ...).
         self._kernel: dict[str, int] = {}
         # Per-worker stats provider (cluster backends); read at snapshot
-        # time like the cache tiers.
+        # time like the cache store.
         self._worker_stats = None
         # Attached cache stores (anything with a ``snapshot().as_dict()``),
-        # read at snapshot time so tier counters and service counters
+        # read at snapshot time so cache counters and service counters
         # always appear together.
         self._caches: dict[str, Any] = {}
 
@@ -164,12 +164,7 @@ class ServiceMetrics:
                 self._request_cache_misses += 1
 
     def attach_cache(self, name: str, store) -> None:
-        """Surface a cache tier in snapshots.
-
-        ``store`` is either a :class:`repro.cache.CacheStore` (read via
-        ``snapshot().as_dict()``) or a zero-argument callable returning
-        the tier's counter dict (how backend-owned tiers are attached).
-        """
+        """Surface a :class:`repro.cache.CacheStore` in snapshots."""
         with self._lock:
             self._caches[name] = store
 
@@ -244,11 +239,7 @@ class ServiceMetrics:
                 request_cache_hits=self._request_cache_hits,
                 request_cache_misses=self._request_cache_misses,
                 caches={
-                    name: (
-                        store.snapshot().as_dict()
-                        if hasattr(store, "snapshot")
-                        else store()
-                    )
+                    name: store.snapshot().as_dict()
                     for name, store in self._caches.items()
                 },
                 latency_histogram=self._latency_hist.snapshot(),

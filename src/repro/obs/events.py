@@ -1,7 +1,7 @@
 """Process-wide structured event log: ring buffer + optional JSONL sink.
 
 Lifecycle events (admission, coalesce, shard dispatch / re-dispatch,
-speculation, cache hit/miss per tier, worker backoff) and finished span
+speculation, cache hit/miss, worker backoff) and finished span
 records all land here as flat dicts.  The in-memory ring keeps the last
 few thousand events for post-mortem inspection (``repro stats``,
 tests); when a request asks for a trace file
@@ -11,7 +11,7 @@ same rows are appended to a JSON-lines sink.
 Emission is guarded the same way tracing is: ``EVENTS.record(...)``
 costs one deque append under a lock, and the hot kernel path never
 calls it — only control-plane code (service dispatcher, cluster
-scheduler, cache tiers) does.
+scheduler, the front-door cache) does.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ exporter reads a live :class:`~repro.metrics.service.ServiceSnapshot` at
 scrape time and translates it — service request counters, the latency
 histogram, per-tier cache hit/miss counts (with a ``tier`` label),
 kernel work counters (the paper's compute-intensity numbers, with a
-``counter`` label), and per-worker cluster shard-cache counters
+``counter`` label), and per-worker cluster shard/table counters
 (``worker`` label).
 
 :class:`MetricsServer` is the ``repro serve --metrics`` endpoint: a
@@ -65,8 +65,8 @@ def snapshot_families(snap: Any) -> list[Family]:
             name, "histogram", "End-to-end request latency in seconds.", samples,
         ))
 
-    # Cache tiers: the request cache plus every attached backend tier,
-    # all under one family pair with a ``tier`` label.
+    # The request cache (and any other attached store), all under one
+    # family pair with a ``tier`` label.
     hits: list[Sample] = [(
         "repro_cache_hits_total", {"tier": "service.request"},
         float(getattr(snap, "request_cache_hits", 0)),
@@ -120,7 +120,7 @@ def snapshot_families(snap: Any) -> list[Family]:
     if workers:
         worker_samples: dict[str, list[Sample]] = {}
         for addr, counters in sorted(workers.items()):
-            for key in ("shard_hits", "shards_run", "tables_received",
+            for key in ("shards_run", "tables_received",
                         "tables_evicted", "protocol_errors"):
                 if key in counters:
                     name = f"repro_worker_{key}_total"

@@ -96,7 +96,7 @@ class ServiceClient:
         return self._call("metrics")["metrics"]
 
     def cache_clear(self) -> bool:
-        """Drop every cache tier on the server (request + backend)."""
+        """Drop every cached result on the server."""
         return bool(self._call("cache_clear").get("cleared"))
 
     def shutdown(self) -> None:

@@ -287,19 +287,10 @@ class ComparisonService:
                     ) from exc
         worker_stats = getattr(self._backend, "worker_stats", None)
         if callable(worker_stats):
-            # Cluster backends: per-worker shard-cache hit counters, read
-            # at snapshot time so the stats op and the metrics export see
-            # live numbers (the coordinator used to drop these).
+            # Cluster backends: per-worker shard/table counters, read at
+            # snapshot time so the stats op and the metrics export see
+            # live numbers.
             self.metrics.attach_worker_stats(worker_stats)
-        cache_stats = getattr(self._backend, "cache_stats", None)
-        if callable(cache_stats):
-            # Surface backend-owned cache tiers (coordinator shard/merge,
-            # pooled shard-result stores) in the same metrics snapshot as
-            # the request tier; read lazily so counters stay live.
-            for tier in cache_stats():
-                self.metrics.attach_cache(
-                    tier, lambda t=tier: cache_stats().get(t, {})
-                )
         self._queue = asyncio.Queue(maxsize=self.config.max_queue)
         self._dispatcher = loop.create_task(self._dispatch_loop())
         return self
@@ -442,12 +433,9 @@ class ComparisonService:
         return self._backend
 
     def clear_caches(self) -> None:
-        """Drop every cache tier (request cache + backend-owned tiers)."""
+        """Drop every cached result."""
         if self._request_cache is not None:
             self._request_cache.clear()
-        clear = getattr(self._backend, "clear_caches", None)
-        if callable(clear):
-            clear()
 
     # ------------------------------------------------------------------
     # Dispatcher
@@ -585,9 +573,9 @@ class ComparisonService:
                 except asyncio.CancelledError:
                     raise
                 except Exception as exc:  # noqa: BLE001 - poison request
-                    # A request whose pairs cannot even be profiled
-                    # (e.g. non-polygon objects) fails itself — the
-                    # dispatcher must survive to serve everyone else.
+                    # Whatever goes wrong assembling a batch fails the
+                    # requests held for it — the dispatcher must survive
+                    # to serve everyone else.
                     self.metrics.note_failure()
                     for r in held:
                         if not r.future.done():

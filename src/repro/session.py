@@ -42,7 +42,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import AsyncIterator, Callable, Iterator, Sequence
 
-from repro.api.options import CompareOptions
+from repro.api.options import CompareOptions, executor_identity
 from repro.api.plan import ResolvedPlan, explain as _explain
 from repro.api.request import CompareRequest, Pair
 from repro.api.result import CompareResult, PairOutcome
@@ -51,7 +51,7 @@ from repro.cache import (
     SingleFlight,
     areas_nbytes,
     copy_areas,
-    request_key,
+    pairs_key,
 )
 from repro.errors import RequestError, SessionClosedError
 from repro.metrics.jaccard import PairwiseJaccard, jaccard_tile
@@ -90,9 +90,9 @@ class Session:
         self.options = base.replace(**overrides) if overrides else base
         self._backend = None
         self._closed = False
-        # Front-door request cache (created lazily by the first request
+        # The front-door result cache (created lazily by the first request
         # whose options enable caching) plus the stampede guard that
-        # keeps N concurrent identical requests at one computation.
+        # keeps N concurrent identical launches at one computation.
         self._request_cache: LRUCacheStore | None = None
         self._flight = SingleFlight()
         self._lock = threading.Lock()
@@ -245,83 +245,85 @@ class Session:
                 )
             return self._request_cache
 
-    def _run_pairs(self, request: CompareRequest) -> BatchAreas:
-        store = self._store_for(request.options)
-        if store is None:
-            return self._execute_pairs(request)
-        key = request_key(request)
-        cached = store.get(key)
-        tracer = current_tracer()
-        if tracer is not None:
-            EVENTS.record(
-                "cache.lookup",
-                tier="session.request",
-                hit=cached is not None,
-                trace_id=tracer.trace_id,
-            )
-        if cached is not None:
-            return copy_areas(cached)
-
-        value, leader = self._flight.do(
-            key, lambda: self._execute_pairs(request)
-        )
-        if leader:
-            entry = copy_areas(value)
-            store.put(key, entry, areas_nbytes(entry))
-            return value
-        # Followers share the leader's flight but must not share its
-        # arrays: a caller may mutate what it gets back.
-        return copy_areas(value)
-
     @contextmanager
     def _launcher(
         self, options: CompareOptions
     ) -> Iterator[Callable[[list[Pair]], BatchAreas]]:
-        """The ``pairs -> BatchAreas`` launch of one request's executor.
+        """The ``pairs -> BatchAreas`` launch of one request, cache in front.
 
-        Resolved once per request: the warm backend, one launch at a
-        time under the dispatch lock, or a throwaway one closed on exit.
+        Every request kind launches through this closure, so all three
+        are cached the same way: one entry per pair list (per tile for
+        ``sets`` and ``files``), keyed by :func:`repro.cache.pairs_key`.
+        The executor is resolved by the first miss — the warm backend,
+        one launch at a time under the dispatch lock, or a throwaway one
+        closed on exit — so a request answered from the cache constructs
+        and locks no backend.
         """
-        backend, throwaway = self._backend_for(options)
-        lock = nullcontext() if throwaway else self._dispatch_lock
         config = options.launch_config()
+        store = self._store_for(options)
+        executor = executor_identity(options) if store is not None else ""
+        resolved = None  # (backend, throwaway) once a launch needed one
+
+        def execute(pairs: list[Pair]) -> BatchAreas:
+            nonlocal resolved
+            if resolved is None:
+                resolved = self._backend_for(options)
+            backend, throwaway = resolved
+            lock = nullcontext() if throwaway else self._dispatch_lock
+            with span(
+                "backend.compare_pairs",
+                backend=options.backend,
+                pairs=len(pairs),
+            ), lock:
+                return backend.compare_pairs(pairs, config)
 
         def launch(pairs: list[Pair]) -> BatchAreas:
-            with lock:
-                return backend.compare_pairs(pairs, config)
+            if store is None:
+                return execute(pairs)
+            key = pairs_key(pairs, config, executor)
+            cached = store.get(key)
+            tracer = current_tracer()
+            if tracer is not None:
+                EVENTS.record(
+                    "cache.lookup",
+                    tier="session.request",
+                    hit=cached is not None,
+                    trace_id=tracer.trace_id,
+                )
+            if cached is not None:
+                return copy_areas(cached)
+            value, leader = self._flight.do(key, lambda: execute(pairs))
+            if leader:
+                entry = copy_areas(value)
+                store.put(key, entry, areas_nbytes(entry))
+                return value
+            # Followers share the leader's flight but must not share its
+            # arrays: a caller may mutate what it gets back.
+            return copy_areas(value)
 
         try:
             yield launch
         finally:
-            if throwaway:
-                backend.close()
+            if resolved is not None and resolved[1]:
+                resolved[0].close()
 
-    def _execute_pairs(self, request: CompareRequest) -> BatchAreas:
-        with self._launcher(request.options) as launch, span(
-            "backend.compare_pairs",
-            backend=request.options.backend,
-            pairs=len(request.pairs),
-        ):
+    def _run_pairs(self, request: CompareRequest) -> BatchAreas:
+        with self._launcher(request.options) as launch:
             return launch(list(request.pairs))
 
     def _run_sets(self, request: CompareRequest) -> CompareResult:
         clock = StageClock("pipeline.")
-        with clock.run():
+        with self._launcher(request.options) as launch, clock.run():
             pw = jaccard_tile(
-                list(request.set_a),
-                list(request.set_b),
-                lambda pairs: self._run_pairs(
-                    CompareRequest.from_pairs(pairs, request.options)
-                ),
-                clock,
+                list(request.set_a), list(request.set_b), launch, clock
             )
         return CompareResult.from_pairwise(pw, wall_seconds=clock.wall_total)
 
     def _run_files(self, request: CompareRequest) -> CompareResult:
         """``compare_sets`` per tile, summed in tile order.
 
-        File requests bypass the request cache (they are path-addressed:
-        the payload can change under an unchanged request).
+        Tiles are cached by their parsed geometry, not their path, so a
+        file rewritten under an unchanged name is simply a new key.
         """
         from repro.io.parser_cpu import parse_vectorized
         from repro.io.tiles import pair_result_sets
@@ -516,25 +518,16 @@ class Session:
     # Cache observability
     # ------------------------------------------------------------------
     def cache_stats(self) -> dict[str, dict]:
-        """Snapshots of every cache tier this session can see."""
+        """Snapshot of the session's result cache (empty with caching off)."""
         with self._lock:
             store = self._request_cache
-            backend = self._backend
-        out: dict[str, dict] = {}
-        if store is not None:
-            out["session.request"] = store.snapshot().as_dict()
-        stats = getattr(backend, "cache_stats", None)
-        if callable(stats):
-            out.update(stats())
-        return out
+        if store is None:
+            return {}
+        return {"session.request": store.snapshot().as_dict()}
 
     def clear_caches(self) -> None:
-        """Drop every cached result (request tier + backend tiers)."""
+        """Drop every cached result."""
         with self._lock:
             store = self._request_cache
-            backend = self._backend
         if store is not None:
             store.clear()
-        clear = getattr(backend, "clear_caches", None)
-        if callable(clear):
-            clear()

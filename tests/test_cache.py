@@ -1,19 +1,20 @@
-"""The content-addressed result cache: store, keys, and every tier.
+"""The content-addressed result cache: store, key, and both front doors.
 
 The cache's one correctness contract is *transparency*: a cached hit
 must be bit-for-bit identical to the cold computation it replaces —
 areas **and** kernel work counters — across every backend, and any
-change to what would be computed (options, launch parameters, execution
-policy) must change the cache key.  These tests pin that
+change to what would be computed (geometry, launch parameters, the
+executor) must change the cache key.  These tests pin that
 contract from below (store/key units) and from above (registry-driven
-hit-equals-miss across all available backends, stampede collapse in the
-session and the service).
+hit-equals-miss across all available backends, per-tile caching of files
+requests, stampede collapse in the session and the service).
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import shutil
 import threading
 import time
 
@@ -22,6 +23,7 @@ import pytest
 
 from conftest import random_pair
 from repro.api import CompareOptions, CompareRequest, Session
+from repro.api.options import executor_identity
 from repro.backends import available_backends, backend_availability
 from repro.cache import (
     CacheSnapshot,
@@ -29,11 +31,7 @@ from repro.cache import (
     SingleFlight,
     config_token,
     copy_areas,
-    merge_key,
     pairs_key,
-    policy_token,
-    request_key,
-    shard_key,
 )
 from repro.errors import CacheError
 from repro.pixelbox.common import LaunchConfig, Method
@@ -208,11 +206,13 @@ _OPTIONS_PERTURB = {
     "leaf_mode": "crossing",
     "cache": True,
     "cache_bytes": 2**20,
-    # Traced requests recompute rather than alias an untraced entry — a
-    # cached hit would otherwise produce no kernel/backend spans.
     "trace": True,
     "trace_out": "trace.jsonl",
 }
+
+#: Fields that decide *whether and where* a result is cached or traced,
+#: never what is computed: they must not change the key.
+_NOT_KEYED = {"cache", "cache_bytes", "trace", "trace_out"}
 
 _POLICY_PERTURB = {
     "method": Method.NOSEP,
@@ -236,54 +236,42 @@ class TestKeyInvalidation:
             f.name for f in dataclasses.fields(CompareOptions)
         }, "new CompareOptions field needs an invalidation perturbation"
 
-    def test_every_option_field_changes_the_request_key(self, pairs):
-        base = CompareRequest.from_pairs(pairs, CompareOptions())
-        base_key = request_key(base)
+    def test_pairs_key_invalidation_matrix(self, pairs):
+        """Everything that changes the computation changes the one key."""
+
+        def key(options, pair_list=pairs):
+            return pairs_key(
+                pair_list, options.launch_config(), executor_identity(options)
+            )
+
+        base = key(CompareOptions())
         for name, value in _OPTIONS_PERTURB.items():
-            if value is None or value == getattr(CompareOptions(), name):
+            if value is None:
                 continue
-            request = CompareRequest.from_pairs(
-                pairs, CompareOptions(**{name: value})
+            perturbed = key(CompareOptions(**{name: value}))
+            if name in _NOT_KEYED:
+                assert perturbed == base, f"{name} must not reach the key"
+            else:
+                assert perturbed != base, f"perturbing {name} must change the key"
+        for name, value in _CONFIG_PERTURB.items():
+            cfg = dataclasses.replace(LaunchConfig(), **{name: value})
+            assert pairs_key(pairs, cfg) != pairs_key(pairs, LaunchConfig()), (
+                f"perturbing LaunchConfig.{name} must change the key"
             )
-            assert request_key(request) != base_key, (
-                f"perturbing {name} must change the request key"
-            )
+        cluster = CompareOptions(backend="cluster")
+        assert key(cluster.replace(hosts="10.0.0.1:9000")) != key(cluster)
+        assert key(CompareOptions(), list(reversed(pairs))) != base
+        assert key(CompareOptions(), pairs[1:]) != base
 
     def test_policy_perturbations_cover_every_field(self):
         assert set(_POLICY_PERTURB) == {
             f.name for f in dataclasses.fields(ExecutionPolicy)
         }, "new ExecutionPolicy field needs an invalidation perturbation"
 
-    def test_every_policy_field_changes_the_shard_key(self):
-        cfg = LaunchConfig()
-        base = shard_key("digest", 0, 64, ExecutionPolicy(), cfg)
-        for name, value in _POLICY_PERTURB.items():
-            policy = dataclasses.replace(ExecutionPolicy(), **{name: value})
-            assert shard_key("digest", 0, 64, policy, cfg) != base, (
-                f"perturbing {name} must change the shard key"
-            )
-
     def test_config_perturbations_cover_every_field(self):
         assert set(_CONFIG_PERTURB) == {
             f.name for f in dataclasses.fields(LaunchConfig)
         }, "new LaunchConfig field needs an invalidation perturbation"
-
-    def test_every_config_field_changes_the_shard_key(self):
-        policy = ExecutionPolicy()
-        base = shard_key("digest", 0, 64, policy, LaunchConfig())
-        for name, value in _CONFIG_PERTURB.items():
-            cfg = dataclasses.replace(LaunchConfig(), **{name: value})
-            assert shard_key("digest", 0, 64, policy, cfg) != base, (
-                f"perturbing {name} must change the shard key"
-            )
-
-    def test_shard_key_depends_on_bundle_and_range(self):
-        policy, cfg = ExecutionPolicy(), LaunchConfig()
-        base = shard_key("digest", 0, 64, policy, cfg)
-        assert shard_key("other", 0, 64, policy, cfg) != base
-        assert shard_key("digest", 0, 32, policy, cfg) != base
-        assert shard_key("digest", 32, 64, policy, cfg) != base
-        assert merge_key("digest", policy, cfg) != base
 
     def test_pairs_key_tracks_geometry_and_config(self, rng):
         pairs = [random_pair(rng) for _ in range(4)]
@@ -295,10 +283,7 @@ class TestKeyInvalidation:
         assert pairs_key(list(reversed(pairs)), cfg) != base  # order matters
         assert pairs_key(pairs, LaunchConfig(block_size=32)) != base
 
-    def test_policy_and_config_tokens_are_stable(self):
-        assert policy_token(ExecutionPolicy()) == policy_token(
-            ExecutionPolicy()
-        )
+    def test_config_token_is_stable(self):
         assert config_token(LaunchConfig()) == config_token(LaunchConfig())
 
 
@@ -373,14 +358,14 @@ def test_session_stampede_computes_once(pairs):
     with Session(options) as session:
         calls = []
         gate = threading.Event()
-        execute = session._execute_pairs
+        compare_pairs = session.backend.compare_pairs
 
-        def slow_execute(request):
+        def slow_compare_pairs(pairs, config=None):
             calls.append(1)
             gate.wait(2.0)
-            return execute(request)
+            return compare_pairs(pairs, config)
 
-        session._execute_pairs = slow_execute
+        session.backend.compare_pairs = slow_compare_pairs
         results = []
 
         def worker():
@@ -467,41 +452,72 @@ def test_clear_caches_resets_stores(pairs):
         assert stats["hits"] == 0
 
 
-# ----------------------------------------------------------------------
-# Backend tiers: coordinator + multiprocess shard caches
-# ----------------------------------------------------------------------
-
-def test_cluster_tiers_count_hits(pairs):
-    options = CompareOptions(
-        backend="cluster",
-        cache=True,
-        backend_options={"min_pairs": 1, "loopback_workers": 2},
+def test_explain_reports_no_key_for_per_tile_requests(tile_pair, small_dataset):
+    """``sets`` and ``files`` are cached under each tile's candidate
+    pairs, known only after the MBR join: the plan must not name a key
+    nothing is ever stored under (it used to, and ``would_hit`` stayed
+    False right before the request hit)."""
+    options = CompareOptions(backend="vectorized", cache=True)
+    requests = (
+        CompareRequest.from_sets(*tile_pair, options),
+        CompareRequest.from_files(*small_dataset, options),
     )
     with Session(options) as session:
-        cold = session.compare(pairs)
-        session.clear_caches()  # drop the request + coordinator tiers
-        # Workers keep their own shard-result tier across coordinator
-        # cache clears: the recompute is served from worker memory.
-        warm = session.compare(pairs)
-        _assert_identical(cold, warm)
-        stats = session.cache_stats()
-        assert stats["coordinator.merge"]["misses"] >= 2
-        assert stats["coordinator.shard"]["insertions"] >= 1
+        for request in requests:
+            session.run(request)
+            plan = session.explain(request)
+            assert plan.cache["enabled"] is True
+            assert plan.cache["request_key"] is None
+            assert plan.cache["would_hit"] is None
+            assert any("cached per tile" in note for note in plan.notes)
+            before = session.cache_stats()["session.request"]["hits"]
+            session.run(request)
+            after = session.cache_stats()["session.request"]["hits"]
+            assert after - before == (plan.tiles or 1)
 
 
-def test_multiprocess_shard_tier(pairs):
-    options = CompareOptions(
-        backend="multiprocess",
-        cache=True,
-        backend_options={"workers": 2, "min_pairs": 1},
+# ----------------------------------------------------------------------
+# Files requests: per tile, by content
+# ----------------------------------------------------------------------
+
+def _similarity(result):
+    """Every field of a ``CompareResult`` but the measured ones."""
+    return dataclasses.replace(result, wall_seconds=0.0, input_bytes=0)
+
+
+@pytest.mark.parametrize("name", ["batch", "multiprocess"])
+def test_files_requests_are_cached_per_tile_by_content(
+    name, small_dataset, tmp_path
+):
+    from repro.io import pair_result_sets, read_polygons, write_polygons
+
+    dir_a, dir_b = (
+        shutil.copytree(src, tmp_path / src.name) for src in small_dataset
     )
+    tiles = len(pair_result_sets(dir_a, dir_b))
+    options = _backend_cache_options(name)
     with Session(options) as session:
-        cold = session.compare(pairs)
-        session._request_cache.clear()  # force re-dispatch into the backend
-        warm = session.compare(pairs)
-        _assert_identical(cold, warm)
+        cold = session.compare_files(dir_a, dir_b)
+        warm = session.compare_files(dir_a, dir_b)
+        assert _similarity(warm) == _similarity(cold)
         stats = session.cache_stats()
-        assert stats["multiprocess.shard"]["hits"] >= 1
+        assert list(stats) == ["session.request"]
+        assert stats["session.request"]["hits"] == tiles
+        assert stats["session.request"]["misses"] == tiles
+
+        # Same paths, new payload: only the rewritten tile recomputes.
+        edited = pair_result_sets(dir_a, dir_b)[1].file_a
+        write_polygons(edited, read_polygons(edited)[:-1])
+        after_edit = session.compare_files(dir_a, dir_b)
+        stats = session.cache_stats()["session.request"]
+        assert stats["misses"] == tiles + 1
+        assert stats["hits"] == 2 * tiles - 1
+    with Session(options.replace(cache=False)) as fresh:
+        assert _similarity(fresh.compare_files(dir_a, dir_b)) == (
+            _similarity(after_edit)
+        )
+        assert fresh.cache_stats() == {}
+    assert _similarity(after_edit) != _similarity(cold)
 
 
 # ----------------------------------------------------------------------

@@ -363,21 +363,23 @@ def test_tracing_off_adds_zero_obs_allocations_to_run_shard():
 # ----------------------------------------------------------------------
 # Satellite seams: worker counters + service metric families
 # ----------------------------------------------------------------------
-def test_worker_shard_cache_hits_reach_coordinator_stats():
+def test_worker_counters_reach_coordinator_stats():
     pairs = _pairs(10)
     with LoopbackCluster(1) as cluster:
         backend = get_backend("cluster", hosts=cluster.hosts, min_pairs=1)
         try:
             backend.compare_pairs(pairs)
-            backend.compare_pairs(pairs)  # second run hits the shard cache
-            stats = backend.worker_stats()
+            once = backend.worker_stats()
+            backend.compare_pairs(pairs)  # a worker never memoizes a shard
+            twice = backend.worker_stats()
         finally:
             backend.close()
-    assert len(stats) == 1
-    counters = next(iter(stats.values()))
-    assert counters["shards_run"] >= 1
-    assert counters["shard_hits"] >= 1
-    assert counters["tables_received"] >= 1
+    assert len(once) == len(twice) == 1
+    first, counters = next(iter(once.values())), next(iter(twice.values()))
+    assert first["shards_run"] >= 1
+    assert counters["shards_run"] == 2 * first["shards_run"]
+    assert "shard_hits" not in counters
+    assert counters["tables_received"] == 1  # the table cache stays
 
 
 def test_service_snapshot_feeds_prometheus_families():
@@ -441,8 +443,7 @@ def test_stats_op_carries_worker_counters_and_metrics_op_renders():
     snap = asyncio.run(main())
     workers = snap.as_dict()["workers"]
     assert workers, "stats op must surface per-worker counters"
-    assert all("shard_hits" in c for c in workers.values())
+    assert all("shards_run" in c for c in workers.values())
     text = render_snapshot(snap)
     assert_valid_exposition(text)
     assert "repro_worker_shards_run_total" in text
-    assert "repro_worker_shard_hits_total" in text

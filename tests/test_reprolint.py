@@ -294,11 +294,11 @@ _KEYS_HARDCODED = """
 def _field_token(obj):
     return f"{obj.block_size}:{obj.pixel_threshold}"  # hard-coded!
 
-def policy_token(policy):
-    return _field_token(policy)
-
 def config_token(config):
     return _field_token(config)
+
+def pairs_key(pairs, config, executor=""):
+    return f"{len(pairs)}:{config_token(config)}:{executor}"
 """
 
 _KEYS_DYNAMIC = """
@@ -310,43 +310,12 @@ def _field_token(obj):
         parts.append(f"{f.name}={getattr(obj, f.name)!r}")
     return ";".join(parts)
 
-def policy_token(policy):
-    return _field_token(policy)
-
 def config_token(config):
     return _field_token(config)
+
+def pairs_key(pairs, config, executor=""):
+    return f"{len(pairs)}:{config_token(config)}:{executor}"
 """
-
-_OPTIONS_HARDCODED = """
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class CompareOptions:
-    backend: str = "auto"
-    block_size: int = 4096
-    trace: bool = False
-
-    def to_dict(self):
-        return {"backend": self.backend, "block_size": self.block_size}
-"""
-
-_OPTIONS_DYNAMIC = """
-import dataclasses
-from dataclasses import dataclass
-
-@dataclass(frozen=True)
-class CompareOptions:
-    backend: str = "auto"
-    block_size: int = 4096
-    trace: bool = False
-
-    def to_dict(self):
-        return {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-        }
-"""
-
 
 def test_cache_checker_flags_hardcoded_token_derivation(tmp_path):
     project = make_project(
@@ -363,19 +332,11 @@ def test_cache_checker_passes_dynamic_derivation(tmp_path):
     assert CacheKeyCoverageChecker().check(project) == []
 
 
-def test_cache_checker_flags_unkeyed_options_field(tmp_path):
-    project = make_project(
-        tmp_path, {"src/repro/api/options.py": _OPTIONS_HARDCODED}
-    )
+def test_cache_checker_flags_key_that_ignores_config(tmp_path):
+    keys = _KEYS_DYNAMIC.replace(":{config_token(config)}", "")
+    project = make_project(tmp_path, {"src/repro/cache/keys.py": keys})
     found = CacheKeyCoverageChecker().check(project)
-    assert idents(found, "RL402") == {"CompareOptions.to_dict:trace"}
-
-
-def test_cache_checker_passes_dynamic_serialization(tmp_path):
-    project = make_project(
-        tmp_path, {"src/repro/api/options.py": _OPTIONS_DYNAMIC}
-    )
-    assert CacheKeyCoverageChecker().check(project) == []
+    assert idents(found, "RL402") == {"pairs_key:config_token"}
 
 
 _LAUNCH_COMMON = """

@@ -5,13 +5,13 @@ exactly when the computation would be bit-for-bit identical.  That story
 has two statically checkable halves:
 
 1. **Dynamic derivation stays dynamic** (RL402).  ``cache/keys.py``
-   builds tokens by iterating ``dataclasses.fields`` — adding a field to
-   ``ExecutionPolicy`` / ``LaunchConfig`` auto-invalidates.  The same
-   goes for ``CompareOptions.to_dict`` (the request-key payload).  If
-   either is ever rewritten with a hard-coded field list, a new field
-   silently stops reaching the key: stale hits with no failing test
-   until someone compares results.  The checker flags the rewrite
-   itself, and — when a hard-coded list exists — every field it misses.
+   builds the config token by iterating ``dataclasses.fields`` — adding
+   a field to ``LaunchConfig`` auto-invalidates — and ``pairs_key``, the
+   one key, must fold that token in.  If either is ever rewritten with a
+   hard-coded field list, or the key stops calling ``config_token``, a
+   new field silently stops reaching the key: stale hits with no
+   failing test until someone compares results.  The checker flags the
+   rewrite itself.
 
 2. **Hard-coded mirror lists stay complete** (RL401).  Three places
    intentionally enumerate ``LaunchConfig``'s fields:
@@ -19,9 +19,6 @@ has two statically checkable halves:
    mirror them, and ``CompareOptions.launch_config()`` must forward
    every one.  A field added on one side but not the
    other ships configs that silently drop a knob over the wire.
-
-Fields excluded *on purpose* go on ``EXCLUDED_FIELDS`` below with a
-comment saying why — the checker forces the conversation into a diff.
 """
 
 from __future__ import annotations
@@ -36,23 +33,13 @@ from tools.reprolint.astutil import (
 )
 from tools.reprolint.core import Finding, Project
 
-__all__ = ["CacheKeyCoverageChecker", "EXCLUDED_FIELDS"]
+__all__ = ["CacheKeyCoverageChecker"]
 
 _KEYS = "src/repro/cache/keys.py"
 _OPTIONS = "src/repro/api/options.py"
 _REQUEST = "src/repro/api/request.py"
 _WIRE = "src/repro/cluster/wire.py"
 _COMMON = "src/repro/pixelbox/common.py"
-
-#: Fields deliberately excluded from key derivation, with the reason.
-#: An entry here is the *only* sanctioned way to keep a field out of a
-#: cache key; everything else must flow or fail RL402.
-EXCLUDED_FIELDS: dict[str, dict[str, str]] = {
-    # No exclusions today: CompareOptions serializes every field into
-    # to_dict() (trace/trace_out included — over-keying is safe, a
-    # traced request simply caches under its own key), and the policy/
-    # config tokens enumerate their dataclasses dynamically.
-}
 
 
 def _calls_dataclass_fields(node: ast.AST) -> bool:
@@ -80,15 +67,6 @@ def _calls_function(node: ast.AST, name: str) -> bool:
     return False
 
 
-def _named_strings(node: ast.AST) -> set[str]:
-    """Every string constant in a subtree (a hard-coded field list)."""
-    return {
-        sub.value
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-    }
-
-
 def _keyword_args(call: ast.Call) -> set[str]:
     return {kw.arg for kw in call.keywords if kw.arg is not None}
 
@@ -100,7 +78,6 @@ class CacheKeyCoverageChecker:
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
         findings.extend(self._check_dynamic_tokens(project))
-        findings.extend(self._check_options_serialization(project))
         findings.extend(self._check_mirror_lists(project))
         return findings
 
@@ -122,77 +99,30 @@ class CacheKeyCoverageChecker:
                     ident="_field_token:dynamic",
                     message=(
                         "_field_token must iterate dataclasses.fields() "
-                        "so new ExecutionPolicy/LaunchConfig fields "
-                        "auto-invalidate cache keys"
+                        "so new LaunchConfig fields auto-invalidate "
+                        "cache keys"
                     ),
                 )
             )
-        for name in ("policy_token", "config_token"):
+        for name, callee in (
+            ("config_token", "_field_token"),
+            ("pairs_key", "config_token"),
+        ):
             fn = find_function(tree.body, name)
-            if fn is None or not (
-                _calls_function(fn, "_field_token")
-                or _calls_dataclass_fields(fn)
-            ):
+            if fn is None or not _calls_function(fn, callee):
                 findings.append(
                     Finding(
                         code="RL402",
                         path=_KEYS,
                         line=fn.lineno if fn is not None else 0,
-                        ident=f"{name}:dynamic",
+                        ident=f"{name}:{callee}",
                         message=(
-                            f"{name} must derive its token from "
-                            f"_field_token (dynamic field enumeration)"
+                            f"{name} must call {callee}: the one cache "
+                            f"key reaches every LaunchConfig field only "
+                            f"through dynamic field enumeration"
                         ),
                     )
                 )
-        return findings
-
-    def _check_options_serialization(
-        self, project: Project
-    ) -> list[Finding]:
-        tree = project.tree(_OPTIONS)
-        if tree is None:
-            return []
-        cls = find_class(tree, "CompareOptions")
-        if cls is None:
-            return []
-        to_dict = find_function(cls.body, "to_dict")
-        if to_dict is None:
-            return [
-                Finding(
-                    code="RL402",
-                    path=_OPTIONS,
-                    line=cls.lineno,
-                    ident="CompareOptions.to_dict:missing",
-                    message=(
-                        "CompareOptions has no to_dict — request cache "
-                        "keys are built from its serialization"
-                    ),
-                )
-            ]
-        if _calls_dataclass_fields(to_dict):
-            return []  # dynamic: every field reaches the key, present
-        # Hard-coded serialization: each field must be named or excluded.
-        named = _named_strings(to_dict)
-        excluded = EXCLUDED_FIELDS.get("CompareOptions", {})
-        findings = []
-        for field in dataclass_fields(tree, "CompareOptions"):
-            if field in named or field in excluded:
-                continue
-            findings.append(
-                Finding(
-                    code="RL402",
-                    path=_OPTIONS,
-                    line=to_dict.lineno,
-                    ident=f"CompareOptions.to_dict:{field}",
-                    message=(
-                        f"CompareOptions.{field} never reaches to_dict() "
-                        f"— request-cache keys would serve stale hits "
-                        f"across different {field!r} values (key it or "
-                        f"add an EXCLUDED_FIELDS entry with a reason)"
-                    ),
-                )
-            )
         return findings
 
     # -- half 2: hard-coded mirror lists stay complete -----------------
