@@ -2,8 +2,7 @@
 
 from repro.experiments import table1_pipeline
 from repro.experiments.common import pipeline_dataset
-from repro.pipeline.device import GpuDevice
-from repro.pipeline.engine import PipelineOptions, run_pipelined
+from repro.pipeline import SCHEMES, measure_tiles, simulate
 
 
 def test_table1_report(benchmark, save_report):
@@ -11,22 +10,23 @@ def test_table1_report(benchmark, save_report):
         lambda: table1_pipeline.run(quick=True), rounds=1, iterations=1
     )
     save_report("table1", result.render())
-    speedups = {row[0]: row[2] for row in result.rows}
-    # Every accelerated scheme must beat single-core PostGIS.
-    assert speedups["NoPipe-S"] > 1.0
-    assert speedups["NoPipe-M"] > 1.0
-    assert speedups["Pipelined"] > 1.0
-    # The pipelined scheme is the paper's best performer.
-    assert speedups["Pipelined"] >= speedups["NoPipe-S"] * 0.8
+    seconds = {row[0]: row[1] for row in result.rows}
+    # The paper's ordering, exact on one cost vector and one machine.
+    assert seconds["Pipelined"] <= seconds["NoPipe-M"] <= seconds["NoPipe-S"]
+    # Every accelerated scheme must beat the measured single-core PostGIS.
+    assert seconds["NoPipe-S"] < seconds["PostGIS-S"]
 
 
-def test_bench_pipelined(benchmark):
-    dir_a, dir_b = pipeline_dataset(quick=True)
-    benchmark.pedantic(
-        lambda: run_pipelined(
-            dir_a, dir_b,
-            PipelineOptions(devices=[GpuDevice(launch_overhead=0.002)]),
-        ),
-        rounds=3,
-        iterations=1,
+def test_table1_mechanism():
+    """Why the pipeline wins: one aggregator consolidates launches, and
+    the uncoordinated streams queue on the exclusive device."""
+    costs, _ = measure_tiles(*pipeline_dataset(quick=True))
+    device = {
+        scheme: simulate(costs, table1_pipeline.MACHINE, scheme).devices[0]
+        for scheme in SCHEMES
+    }
+    assert device["Pipelined"].launches < device["NoPipe-S"].launches
+    assert (
+        device["NoPipe-M"].lock_wait_seconds
+        > device["Pipelined"].lock_wait_seconds
     )

@@ -13,7 +13,8 @@ Public API tour
 * :mod:`repro.sdbms` — mini spatial DBMS with per-operator profiling.
 * :mod:`repro.io` / :mod:`repro.data` — polygon files and synthetic slides.
 * :mod:`repro.pipeline` — the paper's §4 schemes (pipelined, NoPipe-S/M,
-  task migration) against the modeled device; run by Table 1, Fig. 11/12.
+  task migration): measured stage costs replayed through a
+  deterministic machine model; run by Table 1, Fig. 11/12.
 * :mod:`repro.backends` — interchangeable execution backends (registry).
 * :mod:`repro.service` / :mod:`repro.cluster` — async serving + sharding.
 * :mod:`repro.metrics` — Jaccard similarity of polygon sets.

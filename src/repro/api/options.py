@@ -7,8 +7,8 @@ result cache, tracing.  The CLI, the service wire protocol, and the
 library all parse into it; the kernel's ``LaunchConfig`` is *derived*
 from it (:meth:`CompareOptions.launch_config`), never the other way
 around.  A file comparison is a per-tile loop with nothing to tune; the
-threaded pipeline of the paper's §4 and its shape knobs
-(``PipelineOptions``) live with the experiments that reproduce it
+pipelined scheme of the paper's §4 and its shape knobs (the modeled
+``Machine`` record) live with the experiments that reproduce it
 (:mod:`repro.pipeline`).
 Every field is a JSON-able scalar or mapping, so a request spec can
 travel over a wire, live in a file, and round-trip bit-for-bit

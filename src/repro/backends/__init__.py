@@ -32,7 +32,7 @@ seam that makes the claim structural instead of incidental:
   ===============  ====================================================
 
 * consumers — the session (:class:`repro.Session`), the §4 experiment's
-  modeled device (:class:`repro.pipeline.device.GpuDevice`),
+  stage-cost measurement (:func:`repro.pipeline.measure.measure_tiles`),
   the SDBMS batch operator (:class:`repro.sdbms.plan.BackendAreaProject`),
   the metrics layer, and the CLI — resolve executors by name through
   :func:`get_backend` and never import an engine directly.

@@ -385,8 +385,8 @@ class ClusterBackend(BackendLifecycle):
         self._loopback = None
         self._lock = threading.Lock()
         # One remote dispatch at a time: scheduler threads own the worker
-        # sockets for the duration of a request (mirrors the exclusive
-        # device contract of the pipeline's GpuDevice).
+        # sockets for the duration of a request (the paper's exclusive
+        # device contract).
         self._dispatch_lock = threading.Lock()
         #: Scheduler report of the most recent remote dispatch.
         self.last_report = None

@@ -23,8 +23,6 @@ __all__ = [
     "CacheError",
     "DeviceError",
     "PipelineError",
-    "BufferClosedError",
-    "MigrationError",
     "RequestError",
     "SessionClosedError",
     "ServiceError",
@@ -96,15 +94,7 @@ class DeviceError(ReproError):
 
 
 class PipelineError(ReproError):
-    """Pipeline assembly or runtime failure."""
-
-
-class BufferClosedError(PipelineError):
-    """A stage attempted to use an inter-stage buffer after shutdown."""
-
-
-class MigrationError(PipelineError):
-    """Dynamic task migration configuration error."""
+    """A machine record or scheme the §4 model cannot run."""
 
 
 class RequestError(ReproError):

@@ -26,6 +26,7 @@ __all__ = [
     "ExperimentResult",
     "data_root",
     "profiling_dataset",
+    "pipeline_dataset",
     "load_result_sets",
     "filtered_pairs",
     "representative_pairs",
@@ -97,10 +98,10 @@ def profiling_dataset(quick: bool = True) -> tuple[Path, Path]:
 def pipeline_dataset(quick: bool = True) -> tuple[Path, Path]:
     """Denser multi-tile dataset for the framework experiments.
 
-    The pipeline/migration measurements (Table 1, Figure 11) need enough
-    per-stage work for thread startup and launch overheads to amortize;
-    this dataset has more tiles and ~3x the polygon density of the
-    profiling dataset.
+    Table 1 and Figure 11 need enough tiles for queues to fill and
+    launches to batch, and enough per-tile work to dwarf a launch
+    overhead; this dataset has more tiles and ~3x the polygon density of
+    the profiling dataset.
     """
     tiles = 12 if quick else 28
     spec = DatasetSpec(

@@ -11,11 +11,10 @@ Two implementations of the pipeline's parser stage (paper §4.1, stage 1):
   positional accumulation), so large parses run in C and release the GIL
   for genuine multi-worker parser scaling.
 
-Both return identical polygon lists for identical input; the modeled
-device's parser (:meth:`repro.pipeline.device.GpuDevice.run_parse`) runs
-the vectorized kernel behind the device lock, which is why its
-throughput is only comparable to the CPU's — exactly the paper's
-observation.
+Both return identical polygon lists for identical input.  The §4 model
+(:mod:`repro.pipeline.model`) has no device parser of its own: a parse
+task migrated to a device costs the vectorized parser's measured seconds
+scaled by the device's speed, plus a launch.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ same interval as a span — one instrumentation point, so a stage's total
 in :meth:`~StageClock.report` and its spans in ``repro trace show``
 cannot drift apart.
 
-Several stage threads share one clock (parser workers, both migrators,
-the NoPipe-M streams), so every mutation and every multi-bucket read
-takes the instance lock.
+A clock may be charged from several threads at once, so every mutation
+and every multi-bucket read takes the instance lock.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ paper's Fig. 2 stage breakdown, but live: every stage's share of the
 request's total wall time is printed next to its duration.  Below the
 trees comes the by-stage table: span self time summed per name into a
 :class:`~repro.obs.clock.StageClock` and printed by its ``report()``,
-the renderer ``PipelineOutcome.timers`` uses.
+the renderer every other per-stage table uses.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ interactive system answering many small concurrent requests.
 
 The service is asyncio-native.  Backend launches are CPU-bound, so the
 dispatcher runs them on a single worker thread via
-``loop.run_in_executor`` — one launch at a time, mirroring the exclusive
-device contract of :class:`repro.pipeline.device.GpuDevice` — which
+``loop.run_in_executor`` — one launch at a time, the exclusive,
+non-preemptive device contract of the paper's §4 — which
 keeps the event loop free to accept, reject, and time out requests while
 a batch is in flight.
 """

@@ -140,10 +140,15 @@ class TestExperimentHarness:
 class TestExperimentSmoke:
     """Every experiment runs end-to-end at quick scale."""
 
-    @pytest.fixture(autouse=True)
-    def _data_dir(self, tmp_path_factory, monkeypatch):
+    @pytest.fixture(autouse=True, scope="class")
+    def _data_dir(self, tmp_path_factory):
+        # One workload cache for the class: experiments share datasets
+        # (table1 and fig11 the same one) whose generation costs more
+        # than the experiments themselves.
         root = tmp_path_factory.mktemp("exp-data")
-        monkeypatch.setenv("REPRO_DATA_DIR", str(root))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_DATA_DIR", str(root))
+            yield
 
     @pytest.mark.parametrize(
         "name", ["fig2", "fig7", "fig8", "fig9", "fig10", "table1", "fig11"]

@@ -26,7 +26,6 @@ from repro.errors import RequestError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.wkt import polygon_to_wkt
-from repro.pipeline.engine import PipelineOptions
 
 
 def _square(x: int, y: int, side: int = 4) -> RectilinearPolygon:
@@ -37,16 +36,6 @@ PAIRS = [(_square(0, 0), _square(2, 2)), (_square(0, 0), _square(100, 100))]
 
 
 class TestCompareOptionsDefaults:
-    """Regression: api and pipeline defaults are the same defaults."""
-
-    def test_launch_config_matches_pipeline_default(self):
-        # The historical drift: cross_compare_files built LaunchConfig()
-        # (tight_mbr=False) while run_pipelined defaulted tight_mbr=True.
-        assert (
-            CompareOptions().launch_config()
-            == PipelineOptions().launch_config
-        )
-
     def test_hosts_fold_into_cluster_factory_options(self):
         options = CompareOptions(backend="cluster", hosts="h1:9001,h2:9002")
         assert options.resolved_backend_options() == {

@@ -23,7 +23,6 @@ from repro.backends.sizing import (
 from repro.errors import KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
-from repro.pipeline.device import GpuDevice
 from repro.pixelbox.common import LaunchConfig
 
 
@@ -178,34 +177,12 @@ class TestCostModelSelection:
 
 
 class TestWiring:
-    def test_device_dispatches_through_backend(self):
-        device = GpuDevice(launch_overhead=0.0, backend="vectorized")
-        result = device.run_aggregate(_pairs(5))
-        assert len(result) == 5
-        assert device.stats.launches == 1
-        assert "vectorized" in repr(device)
-
-    def test_device_rejects_unknown_backend_eagerly(self):
-        with pytest.raises(KernelError):
-            GpuDevice(backend="nope")
-
     def test_backend_options_reach_the_factory(self):
         with get_backend("multiprocess", workers=2) as sharded:
             assert sharded.workers == 2
             via_options = sharded.compare_pairs(_pairs(5))
         ref = get_backend("batch").compare_pairs(_pairs(5))
         assert np.array_equal(via_options.intersection, ref.intersection)
-
-    def test_pipeline_options_backend(self, small_dataset):
-        from repro.pipeline.engine import PipelineOptions, run_pipelined
-
-        dir_a, dir_b = small_dataset
-        baseline = run_pipelined(dir_a, dir_b, PipelineOptions())
-        routed = run_pipelined(
-            dir_a, dir_b, PipelineOptions(backend="vectorized")
-        )
-        assert routed.jaccard_mean == pytest.approx(baseline.jaccard_mean)
-        assert routed.intersecting_pairs == baseline.intersecting_pairs
 
     def test_sdbms_backend_plan_matches_row_plans(self, tile_pair):
         from repro.sdbms.queries import run_cross_compare

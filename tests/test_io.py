@@ -14,7 +14,6 @@ from repro.io.polyfile import (
     write_polygons,
 )
 from repro.io.tiles import list_tile_files, pair_result_sets, tile_name
-from repro.pipeline.device import GpuDevice
 from tests.conftest import random_polygon
 
 SQUARE = RectilinearPolygon.from_box(Box(3, 4, 7, 9))
@@ -62,11 +61,6 @@ class TestParsers:
     def test_vectorized_matches_reference(self, rng):
         polys, text = self._sample_text(rng)
         assert parse_vectorized(text) == polys
-
-    def test_gpu_parser_matches(self, rng):
-        polys, text = self._sample_text(rng)
-        device = GpuDevice(launch_overhead=0)
-        assert device.run_parse(text.encode()) == polys
 
     def test_parsers_agree_on_edge_formatting(self):
         text = "#c\n0,0  10,0 10,10 0,10\r\n1,1 2,1 2,2 1,2"

@@ -52,7 +52,6 @@ PUBLIC_MODULES = (
     "repro.cluster",
     "repro.metrics.jaccard",
     "repro.pixelbox.common",
-    "repro.pipeline.engine",
 )
 
 

@@ -37,7 +37,6 @@ PUBLIC_MODULE_FILES = (
     "src/repro/cluster/__init__.py",
     "src/repro/metrics/jaccard.py",
     "src/repro/pixelbox/common.py",
-    "src/repro/pipeline/engine.py",
 )
 
 _BUILTIN_EXCEPTIONS = {
