@@ -40,20 +40,3 @@ def save_report(report_dir):
         print(f"\n{text}\n")
 
     return _save
-
-
-@pytest.fixture(scope="session")
-def save_json(report_dir):
-    """Callable that persists one benchmark's machine-readable report.
-
-    CI uploads ``benchmarks/reports/`` as an artifact, so anything saved
-    here is diffable across runs without re-parsing rendered tables.
-    """
-    import json
-
-    def _save(name: str, payload) -> None:
-        (report_dir / f"{name}.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
-
-    return _save

@@ -6,6 +6,7 @@ from repro.backends import get_backend
 from repro.exact.boolean import intersection_area
 from repro.experiments import fig7_speedup
 from repro.experiments.common import representative_pairs
+from repro.pixelbox.cpu import pair_areas_scalar
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +30,7 @@ def test_bench_geos_baseline(benchmark, pairs):
 
 
 def test_bench_pixelbox_cpu_scalar(benchmark, pairs):
-    cpu = get_backend("scalar")
-    benchmark(lambda: cpu.compare_pairs(pairs))
+    benchmark(lambda: [pair_areas_scalar(p, q) for p, q in pairs])
 
 
 def test_bench_pixelbox_device(benchmark, pairs):

@@ -1,14 +1,14 @@
 """Cluster smoke test: real ``repro worker`` processes behind a
-coordinator, parity vs the vectorized backend, clean failure handling.
+coordinator, parity vs the in-process kernel, clean failure handling.
 
 Spawns two genuine ``repro worker`` subprocesses on ephemeral TCP ports
 (separate interpreters — unlike the loopback transport the test suite
 uses, these shards run with real process parallelism), drives a
 pathology-scale comparison through the ``cluster`` backend, verifies
-every area bit-for-bit against the vectorized backend, asserts tables
-traveled once per worker, then kills one worker mid-service and checks
-a second request still completes exactly.  CI runs this as the cluster
-smoke job.
+every area and work counter bit-for-bit against the same kernel policy
+run in this process, asserts tables traveled once per worker, then kills
+one worker mid-service and checks a second request still completes
+exactly.  CI runs this as the cluster smoke job.
 
 Run:  PYTHONPATH=src python examples/cluster_smoke.py
 """
@@ -24,6 +24,7 @@ import numpy as np
 from repro.backends import get_backend
 from repro.data.synth import generate_tile_pair
 from repro.index.join import mbr_pair_join
+from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
 
 WORKERS = 2
 
@@ -51,7 +52,9 @@ def main() -> None:
         seed=4242, nuclei=400, width=512, height=512
     )
     pairs = mbr_pair_join(set_a, set_b).pairs(set_a, set_b)
-    reference = get_backend("vectorized").compare_pairs(pairs)
+    # Cluster shards run the always-subdivide policy, so its counters are
+    # the reference for the stats check below, not batch's.
+    reference = ChunkKernel(ExecutionPolicy()).compute(pairs)
 
     workers = [start_worker() for _ in range(WORKERS)]
     hosts = ",".join(addr for _, addr in workers)

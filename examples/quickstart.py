@@ -37,13 +37,11 @@ def main() -> None:
 
     # Every execution backend computes the same bits; pick one with
     # CompareOptions (or from the shell:
-    # `python -m repro compare A B --backend auto`).
+    # `python -m repro compare A B --backend multiprocess`).
     from repro.backends import available_backends, backend_availability
 
     print()
     for backend in available_backends():
-        if backend == "simt":
-            continue  # the pure-Python replay is slow at tile scale
         reason = backend_availability(backend)
         if reason is not None:
             print(f"backend {backend:12s}: skipped ({reason})")
@@ -54,15 +52,15 @@ def main() -> None:
         assert routed.jaccard_mean == result.jaccard_mean
 
     # `explain` resolves a request into its plan without executing it:
-    # which executor the sizing policy picks, the effective launch
-    # parameters, and the shard sizing.
+    # the executor's capabilities, the effective launch parameters, and
+    # the shard size the sizing policy recommends.
     request = CompareRequest.from_sets(
-        result_a, result_b, CompareOptions(backend="auto")
+        result_a, result_b, CompareOptions(backend="multiprocess")
     )
     plan = explain(request)
     print()
-    print(f"plan: auto -> {plan.resolved_backend} "
-          f"({plan.n_pairs} candidate pairs)")
+    print(f"plan: {plan.backend}, {plan.n_pairs} candidate pairs, "
+          f"{plan.shard_pairs} pairs per shard")
 
 
 if __name__ == "__main__":

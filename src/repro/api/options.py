@@ -45,8 +45,7 @@ class CompareOptions:
     Attributes
     ----------
     backend:
-        Execution backend registry name (``repro backends``).  ``"auto"``
-        defers the choice to :mod:`repro.backends.sizing` at dispatch time.
+        Execution backend registry name (``repro backends``).
     backend_options:
         Keyword arguments for the backend factory (e.g.
         ``{"workers": 4}`` for the multiprocess pool).

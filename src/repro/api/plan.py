@@ -1,9 +1,8 @@
 """``explain()``: the resolved execution plan, without executing.
 
 Given a :class:`~repro.api.request.CompareRequest`, :func:`explain`
-reports everything the execution layer *would* decide — the chosen
-backend (including the sizing policy's pick when the spec says
-``auto``), its structured capabilities, the effective launch parameters,
+reports everything the execution layer *would* decide — the named
+backend's structured capabilities, the effective launch parameters,
 the shard sizing the policy recommends and the cluster host resolution —
 as one serializable :class:`ResolvedPlan`.
 
@@ -36,12 +35,9 @@ class ResolvedPlan:
     kind:
         Request payload kind (``pairs`` / ``sets`` / ``files``).
     backend:
-        Backend named by the spec (possibly ``"auto"``).
-    resolved_backend:
-        Concrete executor after ``auto`` dispatch; equals ``backend``
-        unless the spec said ``auto`` and the workload could be profiled.
+        Backend named by the spec.
     capabilities:
-        Structured capability report of the resolved backend.
+        Structured capability report of that backend.
     launch:
         Effective kernel launch parameters.
     n_pairs, mean_edges, mean_mbr_pixels:
@@ -51,7 +47,7 @@ class ResolvedPlan:
         Tile-pair count for file requests (``None`` otherwise).
     shard_pairs:
         Recommended pairs per shard for pooled/remote executors
-        (``None`` when the resolved backend does not shard).
+        (``None`` when the backend does not shard).
     hosts:
         Resolved cluster worker addresses (``["loopback"]`` when the
         cluster backend would self-host).
@@ -72,7 +68,6 @@ class ResolvedPlan:
 
     kind: str
     backend: str
-    resolved_backend: str
     capabilities: dict[str, Any]
     launch: dict[str, Any]
     n_pairs: int | None = None
@@ -90,7 +85,6 @@ class ResolvedPlan:
         return {
             "kind": self.kind,
             "backend": self.backend,
-            "resolved_backend": self.resolved_backend,
             "capabilities": dict(self.capabilities),
             "launch": dict(self.launch),
             "workload": {
@@ -178,11 +172,7 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
     the plan's ``would_hit`` is ``None``.
     """
     from repro.backends import get_backend
-    from repro.backends.sizing import (
-        profile_pairs,
-        recommend_backend,
-        recommend_shard_pairs,
-    )
+    from repro.backends.sizing import profile_pairs, recommend_shard_pairs
 
     options = request.options
     cfg = options.launch_config()
@@ -199,54 +189,23 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
     backend = get_backend(options.backend, **options.resolved_backend_options())
     try:
         caps = backend.capabilities()
-        workers = caps.max_workers
     finally:
         backend.close()
 
-    resolved = options.backend
-    if options.backend == "auto" and pairs is not None:
-        resolved = recommend_backend(
-            n_pairs,
-            mean_edges,
-            mean_pixels,
-            cfg.threshold,
-            cfg.block_size,
-            workers=workers,
-        )
-    elif options.backend == "auto":
-        notes.append(
-            "auto dispatch resolves per tile once the MBR filter "
-            "produces its pairs"
-        )
-
-    resolved_caps = caps
-    if resolved != options.backend:
-        # Mirror AutoBackend._delegate: the auto dispatcher forwards its
-        # worker count to a multiprocess delegate, so the plan must
-        # report that sizing, not a default-constructed instance's.
-        delegate_options = (
-            {"workers": workers} if resolved == "multiprocess" else {}
-        )
-        delegate = get_backend(resolved, **delegate_options)
-        try:
-            resolved_caps = delegate.capabilities()
-        finally:
-            delegate.close()
-
     shard = None
-    if pairs is not None and resolved in ("multiprocess", "cluster"):
+    if pairs is not None and options.backend in ("multiprocess", "cluster"):
         shard = recommend_shard_pairs(
             n_pairs,
             mean_edges,
             mean_pixels,
             cfg.threshold,
             cfg.block_size,
-            workers=max(1, workers),
+            workers=max(1, caps.max_workers),
             substrate=options.backend_options.get("substrate", "numpy"),
         )
 
     hosts: tuple[str, ...] = ()
-    if options.backend == "cluster" or resolved == "cluster":
+    if options.backend == "cluster":
         hosts, explicit = _resolve_hosts(options)
         if not explicit:
             notes.append(
@@ -276,8 +235,7 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
     return ResolvedPlan(
         kind=request.kind,
         backend=options.backend,
-        resolved_backend=resolved,
-        capabilities=resolved_caps.as_dict(),
+        capabilities=caps.as_dict(),
         launch={
             "block_size": cfg.block_size,
             "pixel_threshold": cfg.pixel_threshold,

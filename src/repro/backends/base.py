@@ -4,8 +4,8 @@ A *backend* is one executor for the PixelBox cross-comparison workload:
 given a list of polygon pairs it returns the exact per-pair areas (and
 the kernel work counters) as a
 :class:`~repro.pixelbox.kernel.BatchAreas`.  Backends differ only in
-*how* they execute — scalar Python, wide NumPy arrays, sharded worker
-processes, a simulated SIMT device — never in *what* they compute: every
+*how* they execute — wide NumPy arrays, compiled code, sharded worker
+processes, remote workers — never in *what* they compute: every
 registered backend must be bit-for-bit identical to the exact overlay
 reference, which ``tests/test_backend_parity.py`` enforces for each
 registry entry automatically.
@@ -35,7 +35,6 @@ __all__ = [
     "available_backends",
     "backend_availability",
     "backend_registry",
-    "cover_mbr_config",
 ]
 
 
@@ -99,20 +98,6 @@ class BackendCapabilities:
         return ",".join(tags) if tags else "stateless"
 
 
-def cover_mbr_config(config: LaunchConfig | None) -> LaunchConfig:
-    """The config with the production path's tight-MBR policy dropped.
-
-    Backends whose engines always start from the cover MBR (scalar,
-    simt) use this to neutralize ``tight_mbr`` — results are identical
-    either way (both are exact) — while preserving every other launch
-    parameter.
-    """
-    cfg = config or LaunchConfig()
-    if cfg.tight_mbr:
-        cfg = dataclasses.replace(cfg, tight_mbr=False)
-    return cfg
-
-
 @runtime_checkable
 class Backend(Protocol):
     """One PixelBox executor.
@@ -170,6 +155,11 @@ class BackendLifecycle:
 
 
 BackendFactory = Callable[..., Backend]
+
+# Backends whose factories accept ``persistent=``; long-lived owners (a
+# session, the comparison service) default it on, so their pool lives as
+# long as the owner instead of one call.
+POOLED_BACKENDS = ("multiprocess",)
 
 _REGISTRY: dict[str, BackendFactory] = {}
 

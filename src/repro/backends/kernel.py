@@ -1,10 +1,10 @@
-"""The in-process kernel backends: one class, a three-row policy table.
+"""The in-process kernel backends: one class, a two-row policy table.
 
-``vectorized``, ``batch`` and ``numba`` run the same
+``batch`` and ``numba`` run the same
 :meth:`ChunkKernel.compute <repro.pixelbox.kernel.ChunkKernel.compute>`
 in the calling process and differ only in the
 :class:`~repro.pixelbox.kernel.ExecutionPolicy` they hand it, so they are
-one :class:`KernelBackend` registered under three names.
+one :class:`KernelBackend` registered under two names.
 """
 
 from __future__ import annotations
@@ -94,11 +94,6 @@ class KernelBackend(BackendLifecycle):
 
 # name -> (policy, description, availability probe)
 _TABLE = {
-    "vectorized": (
-        ExecutionPolicy(),
-        "level-synchronous NumPy engine (single process)",
-        None,
-    ),
     # Small pairs — the overwhelming majority in pathology workloads —
     # pixelize directly over their start box; what the pipeline's
     # aggregator launches on the simulated GPU.

@@ -15,8 +15,9 @@ Each worker drives the shared chunk kernel
 always-subdivide policy) — the same plan+stacked-pixelize sequence every
 in-process executor runs — so every pair's result is an exact integer
 computed independently of its shard and the output is bit-for-bit
-identical to the vectorized backend for any worker count, with identical
-work counters; the parity harness checks this.
+identical to ``ChunkKernel(ExecutionPolicy()).compute`` in one process
+for any worker count, with identical work counters; the parity harness
+checks this.
 
 Small inputs (fewer than ``min_pairs`` candidates) skip the pool and run
 in-process: forking workers for a handful of pairs would cost more than

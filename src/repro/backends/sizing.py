@@ -1,4 +1,4 @@
-"""Sizing policy: how big a launch, a shard and an executor choice should be.
+"""Sizing policy: how big a launch and a shard should be.
 
 Pure functions of a workload profile (pair count, edge density, MBR
 extent) and the launch parameters, over *modeled* ALU cycles that rank
@@ -15,7 +15,6 @@ from repro.backends.base import Pairs
 __all__ = [
     "profile_pairs",
     "estimate_comparison_cycles",
-    "recommend_backend",
     "recommend_shard_pairs",
 ]
 
@@ -23,14 +22,8 @@ __all__ = [
 _EDGE_TEST_ALU = 4
 # A level's frontier shrinks roughly by the decided fraction.
 _LEVEL_DECIDED_FRACTION = 0.5
-# Forking a worker process, and how often a worker must amortize it.
-_PROCESS_SPINUP_CYCLES = 2.0e8
-_SPINUP_AMORTIZATION = 4.0
-# The compiled (numba) substrate: speedup over the NumPy engines, and the
-# JIT warm-up a workload must dwarf before "numba" is worth choosing.
+# The compiled (numba) substrate's speedup over the NumPy engines.
 _COMPILED_SPEEDUP = 8.0
-_COMPILED_WARMUP_CYCLES = 1.0e9
-_COMPILED_AMORTIZATION = 2.0
 # One remote shard dispatch (round trip + scheduling, tables resident),
 # and how often a shard's compute must amortize it.
 _SHARD_DISPATCH_CYCLES = 2.0e7
@@ -81,43 +74,6 @@ def estimate_comparison_cycles(
     pixelize = leaf_pixels * mean_edges * _EDGE_TEST_ALU
     classify = levels * block_size * mean_edges * _EDGE_TEST_ALU
     return n_pairs * (pixelize + classify)
-
-
-def recommend_backend(
-    n_pairs: int,
-    mean_edges: float,
-    mean_mbr_pixels: float,
-    pixel_threshold: int,
-    block_size: int = 64,
-    workers: int = 1,
-    compiled: bool | None = None,
-) -> str:
-    """Backend choice for a workload profile (pair count + edge density).
-
-    * dwarfs the JIT warm-up, compiled substrate usable -> ``"numba"``
-      (machine code over all cores, no process spin-up);
-    * amortizes process spin-up across ``workers`` -> ``"multiprocess"``;
-    * MBRs far above the threshold (the batch path's skip-subdivision
-      policy never applies) -> ``"vectorized"``;
-    * everything else -> ``"batch"``, the production default.
-
-    ``compiled`` pins the compiled substrate usable or not; ``None`` probes.
-    """
-    cycles = estimate_comparison_cycles(
-        n_pairs, mean_edges, mean_mbr_pixels, pixel_threshold, block_size
-    )
-    if compiled is None:
-        from repro.backends.kernel import numba_unavailable_reason
-
-        compiled = numba_unavailable_reason() is None
-    if compiled and cycles > _COMPILED_WARMUP_CYCLES * _COMPILED_AMORTIZATION:
-        return "numba"
-    spinup = _PROCESS_SPINUP_CYCLES * _SPINUP_AMORTIZATION * workers
-    if workers > 1 and cycles > spinup:
-        return "multiprocess"
-    if mean_mbr_pixels > 4 * pixel_threshold:
-        return "vectorized"
-    return "batch"
 
 
 def recommend_shard_pairs(

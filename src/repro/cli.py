@@ -73,10 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument(
         "--backend",
         default="batch",
-        help=(
-            "execution backend for each tile's pairs (see `repro backends`; "
-            "'auto' picks by workload profile)"
-        ),
+        help="execution backend for each tile's pairs (see `repro backends`)",
     )
     cmp_.add_argument(
         "--hosts",
@@ -89,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmp_.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for pooled backends (multiprocess/auto)",
+        help="worker count for pooled backends (multiprocess)",
     )
     cmp_.add_argument(
         "--cache", action="store_true",
@@ -131,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for pooled backends (multiprocess/auto)",
+        help="worker count for pooled backends (multiprocess)",
     )
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument(

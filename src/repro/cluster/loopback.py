@@ -9,9 +9,8 @@ behind a *real* socket, so every byte crosses the same code path a
 multi-host deployment uses; only the network distance is fake.
 
 Worker threads share the GIL, so loopback is a correctness transport,
-not a performance one — throughput numbers come from
-``benchmarks/test_cluster_scaling.py``, which spawns real ``repro
-worker`` processes.
+not a performance one: ``examples/cluster_smoke.py`` drives real
+``repro worker`` processes.
 """
 
 from __future__ import annotations

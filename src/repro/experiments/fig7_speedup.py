@@ -15,6 +15,7 @@ from repro.experiments.common import (
     representative_pairs,
     time_call,
 )
+from repro.pixelbox.cpu import pair_areas_scalar
 
 __all__ = ["run"]
 
@@ -27,11 +28,14 @@ def run(quick: bool = True) -> ExperimentResult:
         for p, q in pairs:
             intersection_area(p, q)
 
-    cpu = get_backend("scalar")
+    def cpu_scalar() -> None:
+        for p, q in pairs:
+            pair_areas_scalar(p, q)
+
     device = get_backend("batch")
 
     t_geos = time_call(geos_baseline, repeats=1 if quick else 2)
-    t_cpu = time_call(lambda: cpu.compare_pairs(pairs), repeats=1 if quick else 2)
+    t_cpu = time_call(cpu_scalar, repeats=1 if quick else 2)
     t_gpu = time_call(lambda: device.compare_pairs(pairs), repeats=3)
 
     rows = [

@@ -5,8 +5,8 @@ in Figure 7).  :func:`pair_areas_scalar` is that port: plain Python whose
 inner loop carves each sampling box into per-row pixel runs.  It does
 strictly less bookkeeping than the exact overlay baseline (no geometry
 construction), which is why the paper measures it faster than GEOS
-despite running on one core.  The ``scalar`` backend runs it over a pair
-list.
+despite running on one core.  Figure 7 times it over a pair list; it is
+an experiment's implementation, not a registered backend.
 """
 
 from __future__ import annotations

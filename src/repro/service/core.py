@@ -44,7 +44,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.backends import get_backend
-from repro.backends.base import Backend, Pairs
+from repro.backends.base import POOLED_BACKENDS, Backend, Pairs
 from repro.cache import LRUCacheStore, areas_nbytes, copy_areas, pairs_key
 from repro.errors import (
     KernelError,
@@ -78,8 +78,8 @@ class ServiceConfig:
         Registry name of the warm executor (``repro backends``).
     backend_options:
         Factory keyword arguments (e.g. ``{"workers": 4}``).  For the
-        multiprocess and auto backends, ``persistent=True`` is implied
-        unless explicitly overridden.
+        multiprocess backend, ``persistent=True`` is implied unless
+        explicitly overridden.
     max_queue:
         Admission-control bound: requests beyond this many waiting are
         rejected with :class:`~repro.errors.ServiceOverloadedError`.
@@ -249,10 +249,10 @@ class ComparisonService:
             self._backend = self._injected_backend
         else:
             options = dict(self.config.backend_options)
-            if self.config.backend in ("multiprocess", "auto"):
+            if self.config.backend in POOLED_BACKENDS:
                 # The warm pool is the point: pooled executors keep
                 # their workers across dispatches for the service's
-                # lifetime (auto threads the flag to its delegates).
+                # lifetime.
                 options.setdefault("persistent", True)
             try:
                 self._backend = get_backend(self.config.backend, **options)

@@ -62,12 +62,6 @@ from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["Session"]
 
-# Backends whose factories accept a persistence knob; a session is a
-# long-lived owner, so (like the comparison service) it defaults their
-# pools to session lifetime instead of per-call lifetime.
-_POOLED_BACKENDS = ("multiprocess", "auto")
-
-
 class Session:
     """One warm execution context for many comparisons.
 
@@ -79,8 +73,8 @@ class Session:
         request; requests that match the session backend reuse the warm
         executor, others resolve a throwaway one.
     **overrides:
-        Convenience field overrides, e.g. ``Session(backend="auto")``
-        instead of ``Session(CompareOptions(backend="auto"))``.
+        Convenience field overrides, e.g. ``Session(backend="multiprocess")``
+        instead of ``Session(CompareOptions(backend="multiprocess"))``.
     """
 
     def __init__(
@@ -121,9 +115,10 @@ class Session:
         with self._lock:
             if self._backend is None:
                 from repro.backends import get_backend
+                from repro.backends.base import POOLED_BACKENDS
 
                 factory_options = self.options.resolved_backend_options()
-                if self.options.backend in _POOLED_BACKENDS:
+                if self.options.backend in POOLED_BACKENDS:
                     factory_options.setdefault("persistent", True)
                 self._backend = get_backend(
                     self.options.backend, **factory_options

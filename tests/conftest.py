@@ -5,9 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import backend_availability, backend_registry, get_backend
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
+from repro.gpu.simt_kernel import collect_block_counts
+from repro.pixelbox.common import KernelStats, Method
+from repro.pixelbox.cpu import pair_areas_scalar
+from repro.pixelbox.kernel import BatchAreas, ChunkKernel, ExecutionPolicy
 
 
 def random_mask(rng: np.random.Generator, h: int = 12, w: int = 14,
@@ -39,18 +44,87 @@ def mask_of(polygon: RectilinearPolygon, box: Box) -> np.ndarray:
 
 def chunked_areas(pairs, method=None, cfg=None):
     """The chunk kernel under the always-subdivide policy of ``method``."""
-    from repro.pixelbox.common import Method
-    from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
-
     policy = ExecutionPolicy(method=method or Method.PIXELBOX)
     return ChunkKernel(policy, cfg).compute(pairs)
 
 
 def batched_areas(pairs, cfg=None):
     """The production batch policy, through the registry."""
-    from repro.backends import get_backend
-
     return get_backend("batch").compare_pairs(pairs, cfg)
+
+
+# ----------------------------------------------------------------------
+# References: implementations the experiments measure, not executors a
+# request may run on.  Each is a plain ``(pairs, cfg) -> BatchAreas``
+# callable the parity harness checks beside the backend registry.
+# ----------------------------------------------------------------------
+
+#: The always-subdivide policy: what the ``vectorized`` reference, every
+#: multiprocess worker and every cluster shard run.
+VECTORIZED_POLICY = ExecutionPolicy()
+
+
+def _polygon_areas(pairs):
+    """``(area_p, area_q)`` columns of a pair list."""
+    a_p = np.array([p.area for p, _ in pairs], dtype=np.int64)
+    a_q = np.array([q.area for _, q in pairs], dtype=np.int64)
+    return a_p, a_q
+
+
+def scalar_areas(pairs, cfg=None):
+    """PixelBox-CPU-S (:func:`pair_areas_scalar`) over a pair list."""
+    stats = KernelStats()
+    inter = np.array(
+        [pair_areas_scalar(p, q, cfg, stats).intersection for p, q in pairs],
+        dtype=np.int64,
+    )
+    a_p, a_q = _polygon_areas(pairs)
+    return BatchAreas(inter, a_p + a_q - inter, a_p, a_q, stats)
+
+
+def simt_areas(pairs, cfg=None):
+    """Fig. 9's SIMT replay (:func:`collect_block_counts`) over a pair
+    list; it meters pops, so those are the only counters it reports."""
+    counts = [collect_block_counts(p, q, cfg) for p, q in pairs]
+    stats = KernelStats(pairs=len(counts), pops=sum(c.pops for c in counts))
+    inter = np.array([c.intersection_area for c in counts], dtype=np.int64)
+    union = np.array([c.union_area for c in counts], dtype=np.int64)
+    return BatchAreas(inter, union, *_polygon_areas(pairs), stats)
+
+
+def vectorized_areas(pairs, cfg=None):
+    """The chunk kernel under the always-subdivide policy."""
+    return ChunkKernel(VECTORIZED_POLICY, cfg).compute(pairs)
+
+
+REFERENCES = {
+    "scalar": scalar_areas,
+    "simt": simt_areas,
+    "vectorized": vectorized_areas,
+}
+
+#: Every implementation the parity harness compares: registry + references.
+IMPLEMENTATIONS = sorted(set(backend_registry()) | set(REFERENCES))
+
+
+def unavailable_reason(name):
+    """Why ``name`` cannot run here (``None`` when it can)."""
+    return None if name in REFERENCES else backend_availability(name)
+
+
+def implementation_areas(name, pairs, cfg=None, **options):
+    """``BatchAreas`` of one reference or registered backend.
+
+    A backend is built with ``options`` and closed again before
+    returning; one whose optional dependency is absent skips the test.
+    """
+    if name in REFERENCES:
+        return REFERENCES[name](pairs, cfg)
+    reason = backend_availability(name)
+    if reason is not None:
+        pytest.skip(reason)
+    with get_backend(name, **options) as backend:
+        return backend.compare_pairs(pairs, cfg)
 
 
 @pytest.fixture

@@ -57,7 +57,7 @@ class TestCli:
         assert main(["backends", "--json"]) == 0
         listing = json.loads(capsys.readouterr().out)
         names = {entry["name"] for entry in listing}
-        assert {"batch", "multiprocess", "cluster", "auto", "numba"} <= names
+        assert names == {"batch", "multiprocess", "cluster", "numba"}
         for entry in listing:
             # Availability-gated entries (the numba extra) report why
             # instead of capabilities; everything else reports both.
@@ -80,17 +80,15 @@ class TestCli:
                 "POLYGON ((0 0, 4 0, 4 4, 0 4, 0 0))",
                 "POLYGON ((2 2, 6 2, 6 6, 2 6, 2 2))",
             ]],
-            "options": {"backend": "auto"},
+            "options": {"backend": "multiprocess"},
         }
         path = tmp_path / "request.json"
         path.write_text(json.dumps(spec))
         assert main(["explain", str(path)]) == 0
         plan = json.loads(capsys.readouterr().out)
-        assert plan["backend"] == "auto"
-        assert plan["resolved_backend"] in (
-            "batch", "vectorized", "multiprocess"
-        )
+        assert plan["backend"] == "multiprocess"
         assert plan["workload"]["n_pairs"] == 1
+        assert plan["sizing"]["shard_pairs"] == 1
 
     def test_explain_command_bad_spec(self, tmp_path, capsys):
         path = tmp_path / "request.json"

@@ -99,7 +99,7 @@ class TestCompareRequest:
 
     @pytest.mark.parametrize("kind", ["pairs", "sets", "files"])
     def test_json_round_trip(self, kind):
-        options = CompareOptions(backend="vectorized", block_size=32)
+        options = CompareOptions(backend="multiprocess", block_size=32)
         if kind == "pairs":
             request = CompareRequest.from_pairs(PAIRS, options)
         elif kind == "sets":

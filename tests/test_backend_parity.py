@@ -5,7 +5,9 @@ registered executor computes the *same function*: exact integer
 intersection and union areas, bit-for-bit equal to the exact overlay
 reference.  This harness enforces the guarantee by introspecting the
 registry — a newly registered backend is covered by the act of
-registering, with no test changes.
+registering, with no test changes — and holds the implementations the
+experiments measure (``conftest.REFERENCES``: PixelBox-CPU-S, the SIMT
+replay, the always-subdivide kernel) to the same bar.
 
 Workloads are seeded and randomized at three shapes:
 
@@ -38,6 +40,13 @@ from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
 from repro.pixelbox.common import LaunchConfig
 
+from conftest import (
+    IMPLEMENTATIONS,
+    implementation_areas,
+    simt_areas,
+    unavailable_reason,
+)
+
 
 def random_pair(rng, h: int = 12, w: int = 14, density: float = 0.5):
     """Two random hole-free polygons sharing a coordinate frame."""
@@ -51,10 +60,7 @@ def random_pair(rng, h: int = 12, w: int = 14, density: float = 0.5):
 
     return one(), one()
 
-EXPECTED_BACKENDS = {
-    "auto", "batch", "cluster", "multiprocess", "numba", "scalar", "simt",
-    "vectorized",
-}
+EXPECTED_BACKENDS = {"batch", "cluster", "multiprocess", "numba"}
 
 
 def _get_backend_or_skip(name: str, **kwargs):
@@ -128,7 +134,7 @@ def workloads():
 
 
 def test_registry_has_expected_backends():
-    assert EXPECTED_BACKENDS <= set(available_backends())
+    assert set(available_backends()) == EXPECTED_BACKENDS
 
 
 @pytest.mark.parametrize("name", sorted(backend_registry()))
@@ -141,19 +147,18 @@ def test_backend_reports_structured_capabilities(name):
     assert isinstance(caps, BackendCapabilities)
     assert caps.max_workers >= 1
     assert isinstance(caps.summary(), str) and caps.summary()
-    if name in ("multiprocess", "auto", "cluster"):
+    if name in ("multiprocess", "cluster"):
         assert caps.persistent_pooling
 
 
-@pytest.mark.parametrize("name", sorted(backend_registry()))
+@pytest.mark.parametrize("name", IMPLEMENTATIONS)
 @pytest.mark.parametrize("kind", ["small", "medium", "tile"])
 def test_backend_matches_exact_reference(name, kind, workloads):
-    """Every registered backend is bit-for-bit the exact overlay."""
+    """Every implementation is bit-for-bit the exact overlay."""
     if name == "simt" and kind == "tile":
         pytest.skip("pure-Python replay at tile scale belongs to tier 2")
     pairs, ref_inter, ref_union = workloads[kind]
-    with _get_backend_or_skip(name) as backend:  # close pooled resources
-        result = backend.compare_pairs(pairs)
+    result = implementation_areas(name, pairs)
     assert len(result) == len(pairs)
     assert np.array_equal(result.intersection, ref_inter)
     assert np.array_equal(result.union, ref_union)
@@ -164,7 +169,7 @@ def test_backend_matches_exact_reference(name, kind, workloads):
 def test_simt_matches_exact_reference_tile(workloads):
     """The tile-scale simt run, kept out of the fast tier."""
     pairs, ref_inter, ref_union = workloads["tile"]
-    result = get_backend("simt").compare_pairs(pairs)
+    result = simt_areas(pairs)
     assert np.array_equal(result.intersection, ref_inter)
     assert np.array_equal(result.union, ref_union)
 
@@ -184,11 +189,10 @@ def test_backends_agree_under_nondefault_config(workloads):
     """Parity holds for non-default launch parameters, too."""
     pairs, ref_inter, ref_union = workloads["small"]
     cfg = LaunchConfig(block_size=16, pixel_threshold=64)
-    for name in available_backends():
-        if backend_availability(name) is not None:
+    for name in IMPLEMENTATIONS:
+        if unavailable_reason(name) is not None:
             continue  # availability-gated extras are covered where present
-        with get_backend(name) as backend:
-            result = backend.compare_pairs(pairs, cfg)
+        result = implementation_areas(name, pairs, cfg)
         assert np.array_equal(result.intersection, ref_inter), name
         assert np.array_equal(result.union, ref_union), name
 
@@ -200,7 +204,7 @@ def _degenerate_scenarios():
     """Boundary workloads every current and future backend must survive.
 
     Keyed by name -> ``(pairs, config)``.  Polygons stay tiny so even the
-    pure-Python simt replay finishes instantly at ``threshold=1``.
+    pure-Python SIMT replay finishes instantly at ``threshold=1``.
     """
     unit = RectilinearPolygon.from_box(Box(0, 0, 1, 1))
     small = RectilinearPolygon.from_box(Box(0, 0, 5, 5))
@@ -226,14 +230,13 @@ def _degenerate_scenarios():
     }
 
 
-@pytest.mark.parametrize("name", sorted(backend_registry()))
+@pytest.mark.parametrize("name", IMPLEMENTATIONS)
 @pytest.mark.parametrize("scenario", sorted(_degenerate_scenarios()))
 def test_backend_survives_degenerate_inputs(name, scenario):
     """Empty lists, all-disjoint batches, tight MBRs, threshold=1: the
     sweep runs through the registry so every future backend inherits it."""
     pairs, cfg = _degenerate_scenarios()[scenario]
-    with _get_backend_or_skip(name) as backend:
-        result = backend.compare_pairs(pairs, cfg)
+    result = implementation_areas(name, pairs, cfg)
     assert len(result) == len(pairs)
     ref_inter = np.array(
         [boolean.intersection(p, q).area for p, q in pairs], dtype=np.int64

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    AutoBackend,
     Backend,
     available_backends,
     default_workers,
     get_backend,
-    profile_pairs,
     register,
 )
 from repro.backends.base import backend_registry
 from repro.backends.sizing import (
     estimate_comparison_cycles,
-    recommend_backend,
+    profile_pairs,
     recommend_shard_pairs,
 )
 from repro.errors import KernelError
@@ -37,8 +35,9 @@ def _pairs(n: int = 8):
 
 class TestRegistry:
     def test_known_backends_registered(self):
-        assert {"scalar", "vectorized", "batch", "simt", "multiprocess",
-                "auto"} <= set(available_backends())
+        assert {"batch", "multiprocess", "cluster", "numba"} <= set(
+            available_backends()
+        )
 
     def test_unknown_backend_raises(self):
         with pytest.raises(KernelError, match="unknown backend"):
@@ -86,7 +85,7 @@ class TestMultiprocessBackend:
         pooled = get_backend(
             "multiprocess", workers=3, min_pairs=1
         ).compare_pairs(pairs)
-        serial = get_backend("vectorized").compare_pairs(pairs)
+        serial = get_backend("batch").compare_pairs(pairs)
         assert np.array_equal(pooled.intersection, serial.intersection)
         assert np.array_equal(pooled.union, serial.union)
         assert pooled.stats.pairs == 11
@@ -102,7 +101,7 @@ class TestMultiprocessBackend:
         import threading
 
         pairs = _pairs(10)
-        ref = get_backend("vectorized").compare_pairs(pairs)
+        ref = get_backend("batch").compare_pairs(pairs)
         out: dict = {}
 
         def body():
@@ -127,34 +126,6 @@ class TestCostModelSelection:
         assert estimate_comparison_cycles(200, 30, 500, self.CFG.threshold) > base
         assert estimate_comparison_cycles(100, 60, 500, self.CFG.threshold) > base
 
-    def test_small_workload_prefers_batch(self):
-        choice = recommend_backend(
-            100, 30, 400, self.CFG.threshold, workers=4
-        )
-        assert choice == "batch"
-
-    def test_heavy_workload_prefers_multiprocess(self):
-        # compiled=False pins the NumPy ranking: on hosts with the
-        # repro[numba] extra the compiled substrate would win this one.
-        choice = recommend_backend(
-            2_000_000, 60, 1500, self.CFG.threshold, workers=4,
-            compiled=False,
-        )
-        assert choice == "multiprocess"
-
-    def test_single_worker_never_multiprocess(self):
-        choice = recommend_backend(
-            2_000_000, 60, 1500, self.CFG.threshold, workers=1,
-            compiled=False,
-        )
-        assert choice != "multiprocess"
-
-    def test_subdivision_dominated_prefers_vectorized(self):
-        choice = recommend_backend(
-            100, 30, 40 * self.CFG.threshold, self.CFG.threshold, workers=1
-        )
-        assert choice == "vectorized"
-
     def test_shard_pairs_bounds(self):
         assert recommend_shard_pairs(0, 1.0, 1.0, 64) == 1
         n = 1000
@@ -167,13 +138,6 @@ class TestCostModelSelection:
         assert mean_edges == 4.0  # two boxes, two vertical edges each
         assert mean_pixels == 64.0  # 8x8 cover MBR
         assert profile_pairs([]) == (0.0, 0.0)
-
-    def test_auto_backend_records_choice(self):
-        auto = AutoBackend(workers=4)
-        result = auto.compare_pairs(_pairs(6))
-        assert auto.last_choice == "batch"
-        ref = get_backend("batch").compare_pairs(_pairs(6))
-        assert np.array_equal(result.intersection, ref.intersection)
 
 
 class TestWiring:
@@ -231,7 +195,7 @@ class TestWiring:
         from repro.sdbms.table import PolygonTable
 
         plan = build_backend_plan(
-            PolygonTable("a", []), PolygonTable("b", []), backend="auto"
+            PolygonTable("a", []), PolygonTable("b", []), backend="batch"
         )
         assert "BackendAreaProject" in plan.explain()
 
@@ -240,7 +204,7 @@ class TestWiring:
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("scalar", "vectorized", "batch", "multiprocess", "auto"):
+        for name in ("batch", "multiprocess", "cluster", "numba"):
             assert name in out
 
     def test_cli_compare_with_backend(self, small_dataset, capsys):
@@ -249,7 +213,7 @@ class TestWiring:
         dir_a, dir_b = small_dataset
         code = main([
             "compare", str(dir_a), str(dir_b),
-            "--backend", "vectorized",
+            "--backend", "batch",
         ])
         assert code == 0
         assert "J' =" in capsys.readouterr().out

@@ -197,7 +197,7 @@ class TestSingleFlight:
 #: below, so adding a field without a perturbation fails this suite —
 #: new knobs must be cache-relevant (or explicitly excluded here).
 _OPTIONS_PERTURB = {
-    "backend": "vectorized",
+    "backend": "multiprocess",
     "backend_options": {"workers": 3},
     "hosts": None,  # constrained: only valid with backend="cluster"
     "block_size": 32,
@@ -323,14 +323,14 @@ def test_cached_hit_is_bit_for_bit_cold_miss(name, pairs):
 
 
 def test_session_cache_off_by_default(pairs):
-    with Session(CompareOptions(backend="vectorized")) as session:
+    with Session(CompareOptions(backend="batch")) as session:
         session.compare(pairs)
         assert session.cache_stats() == {}
 
 
 def test_session_returned_arrays_are_isolated(pairs):
     """Mutating a returned result must never corrupt the cache."""
-    with Session(CompareOptions(backend="vectorized", cache=True)) as session:
+    with Session(CompareOptions(backend="batch", cache=True)) as session:
         first = session.compare(pairs)
         pristine = copy_areas(first)
         first.intersection[:] = -1
@@ -340,12 +340,12 @@ def test_session_returned_arrays_are_isolated(pairs):
 
 
 def test_session_cache_invalidated_by_launch_params(pairs):
-    with Session(CompareOptions(backend="vectorized", cache=True)) as session:
+    with Session(CompareOptions(backend="batch", cache=True)) as session:
         session.compare(pairs)
         session.compare(
             pairs,
             CompareOptions(
-                backend="vectorized", cache=True, tight_mbr=False
+                backend="batch", cache=True, tight_mbr=False
             ),
         )
         stats = session.cache_stats()
@@ -354,7 +354,7 @@ def test_session_cache_invalidated_by_launch_params(pairs):
 
 
 def test_session_stampede_computes_once(pairs):
-    options = CompareOptions(backend="vectorized", cache=True)
+    options = CompareOptions(backend="batch", cache=True)
     with Session(options) as session:
         calls = []
         gate = threading.Event()
@@ -389,10 +389,10 @@ def test_session_eviction_under_memory_bound(rng):
     batches = [[random_pair(rng) for _ in range(4)] for _ in range(3)]
     from repro.cache import areas_nbytes
 
-    with Session(CompareOptions(backend="vectorized", cache=True)) as probe:
+    with Session(CompareOptions(backend="batch", cache=True)) as probe:
         one_entry = areas_nbytes(probe.compare(batches[0]))
     options = CompareOptions(
-        backend="vectorized", cache=True, cache_bytes=int(one_entry * 1.5)
+        backend="batch", cache=True, cache_bytes=int(one_entry * 1.5)
     )
     with Session(options) as session:
         for batch in batches:
@@ -407,7 +407,7 @@ def test_session_eviction_under_memory_bound(rng):
 
 
 def test_session_explain_reports_cache_plan(pairs):
-    options = CompareOptions(backend="vectorized", cache=True)
+    options = CompareOptions(backend="batch", cache=True)
     with Session(options) as session:
         request = CompareRequest.from_pairs(pairs, options)
         plan = session.explain(request)
@@ -441,7 +441,7 @@ def test_module_explain_cache_section(pairs):
 
 
 def test_clear_caches_resets_stores(pairs):
-    with Session(CompareOptions(backend="vectorized", cache=True)) as session:
+    with Session(CompareOptions(backend="batch", cache=True)) as session:
         session.compare(pairs)
         session.clear_caches()
         assert session.cache_stats()["session.request"]["entries"] == 0
@@ -457,7 +457,7 @@ def test_explain_reports_no_key_for_per_tile_requests(tile_pair, small_dataset):
     pairs, known only after the MBR join: the plan must not name a key
     nothing is ever stored under (it used to, and ``would_hit`` stayed
     False right before the request hit)."""
-    options = CompareOptions(backend="vectorized", cache=True)
+    options = CompareOptions(backend="batch", cache=True)
     requests = (
         CompareRequest.from_sets(*tile_pair, options),
         CompareRequest.from_files(*small_dataset, options),
@@ -532,7 +532,7 @@ def test_service_request_cache_hit_and_isolation(pairs):
     from repro.service import ComparisonService, ServiceConfig
 
     async def scenario():
-        config = ServiceConfig(backend="vectorized", cache=True)
+        config = ServiceConfig(backend="batch", cache=True)
         async with ComparisonService(config) as service:
             cold = await service.submit(pairs)
             warm = await service.submit(pairs)
@@ -557,7 +557,7 @@ def test_service_stampede_dedupes_within_batch(pairs):
         description = "counting test backend"
 
         def __init__(self):
-            self._inner = get_backend("vectorized")
+            self._inner = get_backend("batch")
             self.calls = 0
             self.pairs_seen = 0
 
@@ -573,7 +573,7 @@ def test_service_stampede_dedupes_within_batch(pairs):
 
     async def scenario():
         config = ServiceConfig(
-            backend="vectorized", cache=True, coalesce_window=0.05
+            backend="batch", cache=True, coalesce_window=0.05
         )
         async with ComparisonService(config, backend=backend) as service:
             results = await asyncio.gather(
@@ -595,7 +595,7 @@ def test_service_config_carries_cache_knobs():
     from repro.errors import ServiceError
     from repro.service import ServiceConfig
 
-    options = CompareOptions(backend="vectorized", cache=True, cache_bytes=2**20)
+    options = CompareOptions(backend="batch", cache=True, cache_bytes=2**20)
     config = ServiceConfig.from_options(options)
     assert config.cache is True
     assert config.cache_bytes == 2**20
@@ -608,7 +608,7 @@ def test_service_clear_caches(pairs):
     from repro.service import ComparisonService, ServiceConfig
 
     async def scenario():
-        config = ServiceConfig(backend="vectorized", cache=True)
+        config = ServiceConfig(backend="batch", cache=True)
         async with ComparisonService(config) as service:
             await service.submit(pairs)
             service.clear_caches()

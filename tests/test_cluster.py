@@ -39,6 +39,8 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.pixelbox.common import KernelStats, LaunchConfig
 
+from conftest import vectorized_areas
+
 
 def _pairs(count: int = 40, seed: int = 20260731):
     """Small randomized polygon pairs plus handcrafted degenerates."""
@@ -62,8 +64,8 @@ def _pairs(count: int = 40, seed: int = 20260731):
 @pytest.fixture(scope="module")
 def workload():
     pairs = _pairs()
-    ref = get_backend("vectorized").compare_pairs(pairs)
-    return pairs, ref
+    # Cluster shards run the always-subdivide policy: the same counters.
+    return pairs, vectorized_areas(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +166,7 @@ def test_tables_sent_once_per_worker_per_version(workload):
             # A different config changes the start boxes -> a new table
             # version -> exactly one more transfer per worker.
             cfg = LaunchConfig(tight_mbr=True)
-            ref2 = get_backend("vectorized").compare_pairs(pairs, cfg)
+            ref2 = get_backend("batch").compare_pairs(pairs, cfg)
             result = backend.compare_pairs(pairs, cfg)
             assert np.array_equal(result.intersection, ref2.intersection)
             assert backend.table_transfers == 4
@@ -195,7 +197,7 @@ def test_worker_cache_survives_coordinator_reconnect(workload):
 def test_table_cache_eviction_triggers_resend(workload):
     pairs_a, ref_a = workload
     pairs_b = _pairs(count=30, seed=777)
-    ref_b = get_backend("vectorized").compare_pairs(pairs_b)
+    ref_b = get_backend("batch").compare_pairs(pairs_b)
     with LoopbackCluster(1, max_tables=1) as cluster:
         worker = cluster.workers[0]
         backend = get_backend("cluster", hosts=cluster.hosts, min_pairs=1)

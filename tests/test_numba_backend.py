@@ -5,8 +5,8 @@ Two test families:
 * **Absence path** — in a container without the ``repro[numba]`` extra
   (or with availability monkeypatched away), the registry must stay
   honest: ``get_backend("numba")`` raises a :class:`BackendError` naming
-  the missing extra, ``auto`` never selects it, and ``repro backends``
-  reports it unavailable instead of crashing.
+  the missing extra, and ``repro backends`` reports it unavailable
+  instead of crashing.
 
 * **Algorithm parity** — the compiled kernel degrades to a pure-Python
   stub when numba is absent (``allow_fallback=True``), so the *algorithm*
@@ -24,7 +24,7 @@ import pytest
 
 from repro.backends import backend_availability, get_backend
 from repro.backends.kernel import numba_unavailable_reason
-from repro.backends.sizing import recommend_backend, recommend_shard_pairs
+from repro.backends.sizing import recommend_shard_pairs
 from repro.errors import BackendError, KernelError, ReproError
 from repro.pixelbox.common import KernelStats, LaunchConfig, Method
 from repro.pixelbox.kernel import (
@@ -36,7 +36,7 @@ from repro.pixelbox.kernel import (
 from repro.pixelbox.numba_kernel import NUMBA_AVAILABLE, run_chunk_compiled
 from repro.pixelbox.vectorized import EdgeTable
 
-from conftest import random_pair
+from conftest import random_pair, vectorized_areas
 
 HEAVY = dict(
     n_pairs=2_000_000, mean_edges=40.0, mean_mbr_pixels=900.0,
@@ -68,11 +68,6 @@ class TestAbsencePath:
         reason = backend_availability("numba")
         assert reason is not None and "numba" in reason
 
-    def test_auto_never_selects_an_unavailable_substrate(self, numba_absent):
-        # compiled=None autodetects through the (monkeypatched) probe.
-        choice = recommend_backend(**HEAVY, workers=4)
-        assert choice != "numba"
-
     def test_cli_backends_reports_unavailable_without_crashing(
         self, numba_absent, capsys
     ):
@@ -87,7 +82,7 @@ class TestAbsencePath:
         entry = by_name["numba"]
         assert entry["available"] is False
         assert "numba" in entry["reason"]
-        for name in ("batch", "vectorized", "multiprocess"):
+        for name in ("batch", "multiprocess"):
             assert by_name[name]["available"] is True
 
     def test_cli_backends_text_marks_unavailable(self, numba_absent, capsys):
@@ -153,23 +148,9 @@ class TestSubstrateValidation:
 
 
 # ----------------------------------------------------------------------
-# Cost model: the compiled branch exists and amortizes
+# Cost model: shard sizing prices the compiled substrate
 # ----------------------------------------------------------------------
 class TestCostModel:
-    def test_compiled_true_wins_heavy_workloads(self):
-        assert recommend_backend(**HEAVY, workers=4, compiled=True) == "numba"
-
-    def test_compiled_false_keeps_the_numpy_ranking(self):
-        choice = recommend_backend(**HEAVY, workers=4, compiled=False)
-        assert choice == "multiprocess"
-
-    def test_tiny_workloads_never_pay_the_jit_warmup(self):
-        choice = recommend_backend(
-            n_pairs=4, mean_edges=8.0, mean_mbr_pixels=64.0,
-            pixel_threshold=2048, compiled=True,
-        )
-        assert choice != "numba"
-
     def test_shard_sizing_scales_with_the_compiled_speedup(self):
         # Small enough that the dispatch-amortization floor binds: the
         # compiled substrate retires each pair faster, so shards must
@@ -320,10 +301,9 @@ needs_numba = pytest.mark.skipif(
 class TestCompiledBackendEndToEnd:
     def test_backend_matches_vectorized(self):
         pairs = _parity_pairs(seed=7, n=60, h=60, w=70)
-        with get_backend("numba") as compiled, \
-                get_backend("vectorized") as reference:
+        with get_backend("numba") as compiled:
             got = compiled.compare_pairs(pairs)
-            ref = reference.compare_pairs(pairs)
+        ref = vectorized_areas(pairs)
         assert np.array_equal(got.intersection, ref.intersection)
         assert np.array_equal(got.union, ref.union)
 

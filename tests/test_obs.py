@@ -406,7 +406,7 @@ def test_service_snapshot_feeds_prometheus_families():
     pairs = _pairs(8)
 
     async def main():
-        config = ServiceConfig(backend="vectorized")
+        config = ServiceConfig(backend="batch")
         async with ComparisonService(config) as service:
             await service.submit(
                 pairs, config.compare_options().launch_config()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
 from repro.errors import KernelError
 from repro.exact.boolean import intersection_area, union_area
 from repro.geometry.box import Box
@@ -18,7 +17,7 @@ from repro.pixelbox.common import (
 from repro.pixelbox.cpu import pair_areas_scalar
 from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.reference import ReferenceKernel
-from tests.conftest import batched_areas, chunked_areas, random_pair
+from tests.conftest import batched_areas, chunked_areas, random_pair, scalar_areas
 
 pair_areas = compute_pair
 
@@ -180,7 +179,7 @@ class TestCpuPort:
 
     def test_scalar_backend_over_a_pair_list(self, rng):
         pairs = [random_pair(rng) for _ in range(21)]
-        res = get_backend("scalar").compare_pairs(pairs)
+        res = scalar_areas(pairs)
         for k, (p, q) in enumerate(pairs):
             assert res.intersection[k] == intersection_area(p, q)
 

@@ -38,7 +38,14 @@ from repro.pixelbox.kernel import (
 )
 from repro.pixelbox.vectorized import EdgeTable
 
-from conftest import batched_areas, chunked_areas
+from conftest import (
+    IMPLEMENTATIONS,
+    REFERENCES,
+    VECTORIZED_POLICY,
+    batched_areas,
+    chunked_areas,
+    implementation_areas,
+)
 
 
 def finalize(method, inter, uni, a_p, a_q, has_box):
@@ -99,17 +106,13 @@ def test_batched_agrees_with_per_pair_on_contact_cases(method, case):
         assert got.union == p.area + q.area
 
 
-@pytest.mark.parametrize("name", sorted(set(available_backends())))
+@pytest.mark.parametrize("name", IMPLEMENTATIONS)
 def test_every_backend_handles_contact_cases(name):
-    """The same contact sweep through the registry: bit-for-bit parity."""
-    from repro.backends import backend_availability
-
-    reason = backend_availability(name)
-    if reason is not None:
-        pytest.skip(reason)
+    """The same contact sweep through the registry and the references:
+    bit-for-bit parity."""
     pairs = list(_contact_cases().values())
     expected = [compute_pair(p, q) for p, q in pairs]
-    result = get_backend(name).compare_pairs(pairs)
+    result = implementation_areas(name, pairs)
     for i, exp in enumerate(expected):
         assert result.pair(i) == exp, name
 
@@ -206,7 +209,8 @@ class TestExecutionPolicy:
     def test_registered_policies(self):
         """Each in-process name keeps exactly the policy it always ran."""
         policies = {
-            name: get_backend(name).policy for name in ("vectorized", "batch")
+            "vectorized": VECTORIZED_POLICY,
+            "batch": get_backend("batch").policy,
         }
         assert policies["vectorized"] == ExecutionPolicy()
         assert policies["vectorized"].skip_subdivision_max_dim is None
@@ -271,8 +275,9 @@ def test_stats_agree_across_all_entry_points(rng):
 
 # Work counters the parent of the one-executor-path refactor produced
 # for `_pinned_pairs()` under LaunchConfig(block_size=16), in
-# KernelStats field order, cover MBR then tight MBR.  `auto` and
-# `cluster` delegate to these; `numba` runs `batch`'s plan.
+# KernelStats field order, cover MBR then tight MBR.  `scalar`, `simt`
+# and `vectorized` are conftest references; `cluster` runs the
+# `vectorized` policy and `numba` runs `batch`'s plan.
 _ALWAYS_SUBDIVIDE = (
     (28, 406, 42, 672, 294, 364, 25996, 0, 0),
     (28, 328, 30, 480, 178, 298, 25684, 0, 0),
@@ -303,8 +308,10 @@ def _pinned_pairs():
 
 
 def test_every_in_process_name_is_pinned():
-    delegating = {"auto", "cluster", "numba"}
-    assert set(PINNED_STATS) == set(available_backends()) - delegating
+    delegating = {"cluster", "numba"}
+    assert set(PINNED_STATS) == (
+        set(available_backends()) | set(REFERENCES)
+    ) - delegating
 
 
 @pytest.mark.parametrize("tight", [False, True], ids=["cover", "tight"])
@@ -323,8 +330,7 @@ def test_every_in_process_name_is_pinned():
 )
 def test_kernel_stats_are_bit_for_bit_what_they_were(name, options, tight):
     cfg = LaunchConfig(block_size=16, tight_mbr=tight)
-    with get_backend(name, **options) as backend:
-        res = backend.compare_pairs(_pinned_pairs(), cfg)
+    res = implementation_areas(name, _pinned_pairs(), cfg, **options)
     assert tuple(res.stats.as_dict().values()) == PINNED_STATS[name][tight]
     assert (
         int(res.intersection.sum()), int(res.union.sum())

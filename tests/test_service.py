@@ -321,34 +321,6 @@ class TestPoisonRequest:
         assert snap.completed == 1
 
 
-class TestWarmAutoService:
-    def test_auto_backend_caches_delegates(self):
-        """`--backend auto` pools too: delegates are constructed once
-        and the multiprocess delegate inherits persistence."""
-        chunks = _request_chunks(n_chunks=2)
-
-        async def main():
-            config = ServiceConfig(backend="auto", coalesce_window=0.05)
-            async with ComparisonService(config) as service:
-                assert service.backend.persistent
-                first = await service.submit(chunks[0])
-                delegate = service.backend._delegates[
-                    service.backend.last_choice
-                ]
-                second = await service.submit(chunks[1])
-                assert (
-                    service.backend._delegates[service.backend.last_choice]
-                    is delegate
-                )
-            return first, second
-
-        first, second = asyncio.run(main())
-        reference = get_backend("batch")
-        for chunk, got in zip(chunks, (first, second)):
-            want = reference.compare_pairs(chunk)
-            assert np.array_equal(got.intersection, want.intersection)
-
-
 class TestCoalescerSplit:
     def test_max_batch_pairs_splits_concurrent_requests(self):
         """A bound the queued work exceeds keeps launches at the bound."""

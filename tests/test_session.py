@@ -62,7 +62,7 @@ def _assert_no_worker_processes(timeout: float = 5.0) -> None:
 
 class TestLifecycle:
     def test_backend_resolved_lazily(self):
-        session = Session(CompareOptions(backend="vectorized"))
+        session = Session(CompareOptions(backend="batch"))
         assert session._backend is None
         _ = session.backend
         assert session._backend is not None
@@ -109,8 +109,8 @@ class TestLifecycle:
         _assert_no_worker_processes()
 
     def test_session_overrides_shorthand(self):
-        session = Session(backend="scalar")
-        assert session.options.backend == "scalar"
+        session = Session(backend="multiprocess")
+        assert session.options.backend == "multiprocess"
         session.close()
 
     def test_invalid_backend_fails_on_first_use(self):
@@ -218,7 +218,7 @@ class TestParity:
 
     def test_per_call_options_override_session(self):
         with Session(backend="batch") as session:
-            a = session.compare(PAIRS, CompareOptions(backend="scalar"))
+            a = session.compare(PAIRS, CompareOptions(backend="multiprocess"))
             b = session.compare(PAIRS)
         np.testing.assert_array_equal(a.intersection, b.intersection)
         np.testing.assert_array_equal(a.union, b.union)
@@ -268,8 +268,8 @@ class TestCompareFiles:
 
     def test_files_path_runs_no_pipeline_and_no_threads(self, small_dataset):
         """No simulated hardware on the production path: neither the
-        library call nor the CLI imports the threaded pipeline (modeled
-        device, migrators) or leaves a thread behind."""
+        library call nor the CLI imports the §4 model or the Fig. 9 cycle
+        simulator, or leaves a thread behind."""
         dir_a, dir_b = (str(d) for d in small_dataset)
         check = (
             "import sys, threading\n"
@@ -279,6 +279,7 @@ class TestCompareFiles:
             "            lambda: main(['compare', *sys.argv[1:]])):\n"
             "    run()\n"
             "    assert 'repro.pipeline' not in sys.modules\n"
+            "    assert 'repro.gpu' not in sys.modules\n"
             "    assert threading.active_count() == 1\n"
         )
         subprocess.run(
@@ -314,18 +315,10 @@ class TestExplain:
         session.close()
         assert plan.kind == "pairs"
         assert plan.backend == "multiprocess"
-        assert plan.resolved_backend == "multiprocess"
         assert plan.n_pairs == len(PAIRS)
         assert plan.shard_pairs is not None
         assert plan.capabilities["configurable_workers"] is True
         assert plan.launch["tight_mbr"] is True
-
-    def test_explain_resolves_auto(self):
-        plan = explain(
-            CompareRequest.from_pairs(PAIRS, CompareOptions(backend="auto"))
-        )
-        assert plan.backend == "auto"
-        assert plan.resolved_backend in ("batch", "vectorized", "multiprocess")
 
     def test_explain_cluster_reports_hosts(self):
         plan = explain(

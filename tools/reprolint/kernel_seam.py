@@ -12,10 +12,10 @@ mention in a comment or docstring does not trip the guard while a real
 call through an alias does.
 
 RL702 keeps the Fig. 9 cycle simulator out of everything that decides
-how work is run: under ``src/repro/`` only the package itself, the
-``simt`` backend and the experiments may import ``repro.gpu`` (modeled
-GTX 580 cycles are meaningful as normalized ratios, not as a sizing
-input — that policy lives in ``repro/backends/sizing.py``).
+how work is run: under ``src/repro/`` only the package itself and the
+experiments may import ``repro.gpu`` (modeled GTX 580 cycles are
+meaningful as normalized ratios, not as a sizing input — that policy
+lives in ``repro/backends/sizing.py``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ SEAM_ALLOWLIST = {
 # path prefix (relative to src/) -> why it may import repro.gpu
 SIMULATOR_IMPORTERS = {
     "repro/gpu/": "the simulator package itself",
-    "repro/backends/simt.py": "the cycle-metered replay backend",
     "repro/experiments/": "Fig. 9 / block-size studies",
 }
 
