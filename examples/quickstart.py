@@ -38,14 +38,10 @@ def main() -> None:
     # Every execution backend computes the same bits; pick one with
     # CompareOptions (or from the shell:
     # `python -m repro compare A B --backend multiprocess`).
-    from repro.backends import available_backends, backend_availability
+    from repro.backends import available_backends
 
     print()
     for backend in available_backends():
-        reason = backend_availability(backend)
-        if reason is not None:
-            print(f"backend {backend:12s}: skipped ({reason})")
-            continue
         with Session(CompareOptions(backend=backend)) as session:
             routed = session.compare_sets(result_a, result_b)
         print(f"backend {backend:12s}: J'={routed.jaccard_mean:.4f}")

@@ -201,7 +201,6 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
             cfg.threshold,
             cfg.block_size,
             workers=max(1, caps.max_workers),
-            substrate=options.backend_options.get("substrate", "numpy"),
         )
 
     hosts: tuple[str, ...] = ()

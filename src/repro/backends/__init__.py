@@ -9,10 +9,8 @@ seam that makes the claim structural instead of incidental:
 * :mod:`repro.backends.base` defines the :class:`Backend` protocol
   (``compare_pairs(pairs, config) -> BatchAreas``) and a name-keyed
   registry of backend factories;
-* executors self-register on import — :mod:`repro.backends.kernel`
-  registers the two in-process kernel backends (``batch``, ``numba``:
-  one :class:`KernelBackend`, two ``ExecutionPolicy`` rows), every other
-  executor has its own module:
+* executors self-register on import, one module each
+  (:mod:`repro.backends.kernel` holds the in-process ``batch``):
 
   ===============  ====================================================
   ``batch``        production batched kernel (the aggregator's path)
@@ -21,9 +19,6 @@ seam that makes the claim structural instead of incidental:
   ``cluster``      shards on remote ``repro worker`` processes over the
                    binary wire protocol (loopback workers when no hosts
                    are configured)
-  ``numba``        compiled chunk kernel (``@njit(parallel=True)``),
-                   available when the ``repro[numba]`` extra is
-                   installed
   ===============  ====================================================
 
 * consumers — the session (:class:`repro.Session`), the §4 experiment's
@@ -53,16 +48,13 @@ from repro.backends.base import (
     BackendCapabilities,
     BackendLifecycle,
     available_backends,
-    backend_availability,
     backend_registry,
     get_backend,
     register,
 )
 
 # Import for registration side effects (each module self-registers; the
-# cluster coordinator registers through a lazy shim and ``numba`` behind
-# an availability probe, so the registry lists both even when their
-# dependency is absent).
+# cluster coordinator registers through a lazy shim).
 from repro.backends import cluster as _cluster  # noqa: E402,F401
 from repro.backends import kernel as _kernel  # noqa: E402,F401
 from repro.backends import multiprocess as _multiprocess  # noqa: E402,F401
@@ -75,7 +67,6 @@ __all__ = [
     "register",
     "get_backend",
     "available_backends",
-    "backend_availability",
     "backend_registry",
     "MultiprocessBackend",
     "default_workers",

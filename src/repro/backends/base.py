@@ -4,8 +4,8 @@ A *backend* is one executor for the PixelBox cross-comparison workload:
 given a list of polygon pairs it returns the exact per-pair areas (and
 the kernel work counters) as a
 :class:`~repro.pixelbox.kernel.BatchAreas`.  Backends differ only in
-*how* they execute — wide NumPy arrays, compiled code, sharded worker
-processes, remote workers — never in *what* they compute: every
+*how* they execute — wide NumPy arrays, sharded worker processes,
+remote workers — never in *what* they compute: every
 registered backend must be bit-for-bit identical to the exact overlay
 reference, which ``tests/test_backend_parity.py`` enforces for each
 registry entry automatically.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.errors import BackendError, KernelError
+from repro.errors import KernelError
 from repro.pixelbox.common import LaunchConfig
 from repro.pixelbox.kernel import BatchAreas, Pairs
 
@@ -33,7 +33,6 @@ __all__ = [
     "register",
     "get_backend",
     "available_backends",
-    "backend_availability",
     "backend_registry",
 ]
 
@@ -63,9 +62,6 @@ class BackendCapabilities:
         single-process executors).
     remote:
         Execution leaves this machine (network transport involved).
-    compiled:
-        The kernel sequence runs as machine code (JIT or AOT), not as
-        NumPy array programs.
     notes:
         One-line human hint (requirements, configuration source).
     """
@@ -75,7 +71,6 @@ class BackendCapabilities:
     configurable_workers: bool = False
     max_workers: int = 1
     remote: bool = False
-    compiled: bool = False
     notes: str = ""
 
     def as_dict(self) -> dict:
@@ -93,8 +88,6 @@ class BackendCapabilities:
             tags.append(f"workers<={self.max_workers}")
         if self.remote:
             tags.append("remote")
-        if self.compiled:
-            tags.append("compiled")
         return ",".join(tags) if tags else "stateless"
 
 
@@ -163,50 +156,22 @@ POOLED_BACKENDS = ("multiprocess",)
 
 _REGISTRY: dict[str, BackendFactory] = {}
 
-# Optional availability probes: name -> callable returning None when the
-# backend can run here, or a human-readable reason string when it cannot
-# (a missing optional dependency, typically).  Backends without a probe
-# are unconditionally available.
-_AVAILABILITY: dict[str, Callable[[], str | None]] = {}
 
-
-def register(
-    name: str, *, availability: Callable[[], str | None] | None = None
-) -> Callable[[BackendFactory], BackendFactory]:
+def register(name: str) -> Callable[[BackendFactory], BackendFactory]:
     """Class decorator adding a backend factory under ``name``.
 
     The decorated class (or factory callable) must produce objects
     satisfying the :class:`Backend` protocol when called with no
-    arguments.  ``availability``, when given, is called before every
-    instantiation; returning a reason string makes :func:`get_backend`
-    raise a :class:`~repro.errors.BackendError` naming it instead of
-    surfacing an ``ImportError`` from deep inside the factory.
+    arguments.
     """
 
     def deco(factory: BackendFactory) -> BackendFactory:
         if name in _REGISTRY:
             raise KernelError(f"backend {name!r} registered twice")
         _REGISTRY[name] = factory
-        if availability is not None:
-            _AVAILABILITY[name] = availability
         return factory
 
     return deco
-
-
-def backend_availability(name: str) -> str | None:
-    """``None`` when ``name`` can run here, else the reason it cannot.
-
-    Lets listings (``repro backends``) report an unavailable backend
-    without instantiating it — and without crashing on the attempt.
-    """
-    if name not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
-        raise KernelError(
-            f"unknown backend {name!r} (registered: {known})"
-        )
-    probe = _AVAILABILITY.get(name)
-    return probe() if probe is not None else None
 
 
 def get_backend(name: str, **kwargs) -> Backend:
@@ -222,13 +187,6 @@ def get_backend(name: str, **kwargs) -> Backend:
         raise KernelError(
             f"unknown backend {name!r} (registered: {known})"
         ) from None
-    probe = _AVAILABILITY.get(name)
-    if probe is not None:
-        reason = probe()
-        if reason is not None:
-            raise BackendError(
-                f"backend {name!r} is unavailable: {reason}"
-            )
     try:
         return factory(**kwargs)
     except TypeError as exc:

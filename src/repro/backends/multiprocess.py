@@ -216,11 +216,6 @@ class MultiprocessBackend(BackendLifecycle):
         Keep one warm worker pool across ``compare_pairs`` calls instead
         of forking per call.  The owner is responsible for ``close()``
         (or using the backend as a context manager).
-    substrate:
-        What each shard executes on: ``"numpy"`` (default) or
-        ``"numba"`` — a shard runs the compiled chunk kernel inside its
-        worker process, composing process sharding with the compiled
-        substrate.  Requires the ``repro[numba]`` extra.
     """
 
     name = "multiprocess"
@@ -231,23 +226,15 @@ class MultiprocessBackend(BackendLifecycle):
         workers: int | None = None,
         min_pairs: int = 256,
         persistent: bool = False,
-        substrate: str = "numpy",
     ):
         resolved = default_workers() if workers is None else workers
         if resolved < 1:
             raise KernelError(f"workers must be >= 1, got {resolved}")
-        # The plain always-subdivide plan on the chosen substrate (the
-        # policy validates the substrate name).
-        self.policy = ExecutionPolicy(substrate=substrate)
-        if substrate == "numba":
-            # Fail at construction, not inside a worker process.
-            from repro.pixelbox import numba_kernel
-
-            numba_kernel.require_numba()
+        # The plain always-subdivide plan.
+        self.policy = ExecutionPolicy()
         self.workers = resolved
         self.min_pairs = min_pairs
         self.persistent = persistent
-        self.substrate = substrate
         self._pool: ProcessPoolExecutor | None = None
         self._pool_unregister = False
         self._pool_lock = threading.Lock()
@@ -258,7 +245,6 @@ class MultiprocessBackend(BackendLifecycle):
             stateful_lifecycle=True,
             configurable_workers=True,
             max_workers=self.workers,
-            compiled=self.substrate == "numba",
             notes="shared-memory pair shards; REPRO_WORKERS sets the default",
         )
 

@@ -22,8 +22,6 @@ __all__ = [
 _EDGE_TEST_ALU = 4
 # A level's frontier shrinks roughly by the decided fraction.
 _LEVEL_DECIDED_FRACTION = 0.5
-# The compiled (numba) substrate's speedup over the NumPy engines.
-_COMPILED_SPEEDUP = 8.0
 # One remote shard dispatch (round trip + scheduling, tables resident),
 # and how often a shard's compute must amortize it.
 _SHARD_DISPATCH_CYCLES = 2.0e7
@@ -83,23 +81,19 @@ def recommend_shard_pairs(
     pixel_threshold: int,
     block_size: int = 64,
     workers: int = 1,
-    substrate: str = "numpy",
 ) -> int:
     """Pairs per remote shard for one cluster dispatch.
 
     Each shard's modeled compute should exceed the dispatch charge by
     ``_SHARD_AMORTIZATION``x, while the request still splits into about
     ``_SHARDS_PER_WORKER`` shards per worker so the scheduler has slack
-    for speculation and re-dispatch.  ``substrate="numba"`` prices a pair
-    at the compiled substrate's speed, so shards grow.
+    for speculation and re-dispatch.
     """
     if n_pairs <= 0:
         return 1
     per_pair = estimate_comparison_cycles(
         1, mean_edges, mean_mbr_pixels, pixel_threshold, block_size
     )
-    if substrate == "numba":
-        per_pair /= _COMPILED_SPEEDUP
     dispatch = _SHARD_DISPATCH_CYCLES * _SHARD_AMORTIZATION
     floor = n_pairs if per_pair <= 0 else max(1, math.ceil(dispatch / per_pair))
     target = max(1, math.ceil(n_pairs / (max(1, workers) * _SHARDS_PER_WORKER)))

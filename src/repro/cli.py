@@ -204,13 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-tables", type=int, default=8,
         help="LRU bound on resident content-addressed table bundles",
     )
-    wrk.add_argument(
-        "--substrate", choices=("auto", "numpy", "numba"), default="auto",
-        help=(
-            "chunk-kernel substrate for shards (auto: compiled when the "
-            "repro[numba] extra is installed, NumPy otherwise)"
-        ),
-    )
 
     cch = sub.add_parser(
         "cache",
@@ -260,23 +253,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "backends":
-        from repro.backends import (
-            available_backends,
-            backend_availability,
-            get_backend,
-        )
+        from repro.backends import available_backends, get_backend
 
         if args.json:
             import json
 
             listing = []
             for name in available_backends():
-                reason = backend_availability(name)
-                if reason is not None:
-                    listing.append(
-                        {"name": name, "available": False, "reason": reason}
-                    )
-                    continue
                 backend = get_backend(name)
                 listing.append(
                     {
@@ -290,10 +273,6 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(listing, indent=2))
             return 0
         for name in available_backends():
-            reason = backend_availability(name)
-            if reason is not None:
-                print(f"{name:14s} [{'unavailable':24s}] {reason}")
-                continue
             backend = get_backend(name)
             caps = backend.capabilities()
             print(f"{name:14s} [{caps.summary():24s}] {backend.description}")
@@ -430,7 +409,6 @@ def main(argv: list[str] | None = None) -> int:
             host=args.host,
             port=args.port,
             max_tables=args.max_tables,
-            substrate=args.substrate,
         )
         worker._bind()
         host, port = worker.address

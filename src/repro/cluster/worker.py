@@ -53,13 +53,6 @@ class ShardWorker:
         LRU bound on resident table bundles.  Each bundle is one
         request's tables; a coordinator re-sends on ``missing-tables``,
         so eviction costs bandwidth, never correctness.
-    substrate:
-        What shards execute on: ``"auto"`` (default) uses the compiled
-        (numba) kernel when the extra is installed on this host and the
-        NumPy engines otherwise; ``"numpy"``/``"numba"`` pin it.
-        Results are bit-for-bit identical either way — only wall-clock
-        differs — so a heterogeneous cluster (some workers compiled,
-        some not) stays exact.
     """
 
     def __init__(
@@ -67,27 +60,10 @@ class ShardWorker:
         host: str = "127.0.0.1",
         port: int = 0,
         max_tables: int = 8,
-        substrate: str = "auto",
     ):
         if max_tables < 1:
             raise ReproError(f"max_tables must be >= 1, got {max_tables}")
-        if substrate not in ("auto", "numpy", "numba"):
-            raise ReproError(
-                f"substrate must be 'auto', 'numpy', or 'numba', got "
-                f"{substrate!r}"
-            )
-        if substrate == "auto":
-            from repro.backends.kernel import numba_unavailable_reason
-
-            substrate = (
-                "numba" if numba_unavailable_reason() is None else "numpy"
-            )
-        elif substrate == "numba":
-            from repro.pixelbox import numba_kernel
-
-            numba_kernel.require_numba()
         self.host = host
-        self.substrate = substrate
         self.max_tables = max_tables
         self._tables: OrderedDict[str, ShardInput] = OrderedDict()
         self._lock = threading.Lock()
@@ -346,12 +322,7 @@ class ShardWorker:
             trace_id, parent = trace_ctx
             tracer = Tracer(trace_id)
             with activate(tracer, parent):
-                with tracer.span(
-                    "worker.run_shard",
-                    lo=lo,
-                    hi=hi,
-                    substrate=self.substrate,
-                ):
+                with tracer.span("worker.run_shard", lo=lo, hi=hi):
                     inter, stats_dict = self._execute_shard(bundle, lo, hi, cfg)
         else:
             tracer = None
@@ -371,8 +342,9 @@ class ShardWorker:
     ) -> tuple[np.ndarray, dict]:
         """Run one shard through the kernel (a worker never memoizes)."""
         stats = KernelStats()
-        policy = ExecutionPolicy(substrate=self.substrate)
-        inter, _ = ChunkKernel(policy, cfg).run_shard(bundle, lo, hi, stats)
+        inter, _ = ChunkKernel(ExecutionPolicy(), cfg).run_shard(
+            bundle, lo, hi, stats
+        )
         with self._lock:
             self.shards_run += 1
         return inter, stats.as_dict()

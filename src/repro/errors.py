@@ -19,7 +19,6 @@ __all__ = [
     "QueryError",
     "CatalogError",
     "KernelError",
-    "BackendError",
     "CacheError",
     "DeviceError",
     "PipelineError",
@@ -78,11 +77,6 @@ class CatalogError(ReproError):
 
 class KernelError(ReproError):
     """PixelBox kernel misconfiguration (bad threshold, empty batch, ...)."""
-
-
-class BackendError(KernelError):
-    """An execution backend cannot run here (e.g. its optional compiled
-    dependency is not installed); the message names the missing extra."""
 
 
 class CacheError(ReproError):

@@ -17,8 +17,7 @@ What lives here:
 
 * ``kernel`` — :class:`ChunkKernel`, :class:`ExecutionPolicy`,
   :class:`ShardInput`, :class:`BatchAreas`;
-* ``vectorized`` / ``numba_kernel`` — the two substrates the kernel runs
-  on (level-synchronous NumPy programs, compiled per-pair walk);
+* ``vectorized`` — the level-synchronous NumPy programs the kernel runs;
 * references — :func:`compute_pair` (per-pair NumPy engine, every
   variant), :func:`pair_areas_scalar` (PixelBox-CPU-S) and
   :class:`ReferenceKernel` (a line-by-line transcription of the paper's

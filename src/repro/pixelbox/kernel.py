@@ -128,20 +128,12 @@ class ExecutionPolicy:
         always subdivides.
     chunk_pairs:
         Pairs per level-synchronous chunk (bounds peak memory).
-    substrate:
-        What executes the chunk sequence: ``"numpy"`` (default) runs the
-        level-synchronous array programs in this module; ``"numba"``
-        dispatches to the compiled per-pair kernel in
-        :mod:`repro.pixelbox.numba_kernel` (bit-for-bit identical plans
-        and counters, machine-code speed).  The compiled substrate
-        implements the PIXELBOX indirect-union sequence only.
     """
 
     method: Method = Method.PIXELBOX
     union_mode: str = "auto"
     skip_subdivision_max_dim: int | None = None
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS
-    substrate: str = "numpy"
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
@@ -167,17 +159,6 @@ class ExecutionPolicy:
         if self.chunk_pairs < 1:
             raise KernelError(
                 f"chunk_pairs must be >= 1, got {self.chunk_pairs}"
-            )
-        if self.substrate not in ("numpy", "numba"):
-            raise KernelError(
-                f"substrate must be 'numpy' or 'numba', got "
-                f"{self.substrate!r}"
-            )
-        if self.substrate == "numba" and self.method is not Method.PIXELBOX:
-            raise KernelError(
-                "the compiled substrate implements the PIXELBOX "
-                "indirect-union sequence only; use substrate='numpy' for "
-                f"{self.method.name}"
             )
 
     @property
@@ -391,13 +372,6 @@ class ChunkKernel:
         """
         policy = self.policy
         cfg = self.cfg
-        if policy.substrate == "numba":
-            from repro.pixelbox import numba_kernel
-
-            return numba_kernel.run_chunk_compiled(
-                table_p, table_q, boxes, has_box, row_base, stats,
-                policy, cfg,
-            )
         m = len(boxes)
         stats.pairs += m
         inter = np.zeros(m, dtype=np.int64)

@@ -489,7 +489,6 @@ class Session:
             mean_pixels,
             cfg.threshold,
             cfg.block_size,
-            substrate="numba" if options.backend == "numba" else "numpy",
         )
 
     # ------------------------------------------------------------------

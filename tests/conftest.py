@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import backend_availability, backend_registry, get_backend
+from repro.backends import backend_registry, get_backend
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
@@ -107,22 +107,14 @@ REFERENCES = {
 IMPLEMENTATIONS = sorted(set(backend_registry()) | set(REFERENCES))
 
 
-def unavailable_reason(name):
-    """Why ``name`` cannot run here (``None`` when it can)."""
-    return None if name in REFERENCES else backend_availability(name)
-
-
 def implementation_areas(name, pairs, cfg=None, **options):
     """``BatchAreas`` of one reference or registered backend.
 
     A backend is built with ``options`` and closed again before
-    returning; one whose optional dependency is absent skips the test.
+    returning.
     """
     if name in REFERENCES:
         return REFERENCES[name](pairs, cfg)
-    reason = backend_availability(name)
-    if reason is not None:
-        pytest.skip(reason)
     with get_backend(name, **options) as backend:
         return backend.compare_pairs(pairs, cfg)
 

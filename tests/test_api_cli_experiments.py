@@ -56,21 +56,15 @@ class TestCli:
     def test_backends_json(self, capsys):
         assert main(["backends", "--json"]) == 0
         listing = json.loads(capsys.readouterr().out)
-        names = {entry["name"] for entry in listing}
-        assert names == {"batch", "multiprocess", "cluster", "numba"}
+        assert [entry["name"] for entry in listing] == [
+            "batch", "cluster", "multiprocess"
+        ]
         for entry in listing:
-            # Availability-gated entries (the numba extra) report why
-            # instead of capabilities; everything else reports both.
-            assert isinstance(entry["available"], bool)
-            if not entry["available"]:
-                assert entry["reason"]
-                continue
+            assert entry["available"] is True
             assert "description" in entry
-            caps = entry["capabilities"]
-            assert set(caps) >= {
+            assert set(entry["capabilities"]) == {
                 "persistent_pooling", "stateful_lifecycle",
                 "configurable_workers", "max_workers", "remote", "notes",
-                "compiled",
             }
 
     def test_explain_command(self, tmp_path, capsys):

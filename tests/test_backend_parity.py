@@ -28,24 +28,14 @@ import os
 import numpy as np
 import pytest
 
-from repro.backends import (
-    available_backends,
-    backend_availability,
-    backend_registry,
-    get_backend,
-)
+from repro.backends import available_backends, backend_registry, get_backend
 from repro.exact import boolean
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
 from repro.pixelbox.common import LaunchConfig
 
-from conftest import (
-    IMPLEMENTATIONS,
-    implementation_areas,
-    simt_areas,
-    unavailable_reason,
-)
+from conftest import IMPLEMENTATIONS, implementation_areas, simt_areas
 
 
 def random_pair(rng, h: int = 12, w: int = 14, density: float = 0.5):
@@ -60,20 +50,7 @@ def random_pair(rng, h: int = 12, w: int = 14, density: float = 0.5):
 
     return one(), one()
 
-EXPECTED_BACKENDS = {"batch", "cluster", "multiprocess", "numba"}
-
-
-def _get_backend_or_skip(name: str, **kwargs):
-    """``get_backend`` that skips (not fails) availability-gated entries.
-
-    The registry intentionally lists backends whose optional compiled
-    dependency may be absent (``numba``); the parity harness covers them
-    bit-for-bit wherever the extra is installed and skips elsewhere.
-    """
-    reason = backend_availability(name)
-    if reason is not None:
-        pytest.skip(reason)
-    return get_backend(name, **kwargs)
+EXPECTED_BACKENDS = {"batch", "cluster", "multiprocess"}
 
 
 def _edge_case_pairs():
@@ -143,7 +120,7 @@ def test_backend_reports_structured_capabilities(name):
     replacing ad-hoc attribute sniffing (pooling owners branch on it)."""
     from repro.backends import BackendCapabilities
 
-    caps = _get_backend_or_skip(name).capabilities()
+    caps = get_backend(name).capabilities()
     assert isinstance(caps, BackendCapabilities)
     assert caps.max_workers >= 1
     assert isinstance(caps.summary(), str) and caps.summary()
@@ -190,8 +167,6 @@ def test_backends_agree_under_nondefault_config(workloads):
     pairs, ref_inter, ref_union = workloads["small"]
     cfg = LaunchConfig(block_size=16, pixel_threshold=64)
     for name in IMPLEMENTATIONS:
-        if unavailable_reason(name) is not None:
-            continue  # availability-gated extras are covered where present
         result = implementation_areas(name, pairs, cfg)
         assert np.array_equal(result.intersection, ref_inter), name
         assert np.array_equal(result.union, ref_union), name
@@ -256,7 +231,7 @@ def test_backend_lifecycle_context_manager(name, workloads):
     """Registry introspection covers the lifecycle contract too: use as
     a context manager, correct results inside, close idempotent after."""
     pairs, ref_inter, ref_union = workloads["small"]
-    with _get_backend_or_skip(name) as backend:
+    with get_backend(name) as backend:
         result = backend.compare_pairs(pairs)
         assert np.array_equal(result.intersection, ref_inter)
         assert np.array_equal(result.union, ref_union)

@@ -277,7 +277,7 @@ def test_stats_agree_across_all_entry_points(rng):
 # for `_pinned_pairs()` under LaunchConfig(block_size=16), in
 # KernelStats field order, cover MBR then tight MBR.  `scalar`, `simt`
 # and `vectorized` are conftest references; `cluster` runs the
-# `vectorized` policy and `numba` runs `batch`'s plan.
+# `vectorized` policy.
 _ALWAYS_SUBDIVIDE = (
     (28, 406, 42, 672, 294, 364, 25996, 0, 0),
     (28, 328, 30, 480, 178, 298, 25684, 0, 0),
@@ -308,7 +308,7 @@ def _pinned_pairs():
 
 
 def test_every_in_process_name_is_pinned():
-    delegating = {"cluster", "numba"}
+    delegating = {"cluster"}
     assert set(PINNED_STATS) == (
         set(available_backends()) | set(REFERENCES)
     ) - delegating

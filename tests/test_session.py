@@ -127,11 +127,6 @@ class TestParity:
 
     @pytest.mark.parametrize("backend", sorted(available_backends()))
     def test_compare_sets_matches_legacy_path(self, backend, tile_pair):
-        from repro.backends import backend_availability
-
-        reason = backend_availability(backend)
-        if reason is not None:
-            pytest.skip(reason)
         set_a, set_b = tile_pair
         legacy = jaccard_pairwise(set_a, set_b, backend=backend)
         with Session(backend=backend) as session:
