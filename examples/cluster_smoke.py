@@ -5,8 +5,8 @@ Spawns two genuine ``repro worker`` subprocesses on ephemeral TCP ports
 (separate interpreters — unlike the loopback transport the test suite
 uses, these shards run with real process parallelism), drives a
 pathology-scale comparison through the ``cluster`` backend, verifies
-every area and work counter bit-for-bit against the same kernel policy
-run in this process, asserts tables traveled once per worker, then kills
+every area and work counter bit-for-bit against the ``batch`` backend
+in this process, asserts tables traveled once per worker, then kills
 one worker mid-service and checks a second request still completes
 exactly.  CI runs this as the cluster smoke job.
 
@@ -24,7 +24,6 @@ import numpy as np
 from repro.backends import get_backend
 from repro.data.synth import generate_tile_pair
 from repro.index.join import mbr_pair_join
-from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy
 
 WORKERS = 2
 
@@ -52,9 +51,10 @@ def main() -> None:
         seed=4242, nuclei=400, width=512, height=512
     )
     pairs = mbr_pair_join(set_a, set_b).pairs(set_a, set_b)
-    # Cluster shards run the always-subdivide policy, so its counters are
-    # the reference for the stats check below, not batch's.
-    reference = ChunkKernel(ExecutionPolicy()).compute(pairs)
+    # Cluster shards run the batch policy: batch's areas and counters
+    # are the reference for the checks below.
+    with get_backend("batch") as batch:
+        reference = batch.compare_pairs(pairs)
 
     workers = [start_worker() for _ in range(WORKERS)]
     hosts = ",".join(addr for _, addr in workers)

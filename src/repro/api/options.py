@@ -25,7 +25,7 @@ from typing import Any, Mapping
 from repro.errors import RequestError
 from repro.pixelbox.common import DEFAULT_BLOCK_SIZE, LaunchConfig
 
-__all__ = ["CompareOptions", "DEFAULT_OPTIONS", "executor_identity"]
+__all__ = ["CompareOptions", "DEFAULT_OPTIONS"]
 
 
 def _frozen_mapping(value: Mapping[str, Any] | None) -> Mapping[str, Any]:
@@ -179,18 +179,6 @@ class CompareOptions:
                 f"(known: {sorted(known)})"
             )
         return cls(**dict(raw))
-
-
-def executor_identity(options: CompareOptions) -> str:
-    """The executor ``options`` resolve to, as a cache-key token.
-
-    Backend name plus resolved factory options — exactly what
-    ``Session._backend_for`` compares before reusing its warm executor —
-    because ``KernelStats`` differ by execution policy: two requests may
-    share a cached result only if the same executor would compute it.
-    """
-    factory_options = sorted(options.resolved_backend_options().items())
-    return repr((options.backend, factory_options))
 
 
 #: The library-wide defaults, as one shared immutable instance.

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.api.options import CompareOptions, executor_identity
+from repro.api.options import CompareOptions
 from repro.api.request import CompareRequest
 from repro.errors import ReproError
 
@@ -46,8 +46,10 @@ class ResolvedPlan:
     tiles:
         Tile-pair count for file requests (``None`` otherwise).
     shard_pairs:
-        Recommended pairs per shard for pooled/remote executors
-        (``None`` when the backend does not shard).
+        Pairs per shard the ``multiprocess`` or ``cluster`` backend
+        would cut the workload into — the whole workload when it would
+        run in-process (``None`` when the backend does not shard or the
+        pairs are not known yet).
     hosts:
         Resolved cluster worker addresses (``["loopback"]`` when the
         cluster backend would self-host).
@@ -133,8 +135,7 @@ def _resolve_cache(request: CompareRequest, request_cache) -> dict[str, Any]:
     """The plan's cache section — key and hit prediction included.
 
     Uses the key ``Session`` launches under (:func:`repro.cache.pairs_key`
-    over the pairs, launch config and executor identity), so a
-    ``would_hit: true`` plan and a cached answer can never disagree
+    over the pairs and launch config), so a ``would_hit: true`` plan and a cached answer can never disagree
     about identity.  Only a ``pairs`` request has its key before it
     runs: ``sets`` and ``files`` are cached per tile under the pairs
     each tile's MBR join yields, so their plan reports neither.
@@ -150,9 +151,7 @@ def _resolve_cache(request: CompareRequest, request_cache) -> dict[str, Any]:
         return info
     from repro.cache import pairs_key
 
-    key = pairs_key(
-        list(request.pairs), options.launch_config(), executor_identity(options)
-    )
+    key = pairs_key(list(request.pairs), options.launch_config())
     info["request_key"] = key
     if request_cache is not None:
         info["would_hit"] = request_cache.contains(key)
@@ -172,7 +171,7 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
     the plan's ``would_hit`` is ``None``.
     """
     from repro.backends import get_backend
-    from repro.backends.sizing import profile_pairs, recommend_shard_pairs
+    from repro.backends.sizing import profile_pairs
 
     options = request.options
     cfg = options.launch_config()
@@ -184,24 +183,18 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
         mean_edges, mean_pixels = profile_pairs(pairs)
 
     # Capability check: instantiate (lazily — no pools, no sockets),
-    # read the report, release.  A bad backend name or rejected option
-    # fails here with the registry's named error.
+    # read the report and the backend's own shard sizing — what its
+    # compare_pairs would cut — and release.  A bad backend name or
+    # rejected option fails here with the registry's named error.
     backend = get_backend(options.backend, **options.resolved_backend_options())
+    shard = None
     try:
         caps = backend.capabilities()
+        shard_size = getattr(backend, "_shard_size", None)
+        if pairs is not None and shard_size is not None:
+            shard = shard_size(pairs, cfg)
     finally:
         backend.close()
-
-    shard = None
-    if pairs is not None and options.backend in ("multiprocess", "cluster"):
-        shard = recommend_shard_pairs(
-            n_pairs,
-            mean_edges,
-            mean_pixels,
-            cfg.threshold,
-            cfg.block_size,
-            workers=max(1, caps.max_workers),
-        )
 
     hosts: tuple[str, ...] = ()
     if options.backend == "cluster":

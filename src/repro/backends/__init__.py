@@ -27,12 +27,19 @@ seam that makes the claim structural instead of incidental:
   the metrics layer, and the CLI — resolve executors by name through
   :func:`get_backend` and never import an engine directly.
 
+Every registered executor runs the one production policy,
+:data:`repro.pixelbox.kernel.BATCH_POLICY`: a backend decides only
+*where* the chunk loop runs, so its results — areas and work counters —
+depend on the pairs and the launch config alone, and a cached result
+answers the same pairs on any backend.
+
 The registry lists what a request may run on.  The implementations the
 paper's §5 *measures* — PixelBox-CPU-S
 (:func:`repro.pixelbox.cpu.pair_areas_scalar`), the SIMT replay
 (:func:`repro.gpu.simt_kernel.collect_block_counts`) and the
-always-subdivide chunk kernel (``ChunkKernel(ExecutionPolicy())``) — are
-plain callables the experiments reach directly.
+always-subdivide chunk kernel (``ChunkKernel(ExecutionPolicy())``, the
+``vectorized`` reference of Figs. 8 and 10) — are plain callables the
+experiments reach directly.
 
 Every registered backend, and each of those measured implementations, is
 covered by the cross-backend parity harness

@@ -149,11 +149,6 @@ class BackendLifecycle:
 
 BackendFactory = Callable[..., Backend]
 
-# Backends whose factories accept ``persistent=``; long-lived owners (a
-# session, the comparison service) default it on, so their pool lives as
-# long as the owner instead of one call.
-POOLED_BACKENDS = ("multiprocess",)
-
 _REGISTRY: dict[str, BackendFactory] = {}
 
 

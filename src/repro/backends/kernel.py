@@ -2,21 +2,17 @@
 
 ``batch`` runs
 :meth:`ChunkKernel.compute <repro.pixelbox.kernel.ChunkKernel.compute>`
-in the calling process under the production batch policy: small pairs —
-the overwhelming majority in pathology workloads — pixelize directly
-over their start box.
+in the calling process under
+:data:`~repro.pixelbox.kernel.BATCH_POLICY`, the policy every executor
+runs: small pairs — the overwhelming majority in pathology workloads —
+pixelize directly over their start box.
 """
 
 from __future__ import annotations
 
 from repro.backends.base import BackendLifecycle, Pairs, register
 from repro.pixelbox.common import LaunchConfig
-from repro.pixelbox.kernel import (
-    DEFAULT_SKIP_SUBDIVISION_DIM,
-    BatchAreas,
-    ChunkKernel,
-    ExecutionPolicy,
-)
+from repro.pixelbox.kernel import BATCH_POLICY, BatchAreas, ChunkKernel
 
 __all__ = ["KernelBackend"]
 
@@ -27,9 +23,8 @@ class KernelBackend(BackendLifecycle):
 
     name = "batch"
     description = "batched device kernel (the pipeline's production path)"
-    policy = ExecutionPolicy(skip_subdivision_max_dim=DEFAULT_SKIP_SUBDIVISION_DIM)
 
     def compare_pairs(
         self, pairs: Pairs, config: LaunchConfig | None = None
     ) -> BatchAreas:
-        return ChunkKernel(self.policy, config).compute(pairs)
+        return ChunkKernel(BATCH_POLICY, config).compute(pairs)

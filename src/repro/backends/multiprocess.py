@@ -11,29 +11,25 @@ intersection-area vector.  The parent scatter-gathers the slices and
 derives unions indirectly (``|p u q| = |p| + |q| - |p n q|``).
 
 Each worker drives the shared chunk kernel
-(:meth:`repro.pixelbox.kernel.ChunkKernel.run_shard` under the plain
-always-subdivide policy) — the same plan+stacked-pixelize sequence every
-in-process executor runs — so every pair's result is an exact integer
-computed independently of its shard and the output is bit-for-bit
-identical to ``ChunkKernel(ExecutionPolicy()).compute`` in one process
-for any worker count, with identical work counters; the parity harness
-checks this.
+(:meth:`repro.pixelbox.kernel.ChunkKernel.run_shard` under
+:data:`~repro.pixelbox.kernel.BATCH_POLICY`, the policy every executor
+runs), so every pair's result is an exact integer computed independently
+of its shard and the output is bit-for-bit what the ``batch`` backend
+returns in one process, work counters included, for any worker count;
+the parity harness checks this.
 
 Small inputs (fewer than ``min_pairs`` candidates) skip the pool and run
 in-process: forking workers for a handful of pairs would cost more than
 the comparison itself.
 
-Two pool lifetimes are supported.  The default tears the pool down after
-every call — no resource outlives ``compare_pairs``, which is right for
-one-shot batch jobs.  ``persistent=True`` keeps one warm worker pool
-across calls (created lazily, pre-spawnable with :meth:`warm`), which is
-what a long-lived owner like :class:`repro.service.ComparisonService`
-wants: process forking happens once per service lifetime instead of once
-per request, and only the (cheap, input-dependent) shared-memory packing
-remains per dispatch.  ``close()`` — also reachable as a context
-manager via :class:`repro.backends.base.BackendLifecycle` — shuts the
-warm pool down and joins its workers; the backend stays usable and
-re-creates the pool on the next pooled call.
+The pool has one lifetime: it is created on the first pooled call (or
+by :meth:`warm`), serves every later call — process forking happens once
+per backend, and only the input-dependent shared-memory packing remains
+per dispatch — and is shut down by ``close()``, which whoever resolved
+the backend calls (directly or as a context manager via
+:class:`repro.backends.base.BackendLifecycle`).  The backend stays
+usable after ``close()`` and re-creates the pool on the next pooled
+call.
 """
 
 from __future__ import annotations
@@ -56,9 +52,9 @@ from repro.backends.base import (
 from repro.errors import KernelError
 from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import (
+    BATCH_POLICY,
     BatchAreas,
     ChunkKernel,
-    ExecutionPolicy,
     ShardInput,
 )
 
@@ -212,10 +208,6 @@ class MultiprocessBackend(BackendLifecycle):
     min_pairs:
         Below this many pairs the pool is skipped and the shard runs
         in-process (identical results, no fork overhead).
-    persistent:
-        Keep one warm worker pool across ``compare_pairs`` calls instead
-        of forking per call.  The owner is responsible for ``close()``
-        (or using the backend as a context manager).
     """
 
     name = "multiprocess"
@@ -225,16 +217,12 @@ class MultiprocessBackend(BackendLifecycle):
         self,
         workers: int | None = None,
         min_pairs: int = 256,
-        persistent: bool = False,
     ):
         resolved = default_workers() if workers is None else workers
         if resolved < 1:
             raise KernelError(f"workers must be >= 1, got {resolved}")
-        # The plain always-subdivide plan.
-        self.policy = ExecutionPolicy()
         self.workers = resolved
         self.min_pairs = min_pairs
-        self.persistent = persistent
         self._pool: ProcessPoolExecutor | None = None
         self._pool_unregister = False
         self._pool_lock = threading.Lock()
@@ -274,14 +262,11 @@ class MultiprocessBackend(BackendLifecycle):
             return self._pool, self._pool_unregister
 
     def warm(self, hold_seconds: float = 0.05) -> list[int]:
-        """Pre-spawn every worker in the persistent pool; returns pids.
+        """Pre-spawn every worker in the pool; returns pids.
 
-        Only meaningful with ``persistent=True`` (a per-call pool would
-        be torn down again immediately); the service calls this at
-        startup so the first request does not pay the fork/spawn cost.
+        The session and the service call this at startup so the first
+        request does not pay the fork/spawn cost.
         """
-        if not self.persistent:
-            return []
         pool, _ = self._ensure_pool()
         # One probe per worker: the executor spawns a process per pending
         # submission until max_workers exist, so this forces a full pool.
@@ -301,44 +286,45 @@ class MultiprocessBackend(BackendLifecycle):
     def compare_pairs(
         self, pairs: Pairs, config: LaunchConfig | None = None
     ) -> BatchAreas:
-        kernel = ChunkKernel(self.policy, config)
-        shard = ShardInput.build(pairs, kernel.policy, kernel.cfg)
+        kernel = ChunkKernel(BATCH_POLICY, config)
+        shard = ShardInput.build(pairs, BATCH_POLICY, kernel.cfg)
         n = len(shard)
         stats = KernelStats()
-        if self.workers == 1 or n < max(self.min_pairs, 2 * self.workers):
-            inter, _ = kernel.run_shard(shard, 0, n, stats)
+        step = self._shard_size(pairs, kernel.cfg)
+        if step < n:
+            inter = self._run_pool(kernel, shard, step, stats)
         else:
-            inter = self._run_pool(kernel, shard, stats)
-        return shard.finalize(kernel.policy, inter, None, stats)
+            inter, _ = kernel.run_shard(shard, 0, n, stats)
+        return shard.finalize(BATCH_POLICY, inter, None, stats)
+
+    def _shard_size(self, pairs: Pairs, cfg: LaunchConfig) -> int:
+        """Pairs per shard: all of them when the pool is skipped, else an
+        even split over the workers (``explain`` reports this too)."""
+        n = len(pairs)
+        if self.workers == 1 or n < max(self.min_pairs, 2 * self.workers):
+            return n
+        return -(-n // self.workers)
 
     # ------------------------------------------------------------------
     def _run_pool(
-        self, kernel: ChunkKernel, shard: ShardInput, stats: KernelStats
+        self,
+        kernel: ChunkKernel,
+        shard: ShardInput,
+        step: int,
+        stats: KernelStats,
     ) -> np.ndarray:
         n = len(shard)
         inter = np.zeros(n, dtype=np.int64)
-        step = -(-n // self.workers)
         shards = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         try:
             shm, manifest = _pack_arrays(shard.to_arrays())
         except OSError:  # pragma: no cover - hosts without shm support
             return kernel.run_shard(shard, 0, n, stats)[0]
         try:
-            if self.persistent:
-                pool, unregister = self._ensure_pool()
-                self._collect(
-                    pool, shm, manifest, shards, kernel, unregister, inter, stats
-                )
-            else:
-                ctx = _mp_context()
-                unregister = ctx.get_start_method() != "fork"
-                with ProcessPoolExecutor(
-                    max_workers=len(shards), mp_context=ctx
-                ) as pool:
-                    self._collect(
-                        pool, shm, manifest, shards, kernel, unregister,
-                        inter, stats,
-                    )
+            pool, unregister = self._ensure_pool()
+            self._collect(
+                pool, shm, manifest, shards, kernel, unregister, inter, stats
+            )
         finally:
             shm.close()
             try:

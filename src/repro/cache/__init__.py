@@ -3,7 +3,8 @@
 The same slide pairs under the same configs should cost a lookup, not a
 recomputation.  One bounded-memory LRU store
 (:class:`LRUCacheStore`), one key (:func:`pairs_key`: pair geometry +
-launch config + executor identity) and one tier, held by the two front
+launch config — every backend runs the same policy, so the executor is
+not part of it) and one tier, held by the two front
 doors — ``Session`` (``session.request``) and ``ComparisonService``
 (``service.request``) — with a :class:`SingleFlight` stampede guard.
 ``sets`` and ``files`` requests are cached per tile, by the geometry of

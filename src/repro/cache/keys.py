@@ -3,11 +3,13 @@
 A key is a content-derived sha256 hex digest, equal to another key
 exactly when the computation it names would produce bit-for-bit
 identical output — areas *and* work counters.  :func:`pairs_key` hashes
-the three things that decide that: the pair geometry (each polygon's
-int64 vertex array, in pair order), the :class:`LaunchConfig` and the
-identity of the executor (``KernelStats`` differ by execution policy).
-Both front doors — ``Session`` and ``ComparisonService`` — key through
-it; ``sets`` and ``files`` requests key each tile's candidate pairs.
+the two things that decide that: the pair geometry (each polygon's int64
+vertex array, in pair order) and the :class:`LaunchConfig`.  The
+executor is not part of it: every registered backend runs the one
+production policy, so a result computed on any of them answers the same
+pairs on every other.  Both front doors — ``Session`` and
+``ComparisonService`` — key through it; ``sets`` and ``files`` requests
+key each tile's candidate pairs.
 
 The config token enumerates dataclass fields dynamically: adding a field
 to ``LaunchConfig`` changes the token automatically — there is no
@@ -44,15 +46,12 @@ def config_token(config: "LaunchConfig") -> str:
     return _field_token(config)
 
 
-def pairs_key(pairs, config: "LaunchConfig", executor: str = "") -> str:
-    """Key for a pair list + launch config + executor identity.
+def pairs_key(pairs, config: "LaunchConfig") -> str:
+    """Key for a pair list + launch config.
 
     Hashes each polygon's int64 vertex array directly — equivalent in
     identity to the WKT the wire protocol carries, without building the
-    strings.  ``executor`` names who would compute the result (a
-    ``Session`` passes :func:`repro.api.options.executor_identity`); a
-    store that only ever fronts one executor, like the service's, can
-    leave it empty.
+    strings.
     """
     h = hashlib.sha256(b"pairs-v1")
     for p, q in pairs:
@@ -60,5 +59,5 @@ def pairs_key(pairs, config: "LaunchConfig", executor: str = "") -> str:
         h.update(b"\x01")
         h.update(q.vertices.tobytes())
         h.update(b"\x02")
-    tokens = "\x00".join((h.hexdigest(), config_token(config), executor))
+    tokens = "\x00".join((h.hexdigest(), config_token(config)))
     return f"request:{hashlib.sha256(tokens.encode()).hexdigest()}"

@@ -14,7 +14,11 @@ unions — only the transport changes:
   deterministic first-result-wins merge;
 * shard size comes from the sizing policy
   (:func:`repro.backends.sizing.recommend_shard_pairs`), so transport overhead
-  stays amortized exactly the way process spin-up is for the local pool.
+  stays amortized exactly the way process spin-up is for the local pool;
+* the coordinator routes pairs and every worker runs shards under
+  :data:`~repro.pixelbox.kernel.BATCH_POLICY`, the policy every executor
+  runs, so a cluster result is bit-for-bit the ``batch`` backend's, work
+  counters included.
 
 With no hosts configured the backend self-hosts a loopback cluster
 (worker threads behind real sockets on 127.0.0.1), so
@@ -52,9 +56,9 @@ from repro.obs.events import EVENTS
 from repro.obs.trace import current_context, current_tracer, span
 from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import (
+    BATCH_POLICY,
     BatchAreas,
     ChunkKernel,
-    ExecutionPolicy,
     ShardInput,
 )
 
@@ -493,8 +497,7 @@ class ClusterBackend(BackendLifecycle):
     def compare_pairs(
         self, pairs: Pairs, config: LaunchConfig | None = None
     ) -> BatchAreas:
-        policy = ExecutionPolicy()
-        kernel = ChunkKernel(policy, config)
+        kernel = ChunkKernel(BATCH_POLICY, config)
         cfg = kernel.cfg
         n = len(pairs)
         stats = KernelStats()
@@ -502,7 +505,7 @@ class ClusterBackend(BackendLifecycle):
         # this thread's context, so the shard spans below (and, via the
         # wire context, the remote worker's) stitch under this request.
         with span("cluster.build_tables", pairs=n):
-            tables = ShardInput.build(pairs, policy, cfg)
+            tables = ShardInput.build(pairs, BATCH_POLICY, cfg)
 
         def local_run(shard: Shard) -> ShardOutcome:
             part = KernelStats()
@@ -512,13 +515,19 @@ class ClusterBackend(BackendLifecycle):
 
         if n < self.min_pairs:
             outcome = local_run(Shard(0, 0, n))
-            return tables.finalize(policy, outcome.inter, None, outcome.stats)
+            return tables.finalize(
+                BATCH_POLICY, outcome.inter, None, outcome.stats
+            )
 
         bundle = tables.to_arrays()
         digest = wire.bundle_digest(bundle)
         with self._dispatch_lock:
             clients = self._live_clients(digest, bundle)
-            shards = self._plan_shards(pairs, cfg, n, max(1, len(clients)))
+            size = self._shard_size(pairs, cfg, workers=len(clients))
+            shards = [
+                Shard(index, lo, min(lo + size, n))
+                for index, lo in enumerate(range(0, n, size))
+            ]
 
             if not clients:
                 inter = np.zeros(n, dtype=np.int64)
@@ -526,7 +535,7 @@ class ClusterBackend(BackendLifecycle):
                     outcome = local_run(shard)
                     inter[shard.lo : shard.hi] = outcome.inter
                     stats.merge(outcome.stats)
-                return tables.finalize(policy, inter, None, stats)
+                return tables.finalize(BATCH_POLICY, inter, None, stats)
 
             def remote_run(client: WorkerClient, shard: Shard) -> ShardOutcome:
                 with span(
@@ -563,7 +572,7 @@ class ClusterBackend(BackendLifecycle):
             outcome = outcomes[shard.index]
             inter[shard.lo : shard.hi] = outcome.inter
             stats.merge(outcome.stats)
-        return tables.finalize(policy, inter, None, stats)
+        return tables.finalize(BATCH_POLICY, inter, None, stats)
 
     # ------------------------------------------------------------------
     def _live_clients(
@@ -604,25 +613,27 @@ class ClusterBackend(BackendLifecycle):
                 t.join()
         return [c for i, c in enumerate(candidates) if outcomes.get(i)]
 
-    def _plan_shards(
-        self, pairs: Pairs, cfg: LaunchConfig, n: int, workers: int
-    ) -> list[Shard]:
+    def _shard_size(
+        self, pairs: Pairs, cfg: LaunchConfig, workers: int | None = None
+    ) -> int:
+        """Pairs per shard across ``workers`` — the live ones at dispatch,
+        the configured count when omitted (``explain`` reports this too):
+        all of them below ``min_pairs``, which run in-process."""
+        if workers is None:
+            workers = self.capabilities().max_workers
+        if len(pairs) < self.min_pairs:
+            return len(pairs)
         if self.shard_pairs is not None:
-            size = self.shard_pairs
-        else:
-            mean_edges, mean_pixels = profile_pairs(pairs)
-            size = recommend_shard_pairs(
-                n,
-                mean_edges,
-                mean_pixels,
-                cfg.threshold,
-                cfg.block_size,
-                workers=workers,
-            )
-        return [
-            Shard(index, lo, min(lo + size, n))
-            for index, lo in enumerate(range(0, n, size))
-        ]
+            return self.shard_pairs
+        mean_edges, mean_pixels = profile_pairs(pairs)
+        return recommend_shard_pairs(
+            len(pairs),
+            mean_edges,
+            mean_pixels,
+            cfg.threshold,
+            cfg.block_size,
+            workers=max(1, workers),
+        )
 
 
 def _default_loopback_workers() -> int:

@@ -11,10 +11,11 @@ contract is:
   ``RUN_SHARD`` naming an evicted digest answers ``missing-tables`` so
   the coordinator re-sends instead of failing the request;
 * **shard execution** — ``RUN_SHARD`` attaches the cached bundle and
-  calls :meth:`repro.pixelbox.kernel.ChunkKernel.run_shard` under the
-  plain always-subdivide policy over ``[lo, hi)``, returning the
-  intersection slice plus the work counters.  No other kernel entry point exists here, so a
-  remote shard is bit-for-bit one of the local backends' shards.
+  calls :meth:`repro.pixelbox.kernel.ChunkKernel.run_shard` under
+  :data:`~repro.pixelbox.kernel.BATCH_POLICY` over ``[lo, hi)``,
+  returning the intersection slice plus the work counters.  No other
+  kernel entry point or policy exists here, so a remote shard is
+  bit-for-bit one of the local backends' shards.
 
 Each accepted connection is served by one thread, frames handled
 sequentially per connection (the coordinator pipelines across workers,
@@ -36,7 +37,7 @@ from repro.cluster import wire
 from repro.errors import ClusterProtocolError, KernelError, ReproError
 from repro.obs.trace import Tracer, activate
 from repro.pixelbox.common import KernelStats
-from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy, ShardInput
+from repro.pixelbox.kernel import BATCH_POLICY, ChunkKernel, ShardInput
 
 __all__ = ["ShardWorker"]
 
@@ -342,7 +343,7 @@ class ShardWorker:
     ) -> tuple[np.ndarray, dict]:
         """Run one shard through the kernel (a worker never memoizes)."""
         stats = KernelStats()
-        inter, _ = ChunkKernel(ExecutionPolicy(), cfg).run_shard(
+        inter, _ = ChunkKernel(BATCH_POLICY, cfg).run_shard(
             bundle, lo, hi, stats
         )
         with self._lock:

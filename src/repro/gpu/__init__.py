@@ -16,7 +16,7 @@ from repro.gpu.memory import (
     conflict_ways,
     soa_push_addresses,
 )
-from repro.gpu.simt_kernel import BlockCounts, collect_block_counts, evaluate_cycles
+from repro.gpu.simt_kernel import BlockCounts, collect_block_counts
 from repro.gpu.simulator import SimtReport, simulate_device
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "AOS_RECORD_WORDS",
     "BlockCounts",
     "collect_block_counts",
-    "evaluate_cycles",
     "simulate_device",
 ]

@@ -7,11 +7,12 @@ The simulator separates *what the kernel does* from *what it costs*:
    — pixelization iterations, edge tests, partitioning steps, stack
    pushes/pops, barriers.  Counts depend only on the launch
    configuration, never on the optimization flags.
-2. :func:`evaluate_cycles` prices those counts under a
-   :class:`~repro.gpu.cost.CostModel` for a given optimization-flag set.
-   Evaluating four flag sets over one count collection reproduces the
-   four implementation variants of Figure 9 exactly as the paper built
-   them — same algorithm, different implementation costs.
+2. :func:`repro.gpu.simulator.simulate_device` prices those counts under
+   a :class:`~repro.gpu.cost.CostModel` for a given optimization-flag set
+   and schedules the blocks onto the device.  Pricing four flag sets over
+   one count collection reproduces the four implementation variants of
+   Figure 9 exactly as the paper built them — same algorithm, different
+   implementation costs.
 
 Areas computed during the replay are asserted against the NumPy engine in
 the test-suite, so the cycle meter is attached to a *correct* execution.
@@ -23,12 +24,10 @@ from dataclasses import dataclass, field
 
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
-from repro.gpu.cost import CostModel, CycleBreakdown, OptimizationFlags
-from repro.gpu.device import DeviceSpec
 from repro.pixelbox.common import LaunchConfig
 from repro.pixelbox.sampling import box_contribute, box_continue, box_position
 
-__all__ = ["BlockCounts", "collect_block_counts", "evaluate_cycles"]
+__all__ = ["BlockCounts", "collect_block_counts"]
 
 
 @dataclass(slots=True)
@@ -113,31 +112,3 @@ def _leaf_intersection(
     mask_q = parity_fill(q.vertical_edges, box)
     return int(np.count_nonzero(mask_p & mask_q))
 
-
-def evaluate_cycles(
-    counts: list[BlockCounts],
-    device: DeviceSpec,
-    flags: OptimizationFlags,
-    config: LaunchConfig | None = None,
-) -> tuple[float, CycleBreakdown]:
-    """Total block cycles of a batch under one optimization-flag set.
-
-    Returns ``(total_cycles, breakdown)``; scheduling across SMs (and the
-    conversion to device time) is the simulator's job.
-    """
-    cfg = config or LaunchConfig()
-    model = CostModel(device, flags)
-    breakdown = CycleBreakdown()
-    for block in counts:
-        # Vertex staging + PolyArea.
-        breakdown.add(model.vertex_staging(block.edges))
-        breakdown.add(model.edge_loop(block.vertex_ops, 1))
-        # Pixelization rounds test every pixel against both edge lists.
-        breakdown.add(model.edge_loop(block.pixel_iterations, block.edges))
-        # Sampling-box classification: each thread walks both edge lists
-        # once per partitioning step (plus the center-parity pass).
-        breakdown.add(model.edge_loop(block.classify_steps, block.edges))
-        breakdown.add(model.stack_push(block.warp_pushes))
-        breakdown.add(model.stack_pop(block.pops))
-        breakdown.add(model.synchronize(block.syncs))
-    return breakdown.total, breakdown

@@ -1,10 +1,10 @@
-"""R-tree over integer boxes: search, insertion, and validation.
+"""R-tree over integer boxes: search and validation.
 
 The filter stage performs MBR-overlap joins (the ``&&`` operator of the
 optimized query, Figure 1(b)); the SDBMS uses the same tree for its
-GiST-style index scans.  Bulk loading in Hilbert order lives in
-:mod:`repro.index.hilbert_rtree`; this module is the tree structure
-itself plus a classic quadratic-split insert path for incremental use.
+GiST-style index scans.  Every tree is built by the Hilbert bulk loader
+in :mod:`repro.index.hilbert_rtree`; this module is the tree structure
+itself.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ class RTreeNode:
 class RTree:
     """An R-tree keyed by :class:`~repro.geometry.box.Box` with int payloads.
 
-    >>> tree = RTree()
-    >>> tree.insert(Box(0, 0, 2, 2), 0)
-    >>> tree.insert(Box(5, 5, 8, 8), 1)
-    >>> tree.search(Box(1, 1, 6, 6))
-    [0, 1]
+    Built by :func:`repro.index.hilbert_rtree.bulk_load`; an empty tree
+    is a single empty leaf.
     """
 
     def __init__(self, fanout: int = DEFAULT_FANOUT) -> None:
@@ -105,50 +102,6 @@ class RTree:
         return levels
 
     # ------------------------------------------------------------------
-    # Insertion (quadratic split)
-    # ------------------------------------------------------------------
-    def insert(self, box: Box, payload: int) -> None:
-        """Insert one entry, splitting nodes that exceed the fanout."""
-        split = self._insert(self.root, box, payload)
-        if split is not None:
-            old_root = self.root
-            self.root = RTreeNode(is_leaf=False, children=[old_root, split])
-            self.root.recompute_mbr()
-        self._size += 1
-
-    def _insert(self, node: RTreeNode, box: Box, payload: int) -> RTreeNode | None:
-        if node.is_leaf:
-            node.entries.append((box, payload))
-            node.mbr = box if node.mbr is None else node.mbr.cover(box)
-            if len(node.entries) > self.fanout:
-                return self._split_leaf(node)
-            return None
-        child = _choose_subtree(node.children, box)
-        split = self._insert(child, box, payload)
-        node.mbr = box if node.mbr is None else node.mbr.cover(box)
-        if split is not None:
-            node.children.append(split)
-            if len(node.children) > self.fanout:
-                return self._split_internal(node)
-        return None
-
-    def _split_leaf(self, node: RTreeNode) -> RTreeNode:
-        groups = _quadratic_split(node.entries, key=lambda e: e[0])
-        node.entries = groups[0]
-        node.recompute_mbr()
-        other = RTreeNode(is_leaf=True, entries=groups[1])
-        other.recompute_mbr()
-        return other
-
-    def _split_internal(self, node: RTreeNode) -> RTreeNode:
-        groups = _quadratic_split(node.children, key=lambda c: c.mbr)
-        node.children = groups[0]
-        node.recompute_mbr()
-        other = RTreeNode(is_leaf=False, children=groups[1])
-        other.recompute_mbr()
-        return other
-
-    # ------------------------------------------------------------------
     # Validation (tests/debugging)
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -173,62 +126,3 @@ class RTree:
                     raise IndexError_("node MBR does not cover a child")
             self._validate(child, depth + 1, depths)
 
-
-def _enlargement(mbr: Box, box: Box) -> int:
-    """Area growth of ``mbr`` if extended to cover ``box``."""
-    return mbr.cover(box).size - mbr.size
-
-
-def _choose_subtree(children: list[RTreeNode], box: Box) -> RTreeNode:
-    """Guttman's ChooseLeaf: least enlargement, ties by smaller area."""
-    best = None
-    best_key: tuple[int, int] | None = None
-    for child in children:
-        if child.mbr is None:
-            continue
-        key = (_enlargement(child.mbr, box), child.mbr.size)
-        if best_key is None or key < best_key:
-            best, best_key = child, key
-    if best is None:
-        raise IndexError_("internal node with no usable children")
-    return best
-
-
-def _quadratic_split(items: list, key) -> tuple[list, list]:
-    """Guttman's quadratic split into two balanced groups."""
-    if len(items) < 2:
-        raise IndexError_("cannot split fewer than two items")
-    # Pick the two seeds wasting the most area if grouped together.
-    worst = -1
-    seeds = (0, 1)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            waste = key(items[i]).cover(key(items[j])).size
-            waste -= key(items[i]).size + key(items[j]).size
-            if waste > worst:
-                worst, seeds = waste, (i, j)
-    group_a = [items[seeds[0]]]
-    group_b = [items[seeds[1]]]
-    mbr_a = key(items[seeds[0]])
-    mbr_b = key(items[seeds[1]])
-    rest = [it for k, it in enumerate(items) if k not in seeds]
-    min_fill = max(1, len(items) // 3)
-    for item in rest:
-        remaining = len(rest) - (len(group_a) + len(group_b) - 2)
-        if len(group_a) + remaining <= min_fill:
-            group_a.append(item)
-            mbr_a = mbr_a.cover(key(item))
-            continue
-        if len(group_b) + remaining <= min_fill:
-            group_b.append(item)
-            mbr_b = mbr_b.cover(key(item))
-            continue
-        grow_a = _enlargement(mbr_a, key(item))
-        grow_b = _enlargement(mbr_b, key(item))
-        if grow_a < grow_b or (grow_a == grow_b and mbr_a.size <= mbr_b.size):
-            group_a.append(item)
-            mbr_a = mbr_a.cover(key(item))
-        else:
-            group_b.append(item)
-            mbr_b = mbr_b.cover(key(item))
-    return group_a, group_b

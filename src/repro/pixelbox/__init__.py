@@ -9,7 +9,9 @@ All batched execution flows through one shared chunk kernel
 (:class:`~repro.pixelbox.kernel.ChunkKernel`, configured by an explicit
 :class:`~repro.pixelbox.kernel.ExecutionPolicy`, fed one
 :class:`~repro.pixelbox.kernel.ShardInput`), so execution policy —
-chunking, batching, sharding, union mode — can never change results.
+chunking, batching, sharding — can never change results, and every
+registered backend runs the same one,
+:data:`~repro.pixelbox.kernel.BATCH_POLICY`.
 Pair lists are compared through a named backend
 (:func:`repro.backends.get_backend`) or ``ChunkKernel(policy).compute``.
 

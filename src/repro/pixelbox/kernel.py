@@ -1,19 +1,19 @@
 """The shared chunk kernel: one algorithm, explicit execution policies.
 
 The paper's PixelBox kernel is a single algorithm (§3.1-§3.3) whose
-executions differ only in *policy* — how pairs are grouped into chunks,
-whether the union is measured directly or derived from
-``|p u q| = |p| + |q| - |p n q|``, and whether small pairs skip the
-sampling-box subdivision and pixelize straight over their MBR (the
-production batching trick).  Hand-assembled copies of the
+executions differ only in *policy* — the algorithm variant, how pairs
+are grouped into chunks, and whether small pairs skip the sampling-box
+subdivision and pixelize straight over their MBR (the production
+batching trick).  Hand-assembled copies of the
 plan+stacked-pixelize sequence drift — one once under-counted ``pops``,
 ignored ``leaf_mode``, and left a zero union for direct-union pairs
 routed to no start box, which the final consistency check reports as a
 :class:`~repro.errors.KernelError` on valid disjoint input — so the
 sequence lives here exactly once:
 
-* :class:`ExecutionPolicy` — declarative knobs (algorithm variant, union
-  mode, small-pair skip-subdivision dimension, chunk size);
+* :class:`ExecutionPolicy` — declarative knobs (algorithm variant,
+  small-pair skip-subdivision dimension, chunk size), and
+  :data:`BATCH_POLICY`, the one production policy;
 * :class:`ChunkKernel` — level-synchronous planning, stacked leaf
   pixelization, and per-pair scatter, parameterized by a policy;
 * :class:`ShardInput` — the data a kernel run consumes (both CSR edge
@@ -21,9 +21,10 @@ sequence lives here exactly once:
   list, flattened to and rebuilt from the named-array bundle that
   crosses process and socket boundaries, and finalized into a
   :class:`BatchAreas`;
-* every executor (in-process, worker process, remote worker) constructs
-  an ``ExecutionPolicy`` and calls :meth:`ChunkKernel.compute` or
-  :meth:`ChunkKernel.run_shard`.
+* every executor (in-process, worker process, remote worker) runs
+  :data:`BATCH_POLICY` through :meth:`ChunkKernel.compute` or
+  :meth:`ChunkKernel.run_shard`, so a result — areas and counters — is a
+  function of its pairs and launch config alone.
 
 This module is the **only** caller of
 :func:`repro.pixelbox.vectorized.plan_levels` and
@@ -55,22 +56,18 @@ from repro.pixelbox.vectorized import (
 )
 
 __all__ = [
+    "BATCH_POLICY",
     "BatchAreas",
     "ChunkKernel",
     "ExecutionPolicy",
     "ShardInput",
     "DEFAULT_CHUNK_PAIRS",
-    "DEFAULT_SKIP_SUBDIVISION_DIM",
     "start_box",
 ]
 
 # Pairs processed per level-synchronous chunk (bounds peak memory of the
 # stacked planning and pixelization tensors); shared by every path.
 DEFAULT_CHUNK_PAIRS = 4096
-
-# Default skip-subdivision bound of the production batch policy: pairs
-# whose MBR fits a 64x64 thread block pixelize directly.
-DEFAULT_SKIP_SUBDIVISION_DIM = 64
 
 
 @dataclass(slots=True)
@@ -111,43 +108,25 @@ class ExecutionPolicy:
     ----------
     method:
         Algorithm variant (paper §5.2): ``PIXEL_ONLY``, ``NOSEP``, or
-        ``PIXELBOX``.
-    union_mode:
-        ``"indirect"`` derives unions from
-        ``|p u q| = |p| + |q| - |p n q|`` (the PixelBox optimization,
-        §3.2); ``"direct"`` measures them alongside the intersection
-        (what NoSep and PixelOnly do on the device); ``"auto"`` (default)
-        picks indirect for ``PIXELBOX`` and direct otherwise.  Explicit
-        ``"direct"`` is rejected for ``PIXELBOX`` — that variant never
-        measures union by boxes, so there is nothing to report directly.
+        ``PIXELBOX``.  ``PIXELBOX`` derives unions from
+        ``|p u q| = |p| + |q| - |p n q|`` (§3.2); the other two measure
+        them alongside the intersection, as they do on the device.
     skip_subdivision_max_dim:
         When set, pairs whose start-box width *and* height are at most
         this bound skip the sampling-box subdivision and pixelize
         directly over the start box — the production batch policy
-        (:data:`DEFAULT_SKIP_SUBDIVISION_DIM`).  ``None`` (default)
-        always subdivides.
+        (:data:`BATCH_POLICY`).  ``None`` (default) always subdivides.
     chunk_pairs:
         Pairs per level-synchronous chunk (bounds peak memory).
     """
 
     method: Method = Method.PIXELBOX
-    union_mode: str = "auto"
     skip_subdivision_max_dim: int | None = None
     chunk_pairs: int = DEFAULT_CHUNK_PAIRS
 
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
             raise KernelError(f"unknown method {self.method!r}")
-        if self.union_mode not in ("auto", "direct", "indirect"):
-            raise KernelError(
-                "union_mode must be 'auto', 'direct', or 'indirect', "
-                f"got {self.union_mode!r}"
-            )
-        if self.union_mode == "direct" and self.method is Method.PIXELBOX:
-            raise KernelError(
-                "the PIXELBOX variant never measures union directly; "
-                "use union_mode='indirect' (or 'auto')"
-            )
         if (
             self.skip_subdivision_max_dim is not None
             and self.skip_subdivision_max_dim < 1
@@ -164,14 +143,17 @@ class ExecutionPolicy:
     @property
     def indirect_union(self) -> bool:
         """Whether unions are derived from the inclusion-exclusion identity."""
-        if self.union_mode == "auto":
-            return self.method is Method.PIXELBOX
-        return self.union_mode == "indirect"
+        return self.method is Method.PIXELBOX
 
     @property
     def measures_union(self) -> bool:
         """Whether planning/pixelization must track union counts at all."""
         return not self.indirect_union
+
+
+#: The one production policy, run by every registered executor: pairs
+#: whose start box fits a 64x64 thread block pixelize directly.
+BATCH_POLICY = ExecutionPolicy(skip_subdivision_max_dim=64)
 
 
 def start_box(

@@ -8,9 +8,9 @@ interactive system answering many small concurrent requests.
 :class:`ComparisonService` inverts the lifecycle:
 
 * **warm backend pool** — the executor is resolved once at
-  :meth:`~ComparisonService.start` and reused for every request; the
-  multiprocess backend is automatically put in its persistent-worker
-  mode (and pre-spawned), so process forking happens once per service
+  :meth:`~ComparisonService.start` and reused for every request; a
+  pooled backend's workers are pre-spawned there and live until the
+  service closes it, so process forking happens once per service
   lifetime;
 * **admission control** — a bounded request queue; a full queue rejects
   immediately with :class:`~repro.errors.ServiceOverloadedError` instead
@@ -44,7 +44,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.backends import get_backend
-from repro.backends.base import POOLED_BACKENDS, Backend, Pairs
+from repro.backends.base import Backend, Pairs
 from repro.cache import LRUCacheStore, areas_nbytes, copy_areas, pairs_key
 from repro.errors import (
     KernelError,
@@ -77,9 +77,7 @@ class ServiceConfig:
     backend:
         Registry name of the warm executor (``repro backends``).
     backend_options:
-        Factory keyword arguments (e.g. ``{"workers": 4}``).  For the
-        multiprocess backend, ``persistent=True`` is implied unless
-        explicitly overridden.
+        Factory keyword arguments (e.g. ``{"workers": 4}``).
     max_queue:
         Admission-control bound: requests beyond this many waiting are
         rejected with :class:`~repro.errors.ServiceOverloadedError`.
@@ -249,11 +247,6 @@ class ComparisonService:
             self._backend = self._injected_backend
         else:
             options = dict(self.config.backend_options)
-            if self.config.backend in POOLED_BACKENDS:
-                # The warm pool is the point: pooled executors keep
-                # their workers across dispatches for the service's
-                # lifetime.
-                options.setdefault("persistent", True)
             try:
                 self._backend = get_backend(self.config.backend, **options)
             except (TypeError, KernelError) as exc:

@@ -6,9 +6,10 @@ spatial result sets on whatever mix of CPU/GPU resources is available.
 
 * it owns the **backend lifecycle** — the executor named by its
   :class:`~repro.api.options.CompareOptions` is resolved lazily on first
-  use, kept warm across calls (pooled executors run in persistent mode,
-  exactly like the comparison service's warm pool), pre-spawnable with
-  :meth:`warm`, and released by :meth:`close` / the context manager;
+  use, kept warm across calls (a pooled executor keeps its pool until
+  closed, exactly like the comparison service's warm pool),
+  pre-spawnable with :meth:`warm`, and released by :meth:`close` / the
+  context manager;
 * every comparison — explicit pairs (:meth:`compare`), two polygon sets
   (:meth:`compare_sets`), two result-set directories
   (:meth:`compare_files`), an incremental :meth:`stream`, an async
@@ -42,7 +43,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import AsyncIterator, Callable, Iterator, Sequence
 
-from repro.api.options import CompareOptions, executor_identity
+from repro.api.options import CompareOptions
 from repro.api.plan import ResolvedPlan, explain as _explain
 from repro.api.request import CompareRequest, Pair
 from repro.api.result import CompareResult, PairOutcome
@@ -115,13 +116,10 @@ class Session:
         with self._lock:
             if self._backend is None:
                 from repro.backends import get_backend
-                from repro.backends.base import POOLED_BACKENDS
 
-                factory_options = self.options.resolved_backend_options()
-                if self.options.backend in POOLED_BACKENDS:
-                    factory_options.setdefault("persistent", True)
                 self._backend = get_backend(
-                    self.options.backend, **factory_options
+                    self.options.backend,
+                    **self.options.resolved_backend_options(),
                 )
             return self._backend
 
@@ -248,15 +246,16 @@ class Session:
 
         Every request kind launches through this closure, so all three
         are cached the same way: one entry per pair list (per tile for
-        ``sets`` and ``files``), keyed by :func:`repro.cache.pairs_key`.
-        The executor is resolved by the first miss — the warm backend,
+        ``sets`` and ``files``), keyed by :func:`repro.cache.pairs_key` —
+        the same key whichever backend computes it, since every backend
+        returns the same areas and counters.  The executor is resolved by
+        the first miss — the warm backend,
         one launch at a time under the dispatch lock, or a throwaway one
         closed on exit — so a request answered from the cache constructs
         and locks no backend.
         """
         config = options.launch_config()
         store = self._store_for(options)
-        executor = executor_identity(options) if store is not None else ""
         resolved = None  # (backend, throwaway) once a launch needed one
 
         def execute(pairs: list[Pair]) -> BatchAreas:
@@ -275,7 +274,7 @@ class Session:
         def launch(pairs: list[Pair]) -> BatchAreas:
             if store is None:
                 return execute(pairs)
-            key = pairs_key(pairs, config, executor)
+            key = pairs_key(pairs, config)
             cached = store.get(key)
             tracer = current_tracer()
             if tracer is not None:

@@ -59,8 +59,8 @@ def batched_areas(pairs, cfg=None):
 # callable the parity harness checks beside the backend registry.
 # ----------------------------------------------------------------------
 
-#: The always-subdivide policy: what the ``vectorized`` reference, every
-#: multiprocess worker and every cluster shard run.
+#: The always-subdivide policy of the ``vectorized`` reference (the kernel
+#: Figs. 8 and 10 measure); every registered backend runs ``BATCH_POLICY``.
 VECTORIZED_POLICY = ExecutionPolicy()
 
 

@@ -7,7 +7,9 @@ reference.  This harness enforces the guarantee by introspecting the
 registry — a newly registered backend is covered by the act of
 registering, with no test changes — and holds the implementations the
 experiments measure (``conftest.REFERENCES``: PixelBox-CPU-S, the SIMT
-replay, the always-subdivide kernel) to the same bar.
+replay, the always-subdivide kernel) to the same bar.  Every registered
+executor runs one production policy, so each must also return the
+``batch`` backend's result exactly, work counters included.
 
 Workloads are seeded and randomized at three shapes:
 
@@ -142,6 +144,19 @@ def test_backend_matches_exact_reference(name, kind, workloads):
     assert result.stats.pairs == len(pairs)
 
 
+@pytest.mark.parametrize("name", sorted(backend_registry()))
+@pytest.mark.parametrize("kind", ["small", "medium", "tile"])
+def test_every_backend_returns_batch_areas(name, kind, workloads):
+    """One production policy: every executor returns the ``batch``
+    backend's ``BatchAreas``, work counters included."""
+    pairs = workloads[kind][0]
+    want = implementation_areas("batch", pairs)
+    got = implementation_areas(name, pairs)
+    for field in ("intersection", "union", "area_p", "area_q"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.stats.as_dict() == want.stats.as_dict()
+
+
 @pytest.mark.slow
 def test_simt_matches_exact_reference_tile(workloads):
     """The tile-scale simt run, kept out of the fast tier."""
@@ -155,8 +170,8 @@ def test_simt_matches_exact_reference_tile(workloads):
 def test_multiprocess_sharding_is_bit_identical(workers, workloads):
     """Any shard boundary yields the same bits (forced pool path)."""
     pairs, ref_inter, ref_union = workloads["tile"]
-    backend = get_backend("multiprocess", workers=workers, min_pairs=1)
-    result = backend.compare_pairs(pairs)
+    with get_backend("multiprocess", workers=workers, min_pairs=1) as backend:
+        result = backend.compare_pairs(pairs)
     assert np.array_equal(result.intersection, ref_inter)
     assert np.array_equal(result.union, ref_union)
     assert result.stats.pairs == len(pairs)
@@ -247,13 +262,11 @@ def _shm_segments() -> set[str]:
 
 
 def test_multiprocess_persistent_pool_lifecycle(workloads):
-    """Persistent mode: one warm pool serves repeated calls bit-for-bit,
-    and close() leaks neither processes nor shared-memory segments."""
+    """One pool serves repeated dispatches bit-for-bit, and close() joins
+    its workers and leaks no shared-memory segment."""
     pairs, ref_inter, ref_union = workloads["tile"]
     segments_before = _shm_segments()
-    backend = get_backend(
-        "multiprocess", workers=2, min_pairs=1, persistent=True
-    )
+    backend = get_backend("multiprocess", workers=2, min_pairs=1)
     try:
         warm_pids = backend.warm()
         assert warm_pids, "warm() spawned no workers"

@@ -83,9 +83,8 @@ class TestMultiprocessBackend:
 
     def test_uneven_shards_match_in_process(self):
         pairs = _pairs(11)  # 11 pairs over 3 workers: shards of 4/4/3
-        pooled = get_backend(
-            "multiprocess", workers=3, min_pairs=1
-        ).compare_pairs(pairs)
+        with get_backend("multiprocess", workers=3, min_pairs=1) as backend:
+            pooled = backend.compare_pairs(pairs)
         serial = get_backend("batch").compare_pairs(pairs)
         assert np.array_equal(pooled.intersection, serial.intersection)
         assert np.array_equal(pooled.union, serial.union)
@@ -106,8 +105,10 @@ class TestMultiprocessBackend:
         out: dict = {}
 
         def body():
-            backend = get_backend("multiprocess", workers=2, min_pairs=1)
-            out["result"] = backend.compare_pairs(pairs)
+            with get_backend(
+                "multiprocess", workers=2, min_pairs=1
+            ) as backend:
+                out["result"] = backend.compare_pairs(pairs)
 
         thread = threading.Thread(target=body)
         thread.start()

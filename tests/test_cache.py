@@ -3,8 +3,9 @@
 The cache's one correctness contract is *transparency*: a cached hit
 must be bit-for-bit identical to the cold computation it replaces —
 areas **and** kernel work counters — across every backend, and any
-change to what would be computed (geometry, launch parameters, the
-executor) must change the cache key.  These tests pin that
+change to what would be computed (geometry, launch parameters) must
+change the cache key.  The executor is not part of it: every backend
+runs one policy, so an entry answers the same pairs on any of them.  These tests pin that
 contract from below (store/key units) and from above (registry-driven
 hit-equals-miss across all available backends, per-tile caching of files
 requests, stampede collapse in the session and the service).
@@ -23,7 +24,6 @@ import pytest
 
 from conftest import random_pair
 from repro.api import CompareOptions, CompareRequest, Session
-from repro.api.options import executor_identity
 from repro.backends import available_backends
 from repro.cache import (
     CacheSnapshot,
@@ -210,13 +210,16 @@ _OPTIONS_PERTURB = {
     "trace_out": "trace.jsonl",
 }
 
-#: Fields that decide *whether and where* a result is cached or traced,
-#: never what is computed: they must not change the key.
-_NOT_KEYED = {"cache", "cache_bytes", "trace", "trace_out"}
+#: Fields that decide *where* a result is computed, cached or traced,
+#: never what is computed (every backend runs one policy): they must not
+#: change the key.
+_NOT_KEYED = {
+    "backend", "backend_options", "hosts",
+    "cache", "cache_bytes", "trace", "trace_out",
+}
 
 _POLICY_PERTURB = {
     "method": Method.NOSEP,
-    "union_mode": "indirect",
     "skip_subdivision_max_dim": 48,
     "chunk_pairs": 123,
 }
@@ -239,9 +242,7 @@ class TestKeyInvalidation:
         """Everything that changes the computation changes the one key."""
 
         def key(options, pair_list=pairs):
-            return pairs_key(
-                pair_list, options.launch_config(), executor_identity(options)
-            )
+            return pairs_key(pair_list, options.launch_config())
 
         base = key(CompareOptions())
         for name, value in _OPTIONS_PERTURB.items():
@@ -258,7 +259,7 @@ class TestKeyInvalidation:
                 f"perturbing LaunchConfig.{name} must change the key"
             )
         cluster = CompareOptions(backend="cluster")
-        assert key(cluster.replace(hosts="10.0.0.1:9000")) != key(cluster)
+        assert key(cluster.replace(hosts="10.0.0.1:9000")) == key(cluster)
         assert key(CompareOptions(), list(reversed(pairs))) != base
         assert key(CompareOptions(), pairs[1:]) != base
 
@@ -317,6 +318,18 @@ def test_cached_hit_is_bit_for_bit_cold_miss(name, pairs):
         stats = session.cache_stats()
         assert stats["session.request"]["hits"] == 1
         assert stats["session.request"]["misses"] == 1
+
+
+def test_session_answers_batch_from_a_multiprocess_entry(pairs):
+    """The executor is not part of the key: an entry ``multiprocess``
+    computed answers the same pairs on ``batch``, bit for bit."""
+    with Session(_backend_cache_options("multiprocess")) as session:
+        session.compare(pairs)
+        hit = session.compare(pairs, _backend_cache_options("batch"))
+        stats = session.cache_stats()["session.request"]
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+    with Session(CompareOptions(backend="batch")) as fresh:
+        _assert_identical(hit, fresh.compare(pairs))
 
 
 def test_session_cache_off_by_default(pairs):

@@ -39,7 +39,7 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.pixelbox.common import KernelStats, LaunchConfig
 
-from conftest import vectorized_areas
+from conftest import batched_areas
 
 
 def _pairs(count: int = 40, seed: int = 20260731):
@@ -64,8 +64,8 @@ def _pairs(count: int = 40, seed: int = 20260731):
 @pytest.fixture(scope="module")
 def workload():
     pairs = _pairs()
-    # Cluster shards run the always-subdivide policy: the same counters.
-    return pairs, vectorized_areas(pairs)
+    # Cluster shards run the batch policy: the same counters.
+    return pairs, batched_areas(pairs)
 
 
 # ----------------------------------------------------------------------

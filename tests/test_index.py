@@ -65,37 +65,14 @@ class TestRTree:
     def test_empty_tree_search(self):
         assert RTree().search(Box(0, 0, 10, 10)) == []
 
-    def test_insert_search_single(self):
-        tree = RTree()
-        tree.insert(Box(3, 3, 5, 5), 7)
-        assert tree.search(Box(0, 0, 4, 4)) == [7]
-        assert tree.search(Box(6, 6, 9, 9)) == []
-
-    def test_insert_matches_bruteforce(self, rng):
-        boxes = _random_boxes(rng, 300)
-        tree = RTree(fanout=6)
-        for i, box in enumerate(boxes):
-            tree.insert(box, i)
-        tree.validate()
-        assert len(tree) == 300
-        for _ in range(50):
-            probe = _random_boxes(rng, 1, span=380, max_side=60)[0]
-            expected = sorted(
-                i for i, b in enumerate(boxes) if b.intersects(probe)
-            )
-            assert tree.search(probe) == expected
-
     def test_height_grows_logarithmically(self, rng):
-        tree = RTree(fanout=4)
-        for i, box in enumerate(_random_boxes(rng, 200)):
-            tree.insert(box, i)
-        assert 3 <= tree.height <= 8
+        # 200 entries at fanout 4 pack into 50 leaves, then 13, 4 and 1.
+        tree = bulk_load(_random_boxes(rng, 200), fanout=4)
+        tree.validate()
+        assert tree.height == 4
 
     def test_iter_leaf_entries(self, rng):
-        boxes = _random_boxes(rng, 50)
-        tree = RTree()
-        for i, box in enumerate(boxes):
-            tree.insert(box, i)
+        tree = bulk_load(_random_boxes(rng, 50))
         payloads = sorted(pid for _, pid in tree.iter_leaf_entries())
         assert payloads == list(range(50))
 

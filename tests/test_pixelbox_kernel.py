@@ -13,7 +13,9 @@ historical drift classes:
   today), armed the moment any policy prefilters disjoint MBRs for a
   direct-union method;
 * *counter drift*: the same input charged different ``pops`` /
-  ``leaf_boxes`` / ``pixel_tests`` depending on the executor.
+  ``leaf_boxes`` / ``pixel_tests`` depending on the executor.  Every
+  registered executor now runs :data:`BATCH_POLICY`, so their counters
+  are pinned to one set of tuples.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, get_backend
+from repro.backends import available_backends
 from repro.errors import KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
@@ -29,8 +31,8 @@ from repro.geometry.raster import extract_polygons, fill_holes
 from repro.pixelbox.common import KernelStats, LaunchConfig, Method
 from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.kernel import (
+    BATCH_POLICY,
     DEFAULT_CHUNK_PAIRS,
-    DEFAULT_SKIP_SUBDIVISION_DIM,
     ChunkKernel,
     ExecutionPolicy,
     ShardInput,
@@ -179,22 +181,11 @@ def test_finalize_still_rejects_inconsistent_measurements():
 # ExecutionPolicy validation
 # ----------------------------------------------------------------------
 class TestExecutionPolicy:
-    def test_auto_union_mode_follows_method(self):
+    def test_union_is_indirect_exactly_for_pixelbox(self):
         assert ExecutionPolicy(method=Method.PIXELBOX).indirect_union
         assert not ExecutionPolicy(method=Method.NOSEP).indirect_union
         assert not ExecutionPolicy(method=Method.PIXEL_ONLY).indirect_union
-
-    def test_direct_union_rejected_for_pixelbox(self):
-        with pytest.raises(KernelError):
-            ExecutionPolicy(method=Method.PIXELBOX, union_mode="direct")
-
-    def test_indirect_union_allowed_for_nosep(self):
-        policy = ExecutionPolicy(method=Method.NOSEP, union_mode="indirect")
-        assert policy.indirect_union and not policy.measures_union
-
-    def test_unknown_union_mode_rejected(self):
-        with pytest.raises(KernelError):
-            ExecutionPolicy(union_mode="sideways")
+        assert ExecutionPolicy(method=Method.NOSEP).measures_union
 
     def test_unknown_method_rejected(self):
         with pytest.raises(KernelError):
@@ -207,18 +198,13 @@ class TestExecutionPolicy:
             ExecutionPolicy(skip_subdivision_max_dim=0)
 
     def test_registered_policies(self):
-        """Each in-process name keeps exactly the policy it always ran."""
-        policies = {
-            "vectorized": VECTORIZED_POLICY,
-            "batch": get_backend("batch").policy,
-        }
-        assert policies["vectorized"] == ExecutionPolicy()
-        assert policies["vectorized"].skip_subdivision_max_dim is None
-        assert policies["vectorized"].chunk_pairs == DEFAULT_CHUNK_PAIRS
-        assert policies["batch"] == ExecutionPolicy(
-            skip_subdivision_max_dim=DEFAULT_SKIP_SUBDIVISION_DIM
-        )
-        assert all(p.indirect_union for p in policies.values())
+        """The production policy and the always-subdivide reference keep
+        exactly the knobs they always had."""
+        assert VECTORIZED_POLICY == ExecutionPolicy()
+        assert VECTORIZED_POLICY.skip_subdivision_max_dim is None
+        assert VECTORIZED_POLICY.chunk_pairs == DEFAULT_CHUNK_PAIRS
+        assert BATCH_POLICY == ExecutionPolicy(skip_subdivision_max_dim=64)
+        assert BATCH_POLICY.indirect_union and VECTORIZED_POLICY.indirect_union
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +230,10 @@ def test_stats_agree_per_pair_vs_chunked(rng, method):
 def test_stats_agree_across_all_entry_points(rng):
     """Same input, same policy -> same counters on every executor.
 
-    The batched path may legitimately differ on pairs in its
-    skip-subdivision band (that *is* its policy), so the workload keeps
-    every pair MBR under both the skip bound and the pixelization
-    threshold where all plans coincide.
+    The batch policy may legitimately differ from the always-subdivide
+    one on pairs in its skip-subdivision band (that *is* its policy), so
+    the workload keeps every pair MBR under both the skip bound and the
+    pixelization threshold where all plans coincide.
     """
     pairs = [random_pair(rng) for _ in range(14)]
     pairs.append((pairs[0][0], pairs[0][0].translate(300, 300)))
@@ -257,14 +243,6 @@ def test_stats_agree_across_all_entry_points(rng):
     chunked = chunked_areas(pairs, Method.PIXELBOX, cfg).stats.as_dict()
     assert chunked == reference
 
-    sharded_1 = get_backend("multiprocess", workers=1) \
-        .compare_pairs(pairs, cfg).stats.as_dict()
-    assert sharded_1 == reference
-
-    sharded_2 = get_backend("multiprocess", workers=2, min_pairs=1) \
-        .compare_pairs(pairs, cfg).stats.as_dict()
-    assert sharded_2 == reference
-
     batched = batched_areas(pairs, cfg).stats.as_dict()
     routing = {"batched_pairs", "fallback_pairs"}
     assert {k: v for k, v in batched.items() if k not in routing} == \
@@ -272,25 +250,32 @@ def test_stats_agree_across_all_entry_points(rng):
     # ... and the batch policy reports its routing decisions on top.
     assert batched["batched_pairs"] + batched["fallback_pairs"] == len(pairs)
 
+    # Every registered executor runs the batch policy: batch's counters.
+    for options in ({"workers": 1}, {"workers": 2, "min_pairs": 1}):
+        sharded = implementation_areas("multiprocess", pairs, cfg, **options)
+        assert sharded.stats.as_dict() == batched
+
 
 # Work counters the parent of the one-executor-path refactor produced
 # for `_pinned_pairs()` under LaunchConfig(block_size=16), in
 # KernelStats field order, cover MBR then tight MBR.  `scalar`, `simt`
-# and `vectorized` are conftest references; `cluster` runs the
-# `vectorized` policy.
+# and `vectorized` are conftest references; every registered executor
+# runs the batch policy, so all three share its tuples.
 _ALWAYS_SUBDIVIDE = (
     (28, 406, 42, 672, 294, 364, 25996, 0, 0),
     (28, 328, 30, 480, 178, 298, 25684, 0, 0),
 )
 _REPLAY = ((28, 406, 0, 0, 0, 0, 0, 0, 0),) * 2
+_BATCH = (
+    (28, 146, 15, 240, 122, 131, 34004, 27, 1),
+    (28, 144, 15, 240, 122, 129, 29388, 25, 1),
+)
 PINNED_STATS = {
     "scalar": (_ALWAYS_SUBDIVIDE[0],) * 2,  # always starts from the cover
     "vectorized": _ALWAYS_SUBDIVIDE,
-    "multiprocess": _ALWAYS_SUBDIVIDE,
-    "batch": (
-        (28, 146, 15, 240, 122, 131, 34004, 27, 1),
-        (28, 144, 15, 240, 122, 129, 29388, 25, 1),
-    ),
+    "multiprocess": _BATCH,
+    "cluster": _BATCH,
+    "batch": _BATCH,
     "simt": _REPLAY,
 }
 PINNED_AREA_SUMS = (8974, 16484)
@@ -308,10 +293,7 @@ def _pinned_pairs():
 
 
 def test_every_in_process_name_is_pinned():
-    delegating = {"cluster"}
-    assert set(PINNED_STATS) == (
-        set(available_backends()) | set(REFERENCES)
-    ) - delegating
+    assert set(PINNED_STATS) == set(available_backends()) | set(REFERENCES)
 
 
 @pytest.mark.parametrize("tight", [False, True], ids=["cover", "tight"])
@@ -319,13 +301,18 @@ def test_every_in_process_name_is_pinned():
     "name, options",
     [
         pytest.param(name, {}, id=name)
-        for name in sorted(set(PINNED_STATS) - {"multiprocess"})
+        for name in sorted(set(PINNED_STATS) - {"multiprocess", "cluster"})
     ]
     + [  # min_pairs low enough that two workers take the pool path
         pytest.param(
             "multiprocess", {"workers": w, "min_pairs": 2}, id=f"multiprocess-w{w}"
         )
         for w in (1, 2)
+    ]
+    + [  # six 5-pair shards on loopback workers
+        pytest.param(
+            "cluster", {"min_pairs": 2, "shard_pairs": 5}, id="cluster"
+        )
     ],
 )
 def test_kernel_stats_are_bit_for_bit_what_they_were(name, options, tight):

@@ -297,8 +297,8 @@ def _field_token(obj):
 def config_token(config):
     return _field_token(config)
 
-def pairs_key(pairs, config, executor=""):
-    return f"{len(pairs)}:{config_token(config)}:{executor}"
+def pairs_key(pairs, config):
+    return f"{len(pairs)}:{config_token(config)}"
 """
 
 _KEYS_DYNAMIC = """
@@ -313,8 +313,8 @@ def _field_token(obj):
 def config_token(config):
     return _field_token(config)
 
-def pairs_key(pairs, config, executor=""):
-    return f"{len(pairs)}:{config_token(config)}:{executor}"
+def pairs_key(pairs, config):
+    return f"{len(pairs)}:{config_token(config)}"
 """
 
 def test_cache_checker_flags_hardcoded_token_derivation(tmp_path):

@@ -11,6 +11,7 @@ shutdown draining every accepted request.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import time
 
 import numpy as np
@@ -271,27 +272,28 @@ class TestShutdown:
 
 class TestWarmMultiprocessService:
     def test_service_pools_persistent_multiprocess_backend(self):
-        """The service puts the multiprocess backend in persistent mode
-        and one warm pool serves every request."""
-        chunks = _request_chunks(n_chunks=4)
+        """One warm pool serves every dispatch of the service, and
+        closing the service joins its workers."""
+        chunks = _request_chunks(n_chunks=2)
 
         async def main():
             config = ServiceConfig(
                 backend="multiprocess",
                 backend_options={"workers": 2, "min_pairs": 1},
-                coalesce_window=0.05,
             )
             async with ComparisonService(config) as service:
-                assert service.backend.persistent
                 warm_pids = service.backend.warm()  # already-warm pool
-                results = await asyncio.gather(
-                    *(service.submit(c) for c in chunks)
-                )
+                # One request at a time: two dispatches.
+                results = [await service.submit(c) for c in chunks]
                 after_pids = service.backend.warm()
-            return warm_pids, after_pids, results
+                batches = service.snapshot().batches
+            return warm_pids, after_pids, batches, results
 
-        warm_pids, after_pids, results = asyncio.run(main())
-        assert warm_pids == after_pids  # same workers across requests
+        warm_pids, after_pids, batches, results = asyncio.run(main())
+        assert batches == 2
+        assert warm_pids == after_pids  # same workers across dispatches
+        alive = {p.pid for p in multiprocessing.active_children()}
+        assert not set(warm_pids) & alive, "workers survived close()"
         reference = get_backend("batch")
         for chunk, got in zip(chunks, results):
             want = reference.compare_pairs(chunk)

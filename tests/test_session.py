@@ -314,6 +314,18 @@ class TestExplain:
         assert plan.shard_pairs is not None
         assert plan.capabilities["configurable_workers"] is True
         assert plan.launch["tight_mbr"] is True
+        # The plan's shard size is the one compare_pairs would cut: two
+        # pool shards of 300, and the cluster's configured 50.
+        for backend, backend_options, shard_pairs in (
+            ("multiprocess", {"workers": 2}, 300),
+            ("cluster", {"shard_pairs": 50}, 50),
+        ):
+            options = CompareOptions(
+                backend=backend, backend_options=backend_options
+            )
+            plan = explain(CompareRequest.from_pairs(PAIRS * 150, options))
+            assert (plan.n_pairs, plan.shard_pairs) == (600, shard_pairs)
+        assert not multiprocessing.active_children()
 
     def test_explain_cluster_reports_hosts(self):
         plan = explain(
