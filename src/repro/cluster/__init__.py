@@ -13,8 +13,11 @@ code.  Layering, beneath :mod:`repro.service`:
   tables travel once per worker per table version;
 * :mod:`repro.cluster.worker` — the ``repro worker`` server: table
   cache + the one shared kernel entry point;
-* :mod:`repro.cluster.scheduler` — scatter/gather with straggler
-  speculation and deterministic first-result-wins merge;
+* :mod:`repro.cluster.scheduler` — scatter/gather as a pure ``step``
+  over an explicit ``State`` (model-checked over every interleaving of
+  small configurations), driven on the caller's thread: straggler
+  speculation, failure re-dispatch, first-result-wins merge, and the
+  losing copy cancelled rather than failed;
 * :mod:`repro.cluster.coordinator` — :class:`ClusterBackend`, one more
   entry in the backend registry (bit-for-bit parity enforced by the
   same harness as every local executor);
@@ -26,16 +29,32 @@ from __future__ import annotations
 
 from repro.cluster.coordinator import ClusterBackend, WorkerClient, parse_hosts
 from repro.cluster.loopback import LoopbackCluster
-from repro.cluster.scheduler import ScheduleReport, Shard, ShardScheduler
+from repro.cluster.scheduler import (
+    Action,
+    Event,
+    ScheduleReport,
+    Shard,
+    ShardScheduler,
+    State,
+    finished,
+    initial_state,
+    step,
+)
 from repro.cluster.worker import ShardWorker
 
 __all__ = [
+    "Action",
     "ClusterBackend",
+    "Event",
     "LoopbackCluster",
     "ScheduleReport",
     "Shard",
     "ShardScheduler",
     "ShardWorker",
+    "State",
     "WorkerClient",
+    "finished",
+    "initial_state",
     "parse_hosts",
+    "step",
 ]

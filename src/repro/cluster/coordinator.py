@@ -10,8 +10,10 @@ unions — only the transport changes:
   table version** (content-addressed by :func:`repro.cluster.wire.bundle_digest`,
   cached worker-side, re-sent only after eviction);
 * shards are driven by :class:`repro.cluster.scheduler.ShardScheduler`,
-  which owns straggler speculation, worker failure re-dispatch, and the
-  deterministic first-result-wins merge;
+  a pure step function over explicit state that owns straggler
+  speculation, failure re-dispatch and the first-result-wins merge; a
+  lost speculative copy is cancelled at win time (its socket is shut
+  down), never counted as its worker's failure;
 * shard size comes from the sizing policy
   (:func:`repro.backends.sizing.recommend_shard_pairs`), so transport overhead
   stays amortized exactly the way process spin-up is for the local pool;
@@ -32,6 +34,7 @@ remaining shards in-process through the same
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import socket
 import threading
@@ -111,10 +114,9 @@ class WorkerClient:
         self.io_timeout = io_timeout
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
-        # Serializes whole request/response exchanges: a stale
-        # speculative call that survived the abort sweep must drain its
-        # exchange before the next request may touch the socket —
-        # interleaved frames would desynchronize the stream.
+        # Serializes whole request/response exchanges (a ``stats()``
+        # probe may race a shard): interleaved frames would
+        # desynchronize the stream.
         self._io_lock = threading.Lock()
         #: Digests this client believes are resident on the worker.
         self.pushed: set[str] = set()
@@ -126,10 +128,11 @@ class WorkerClient:
         self.tables_sent = 0
         self.failures = 0
         self.down_until = 0.0
-        self.inflight = False
 
     def __str__(self) -> str:
         return f"{self.host}:{self.port}"
+
+    __repr__ = __str__  # reports list failed clients by address
 
     # ------------------------------------------------------------------
     # Health
@@ -187,14 +190,20 @@ class WorkerClient:
             self._sock = sock
 
     def abort(self) -> None:
-        """Hard-close the connection (unblocks a stale in-flight read)."""
+        """Hard-close the connection, waking a call blocked on it at once.
+
+        ``close()`` alone leaves a reader blocked in ``recv`` until the
+        peer writes; ``shutdown`` first makes that read fail now.  A call
+        that has not connected yet reconnects and runs to completion.
+        """
         with self._lock:
             sock, self._sock = self._sock, None
         if sock is not None:
             try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already reset by the peer
+            sock.close()
 
     def close(self) -> None:
         self.abort()
@@ -206,46 +215,30 @@ class WorkerClient:
         self, msgtype: int, header: dict, arrays: dict | None = None
     ) -> tuple[int, dict, dict]:
         """One request/response exchange; failures reset the socket."""
-        # inflight covers the whole exchange *including* connect: the
-        # coordinator's post-request abort sweep must see a speculative
-        # call that is still handshaking, or its socket would leak into
-        # the next request mid-exchange.
-        self.inflight = True
-        try:
-            with self._io_lock:
-                self.connect()
-                sock = self._sock
-                if sock is None:
-                    raise ClusterError(f"worker {self} is not connected")
-                try:
-                    wire.send_frame(sock, msgtype, header, arrays)
-                    return wire.recv_frame(sock)
-                except (OSError, ConnectionError) as exc:
-                    self.abort()
-                    raise ClusterError(
-                        f"worker {self} failed: {exc}"
-                    ) from None
-                except ClusterError:
-                    self.abort()
-                    raise
-        finally:
-            self.inflight = False
+        with self._io_lock:
+            self.connect()
+            sock = self._sock
+            if sock is None:
+                raise ClusterError(f"worker {self} is not connected")
+            try:
+                wire.send_frame(sock, msgtype, header, arrays)
+                return wire.recv_frame(sock)
+            except (OSError, ConnectionError) as exc:
+                self.abort()
+                raise ClusterError(f"worker {self} failed: {exc}") from None
+            except ClusterError:
+                self.abort()
+                raise
 
     def ensure_tables(self, digest: str, bundle: dict[str, np.ndarray]) -> None:
         """Make ``bundle`` resident on the worker, sending it at most once.
 
-        A cheap ``HAS_TABLES`` probe resolves disagreements between this
-        client's ``pushed`` view and the worker's actual cache (eviction,
-        worker restart) without ever paying a redundant table transfer.
+        ``pushed`` starts from the worker's HELLO_ACK ``cached`` list, and
+        a RUN_SHARD answered ``missing-tables`` (eviction, a restarted
+        worker) drops the digest from it, so a push is never redundant.
         """
+        self.connect()  # a fresh connection learns the worker's cache
         if digest in self.pushed:
-            return
-        msgtype, header, _ = self._call(
-            wire.MsgType.HAS_TABLES, {"digest": digest}
-        )
-        if msgtype == wire.MsgType.TABLES_ACK and header.get("cached"):
-            with self._lock:
-                self.pushed.add(digest)
             return
         msgtype, header, _ = self._call(
             wire.MsgType.PUT_TABLES, {"digest": digest}, bundle
@@ -283,8 +276,8 @@ class WorkerClient:
         for attempt in (0, 1):
             msgtype, reply, arrays = self._call(wire.MsgType.RUN_SHARD, header)
             if msgtype == wire.MsgType.SHARD_RESULT:
-                inter = arrays.get("inter")
-                if inter is None or len(inter) != shard.size:
+                inter, stats = arrays.get("inter"), reply.get("stats")
+                if not _valid_result(inter, stats, shard.size):
                     raise ClusterError(
                         f"worker {self} returned a malformed shard result"
                     )
@@ -297,7 +290,7 @@ class WorkerClient:
                         pass  # malformed remote spans never fail a shard
                 return ShardOutcome(
                     inter=inter.astype(np.int64, copy=False),
-                    stats=KernelStats(**reply.get("stats", {})),
+                    stats=KernelStats(**stats),
                 )
             if (
                 msgtype == wire.MsgType.ERROR
@@ -344,8 +337,6 @@ class ClusterBackend(BackendLifecycle):
         latency would dominate), identical to the multiprocess backend.
     shard_pairs:
         Pairs per shard; ``None`` asks the sizing policy per request.
-    speculate:
-        Enable straggler re-dispatch.
     """
 
     name = "cluster"
@@ -356,8 +347,6 @@ class ClusterBackend(BackendLifecycle):
         hosts=None,
         min_pairs: int = 256,
         shard_pairs: int | None = None,
-        speculate: bool = True,
-        speculation_delay: float = 0.2,
         loopback_workers: int | None = None,
         connect_timeout: float = 5.0,
         io_timeout: float = 60.0,
@@ -380,16 +369,14 @@ class ClusterBackend(BackendLifecycle):
             )
         self.min_pairs = min_pairs
         self.shard_pairs = shard_pairs
-        self.speculate = speculate
-        self.speculation_delay = speculation_delay
         self.loopback_workers = loopback_workers
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self._clients: list[WorkerClient] | None = None
         self._loopback = None
         self._lock = threading.Lock()
-        # One remote dispatch at a time: scheduler threads own the worker
-        # sockets for the duration of a request (the paper's exclusive
+        # One remote dispatch at a time: the scheduler's copies own the
+        # worker sockets for the duration of a request (the paper's exclusive
         # device contract).
         self._dispatch_lock = threading.Lock()
         #: Scheduler report of the most recent remote dispatch.
@@ -544,28 +531,16 @@ class ClusterBackend(BackendLifecycle):
                     lo=shard.lo,
                     hi=shard.hi,
                 ):
-                    try:
-                        outcome = client.run_shard(digest, bundle, shard, cfg)
-                    except ClusterError:
-                        client.note_failure()
-                        raise
-                    client.note_success()
-                    return outcome
+                    return client.run_shard(digest, bundle, shard, cfg)
 
-            scheduler = ShardScheduler(
-                remote_run,
-                local_run,
-                speculate=self.speculate,
-                speculation_delay=self.speculation_delay,
-            )
+            # A cancelled copy's socket is shut down at win time and the
+            # scheduler waits for that copy to end, so nothing of this
+            # request touches a socket once execute returns.
+            scheduler = ShardScheduler(remote_run, local_run, WorkerClient.abort)
             outcomes, report = scheduler.execute(shards, clients)
             self.last_report = report
-            # Stale speculative calls may still hold a socket; reset
-            # those connections so the next request starts clean
-            # (worker-side table caches survive reconnects).
-            for client in clients:
-                if client.inflight:
-                    client.abort()
+            for client in report.failed:
+                client.note_failure()
 
         inter = np.zeros(n, dtype=np.int64)
         for shard in shards:  # deterministic merge order
@@ -634,6 +609,22 @@ class ClusterBackend(BackendLifecycle):
             cfg.block_size,
             workers=max(1, workers),
         )
+
+
+_STATS_FIELDS = frozenset(f.name for f in dataclasses.fields(KernelStats))
+
+
+def _valid_result(inter, stats, size: int) -> bool:
+    """A SHARD_RESULT carries ``size`` integer areas and exactly the
+    :class:`KernelStats` counters, each an integer."""
+    return (
+        isinstance(inter, np.ndarray)
+        and inter.dtype.kind in "iu"
+        and inter.shape == (size,)
+        and isinstance(stats, dict)
+        and stats.keys() == _STATS_FIELDS
+        and all(type(v) is int for v in stats.values())
+    )
 
 
 def _default_loopback_workers() -> int:

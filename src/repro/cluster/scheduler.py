@@ -1,32 +1,30 @@
-"""Shard scheduling: scatter, straggler speculation, first-result-wins.
+"""Shard scheduling as a pure step function: scatter, speculate, gather.
 
 Once a request's tables are resident on the workers, what remains is a
-classic scatter-gather with two failure modes the transport layer must
-own (Teodoro et al. and Leng et al. both report them dominating
-multi-node runs):
+scatter-gather with two failure modes (Teodoro et al. and Leng et al.
+both see them dominate multi-node runs):
 
-* **dead workers** — a connection that errors mid-shard returns its
-  shard to the pending queue and takes the worker out of this run; the
-  remaining workers (or, when none remain, the coordinator itself)
-  finish the request, so a kill never changes results or hangs a caller;
-* **stragglers** — a worker that has drained the pending queue and finds
-  shards still outstanding re-dispatches the longest-running one
-  (bounded copies per shard).  Every execution of a shard computes the
-  same bits — the kernel is deterministic — so *first result wins* is a
-  deterministic merge, and the loser's work counters are discarded so
-  the request's :class:`~repro.pixelbox.common.KernelStats` are
-  identical to any local backend's.
+* **dead workers** — a failed copy takes its worker out of the run and
+  requeues its shard; with every worker dead the caller runs the rest;
+* **stragglers** — an idle worker with nothing queued starts a second
+  copy of the oldest running shard once it has run long enough.  Every
+  copy computes the same bits: the first result wins, the other copy is
+  cancelled, never charged, and its worker has not failed.
 
-The scheduler is transport-agnostic: it drives ``run(worker, shard)``
-callables and never touches sockets, which is what makes it unit-testable
-with plain functions standing in for remote workers.
+The policy is :func:`step`, pure over a frozen, hashable :class:`State`,
+so ``tests/test_scheduler_model.py`` walks every reachable state of
+small configurations.  :class:`ShardScheduler` drives it on the calling
+thread; each copy runs on a :func:`~repro.obs.trace.context_thread` that
+posts its outcome to one queue, waited on no longer than until the next
+copy becomes eligible.  It never touches a socket: ``run``,
+``local_run`` and ``cancel`` are the transport.
 """
 
 from __future__ import annotations
 
-import threading
+import queue
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -35,11 +33,21 @@ from repro.obs.events import EVENTS
 from repro.obs.trace import context_thread
 from repro.pixelbox.common import KernelStats
 
-__all__ = ["Shard", "ShardOutcome", "ScheduleReport", "ShardScheduler"]
+__all__ = ["Shard", "ShardOutcome", "ScheduleReport", "ShardScheduler", "Event",
+           "Action", "Copy", "State", "initial_state", "step", "deadline", "finished"]
 
-# A shard may run on at most this many workers at once (the original
-# dispatch plus speculative copies).
-_MAX_COPIES = 2
+#: At most this many copies of one shard run at once, and a running
+#: shard gets another only once it has run ``max(SPECULATION_FLOOR,
+#: SPECULATION_FACTOR × median winning duration)`` seconds.
+MAX_COPIES = 2
+SPECULATION_FLOOR = 0.2
+SPECULATION_FACTOR = 2.0
+
+#: :class:`Event` kinds and :class:`Action` kinds.
+IDLE, RESULT, FAILURE, TICK = "idle", "result", "failure", "tick"
+DISPATCH, SPECULATE, CANCEL, LOCAL = "dispatch", "speculate", "cancel", "local"
+#: Worker slots holding no :class:`Copy` (beside ``IDLE``).
+OFFLINE, DEAD = "offline", "dead"
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,204 +73,196 @@ class ShardOutcome:
 
 @dataclass(slots=True)
 class ScheduleReport:
-    """What one scatter-gather run did (surfaced for tests/metrics)."""
+    """What one scatter-gather run did; ``failed`` lists dead workers."""
 
     shards: int = 0
     dispatches: int = 0
     speculative: int = 0
-    worker_failures: int = 0
     local_shards: int = 0
     workers_used: list[str] = field(default_factory=list)
+    failed: list[Any] = field(default_factory=list)
+
+    @property
+    def worker_failures(self) -> int:
+        return len(self.failed)
 
 
-class _ShardState:
-    __slots__ = ("shard", "running", "started", "done")
+@dataclass(frozen=True, slots=True)
+class Event:
+    """At ``now`` (monotonic seconds): ``worker`` became IDLE; its copy
+    of ``shard`` returned a RESULT or raised a FAILURE; or a TICK."""
 
-    def __init__(self, shard: Shard):
-        self.shard = shard
-        self.running = 0
-        self.started: float | None = None
-        self.done = False
+    kind: str
+    now: float
+    worker: int = -1
+    shard: int = -1
 
 
+@dataclass(frozen=True, slots=True)
+class Action:
+    """DISPATCH (or SPECULATE, a second copy) ``shard`` to ``worker``;
+    CANCEL ``worker``'s copy of a won ``shard``; run ``shard`` LOCAL."""
+
+    kind: str
+    shard: int
+    worker: int = -1
+
+
+@dataclass(frozen=True, slots=True)
+class Copy:
+    """A copy of ``shard`` running since ``started``; ``cancelled`` once
+    another copy won (its worker stays busy until the copy ends)."""
+
+    shard: int
+    started: float
+    cancelled: bool = False
+
+
+@dataclass(frozen=True, slots=True)
+class State:
+    """Worker slots, queued shards, merged shards, sorted win durations."""
+
+    workers: tuple[str | Copy, ...]
+    pending: tuple[int, ...]
+    done: frozenset[int] = frozenset()
+    wins: tuple[float, ...] = ()
+
+
+def initial_state(shards: int, workers: int) -> State:
+    return State(workers=(OFFLINE,) * workers, pending=tuple(range(shards)))
+
+
+def finished(state: State) -> bool:
+    """Every shard merged and no copy still running."""
+    return not state.pending and not any(isinstance(s, Copy) for s in state.workers)
+
+
+def deadline(state: State) -> float | None:
+    """When a TICK would next dispatch a copy (None: only an outcome can)."""
+    singles = _singles(state.workers) if IDLE in state.workers else []
+    return singles[0][0] + _bar(state.wins) if singles else None
+
+
+def step(state: State, event: Event) -> tuple[State, tuple[Action, ...]]:
+    """The state after ``event`` and the actions to carry out for it."""
+    slots, actions = list(state.workers), []
+    pending, done, wins = state.pending, state.done, state.wins
+    w, k = event.worker, event.shard
+    if event.kind == IDLE and slots[w] == OFFLINE:
+        slots[w] = IDLE
+    elif event.kind in (RESULT, FAILURE):
+        held = slots[w]
+        if not isinstance(held, Copy) or held.shard != k:
+            return state, ()  # a duplicate of an outcome already taken
+        slots[w] = IDLE  # a cancelled copy ending only frees its worker
+        if not held.cancelled and event.kind == RESULT:
+            rivals = [v for v, slot in enumerate(slots) if _live(slot, k)]
+            started = min([held.started] + [slots[v].started for v in rivals])
+            done, wins = done | {k}, tuple(sorted(wins + (event.now - started,)))
+            for v in rivals:
+                slots[v] = replace(slots[v], cancelled=True)
+                actions.append(Action(CANCEL, k, v))
+        elif not held.cancelled:
+            slots[w] = DEAD
+            if not any(_live(slot, k) for slot in slots):
+                pending = (k,) + pending
+    if all(slot == DEAD for slot in slots):
+        actions += [Action(LOCAL, k) for k in pending]
+        pending, done = (), done | frozenset(pending)
+    for v, slot in enumerate(slots):
+        if slot != IDLE:
+            continue
+        if pending:
+            kind, k, pending = DISPATCH, pending[0], pending[1:]
+        else:
+            bar = _bar(wins)
+            eligible = [j for t, j in _singles(slots) if t + bar <= event.now]
+            if not eligible:
+                break
+            kind, k = SPECULATE, eligible[0]
+        slots[v] = Copy(k, event.now)
+        actions.append(Action(kind, k, v))
+    return State(tuple(slots), pending, done, wins), tuple(actions)
+
+
+def _live(slot: str | Copy, shard: int) -> bool:
+    return isinstance(slot, Copy) and slot.shard == shard and not slot.cancelled
+
+
+def _singles(slots) -> list[tuple[float, int]]:
+    """``(started, shard)`` of each running shard below ``MAX_COPIES``
+    live copies, oldest first."""
+    starts: dict[int, list[float]] = {}
+    for slot in slots:
+        if isinstance(slot, Copy) and not slot.cancelled:
+            starts.setdefault(slot.shard, []).append(slot.started)
+    return sorted((min(s), k) for k, s in starts.items() if len(s) < MAX_COPIES)
+
+
+def _bar(wins: tuple[float, ...]) -> float:
+    median = wins[len(wins) // 2] if wins else 0.0
+    return max(SPECULATION_FLOOR, SPECULATION_FACTOR * median)
+
+
+@dataclass(frozen=True, slots=True)
 class ShardScheduler:
-    """Scatter ``shards`` across ``workers``; gather exactly one result each.
+    """Drive :func:`step` over real workers; gather one result per shard.
 
-    Parameters
-    ----------
-    run:
-        ``run(worker, shard) -> ShardOutcome`` — blocking remote call.
-        Raising marks the worker failed for this run and requeues the
-        shard.
-    local_run:
-        Fallback ``local_run(shard) -> ShardOutcome`` executed on the
-        scheduling thread for shards no live worker can take.
-    speculate:
-        Enable straggler re-dispatch (on by default; the benchmark can
-        disable it to measure pure scatter-gather).
-    speculation_delay:
-        A shard only becomes a speculation candidate once it has run at
-        least this long *and* at least ``speculation_factor`` times the
-        median completed-shard duration — an idle worker must not clone
-        work that is merely milliseconds from finishing.
+    ``run(worker, shard)`` is one blocking remote call returning a
+    :class:`ShardOutcome`; raising takes the worker out of this run.
+    ``local_run(shard)`` runs a shard on the calling thread once every
+    worker is dead.  ``cancel(worker)`` interrupts the worker's running
+    call, which may then return or raise: either way the copy is dropped.
     """
 
-    def __init__(
-        self,
-        run: Callable[[Any, Shard], ShardOutcome],
-        local_run: Callable[[Shard], ShardOutcome],
-        speculate: bool = True,
-        speculation_delay: float = 0.2,
-        speculation_factor: float = 2.0,
-    ):
-        self._run = run
-        self._local_run = local_run
-        self._speculate = speculate
-        self._speculation_delay = speculation_delay
-        self._speculation_factor = speculation_factor
+    run: Callable[[Any, Shard], ShardOutcome]
+    local_run: Callable[[Shard], ShardOutcome]
+    cancel: Callable[[Any], None]
 
     def execute(
         self, shards: list[Shard], workers: list[Any]
     ) -> tuple[dict[int, ShardOutcome], ScheduleReport]:
         """Run every shard to completion; returns outcomes by shard index."""
-        report = ScheduleReport(shards=len(shards))
-        results: dict[int, ShardOutcome] = {}
-        if not shards:
-            return results, report
-        lock = threading.Condition()
-        pending: list[_ShardState] = [_ShardState(s) for s in shards]
-        states = list(pending)
-        remaining = len(shards)
-        durations: list[float] = []  # completed-shard wall times
+        report = ScheduleReport(len(shards), workers_used=list(map(str, workers)))
+        outcomes: dict[int, ShardOutcome] = {}
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
 
-        def take_next() -> _ShardState | None:
-            """Next pending shard, else a speculation candidate, else None."""
-            nonlocal remaining
-            with lock:
-                while True:
-                    if remaining == 0:
-                        return None
-                    if pending:
-                        # A state only re-enters pending after every copy
-                        # failed (settle resets its clock).
-                        state = pending.pop(0)
-                        state.running += 1
-                        state.started = time.monotonic()
-                        report.dispatches += 1
-                        EVENTS.record(
-                            "shard.dispatch",
-                            shard=state.shard.index,
-                            lo=state.shard.lo,
-                            hi=state.shard.hi,
-                            copies=state.running,
-                        )
-                        return state
-                    if self._speculate:
-                        now = time.monotonic()
-                        bar = self._speculation_delay
-                        if durations:
-                            median = sorted(durations)[len(durations) // 2]
-                            bar = max(bar, self._speculation_factor * median)
-                        candidates = [
-                            s
-                            for s in states
-                            if not s.done
-                            and 0 < s.running < _MAX_COPIES
-                            and now - s.started >= bar
-                        ]
-                        if candidates:
-                            state = min(
-                                candidates,
-                                key=lambda s: (s.started, s.shard.index),
-                            )
-                            state.running += 1
-                            report.speculative += 1
-                            report.dispatches += 1
-                            EVENTS.record(
-                                "shard.speculate",
-                                shard=state.shard.index,
-                                copies=state.running,
-                            )
-                            return state
-                    # Nothing to take right now: wait for completions or
-                    # failures to change the picture.
-                    if not lock.wait(timeout=0.05):
-                        continue
+        def run_copy(w: int, shard: Shard) -> None:
+            try:
+                outcome = self.run(workers[w], shard)
+            except Exception:  # noqa: BLE001 - any escape fails the copy
+                outcome = None
+            kind = FAILURE if outcome is None else RESULT
+            inbox.put((Event(kind, time.monotonic(), w, shard.index), outcome))
 
-        def settle(state: _ShardState, outcome: ShardOutcome | None) -> None:
-            """Record one execution's end (win, loss, or failure)."""
-            nonlocal remaining
-            with lock:
-                state.running -= 1
-                if outcome is not None and not state.done:
-                    state.done = True
-                    results[state.shard.index] = outcome
-                    if state.started is not None:
-                        durations.append(time.monotonic() - state.started)
-                    remaining -= 1
-                elif outcome is None and not state.done:
-                    if state.running == 0:
-                        # Every copy failed: back to the queue.
-                        state.started = None
-                        pending.insert(0, state)
-                        EVENTS.record(
-                            "shard.redispatch", shard=state.shard.index
-                        )
-                lock.notify_all()
-
-        def worker_loop(worker: Any) -> None:
-            while True:
-                state = take_next()
-                if state is None:
-                    return
-                try:
-                    outcome = self._run(worker, state.shard)
-                except Exception:  # noqa: BLE001 - any escape kills the
-                    # worker for this run, never the request: the shard
-                    # MUST be settled or the gather loop could wait on a
-                    # copy no thread is running.
-                    with lock:
-                        report.worker_failures += 1
-                    EVENTS.record(
-                        "worker.failure",
-                        worker=str(worker),
-                        shard=state.shard.index,
-                    )
-                    settle(state, None)
-                    return  # worker is out of this run
-                settle(state, outcome)
-
-        threads = []
-        for worker in workers:
-            # In the caller's context: shard spans join its trace.
-            t = context_thread(worker_loop, worker)
-            t.start()
-            threads.append(t)
-            report.workers_used.append(str(worker))
-
-        # Gather: wake on every completion; when every worker thread has
-        # exited with shards still unfinished, finish them locally.
-        while True:
-            with lock:
-                if remaining == 0:
-                    break
-                alive = any(t.is_alive() for t in threads)
-                if not alive:
-                    # No thread can still be executing anything, so a
-                    # nonzero running count is stale bookkeeping from a
-                    # thread that died without settling — include those
-                    # shards too; waiting on them would hang forever.
-                    leftovers = [s for s in states if not s.done]
-                else:
-                    lock.wait(timeout=0.05)
-                    continue
-            for state in leftovers:
-                EVENTS.record(
-                    "shard.local_fallback", shard=state.shard.index
+        state, now = initial_state(len(shards), len(workers)), time.monotonic()
+        for event in [Event(IDLE, now, w) for w in range(len(workers))]:
+            inbox.put((event, None))
+        inbox.put((Event(TICK, now), None))  # with no worker, nothing else comes
+        while not finished(state):
+            due = deadline(state)
+            try:
+                event, outcome = inbox.get(
+                    timeout=None if due is None else max(0.0, due - time.monotonic())
                 )
-                outcome = self._local_run(state.shard)
-                report.local_shards += 1
-                settle(state, outcome)
-        for t in threads:
-            t.join(timeout=0.05)
-        return results, report
+            except queue.Empty:
+                event, outcome = Event(TICK, time.monotonic()), None
+            before, (state, actions) = state, step(state, event)
+            if event.kind == RESULT and event.shard in state.done - before.done:
+                outcomes[event.shard] = outcome
+            if state.workers.count(DEAD) > before.workers.count(DEAD):
+                report.failed.append(worker := workers[event.worker])
+                EVENTS.record("worker.failure", worker=str(worker))
+            for action in actions:
+                EVENTS.record(f"shard.{action.kind}", shard=action.shard)
+                shard = shards[action.shard]
+                if action.kind == LOCAL:
+                    outcomes[shard.index] = self.local_run(shard)
+                    report.local_shards += 1
+                elif action.kind == CANCEL:
+                    self.cancel(workers[action.worker])
+                else:
+                    report.dispatches += 1
+                    report.speculative += action.kind == SPECULATE
+                    context_thread(run_copy, action.worker, shard).start()
+        return outcomes, report

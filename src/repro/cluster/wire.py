@@ -61,23 +61,23 @@ MAX_FRAME_BYTES = 1 << 30
 
 
 class MsgType:
-    """Frame type tags (u8 on the wire)."""
+    """Frame type tags (u8 on the wire); the gaps are retired tags,
+    rejected like any unknown one."""
 
     HELLO = 1
     HELLO_ACK = 2
     PUT_TABLES = 3
     TABLES_ACK = 4
-    HAS_TABLES = 5
     RUN_SHARD = 6
     SHARD_RESULT = 7
-    PING = 8
-    PONG = 9
     STATS = 10
     STATS_REPLY = 11
-    SHUTDOWN = 12
     ERROR = 13
 
-    ALL = frozenset(range(1, 14))
+    ALL = frozenset({
+        HELLO, HELLO_ACK, PUT_TABLES, TABLES_ACK, RUN_SHARD, SHARD_RESULT,
+        STATS, STATS_REPLY, ERROR,
+    })
 
 
 # ----------------------------------------------------------------------

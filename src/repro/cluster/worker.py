@@ -194,7 +194,6 @@ class ShardWorker:
                     wire.MsgType.HELLO_ACK,
                     {
                         "version": 1,
-                        "max_tables": self.max_tables,
                         "cached": self._cached_digests(),
                         # Capability advertisement: the coordinator only
                         # sends a trace context (and expects spans back)
@@ -203,18 +202,9 @@ class ShardWorker:
                         "features": [wire.FEATURE_TRACE],
                     },
                 )
-            elif msgtype == wire.MsgType.PING:
-                wire.send_frame(conn, wire.MsgType.PONG, {})
             elif msgtype == wire.MsgType.STATS:
                 wire.send_frame(
                     conn, wire.MsgType.STATS_REPLY, {"stats": self.stats()}
-                )
-            elif msgtype == wire.MsgType.HAS_TABLES:
-                digest = header.get("digest")
-                wire.send_frame(
-                    conn,
-                    wire.MsgType.TABLES_ACK,
-                    {"digest": digest, "cached": self._touch(digest)},
                 )
             elif msgtype == wire.MsgType.PUT_TABLES:
                 self._put_tables(header, arrays)
@@ -225,10 +215,6 @@ class ShardWorker:
                 )
             elif msgtype == wire.MsgType.RUN_SHARD:
                 self._run_shard(conn, header)
-            elif msgtype == wire.MsgType.SHUTDOWN:
-                wire.send_frame(conn, wire.MsgType.PONG, {})
-                self.stop()
-                return False
             else:
                 raise ClusterProtocolError(
                     f"message type {msgtype} is not valid for a worker"
@@ -254,13 +240,6 @@ class ShardWorker:
     def _cached_digests(self) -> list[str]:
         with self._lock:
             return list(self._tables)
-
-    def _touch(self, digest: str | None) -> bool:
-        with self._lock:
-            if digest in self._tables:
-                self._tables.move_to_end(digest)
-                return True
-            return False
 
     def _put_tables(self, header: dict, arrays: dict[str, np.ndarray]) -> None:
         digest = header.get("digest")

@@ -217,10 +217,13 @@ def test_table_cache_eviction_triggers_resend(workload):
 # Fault injection
 # ----------------------------------------------------------------------
 class _CrashingWorker(ShardWorker):
-    """Dies (listener and connection) on its first RUN_SHARD."""
+    """Dies (listener and connection) at once on its first RUN_SHARD."""
 
     def _before_shard(self, header):
-        self.stop()
+        # stop() joins the accept loop (up to one 0.25 s poll); off this
+        # thread, the connection drops now, as in a real crash, and not
+        # after the speculation floor has let another copy win.
+        threading.Thread(target=self.stop, daemon=True).start()
         raise ConnectionResetError("worker killed mid-shard")
 
 
@@ -246,9 +249,6 @@ def test_worker_crash_mid_shard_does_not_change_results(workload):
         hosts=hosts,
         min_pairs=1,
         shard_pairs=8,
-        # Long speculation fuse: recovery must come from failure
-        # re-dispatch, not from speculation racing ahead of it.
-        speculation_delay=5.0,
     )
     try:
         result = backend.compare_pairs(pairs)
@@ -292,7 +292,6 @@ def test_slow_worker_triggers_speculative_redispatch(workload):
         hosts=hosts,
         min_pairs=1,
         shard_pairs=len(pairs) // 2,
-        speculation_delay=0.05,
     )
     try:
         t0 = time.perf_counter()
@@ -308,6 +307,72 @@ def test_slow_worker_triggers_speculative_redispatch(workload):
         backend.close()
         slow.stop()
         fast.stop()
+
+
+def test_a_lost_copy_leaves_every_worker_available(workload):
+    """The straggler's copy is cancelled when the fast copy wins: not a
+    failure, no backoff, even once the straggler's late reply lands."""
+    pairs, ref = workload
+    slow = _SlowWorker().start()
+    fast = ShardWorker().start()
+    hosts = ["%s:%d" % slow.address, "%s:%d" % fast.address]
+    backend = get_backend(
+        "cluster", hosts=hosts, min_pairs=1, shard_pairs=len(pairs) // 2
+    )
+    try:
+        result = backend.compare_pairs(pairs)
+        assert np.array_equal(result.intersection, ref.intersection)
+        assert result.stats.as_dict() == ref.stats.as_dict()
+        report = backend.last_report
+        assert report.speculative >= 1
+        assert report.worker_failures == 0
+        # Wait for the straggler to finish its copy and reply.
+        deadline = time.monotonic() + 10
+        while slow.shards_run < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)
+        assert all(client.available() for client in backend._clients)
+        assert report.worker_failures == 0  # the returned report is final
+    finally:
+        backend.close()
+        slow.stop()
+        fast.stop()
+
+
+class _FloatAreasWorker(ShardWorker):
+    """Replies with float areas, each half a pixel short."""
+
+    def _execute_shard(self, bundle, lo, hi, cfg):
+        inter, stats = super()._execute_shard(bundle, lo, hi, cfg)
+        return inter.astype(np.float64) - 0.5, stats
+
+
+class _UnknownCounterWorker(ShardWorker):
+    """Replies with a work counter ``KernelStats`` does not have."""
+
+    def _execute_shard(self, bundle, lo, hi, cfg):
+        inter, stats = super()._execute_shard(bundle, lo, hi, cfg)
+        return inter, {**stats, "warp_stalls": 1}
+
+
+@pytest.mark.parametrize("bad_worker", [_FloatAreasWorker, _UnknownCounterWorker])
+def test_a_malformed_shard_result_fails_its_worker(workload, bad_worker):
+    pairs, ref = workload
+    bad = bad_worker().start()
+    healthy = ShardWorker().start()
+    hosts = ["%s:%d" % bad.address, "%s:%d" % healthy.address]
+    backend = get_backend("cluster", hosts=hosts, min_pairs=1, shard_pairs=8)
+    try:
+        result = backend.compare_pairs(pairs)
+        assert np.array_equal(result.intersection, ref.intersection)
+        assert np.array_equal(result.union, ref.union)
+        assert result.stats.as_dict() == ref.stats.as_dict()
+        assert backend.last_report.worker_failures == 1
+        assert [c.available() for c in backend._clients] == [False, True]
+    finally:
+        backend.close()
+        healthy.stop()
+        bad.stop()
 
 
 def test_protocol_garbage_is_a_clean_client_error(workload):
@@ -368,9 +433,13 @@ def test_worker_rejects_a_bundle_with_a_missing_array(workload):
             assert msgtype == wire.MsgType.ERROR
             assert header["kind"] == "bad-request"
             assert "q.offsets" in header["error"]
-            wire.send_frame(sock, wire.MsgType.HAS_TABLES, {"digest": "d"})
+            # Nothing was installed: a shard over it is missing-tables.
+            wire.send_frame(
+                sock, wire.MsgType.RUN_SHARD, {"digest": "d", "lo": 0, "hi": 1}
+            )
             msgtype, header, _ = wire.recv_frame(sock)
-            assert msgtype == wire.MsgType.TABLES_ACK and not header["cached"]
+            assert msgtype == wire.MsgType.ERROR
+            assert header["kind"] == "missing-tables"
 
 
 # ----------------------------------------------------------------------
@@ -381,13 +450,14 @@ def _outcome(shard: Shard) -> ShardOutcome:
     return ShardOutcome(inter=inter, stats=KernelStats(pairs=shard.size))
 
 
+def _unreachable(*args):
+    raise AssertionError("no worker to call")
+
+
 def test_scheduler_with_no_workers_runs_everything_locally():
     shards = [Shard(0, 0, 5), Shard(1, 5, 9)]
     scheduler = ShardScheduler(
-        run=lambda worker, shard: (_ for _ in ()).throw(
-            ClusterError("unreachable")
-        ),
-        local_run=_outcome,
+        run=_unreachable, local_run=_outcome, cancel=_unreachable
     )
     outcomes, report = scheduler.execute(shards, [])
     assert sorted(outcomes) == [0, 1]
@@ -395,26 +465,29 @@ def test_scheduler_with_no_workers_runs_everything_locally():
     assert np.array_equal(outcomes[1].inter, np.arange(5, 9))
 
 
-def test_scheduler_first_result_wins_charges_one_execution():
-    """Duplicate executions of one shard must not double work counters."""
-    shards = [Shard(i, i * 4, i * 4 + 4) for i in range(3)]
-    calls = []
-    lock = threading.Lock()
+def test_scheduler_cancels_a_lost_copy_instead_of_failing_its_worker():
+    """The straggler's copy is interrupted when the speculative copy wins;
+    it then raises, as an aborted socket read does, and is dropped."""
+    release = threading.Event()
+    cancelled = []
 
     def run(worker, shard):
-        with lock:
-            calls.append((worker, shard.index))
         if worker == "slow":
-            time.sleep(0.4)
+            release.wait(10)
+            raise ClusterError("connection shut down")
         return _outcome(shard)
 
-    scheduler = ShardScheduler(
-        run, _outcome, speculation_delay=0.05, speculation_factor=1.5
+    def cancel(worker):
+        cancelled.append(worker)
+        release.set()
+
+    outcomes, report = ShardScheduler(run, _outcome, cancel).execute(
+        [Shard(0, 0, 4)], ["slow", "fast"]
     )
-    outcomes, report = scheduler.execute(shards, ["slow", "fast"])
-    total_pairs = sum(o.stats.pairs for o in outcomes.values())
-    assert total_pairs == sum(s.size for s in shards)
-    assert report.dispatches >= 3
+    assert cancelled == ["slow"]
+    assert report.failed == [] and report.worker_failures == 0
+    assert (report.dispatches, report.speculative) == (2, 1)
+    assert outcomes[0].stats.pairs == 4
 
 
 # ----------------------------------------------------------------------

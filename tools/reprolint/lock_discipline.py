@@ -5,9 +5,10 @@ In every class that creates a ``threading.Lock`` / ``RLock`` /
 inferred from usage: an attribute mutated at least once inside a
 ``with self.<lock>:`` block is guarded.  Any *other* mutation of a
 guarded attribute — outside every lock block, in any method but
-``__init__`` — is a race waiting for load: the scheduler's speculation
-threads, the service executor, and the coordinator's per-worker push
-threads all mutate shared client state concurrently.
+``__init__`` — is a race waiting for load: the service executor and the
+coordinator's per-worker push threads mutate shared client state
+concurrently.  (The shard scheduler shares none: one thread owns its
+state, and each running copy only posts its outcome to a queue.)
 
 Attributes never mutated under a lock are out of scope (single-threaded
 bookkeeping like ``Session.last_trace`` is legitimate); ``__init__``
