@@ -104,15 +104,19 @@ class ResolvedPlan:
 
 
 def _profile(request: CompareRequest):
-    """``(pairs, n)`` of the workload, or ``(None, None)`` for files."""
+    """``(PairBatch, n)`` of the workload, or ``(None, None)`` for files."""
+    from repro.pixelbox.kernel import PairBatch
+
     if request.kind == "pairs":
-        return list(request.pairs), len(request.pairs)
+        return PairBatch.from_pairs(request.pairs), len(request.pairs)
     if request.kind == "sets":
+        from repro.geometry.polyset import PolygonSet
         from repro.index.join import mbr_pair_join
 
-        join = mbr_pair_join(list(request.set_a), list(request.set_b))
-        pairs = join.pairs(list(request.set_a), list(request.set_b))
-        return pairs, len(pairs)
+        set_a = PolygonSet.from_polygons(request.set_a)
+        set_b = PolygonSet.from_polygons(request.set_b)
+        join = mbr_pair_join(set_a, set_b)
+        return PairBatch(set_a, set_b, join.left_idx, join.right_idx), len(join)
     return None, None
 
 
@@ -151,7 +155,7 @@ def _resolve_cache(request: CompareRequest, request_cache) -> dict[str, Any]:
         return info
     from repro.cache import pairs_key
 
-    key = pairs_key(list(request.pairs), options.launch_config())
+    key = pairs_key(request.pairs, options.launch_config())
     info["request_key"] = key
     if request_cache is not None:
         info["would_hit"] = request_cache.contains(key)

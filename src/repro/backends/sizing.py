@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.backends.base import Pairs
+from repro.pixelbox.kernel import PairBatch
 
 __all__ = [
     "profile_pairs",
@@ -34,14 +37,17 @@ def profile_pairs(pairs: Pairs) -> tuple[float, float]:
 
     Edges are both polygons' vertical-edge families (what every inner
     loop walks); the MBR is the pair cover box, Algorithm 1's first box.
+    Both come from a :class:`PairBatch`'s set arrays.
     """
-    if not pairs:
+    batch = PairBatch.from_pairs(pairs)
+    n = len(batch)
+    if not n:
         return 0.0, 0.0
-    edges = pixels = 0
-    for p, q in pairs:
-        edges += len(p.vertical_edges) + len(q.vertical_edges)
-        pixels += p.mbr.cover(q.mbr).size
-    return edges / len(pairs), pixels / len(pairs)
+    left, right = batch.left, batch.right
+    edges = left.edges.counts()[batch.left_idx] + right.edges.counts()[batch.right_idx]
+    mp, mq = left.mbrs[batch.left_idx], right.mbrs[batch.right_idx]
+    extent = np.maximum(mp[:, 2:], mq[:, 2:]) - np.minimum(mp[:, :2], mq[:, :2])
+    return int(edges.sum()) / n, int(np.prod(extent, axis=1).sum()) / n
 
 
 def estimate_comparison_cycles(

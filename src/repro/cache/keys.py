@@ -3,8 +3,9 @@
 A key is a content-derived sha256 hex digest, equal to another key
 exactly when the computation it names would produce bit-for-bit
 identical output — areas *and* work counters.  :func:`pairs_key` hashes
-the two things that decide that: the pair geometry (each polygon's int64
-vertex array, in pair order) and the :class:`LaunchConfig`.  The
+the two things that decide that: the pair geometry (per side, the int64
+vertices and vertex counts of each pair's polygon, in pair order) and
+the :class:`LaunchConfig`.  The
 executor is not part of it: every registered backend runs the one
 production policy, so a result computed on any of them answers the same
 pairs on every other.  Both front doors — ``Session`` and
@@ -23,6 +24,11 @@ import dataclasses
 import enum
 import hashlib
 from typing import TYPE_CHECKING
+
+import numpy as np
+
+from repro.geometry.polyset import ragged_rows
+from repro.pixelbox.kernel import PairBatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pixelbox.common import LaunchConfig
@@ -47,17 +53,17 @@ def config_token(config: "LaunchConfig") -> str:
 
 
 def pairs_key(pairs, config: "LaunchConfig") -> str:
-    """Key for a pair list + launch config.
+    """Key for a :class:`~repro.pixelbox.kernel.PairBatch` (a pair list
+    keys as its batch) + launch config.
 
-    Hashes each polygon's int64 vertex array directly — equivalent in
-    identity to the WKT the wire protocol carries, without building the
-    strings.
+    Hashes the batch's arrays directly — equivalent in identity to the
+    WKT the wire protocol carries, without building the strings.
     """
-    h = hashlib.sha256(b"pairs-v1")
-    for p, q in pairs:
-        h.update(p.vertices.tobytes())
-        h.update(b"\x01")
-        h.update(q.vertices.tobytes())
-        h.update(b"\x02")
+    batch = PairBatch.from_pairs(pairs)
+    h = hashlib.sha256(b"pairs-v2")
+    for side, idx in ((batch.left, batch.left_idx), (batch.right, batch.right_idx)):
+        counts = np.diff(side.offsets)[idx]
+        h.update(counts)  # contiguous arrays hash as their bytes, uncopied
+        h.update(side.vertices[ragged_rows(side.offsets[idx], counts)[0]])
     tokens = "\x00".join((h.hexdigest(), config_token(config)))
     return f"request:{hashlib.sha256(tokens.encode()).hexdigest()}"

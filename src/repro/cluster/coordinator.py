@@ -62,6 +62,7 @@ from repro.pixelbox.kernel import (
     BATCH_POLICY,
     BatchAreas,
     ChunkKernel,
+    PairBatch,
     ShardInput,
 )
 
@@ -486,6 +487,7 @@ class ClusterBackend(BackendLifecycle):
     ) -> BatchAreas:
         kernel = ChunkKernel(BATCH_POLICY, config)
         cfg = kernel.cfg
+        pairs = PairBatch.from_pairs(pairs)
         n = len(pairs)
         stats = KernelStats()
         # Tracing: the scheduler starts its worker threads in a copy of

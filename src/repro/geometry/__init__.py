@@ -8,6 +8,7 @@ primitives plus lossless conversions between binary masks and polygons.
 
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
+from repro.geometry.polyset import PolygonSet
 from repro.geometry.raster import (
     extract_polygons,
     fill_holes,
@@ -21,6 +22,7 @@ from repro.geometry.wkt import polygon_from_wkt, polygon_to_wkt
 __all__ = [
     "Box",
     "RectilinearPolygon",
+    "PolygonSet",
     "polygon_to_mask",
     "parity_fill",
     "trace_mask",

@@ -22,7 +22,86 @@ import numpy as np
 from repro.errors import RectilinearityError, RingClosureError
 from repro.geometry.box import Box
 
-__all__ = ["RectilinearPolygon"]
+__all__ = ["RectilinearPolygon", "first_invalid_ring", "ring_edges", "signed_areas"]
+
+
+def _next_vertex(offsets: np.ndarray) -> np.ndarray:
+    """Each vertex's successor around its ring (the closing edge wraps)."""
+    nxt = np.arange(1, offsets[-1] + 1, dtype=np.int64)
+    ring = offsets[1:] > offsets[:-1]
+    nxt[offsets[1:][ring] - 1] = offsets[:-1][ring]
+    return nxt
+
+
+def signed_areas(vertices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Shoelace signed area of every ring of a vertex CSR (see
+    :attr:`RectilinearPolygon.signed_area`)."""
+    x, y = vertices[:, 0], vertices[:, 1]
+    nxt = _next_vertex(offsets)
+    cross = np.zeros(len(vertices) + 1, dtype=np.int64)
+    np.cumsum(x * y[nxt] - x[nxt] * y, out=cross[1:])
+    return (cross[offsets[1:]] - cross[offsets[:-1]]) // 2
+
+
+def ring_edges(vertices: np.ndarray, offsets: np.ndarray):
+    """``(vertical, horizontal, v_offsets, h_offsets)`` of a vertex CSR:
+    ``(x, y_lo, y_hi)`` and ``(y, x_lo, x_hi)`` rows in ring order, ``lo <
+    hi`` whatever the traversal direction; offsets delimit each ring."""
+    nxt = vertices[_next_vertex(offsets)]
+    edges, spans = [], []
+    for axis in (0, 1):
+        along = vertices[:, axis] == nxt[:, axis]
+        a, b = vertices[along, 1 - axis], nxt[along, 1 - axis]
+        edges.append(np.column_stack([vertices[along, axis], np.minimum(a, b), np.maximum(a, b)]))
+        spans.append(np.concatenate([[0], np.cumsum(along)])[offsets])
+    return (*edges, *spans)
+
+
+# A ring's checks, by bit; the highest failing bit is reported.  An
+# explicit closing vertex is the most common input error.  Re-visiting a
+# vertex elsewhere is legal: a pinched region's boundary does so.
+_CHECKS = (
+    (RectilinearityError, "edges around vertex {at} do not alternate horizontal/vertical"),
+    (RectilinearityError, "edge starting at vertex {at} has zero length"),
+    (RectilinearityError, "edge starting at vertex {at} is diagonal"),
+    (RectilinearityError, "a rectilinear ring has an even vertex count, got {n}"),
+    (RingClosureError, "ring must not repeat the first vertex at the end "
+     "(rings are implicitly closed)"),
+    (RingClosureError, "a rectilinear ring needs >= 4 vertices, got {n}"),
+)
+
+
+def first_invalid_ring(vertices: np.ndarray, offsets: np.ndarray):
+    """``(ring, error)`` of the first ring of a vertex CSR that breaks the
+    rectilinear-ring contract, or ``None``; ``error`` is the one
+    :class:`RectilinearPolygon` raises for that ring alone (checks in
+    :data:`_CHECKS` order, naming the first offending vertex)."""
+    counts = np.diff(offsets)
+    m = len(vertices)
+    if m == 0:
+        return (0, RingClosureError(_CHECKS[5][1].format(n=0))) if len(counts) else None
+    nxt = _next_vertex(offsets)
+    moves_x = vertices[nxt, 0] != vertices[:, 0]
+    moves_y = vertices[nxt, 1] != vertices[:, 1]
+    code = (moves_x & moves_y).view(np.uint8) << 2
+    code |= (~(moves_x | moves_y)).view(np.uint8) << 1
+    code |= (moves_x == moves_x[nxt]).view(np.uint8)
+    # Empty rings (caught by the count check) take no part in the reduction,
+    # so every other ring reduces over exactly its own vertices.
+    ring_code = np.zeros(len(counts), dtype=np.uint8)
+    ring_code[counts > 0] = np.bitwise_or.reduceat(code, offsets[:-1][counts > 0])
+    starts = np.minimum(offsets[:-1], m - 1)
+    closed = np.all(vertices[starts] == vertices[np.maximum(offsets[1:] - 1, 0)], axis=1)
+    ring_code |= ((counts % 2 != 0) << 3 | closed << 4 | (counts < 4) << 5).astype(np.uint8)
+    bad = np.flatnonzero(ring_code)
+    if len(bad) == 0:
+        return None
+    r = int(bad[0])
+    check = int(ring_code[r]).bit_length() - 1
+    flags = code[offsets[r] : offsets[r + 1]] >> min(check, 2) & 1
+    at = int(np.flatnonzero(flags)[0]) if check < 3 else 0
+    error, message = _CHECKS[check]
+    return r, error(message.format(n=int(counts[r]), at=at))
 
 
 class RectilinearPolygon:
@@ -61,37 +140,22 @@ class RectilinearPolygon:
     # Validation
     # ------------------------------------------------------------------
     def _validate(self) -> None:
-        v = self._vertices
-        n = len(v)
-        if n < 4:
-            raise RingClosureError(f"a rectilinear ring needs >= 4 vertices, got {n}")
-        if bool(np.array_equal(v[0], v[-1])):
-            # Rings are implicitly closed; an explicit closing vertex is the
-            # most common input error and would create a zero-length edge.
-            # Re-visiting a vertex elsewhere is legal: the boundary of a
-            # pinched region passes through its pinch vertex twice.
-            raise RingClosureError(
-                "ring must not repeat the first vertex at the end "
-                "(rings are implicitly closed)"
-            )
-        if n % 2 != 0:
-            raise RectilinearityError(
-                f"a rectilinear ring has an even vertex count, got {n}"
-            )
-        deltas = np.roll(v, -1, axis=0) - v
-        moves_x = deltas[:, 0] != 0
-        moves_y = deltas[:, 1] != 0
-        if np.any(moves_x & moves_y):
-            bad = int(np.flatnonzero(moves_x & moves_y)[0])
-            raise RectilinearityError(f"edge starting at vertex {bad} is diagonal")
-        if np.any(~moves_x & ~moves_y):
-            bad = int(np.flatnonzero(~moves_x & ~moves_y)[0])
-            raise RectilinearityError(f"edge starting at vertex {bad} has zero length")
-        if np.any(moves_x == np.roll(moves_x, -1)):
-            bad = int(np.flatnonzero(moves_x == np.roll(moves_x, -1))[0])
-            raise RectilinearityError(
-                f"edges around vertex {bad} do not alternate horizontal/vertical"
-            )
+        bad = first_invalid_ring(self._vertices, self._ring)
+        if bad is not None:
+            raise bad[1]
+
+    @property
+    def _ring(self) -> np.ndarray:
+        """This polygon as a one-ring CSR (``offsets`` of the set functions)."""
+        return np.array([0, len(self._vertices)], dtype=np.int64)
+
+    @classmethod
+    def _view(cls, vertices: np.ndarray) -> "RectilinearPolygon":
+        """Wrap a read-only int64 ``(n, 2)`` array the caller owns and has
+        validated, without copying or re-validating it."""
+        poly = cls.__new__(cls)
+        poly._vertices = vertices
+        return poly
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -136,11 +200,7 @@ class RectilinearPolygon:
         integer rings the doubled sum is always even, so the result is an
         exact integer equal to the number of pixels enclosed (signed).
         """
-        v = self._vertices
-        x, y = v[:, 0], v[:, 1]
-        x2, y2 = np.roll(x, -1), np.roll(y, -1)
-        doubled = np.sum(x * y2 - x2 * y, dtype=np.int64)
-        return int(doubled) // 2
+        return int(signed_areas(self._vertices, self._ring)[0])
 
     @cached_property
     def area(self) -> int:
@@ -151,12 +211,7 @@ class RectilinearPolygon:
     def mbr(self) -> Box:
         """Minimum bounding rectangle."""
         v = self._vertices
-        return Box(
-            int(v[:, 0].min()),
-            int(v[:, 1].min()),
-            int(v[:, 0].max()),
-            int(v[:, 1].max()),
-        )
+        return Box(*v.min(axis=0).tolist(), *v.max(axis=0).tolist())
 
     @cached_property
     def vertical_edges(self) -> np.ndarray:
@@ -166,22 +221,12 @@ class RectilinearPolygon:
         vertical edges matter for the horizontal-ray parity test used
         throughout the library.
         """
-        v = self._vertices
-        w = np.roll(v, -1, axis=0)
-        is_vert = v[:, 0] == w[:, 0]
-        xs = v[is_vert, 0]
-        y_a, y_b = v[is_vert, 1], w[is_vert, 1]
-        return np.column_stack([xs, np.minimum(y_a, y_b), np.maximum(y_a, y_b)])
+        return ring_edges(self._vertices, self._ring)[0]
 
     @cached_property
     def horizontal_edges(self) -> np.ndarray:
         """``(k, 3)`` array of horizontal edges as ``(y, x_lo, x_hi)``."""
-        v = self._vertices
-        w = np.roll(v, -1, axis=0)
-        is_horz = v[:, 1] == w[:, 1]
-        ys = v[is_horz, 1]
-        x_a, x_b = v[is_horz, 0], w[is_horz, 0]
-        return np.column_stack([ys, np.minimum(x_a, x_b), np.maximum(x_a, x_b)])
+        return ring_edges(self._vertices, self._ring)[1]
 
     @property
     def orientation(self) -> int:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import IndexError_
 from repro.geometry.box import Box
-from repro.geometry.polygon import RectilinearPolygon
+from repro.geometry.polyset import PolygonSet
 from repro.index.hilbert import hilbert_keys
-from repro.index.rtree import DEFAULT_FANOUT, RTree, RTreeNode
+from repro.index.rtree import DEFAULT_FANOUT, RTree
 
 __all__ = ["bulk_load", "bulk_load_polygons", "DEFAULT_ORDER"]
 
@@ -25,49 +24,28 @@ DEFAULT_ORDER = 17
 
 
 def bulk_load(
-    boxes: list[Box],
+    boxes: list[Box] | np.ndarray,
     fanout: int = DEFAULT_FANOUT,
     order: int = DEFAULT_ORDER,
 ) -> RTree:
-    """Build a packed R-tree over ``boxes`` (payloads are list indices)."""
-    tree = RTree(fanout=fanout)
-    if not boxes:
-        return tree
-    cx = np.array([(b.x0 + b.x1) // 2 for b in boxes], dtype=np.int64)
-    cy = np.array([(b.y0 + b.y1) // 2 for b in boxes], dtype=np.int64)
-    keys = hilbert_keys(order, cx, cy)
-    rank = np.argsort(keys, kind="stable")
+    """Build a packed R-tree over ``boxes`` (payloads are row indices).
 
-    # Pack leaves in Hilbert order.
-    level: list[RTreeNode] = []
-    for lo in range(0, len(rank), fanout):
-        idx = rank[lo : lo + fanout]
-        node = RTreeNode(
-            is_leaf=True, entries=[(boxes[int(i)], int(i)) for i in idx]
-        )
-        node.recompute_mbr()
-        level.append(node)
-
-    # Pack parents bottom-up until a single root remains.
-    while len(level) > 1:
-        parents: list[RTreeNode] = []
-        for lo in range(0, len(level), fanout):
-            node = RTreeNode(is_leaf=False, children=level[lo : lo + fanout])
-            node.recompute_mbr()
-            parents.append(node)
-        level = parents
-
-    tree.root = level[0]
-    tree._size = len(boxes)
-    return tree
+    ``boxes`` is a list of :class:`Box` or an ``(n, 4)`` int64 array of
+    ``x0, y0, x1, y1`` rows, such as :attr:`PolygonSet.mbrs`.
+    """
+    if not isinstance(boxes, np.ndarray):
+        boxes = np.array([b.as_tuple() for b in boxes], dtype=np.int64)
+    boxes = boxes.reshape(-1, 4)
+    centers = (boxes[:, :2] + boxes[:, 2:]) // 2
+    rank = np.argsort(hilbert_keys(order, *centers.T), kind="stable")
+    return RTree(fanout=fanout).pack(boxes[rank], rank)
 
 
 def bulk_load_polygons(
-    polygons: list[RectilinearPolygon],
+    polygons,
     fanout: int = DEFAULT_FANOUT,
     order: int = DEFAULT_ORDER,
 ) -> RTree:
-    """Bulk-load the MBRs of ``polygons`` (payload ``i`` = polygon ``i``)."""
-    if fanout < 4:
-        raise IndexError_(f"fanout must be >= 4, got {fanout}")
-    return bulk_load([p.mbr for p in polygons], fanout=fanout, order=order)
+    """Bulk-load the MBRs of ``polygons`` — a :class:`PolygonSet` or a
+    list of polygons (payload ``i`` = polygon ``i``)."""
+    return bulk_load(PolygonSet.from_polygons(polygons).mbrs, fanout, order)

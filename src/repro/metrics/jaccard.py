@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,11 +24,12 @@ from repro.errors import GeometryError
 from repro.exact.decompose import decompose
 from repro.exact.measure import union_area_of_boxes
 from repro.geometry.polygon import RectilinearPolygon
-from repro.index.hilbert_rtree import bulk_load_polygons
+from repro.geometry.polyset import PolygonSet
+from repro.index.hilbert_rtree import bulk_load
 from repro.index.join import mbr_pair_join
 from repro.obs.clock import StageClock
 from repro.pixelbox.common import LaunchConfig
-from repro.pixelbox.kernel import BatchAreas, Pairs
+from repro.pixelbox.kernel import BatchAreas, PairBatch
 
 __all__ = ["PairwiseJaccard", "jaccard_pairwise", "jaccard_tile",
            "jaccard_from_areas", "jaccard_global"]
@@ -107,26 +108,28 @@ def jaccard_from_areas(
 
 
 def jaccard_tile(
-    set_a: list[RectilinearPolygon],
-    set_b: list[RectilinearPolygon],
-    areas_for: Callable[[Pairs], BatchAreas],
+    set_a: Sequence[RectilinearPolygon],
+    set_b: Sequence[RectilinearPolygon],
+    areas_for: Callable[[PairBatch], BatchAreas],
     clock: StageClock | None = None,
 ) -> PairwiseJaccard:
     """One tile's two polygon sets -> its ``J'`` partial.
 
     The pipeline's builder, filter and aggregator stages for one tile
     (paper §4.1), each charged to ``clock``: Hilbert R-tree over
-    ``set_b``, MBR join of ``set_a`` against it, one ``areas_for`` launch
-    over the candidate pairs, :func:`jaccard_from_areas`.  Every
-    set- and file-level comparison is this function, once per tile.
+    ``set_b``'s MBR array, MBR join of ``set_a``'s against it, one
+    ``areas_for`` launch over the candidate :class:`PairBatch`,
+    :func:`jaccard_from_areas`.  Every set- and file-level comparison is
+    this function, once per tile.
     """
     if clock is None:
         clock = StageClock("pipeline.")
+    set_a, set_b = PolygonSet.from_polygons(set_a), PolygonSet.from_polygons(set_b)
     with clock.measure("builder"):
-        tree = bulk_load_polygons(set_b)
+        tree = bulk_load(set_b.mbrs)
     with clock.measure("filter"):
         join = mbr_pair_join(set_a, set_b, tree=tree)
-        pairs = join.pairs(set_a, set_b)
+        pairs = PairBatch(set_a, set_b, join.left_idx, join.right_idx)
     with clock.measure("aggregator", tiles=1, pairs=len(pairs)):
         return jaccard_from_areas(
             areas_for(pairs),

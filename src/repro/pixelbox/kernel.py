@@ -16,11 +16,14 @@ sequence lives here exactly once:
   :data:`BATCH_POLICY`, the one production policy;
 * :class:`ChunkKernel` — level-synchronous planning, stacked leaf
   pixelization, and per-pair scatter, parameterized by a policy;
+* :class:`PairBatch` — what every executor is handed: two
+  :class:`~repro.geometry.polyset.PolygonSet` sides and one index array
+  per side (a pair list converts once, at the first call);
 * :class:`ShardInput` — the data a kernel run consumes (both CSR edge
-  tables, start boxes, routing mask, polygon areas): built from a pair
-  list, flattened to and rebuilt from the named-array bundle that
-  crosses process and socket boundaries, and finalized into a
-  :class:`BatchAreas`;
+  tables, start boxes, routing mask, polygon areas): gathered from a
+  :class:`PairBatch`'s set arrays, flattened to and rebuilt from the
+  named-array bundle that crosses process and socket boundaries, and
+  finalized into a :class:`BatchAreas`;
 * every executor (in-process, worker process, remote worker) runs
   :data:`BATCH_POLICY` through :meth:`ChunkKernel.compute` or
   :meth:`ChunkKernel.run_shard`, so a result — areas and counters — is a
@@ -42,6 +45,7 @@ import numpy as np
 from repro.errors import KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
+from repro.geometry.polyset import PolygonSet
 from repro.obs.trace import current_tracer
 from repro.pixelbox.common import (
     KernelStats,
@@ -60,6 +64,7 @@ __all__ = [
     "BatchAreas",
     "ChunkKernel",
     "ExecutionPolicy",
+    "PairBatch",
     "ShardInput",
     "DEFAULT_CHUNK_PAIRS",
     "start_box",
@@ -156,6 +161,15 @@ class ExecutionPolicy:
 BATCH_POLICY = ExecutionPolicy(skip_subdivision_max_dim=64)
 
 
+def _tight(method: Method, cfg: LaunchConfig) -> bool:
+    """Whether start boxes are MBR intersections rather than covers."""
+    if not isinstance(method, Method):
+        raise KernelError(f"unknown method {method!r}")
+    if cfg.tight_mbr and method is not Method.PIXELBOX:
+        raise KernelError("tight_mbr is only valid for the PIXELBOX variant")
+    return cfg.tight_mbr
+
+
 def start_box(
     p: RectilinearPolygon,
     q: RectilinearPolygon,
@@ -171,16 +185,47 @@ def start_box(
     slot zero (the latent batched disjoint-pair crash closed by
     :meth:`ShardInput.finalize`).
     """
-    if not isinstance(method, Method):
-        raise KernelError(f"unknown method {method!r}")
-    if cfg.tight_mbr:
-        if method is not Method.PIXELBOX:
-            raise KernelError("tight_mbr is only valid for the PIXELBOX variant")
+    if _tight(method, cfg):
         return p.mbr.intersect(q.mbr)
     return p.mbr.cover(q.mbr)
 
 
-Pairs = list[tuple[RectilinearPolygon, RectilinearPolygon]]
+@dataclass(frozen=True, slots=True)
+class PairBatch:
+    """Candidate pairs as two polygon sets and one index array per side:
+    pair ``k`` is ``(left[left_idx[k]], right[right_idx[k]])``, as the
+    MBR join emits them.  A slice of a batch shares its sets."""
+
+    left: PolygonSet
+    right: PolygonSet
+    left_idx: np.ndarray
+    right_idx: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.left_idx)
+
+    def __getitem__(self, window: slice) -> "PairBatch":
+        return PairBatch(
+            self.left, self.right, self.left_idx[window], self.right_idx[window]
+        )
+
+    @classmethod
+    def from_pairs(cls, pairs: "Pairs") -> "PairBatch":
+        """A pair list as a batch (a batch as it is); a polygon object
+        shared by several pairs is one ring of its side's set."""
+        if isinstance(pairs, PairBatch):
+            return pairs
+        pairs = list(pairs)
+        sides = []
+        for polygons in zip(*pairs) if pairs else ((), ()):
+            first: dict[int, int] = {}
+            idx = [first.setdefault(id(p), len(first)) for p in polygons]
+            unique = list({id(p): p for p in polygons}.values())
+            sides += [PolygonSet.from_polygons(unique), np.array(idx, dtype=np.int64)]
+        return cls(sides[0], sides[2], sides[1], sides[3])
+
+
+Pairs = list[tuple[RectilinearPolygon, RectilinearPolygon]] | PairBatch
 
 _SIDES = ("p", "q")
 _EDGE_FIELDS = tuple(f.name for f in fields(EdgeTable))
@@ -191,8 +236,9 @@ class ShardInput:
     """What one kernel run consumes, and the one owner of its layout.
 
     ``table_p``/``table_q`` hold the CSR edges of every pair's two
-    sides, ``boxes[i]`` pair ``i``'s start box (meaningful only where
-    ``has_box[i]``).  ``area_p``/``area_q`` are the polygon areas
+    sides, gathered from a :class:`PairBatch`'s set tables, ``boxes[i]``
+    pair ``i``'s start box (meaningful only where ``has_box[i]``).
+    ``area_p``/``area_q`` are the polygon areas
     :meth:`finalize` needs; they stay with the process that built the
     input and are ``None`` on one rebuilt by :meth:`from_arrays`.
 
@@ -214,26 +260,23 @@ class ShardInput:
     def build(
         cls, pairs: Pairs, policy: ExecutionPolicy, cfg: LaunchConfig
     ) -> "ShardInput":
-        """Route every pair to its start box and build both edge tables."""
-        n = len(pairs)
-        area_p = np.zeros(n, dtype=np.int64)
-        area_q = np.zeros(n, dtype=np.int64)
-        boxes = np.zeros((n, 4), dtype=np.int64)
-        has_box = np.zeros(n, dtype=bool)
-        for i, (p, q) in enumerate(pairs):
-            area_p[i] = p.area
-            area_q[i] = q.area
-            start = start_box(p, q, policy.method, cfg)
-            if start is not None:
-                has_box[i] = True
-                boxes[i] = start.as_tuple()
+        """Route every pair to its start box and gather both edge tables:
+        :func:`start_box` of every pair at once, from the MBR arrays."""
+        batch = PairBatch.from_pairs(pairs)
+        left, right = batch.left, batch.right
+        mp, mq = left.mbrs[batch.left_idx], right.mbrs[batch.right_idx]
+        tight = _tight(policy.method, cfg)
+        lo, hi = (np.maximum, np.minimum) if tight else (np.minimum, np.maximum)
+        boxes = np.hstack([lo(mp[:, :2], mq[:, :2]), hi(mp[:, 2:], mq[:, 2:])])
+        has_box = (boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3])
+        boxes[~has_box] = 0
         return cls(
-            EdgeTable.build([p for p, _ in pairs]),
-            EdgeTable.build([q for _, q in pairs]),
+            left.edges.take(batch.left_idx),
+            right.edges.take(batch.right_idx),
             boxes,
             has_box,
-            area_p,
-            area_q,
+            left.areas[batch.left_idx],
+            right.areas[batch.right_idx],
         )
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -310,7 +353,7 @@ class ChunkKernel:
     it per call with their policy and launch config.  The kernel exposes
     three altitudes:
 
-    * :meth:`compute` — the full pipeline for a pair list (routing,
+    * :meth:`compute` — the full pipeline for a pair batch (routing,
       chunking, edge tables, finalization): what in-process executors
       call.
     * :meth:`run_shard` — the chunk loop over a contiguous index range of
@@ -473,11 +516,12 @@ class ChunkKernel:
         bounded by ``chunk_pairs`` however long the pair list is.
         """
         st = stats if stats is not None else KernelStats()
+        batch = PairBatch.from_pairs(pairs)
         step = self.policy.chunk_pairs
         # An empty pair list still runs one (empty) chunk.
         chunks = [
-            pairs[lo : lo + step] for lo in range(0, len(pairs), step)
-        ] or [pairs]
+            batch[lo : lo + step] for lo in range(0, len(batch), step)
+        ] or [batch]
         parts = []
         for chunk in chunks:
             part = ShardInput.build(chunk, self.policy, self.cfg)

@@ -21,12 +21,10 @@ and the exact overlay bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import KernelError
-from repro.geometry.polygon import RectilinearPolygon
+from repro.geometry.polyset import EdgeTable, ragged_rows
 from repro.pixelbox.common import BoxPosition, KernelStats, LaunchConfig, Method
 
 __all__ = ["EdgeTable", "classify_boxes", "plan_levels", "stacked_leaf_counts"]
@@ -39,61 +37,6 @@ _HOVER = BoxPosition.HOVER.value
 _CHUNK_CELLS = 1 << 23
 
 
-@dataclass(slots=True)
-class EdgeTable:
-    """CSR edge table for one side of a pair list.
-
-    ``xs/lo/hi`` concatenate the *vertical* edges of every polygon and
-    ``ys/xlo/xhi`` the *horizontal* ones; a rectilinear ring alternates
-    the two families, so their counts are equal and both share
-    ``offsets`` (``offsets[i]:offsets[i+1]`` is polygon ``i``'s span).
-    """
-
-    xs: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    ys: np.ndarray
-    xlo: np.ndarray
-    xhi: np.ndarray
-    offsets: np.ndarray
-
-    @classmethod
-    def build(cls, polygons: list[RectilinearPolygon]) -> "EdgeTable":
-        """Collect the edge arrays of ``polygons`` (int32 hot-path copies)."""
-        offsets = np.zeros(len(polygons) + 1, dtype=np.int64)
-        v_chunks = []
-        h_chunks = []
-        for i, poly in enumerate(polygons):
-            v_edges = poly.vertical_edges
-            h_edges = poly.horizontal_edges
-            if len(v_edges) != len(h_edges):
-                raise KernelError(
-                    "rectilinear ring with unbalanced edge families"
-                )
-            offsets[i + 1] = offsets[i] + len(v_edges)
-            v_chunks.append(v_edges)
-            h_chunks.append(h_edges)
-        if v_chunks:
-            v_flat = np.concatenate(v_chunks, axis=0).astype(np.int32)
-            h_flat = np.concatenate(h_chunks, axis=0).astype(np.int32)
-        else:
-            v_flat = np.zeros((0, 3), dtype=np.int32)
-            h_flat = np.zeros((0, 3), dtype=np.int32)
-        return cls(
-            np.ascontiguousarray(v_flat[:, 0]),
-            np.ascontiguousarray(v_flat[:, 1]),
-            np.ascontiguousarray(v_flat[:, 2]),
-            np.ascontiguousarray(h_flat[:, 0]),
-            np.ascontiguousarray(h_flat[:, 1]),
-            np.ascontiguousarray(h_flat[:, 2]),
-            offsets,
-        )
-
-    def counts(self) -> np.ndarray:
-        """Edges per polygon (per family)."""
-        return np.diff(self.offsets)
-
-
 def _expand(owner: np.ndarray, table: EdgeTable):
     """Ragged (box, edge) expansion.
 
@@ -104,12 +47,9 @@ def _expand(owner: np.ndarray, table: EdgeTable):
     counts = table.counts()[owner]
     if np.any(counts == 0):
         raise KernelError("polygon with no vertical edges in batch")
-    total = int(counts.sum())
+    edge_idx, bounds = ragged_rows(table.offsets[owner], counts)
     box_idx = np.repeat(np.arange(len(owner)), counts)
-    seg_starts = np.zeros(len(owner), dtype=np.int64)
-    np.cumsum(counts[:-1], out=seg_starts[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, counts)
-    edge_idx = np.repeat(table.offsets[owner], counts) + within
+    seg_starts = bounds[:-1]
     return box_idx, edge_idx, seg_starts
 
 
@@ -199,12 +139,7 @@ def _split_cuts(
 
 def _ranged_expand(starts: np.ndarray, spans: np.ndarray):
     """Row indices + offsets for ragged ranges ``[starts, starts+spans)``."""
-    total = int(spans.sum())
-    row_of = np.repeat(np.arange(len(spans)), spans)
-    excl = np.zeros(len(spans), dtype=np.int64)
-    np.cumsum(spans[:-1], out=excl[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(excl, spans)
-    return row_of, starts.astype(np.int64)[row_of] + within
+    return np.repeat(np.arange(len(spans)), spans), ragged_rows(starts, spans)[0]
 
 
 def _level_positions(
@@ -545,12 +480,8 @@ def _padded_edges(
     lo = np.zeros((count, e_max), dtype=np.int64)
     hi = np.zeros((count, e_max), dtype=np.int64)
     slot = np.repeat(np.arange(count), counts)
-    seg_starts = np.zeros(count, dtype=np.int64)
-    np.cumsum(counts[:-1], out=seg_starts[1:])
-    within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
-        seg_starts, counts
-    )
-    edge_idx = np.repeat(table.offsets[owner], counts) + within
+    edge_idx, _ = ragged_rows(table.offsets[owner], counts)
+    within = edge_idx - np.repeat(table.offsets[owner], counts)
     xs[slot, within] = table.xs[edge_idx]
     lo[slot, within] = table.lo[edge_idx]
     hi[slot, within] = table.hi[edge_idx]

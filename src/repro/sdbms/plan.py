@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from repro.errors import QueryError
+from repro.geometry.polyset import PolygonSet
 from repro.obs.clock import StageClock
 from repro.pixelbox.common import LaunchConfig
 from repro.sdbms.functions import get_function
@@ -147,7 +148,7 @@ class PlanNode:
 
 
 class IndexNestLoopJoin(PlanNode):
-    """MBR-overlap join: scan the outer table, probe the inner index.
+    """MBR-overlap join: probe the inner index with every outer MBR at once.
 
     This is the ``a.geom && b.geom`` join of the optimized query (Figure
     1(b)); probes are charged to ``Index_Search``, index construction to
@@ -160,13 +161,12 @@ class IndexNestLoopJoin(PlanNode):
 
     def rows(self, profiler: StageClock) -> Iterator[Row]:
         self.inner.build_index(profiler)
-        index = self.inner.index
-        inner_polys = self.inner.polygons
-        for i, poly in enumerate(self.outer.polygons):
-            with profiler.measure(Bucket.INDEX_SEARCH):
-                matches = index.search(poly.mbr)
-            for j in matches:
-                yield {"a_id": i, "b_id": j, "a": poly, "b": inner_polys[j]}
+        outer, inner = self.outer.polygons, self.inner.polygons
+        with profiler.measure(Bucket.INDEX_SEARCH):
+            probes = PolygonSet.from_polygons(outer).mbrs
+            left, right = self.inner.index.search_many(probes)
+        for i, j in zip(left.tolist(), right.tolist()):
+            yield {"a_id": i, "b_id": j, "a": outer[i], "b": inner[j]}
 
     def explain(self, depth: int = 0) -> str:
         pad = "  " * depth

@@ -59,7 +59,7 @@ from repro.metrics.jaccard import PairwiseJaccard, jaccard_tile
 from repro.obs.clock import StageClock
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_tracer, span
-from repro.pixelbox.kernel import BatchAreas
+from repro.pixelbox.kernel import BatchAreas, PairBatch
 
 __all__ = ["Session"]
 
@@ -241,8 +241,9 @@ class Session:
     @contextmanager
     def _launcher(
         self, options: CompareOptions
-    ) -> Iterator[Callable[[list[Pair]], BatchAreas]]:
-        """The ``pairs -> BatchAreas`` launch of one request, cache in front.
+    ) -> Iterator[Callable[[list[Pair] | PairBatch], BatchAreas]]:
+        """The ``pairs -> BatchAreas`` launch of one request, cache in front
+        (a pair list converts to a :class:`PairBatch` once, here).
 
         Every request kind launches through this closure, so all three
         are cached the same way: one entry per pair list (per tile for
@@ -258,7 +259,7 @@ class Session:
         store = self._store_for(options)
         resolved = None  # (backend, throwaway) once a launch needed one
 
-        def execute(pairs: list[Pair]) -> BatchAreas:
+        def execute(pairs: PairBatch) -> BatchAreas:
             nonlocal resolved
             if resolved is None:
                 resolved = self._backend_for(options)
@@ -271,7 +272,8 @@ class Session:
             ), lock:
                 return backend.compare_pairs(pairs, config)
 
-        def launch(pairs: list[Pair]) -> BatchAreas:
+        def launch(pairs: list[Pair] | PairBatch) -> BatchAreas:
+            pairs = PairBatch.from_pairs(pairs)
             if store is None:
                 return execute(pairs)
             key = pairs_key(pairs, config)
@@ -308,9 +310,7 @@ class Session:
     def _run_sets(self, request: CompareRequest) -> CompareResult:
         clock = StageClock("pipeline.")
         with self._launcher(request.options) as launch, clock.run():
-            pw = jaccard_tile(
-                list(request.set_a), list(request.set_b), launch, clock
-            )
+            pw = jaccard_tile(request.set_a, request.set_b, launch, clock)
         return CompareResult.from_pairwise(pw, wall_seconds=clock.wall_total)
 
     def _run_files(self, request: CompareRequest) -> CompareResult:
@@ -481,7 +481,7 @@ class Session:
         from repro.backends.sizing import profile_pairs, recommend_shard_pairs
 
         cfg = options.launch_config()
-        mean_edges, mean_pixels = profile_pairs(pairs)
+        mean_edges, mean_pixels = profile_pairs(PairBatch.from_pairs(pairs))
         return recommend_shard_pairs(
             len(pairs),
             mean_edges,

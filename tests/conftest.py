@@ -10,6 +10,7 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
 from repro.gpu.simt_kernel import collect_block_counts
+from repro.index.join import PairJoinResult
 from repro.pixelbox.common import KernelStats, Method
 from repro.pixelbox.cpu import pair_areas_scalar
 from repro.pixelbox.kernel import BatchAreas, ChunkKernel, ExecutionPolicy
@@ -33,6 +34,20 @@ def random_polygon(rng: np.random.Generator, h: int = 12, w: int = 14,
 def random_pair(rng: np.random.Generator, h: int = 12, w: int = 14):
     """Two random polygons sharing a coordinate frame."""
     return (random_polygon(rng, h, w), random_polygon(rng, h, w))
+
+
+def mbr_pair_join_bruteforce(left, right) -> PairJoinResult:
+    """O(n*m) reference MBR join: left index ascending, then right."""
+    hits = [
+        (i, j)
+        for i, p in enumerate(left)
+        for j, q in enumerate(right)
+        if p.mbr.intersects(q.mbr)
+    ]
+    return PairJoinResult(
+        np.array([i for i, _ in hits], dtype=np.int64),
+        np.array([j for _, j in hits], dtype=np.int64),
+    )
 
 
 def mask_of(polygon: RectilinearPolygon, box: Box) -> np.ndarray:

@@ -34,8 +34,10 @@ from repro.cache import (
     pairs_key,
 )
 from repro.errors import CacheError
+from repro.geometry.box import Box
+from repro.geometry.polygon import RectilinearPolygon
 from repro.pixelbox.common import LaunchConfig, Method
-from repro.pixelbox.kernel import ExecutionPolicy
+from repro.pixelbox.kernel import ExecutionPolicy, PairBatch
 
 
 @pytest.fixture
@@ -282,6 +284,30 @@ class TestKeyInvalidation:
         assert pairs_key(other, cfg) != base
         assert pairs_key(list(reversed(pairs)), cfg) != base  # order matters
         assert pairs_key(pairs, LaunchConfig(block_size=32)) != base
+
+    def test_pairs_key_of_a_list_and_its_batch_agree(self, rng):
+        p, q = random_pair(rng)
+        pairs = [(p, q), (q, p), (p, p)]
+        cfg = LaunchConfig()
+        assert pairs_key(PairBatch.from_pairs(pairs), cfg) == pairs_key(pairs, cfg)
+
+    def test_pairs_key_sees_where_a_pair_boundary_falls(self):
+        # The same left vertices, split 4 + 6 in one list and 6 + 4 in
+        # the other: only the per-pair vertex counts tell them apart.
+        verts = np.array(
+            [(0, 0), (1, 0), (1, 1), (0, 1),
+             (0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], dtype=np.int64
+        )
+        q = RectilinearPolygon.from_box(Box(0, 0, 3, 3))
+
+        def split(at):
+            return [
+                (RectilinearPolygon(verts[:at], validate=False), q),
+                (RectilinearPolygon(verts[at:], validate=False), q),
+            ]
+
+        cfg = LaunchConfig()
+        assert pairs_key(split(4), cfg) != pairs_key(split(6), cfg)
 
     def test_config_token_is_stable(self):
         assert config_token(LaunchConfig()) == config_token(LaunchConfig())

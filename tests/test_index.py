@@ -8,8 +8,9 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.index.hilbert import d_to_xy, hilbert_keys, xy_to_d
 from repro.index.hilbert_rtree import bulk_load, bulk_load_polygons
-from repro.index.join import mbr_pair_join, mbr_pair_join_bruteforce
+from repro.index.join import mbr_pair_join
 from repro.index.rtree import RTree
+from tests.conftest import mbr_pair_join_bruteforce
 
 
 class TestHilbertCurve:
@@ -101,32 +102,17 @@ class TestHilbertBulkLoad:
     def test_leaves_are_clustered(self, rng):
         # Hilbert-ordered packing must beat random-ordered packing of the
         # same leaf structure by a wide margin (total leaf MBR area).
-        from repro.index.rtree import RTreeNode
-
         boxes = _random_boxes(rng, 400, span=1000, max_side=6)
         packed = bulk_load(boxes, fanout=16)
+        rows = np.array([b.as_tuple() for b in boxes], dtype=np.int64)
+        order = rng.permutation(len(boxes))
+        shuffled = RTree(fanout=16).pack(rows[order], order)
 
         def leaf_area(tree):
-            total = 0
-            stack = [tree.root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    total += node.mbr.size if node.mbr else 0
-                else:
-                    stack.extend(node.children)
-            return total
+            leaves = tree.levels[1]
+            return int(np.sum((leaves[:, 2] - leaves[:, 0]) * (leaves[:, 3] - leaves[:, 1])))
 
-        order = rng.permutation(len(boxes))
-        random_leaf_area = 0
-        for lo in range(0, len(order), 16):
-            node = RTreeNode(
-                is_leaf=True,
-                entries=[(boxes[int(i)], int(i)) for i in order[lo : lo + 16]],
-            )
-            node.recompute_mbr()
-            random_leaf_area += node.mbr.size
-        assert leaf_area(packed) < random_leaf_area / 3
+        assert leaf_area(packed) < leaf_area(shuffled) / 3
 
 
 class TestPairJoin:
@@ -151,3 +137,59 @@ class TestPairJoin:
     def test_empty_inputs(self):
         res = mbr_pair_join([], [])
         assert len(res) == 0
+
+
+def _brute_pairs(probes, boxes):
+    """Every overlapping (probe, box) pair, probe then box ascending."""
+    hits = [
+        (i, j)
+        for i, p in enumerate(probes)
+        for j, b in enumerate(boxes)
+        if p.intersects(b)
+    ]
+    return (
+        np.array([i for i, _ in hits], dtype=np.int64),
+        np.array([j for _, j in hits], dtype=np.int64),
+    )
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("count", [0, 1, 4, 5, 17, 300])
+    @pytest.mark.parametrize("fanout", [4, 16])
+    def test_search_many_is_the_brute_force(self, rng, count, fanout):
+        boxes = _random_boxes(rng, count, span=200)
+        probes = _random_boxes(rng, 40, span=200, max_side=40)
+        tree = bulk_load(boxes, fanout=fanout)
+        tree.validate()
+        got = tree.search_many(np.array([b.as_tuple() for b in probes]).reshape(-1, 4))
+        want = _brute_pairs(probes, boxes)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
+        for i, probe in enumerate(probes):
+            assert tree.search(probe) == want[1][want[0] == i].tolist()
+
+    def test_touching_boxes_do_not_overlap(self):
+        # Shared edges and corners only: the && test is strict.
+        boxes = [Box(0, 0, 2, 2), Box(2, 0, 4, 2), Box(0, 2, 2, 4), Box(2, 2, 4, 4)]
+        tree = bulk_load(boxes * 3, fanout=4)
+        tree.validate()
+        assert tree.search(Box(2, 2, 3, 3)) == [3, 7, 11]
+        assert tree.search(Box(4, 0, 6, 2)) == []
+        assert tree.search(Box(1, 1, 3, 3)) == list(range(12))
+
+    def test_join_arrays_are_the_brute_force(self, rng):
+        left = [RectilinearPolygon.from_box(b) for b in _random_boxes(rng, 90)]
+        right = [RectilinearPolygon.from_box(b) for b in _random_boxes(rng, 110)]
+        join = mbr_pair_join(left, right)
+        want = _brute_pairs([p.mbr for p in left], [q.mbr for q in right])
+        assert np.array_equal(join.left_idx, want[0])
+        assert np.array_equal(join.right_idx, want[1])
+        brute = mbr_pair_join_bruteforce(left, right)
+        assert np.array_equal(join.left_idx, brute.left_idx)
+        assert np.array_equal(join.right_idx, brute.right_idx)
+
+    def test_validate_catches_a_loose_node(self, rng):
+        tree = bulk_load(_random_boxes(rng, 40), fanout=4)
+        tree.levels[1][0] = (0, 0, 1, 1)
+        with pytest.raises(IndexError_):
+            tree.validate()

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import available_backends
-from repro.errors import KernelError
+from repro.backends import available_backends, get_backend
+from repro.errors import GeometryError, KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
@@ -38,7 +38,7 @@ from repro.pixelbox.kernel import (
     ShardInput,
     start_box,
 )
-from repro.pixelbox.vectorized import EdgeTable
+from repro.geometry.polyset import PolygonSet
 
 from conftest import (
     IMPLEMENTATIONS,
@@ -52,7 +52,7 @@ from conftest import (
 
 def finalize(method, inter, uni, a_p, a_q, has_box):
     """``ShardInput.finalize`` over hand-made measurements."""
-    empty = EdgeTable.build([])
+    empty = PolygonSet.from_polygons([]).edges
     boxes = np.zeros((len(has_box), 4), dtype=np.int64)
     shard = ShardInput(empty, empty, boxes, has_box, a_p, a_q)
     return shard.finalize(
@@ -417,3 +417,22 @@ def test_shard_boundaries_never_change_results(rng):
         inter = np.concatenate([left, right])
         assert np.array_equal(inter, base.intersection)
         assert stats.as_dict() == base.stats.as_dict()
+
+
+# ----------------------------------------------------------------------
+# Coordinates the int32 edge tables cannot hold: reject or agree
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", available_backends())
+def test_coordinates_beyond_int32_never_give_a_wrong_area(name):
+    from repro.exact.boolean import intersection_area
+
+    p = rect(2**31 - 2, 0, 2**31 + 2, 4)
+    q = rect(2**31, 0, 2**31 + 4, 4)
+    assert intersection_area(p, q) == 8
+    with get_backend(name) as backend:
+        try:
+            result = backend.compare_pairs([(p, q)])
+        except GeometryError as exc:
+            assert "polygon 0" in str(exc)
+        else:
+            assert result.intersection.tolist() == [8]

@@ -15,7 +15,8 @@ from repro.pixelbox.sampling import (
     nosep_continue,
     nosep_contribution,
 )
-from repro.pixelbox.vectorized import EdgeTable, classify_boxes
+from repro.geometry.polyset import PolygonSet
+from repro.pixelbox.vectorized import classify_boxes
 from tests.conftest import random_polygon
 
 L_SHAPE = RectilinearPolygon([(0, 0), (8, 0), (8, 4), (4, 4), (4, 10), (0, 10)])
@@ -89,7 +90,7 @@ class TestVectorizedClassifiers:
 
     def test_csr_classifier_matches_scalar(self, rng):
         polys = [random_polygon(rng, 14, 14) for _ in range(5)]
-        table = EdgeTable.build(polys)
+        table = PolygonSet.from_polygons(polys).edges
         boxes = []
         owners = []
         for owner in range(5):

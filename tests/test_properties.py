@@ -11,10 +11,13 @@ These encode the correctness arguments of the paper:
 * text serialization round-trips.
 """
 
+import re
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.backends import get_backend
+from repro.errors import ParseError
 from repro.exact.boolean import intersection_area, union_area
 from repro.exact.decompose import decompose
 from repro.exact.measure import union_area_of_boxes
@@ -22,12 +25,13 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes, polygon_to_mask
 from repro.index.hilbert import d_to_xy, xy_to_d
-from repro.index.join import mbr_pair_join, mbr_pair_join_bruteforce
+from repro.index.join import mbr_pair_join
 from repro.io.parser_cpu import parse_fsm, parse_vectorized
 from repro.io.polyfile import format_polygon, parse_line
 from repro.pixelbox.common import BoxPosition, LaunchConfig, Method
 from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.sampling import box_position
+from tests.conftest import mbr_pair_join_bruteforce
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -232,3 +236,37 @@ def test_parsers_agree(polys):
     text = "\n".join(format_polygon(p) for p in polys)
     assert parse_fsm(text) == polys
     assert parse_vectorized(text) == polys
+
+
+_TEXT_BYTES = b"0123456789, \t\r\n-#ab;"
+
+
+def _parse_outcome(parse, raw):
+    """Polygons, or the line number a ParseError names."""
+    try:
+        return list(parse(raw))
+    except ParseError as exc:
+        return ("ParseError", re.match(r"line (\d+): ", str(exc)).group(1))
+
+
+@st.composite
+def polygon_text(draw):
+    """Valid polygon lines (and a comment) with a few bytes overwritten."""
+    lines = [format_polygon(p) for p in draw(st.lists(polygon_strategy(4), max_size=3))]
+    raw = bytearray("\n".join(["# head"] + lines).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        if raw:
+            raw[draw(st.integers(0, len(raw) - 1))] = draw(st.sampled_from(_TEXT_BYTES))
+    return bytes(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=60).map(
+    lambda b: bytes(_TEXT_BYTES[c % len(_TEXT_BYTES)] for c in b)), polygon_text()))
+@example(b"0,0 -4,0 -4,4 0,4")
+@example(b"0,0 4,0 4,4 0,4\n1,1 3,1 3,3 1,3 # note")
+@example(b"0,0 4,0 4;4 0,4")
+def test_parsers_accept_and_reject_alike(raw):
+    """The production parser accepts exactly what the FSM accepts: equal
+    polygons, or a ParseError naming the same line."""
+    assert _parse_outcome(parse_vectorized, raw) == _parse_outcome(parse_fsm, raw)
