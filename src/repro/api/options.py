@@ -48,11 +48,11 @@ class CompareOptions:
         Execution backend registry name (``repro backends``).
     backend_options:
         Keyword arguments for the backend factory (e.g.
-        ``{"workers": 4}`` for the multiprocess pool).
+        ``{"workers": 4}`` local worker processes for ``multiprocess``).
     hosts:
         Worker addresses for the ``cluster`` backend
         (``"host:port,host:port"``).  ``None`` falls back to
-        ``REPRO_CLUSTER_HOSTS`` and then to self-hosted loopback workers.
+        ``REPRO_CLUSTER_HOSTS`` and then to local worker processes.
     block_size, pixel_threshold, tight_mbr, leaf_mode:
         Kernel launch parameters (see
         :class:`repro.pixelbox.common.LaunchConfig`).  The defaults here

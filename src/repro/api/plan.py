@@ -15,11 +15,9 @@ closed again before returning.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.api.options import CompareOptions
 from repro.api.request import CompareRequest
 from repro.errors import ReproError
 
@@ -52,7 +50,7 @@ class ResolvedPlan:
         pairs are not known yet).
     hosts:
         Resolved cluster worker addresses (``["loopback"]`` when the
-        cluster backend would self-host).
+        cluster backend would run local worker processes).
     cache:
         Resolved result-cache configuration: ``enabled``, the byte
         budget, the cache key a ``pairs`` request resolves to, and
@@ -120,21 +118,6 @@ def _profile(request: CompareRequest):
     return None, None
 
 
-def _resolve_hosts(options: CompareOptions) -> tuple[tuple[str, ...], bool]:
-    """``(addresses, explicit)`` the cluster backend would use."""
-    from repro.cluster.coordinator import parse_hosts
-
-    hosts = options.hosts
-    if hosts is None:
-        hosts = os.environ.get("REPRO_CLUSTER_HOSTS") or None
-    if hosts is None:
-        return ("loopback",), False
-    return (
-        tuple(f"{h}:{p}" for h, p in parse_hosts(hosts)),
-        True,
-    )
-
-
 def _resolve_cache(request: CompareRequest, request_cache) -> dict[str, Any]:
     """The plan's cache section — key and hit prediction included.
 
@@ -192,21 +175,20 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
     # rejected option fails here with the registry's named error.
     backend = get_backend(options.backend, **options.resolved_backend_options())
     shard = None
+    hosts: tuple[str, ...] = ()
     try:
         caps = backend.capabilities()
         shard_size = getattr(backend, "_shard_size", None)
         if pairs is not None and shard_size is not None:
             shard = shard_size(pairs, cfg)
+        if options.backend == "cluster":
+            hosts = tuple(backend.hosts) or ("loopback",)
     finally:
         backend.close()
-
-    hosts: tuple[str, ...] = ()
-    if options.backend == "cluster":
-        hosts, explicit = _resolve_hosts(options)
-        if not explicit:
-            notes.append(
-                "no cluster hosts configured: self-hosted loopback workers"
-            )
+    if hosts == ("loopback",):
+        notes.append(
+            "no cluster hosts configured: local worker processes on loopback"
+        )
 
     tiles = None
     if request.kind == "files":

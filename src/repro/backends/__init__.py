@@ -14,12 +14,16 @@ seam that makes the claim structural instead of incidental:
 
   ===============  ====================================================
   ``batch``        production batched kernel (the aggregator's path)
-  ``multiprocess`` pair shards across worker processes over
-                   shared-memory CSR edge tables
+  ``multiprocess`` pair shards on local worker processes the backend
+                   owns, through the cluster coordinator
   ``cluster``      shards on remote ``repro worker`` processes over the
-                   binary wire protocol (loopback workers when no hosts
-                   are configured)
+                   binary wire protocol (local worker processes when no
+                   hosts are configured)
   ===============  ====================================================
+
+  ``multiprocess`` and ``cluster`` are one executor,
+  :class:`repro.cluster.coordinator.ClusterBackend`: one scheduler, one
+  wire and one worker loop serve every multi-process request.
 
 * consumers — the session (:class:`repro.Session`), the §4 experiment's
   stage-cost measurement (:func:`repro.pipeline.measure.measure_tiles`),
@@ -61,11 +65,10 @@ from repro.backends.base import (
 )
 
 # Import for registration side effects (each module self-registers; the
-# cluster coordinator registers through a lazy shim).
+# cluster coordinator registers through lazy shims).
 from repro.backends import cluster as _cluster  # noqa: E402,F401
 from repro.backends import kernel as _kernel  # noqa: E402,F401
-from repro.backends import multiprocess as _multiprocess  # noqa: E402,F401
-from repro.backends.multiprocess import MultiprocessBackend, default_workers
+from repro.backends.sizing import default_workers
 
 __all__ = [
     "Backend",
@@ -75,6 +78,5 @@ __all__ = [
     "get_backend",
     "available_backends",
     "backend_registry",
-    "MultiprocessBackend",
     "default_workers",
 ]

@@ -41,17 +41,16 @@ __all__ = [
 class BackendCapabilities:
     """Structured description of how one backend executes.
 
-    Before this existed, callers probed ad-hoc attributes (``warm``,
-    ``persistent``, ``workers``) with ``getattr`` and misconfiguration
-    surfaced deep in dispatch.  Every backend now reports its execution
-    shape here; ``repro backends`` prints it, and owners like the
-    comparison service branch on fields instead of attribute sniffing.
+    Every backend reports its execution shape here for people and
+    plans to read — ``repro backends`` prints it and ``explain`` embeds
+    it.  Owners do not branch on it: every backend has ``warm()`` and
+    ``close()`` (no-ops for a stateless executor).
 
     Attributes
     ----------
     persistent_pooling:
-        The backend can hold warm pooled state across calls (worker
-        processes, connections) and exposes ``warm()``.
+        The backend holds warm pooled state across calls (worker
+        processes, connections) that ``warm()`` starts.
     stateful_lifecycle:
         ``close()`` releases real resources (as opposed to the no-op of
         a stateless executor).
@@ -112,6 +111,10 @@ class Backend(Protocol):
         """Exact areas (+ stats) for every pair, in input order."""
         ...
 
+    def warm(self) -> list:
+        """Start pooled state now; returns the workers reached."""
+        ...
+
     def close(self) -> None:
         """Release pooled resources (idempotent; backend stays usable)."""
         ...
@@ -122,16 +125,20 @@ class Backend(Protocol):
 
 
 class BackendLifecycle:
-    """Default backend lifecycle: ``close()`` no-op + context manager.
+    """Default backend lifecycle: no-op ``warm()``/``close()`` + context
+    manager.
 
-    Stateless executors inherit the no-op; pooled executors (persistent
-    worker processes, a future CUDA context, a remote transport) override
-    :meth:`close` to release what they hold.  ``close`` must be
-    idempotent and must leave the backend re-usable — pooled state is
-    re-created lazily on the next call — so long-lived owners like the
-    comparison service can recycle a backend without re-resolving it
-    through the registry.
+    Pooled executors (worker processes, a remote transport) override
+    :meth:`warm` to start what they hold and :meth:`close` to release
+    it.  ``close`` must be idempotent and must leave the backend
+    re-usable — pooled state is re-created lazily on the next call — so
+    long-lived owners like the comparison service can recycle a backend
+    without re-resolving it through the registry.
     """
+
+    def warm(self) -> list:
+        """Start pooled state; no-op (no workers) for stateless executors."""
+        return []
 
     def close(self) -> None:
         """Release pooled resources; no-op for stateless executors."""

@@ -1,10 +1,11 @@
-"""Registry shim for the cluster backend.
+"""Registry shims for the two worker-process backends.
 
-The coordinator lives in :mod:`repro.cluster.coordinator`, which itself
-imports :mod:`repro.backends.base` — registering it here through a lazy
-factory keeps the registry import-cycle-free whichever package is
-imported first (``import repro.cluster`` must not require
-``repro.backends`` to be fully initialized, and vice versa).
+Both are :class:`repro.cluster.coordinator.ClusterBackend`: ``cluster``
+runs on its hosts (``REPRO_CLUSTER_HOSTS`` by default) or, without any,
+on local worker processes; ``multiprocess`` always runs on local worker
+processes.  The coordinator imports :mod:`repro.backends.base`, so both
+register through lazy factories that keep the two packages' imports
+free of cycles whichever is imported first.
 """
 
 from __future__ import annotations
@@ -18,3 +19,16 @@ def cluster_backend(**kwargs):
     from repro.cluster.coordinator import ClusterBackend
 
     return ClusterBackend(**kwargs)
+
+
+@register("multiprocess")
+def multiprocess_backend(**kwargs):
+    """``ClusterBackend`` on ``workers`` local worker processes."""
+    from repro.cluster.coordinator import ClusterBackend
+
+    if "hosts" in kwargs:
+        raise TypeError("multiprocess runs local workers and takes no hosts")
+    backend = ClusterBackend(hosts=(), **kwargs)
+    backend.name = "multiprocess"
+    backend.description = "pair shards on local worker processes"
+    return backend

@@ -9,13 +9,16 @@ bit-identical results, so a misprediction costs time, never correctness.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
 from repro.backends.base import Pairs
+from repro.errors import KernelError
 from repro.pixelbox.kernel import PairBatch
 
 __all__ = [
+    "default_workers",
     "profile_pairs",
     "estimate_comparison_cycles",
     "recommend_shard_pairs",
@@ -30,6 +33,28 @@ _LEVEL_DECIDED_FRACTION = 0.5
 _SHARD_DISPATCH_CYCLES = 2.0e7
 _SHARD_AMORTIZATION = 8.0
 _SHARDS_PER_WORKER = 4  # slack for speculation and re-dispatch
+
+
+def default_workers() -> int:
+    """Worker-count default: the host's cores, capped at 4.
+
+    The ``REPRO_WORKERS`` environment variable overrides the default —
+    CI uses it to run the parity suite at several worker counts.  A value
+    that does not parse is an error, not a silent fallback: the parity
+    matrix must never report green for a width it did not test.
+    """
+    env = os.environ.get("REPRO_WORKERS")
+    if env is not None:
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise KernelError(
+                f"REPRO_WORKERS must be a positive integer, got {env!r}"
+            )
+        return workers
+    return max(1, min(4, os.cpu_count() or 1))
 
 
 def profile_pairs(pairs: Pairs) -> tuple[float, float]:

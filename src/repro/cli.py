@@ -81,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "comma-separated worker addresses for --backend cluster "
             "(host:port,...); default REPRO_CLUSTER_HOSTS or local "
-            "loopback workers"
+            "worker processes"
         ),
     )
     cmp_.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for pooled backends (multiprocess)",
+        help="local worker processes (multiprocess, cluster without hosts)",
     )
     cmp_.add_argument(
         "--cache", action="store_true",
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for pooled backends (multiprocess)",
+        help="local worker processes (multiprocess, cluster without hosts)",
     )
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument(
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "worker addresses for --backend cluster (host:port,...); "
-            "default REPRO_CLUSTER_HOSTS or local loopback workers"
+            "default REPRO_CLUSTER_HOSTS or local worker processes"
         ),
     )
     srv.add_argument(

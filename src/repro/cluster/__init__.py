@@ -1,9 +1,11 @@
-"""Distributed shard cluster: ``ChunkKernel.run_shard`` across hosts.
+"""Shard cluster: ``ChunkKernel.run_shard`` on worker processes.
 
-The multiprocess backend proved the workload shards cleanly on one
-machine; this package lifts the same scatter-gather onto sockets so the
-comparison service can scale past a single host without new kernel
-code.  Layering, beneath :mod:`repro.service`:
+The one multi-process executor.  Pair shards run on shard workers
+behind sockets — remote ``repro worker`` hosts, or local worker
+processes on 127.0.0.1 that the backend owns — so the ``cluster`` and
+``multiprocess`` backends share one scheduler, one wire and one worker
+loop, and the comparison service scales past a single host without new
+kernel code.  Layering, beneath :mod:`repro.service`:
 
     service (queue + coalescer)  ->  ClusterBackend (coordinator)
         ->  wire protocol (binary frames, content-addressed tables)
@@ -18,17 +20,16 @@ code.  Layering, beneath :mod:`repro.service`:
   small configurations), driven on the caller's thread: straggler
   speculation, failure re-dispatch, first-result-wins merge, and the
   losing copy cancelled rather than failed;
-* :mod:`repro.cluster.coordinator` — :class:`ClusterBackend`, one more
-  entry in the backend registry (bit-for-bit parity enforced by the
-  same harness as every local executor);
-* :mod:`repro.cluster.loopback` — N workers behind real 127.0.0.1
-  sockets for CI and the parity suite.
+* :mod:`repro.cluster.coordinator` — :class:`ClusterBackend`, the
+  ``cluster`` and ``multiprocess`` registry entries (bit-for-bit parity
+  enforced by the same harness as every executor);
+* :mod:`repro.cluster.local` — the local worker processes a backend
+  without hosts starts, owns and stops.
 """
 
 from __future__ import annotations
 
 from repro.cluster.coordinator import ClusterBackend, WorkerClient, parse_hosts
-from repro.cluster.loopback import LoopbackCluster
 from repro.cluster.scheduler import (
     Action,
     Event,
@@ -46,7 +47,6 @@ __all__ = [
     "Action",
     "ClusterBackend",
     "Event",
-    "LoopbackCluster",
     "ScheduleReport",
     "Shard",
     "ShardScheduler",

@@ -1,10 +1,12 @@
-"""The cluster coordinator: one more ``Backend``, shards served remotely.
+"""The cluster coordinator: one ``Backend`` whose shards run on workers.
 
-``ClusterBackend`` generalizes the multiprocess backend's
-scatter-gather to workers behind sockets.  The division of labor is
-identical — route pairs, build the CSR edge tables once, scatter
-contiguous shard index ranges, gather intersection slices, derive
-unions — only the transport changes:
+``ClusterBackend`` routes pairs, builds the CSR edge tables once,
+scatters contiguous shard index ranges to shard workers, gathers the
+intersection slices and derives unions.  The workers are remote
+``repro worker`` processes named by ``hosts``, or — with no hosts, and
+always for the ``multiprocess`` backend — ``workers`` local worker
+processes the backend starts and owns (:mod:`repro.cluster.local`).
+Either way every shard crosses the same wire:
 
 * tables travel over the binary wire protocol **once per worker per
   table version** (content-addressed by :func:`repro.cluster.wire.bundle_digest`,
@@ -15,20 +17,18 @@ unions — only the transport changes:
   lost speculative copy is cancelled at win time (its socket is shut
   down), never counted as its worker's failure;
 * shard size comes from the sizing policy
-  (:func:`repro.backends.sizing.recommend_shard_pairs`), so transport overhead
-  stays amortized exactly the way process spin-up is for the local pool;
+  (:func:`repro.backends.sizing.recommend_shard_pairs`), so the dispatch
+  round trip stays amortized over each shard's compute;
 * the coordinator routes pairs and every worker runs shards under
   :data:`~repro.pixelbox.kernel.BATCH_POLICY`, the policy every executor
-  runs, so a cluster result is bit-for-bit the ``batch`` backend's, work
+  runs, so a result is bit-for-bit the ``batch`` backend's, work
   counters included.
 
-With no hosts configured the backend self-hosts a loopback cluster
-(worker threads behind real sockets on 127.0.0.1), so
-``get_backend("cluster")`` works anywhere — including the registry-
-introspecting parity harness — without multi-host infrastructure.
-Degraded modes degrade further, never wrong: a dead worker's shards are
-re-dispatched, and when every worker is gone the coordinator runs the
-remaining shards in-process through the same
+A request below ``min_pairs``, or one on a single local worker, runs
+in-process: a dispatch would cost more than it saves.  Degraded modes
+degrade further, never wrong: a dead worker's shards are re-dispatched,
+and when every worker is gone the coordinator runs the remaining shards
+in-process through the same
 :meth:`~repro.pixelbox.kernel.ChunkKernel.run_shard` entry point.
 """
 
@@ -47,8 +47,12 @@ from repro.backends.base import (
     BackendLifecycle,
     Pairs,
 )
-from repro.backends.sizing import profile_pairs, recommend_shard_pairs
-from repro.cluster import wire
+from repro.backends.sizing import (
+    default_workers,
+    profile_pairs,
+    recommend_shard_pairs,
+)
+from repro.cluster import local, wire
 from repro.cluster.scheduler import (
     Shard,
     ShardOutcome,
@@ -206,8 +210,7 @@ class WorkerClient:
                 pass  # already reset by the peer
             sock.close()
 
-    def close(self) -> None:
-        self.abort()
+    close = abort
 
     # ------------------------------------------------------------------
     # Requests
@@ -322,40 +325,46 @@ class WorkerClient:
 
 
 class ClusterBackend(BackendLifecycle):
-    """Shard dispatch to remote ``repro worker`` processes.
+    """Shard dispatch to worker processes over the binary wire protocol.
 
-    Registered as ``"cluster"`` via :mod:`repro.backends.cluster`.
+    Registered as ``"cluster"`` and, without hosts, as
+    ``"multiprocess"`` via :mod:`repro.backends.cluster`.
 
     Parameters
     ----------
     hosts:
-        Worker addresses (``"host:port"`` list or comma string).  Default
-        comes from ``REPRO_CLUSTER_HOSTS``; with neither, the backend
-        self-hosts a loopback cluster of ``loopback_workers`` local
-        worker threads.
+        Remote worker addresses (``"host:port"`` list or comma string).
+        Default comes from ``REPRO_CLUSTER_HOSTS``; with neither (or an
+        empty list) the backend runs local worker processes.
+    workers:
+        Local worker processes when there are no hosts; defaults to
+        :func:`~repro.backends.sizing.default_workers`.  One worker runs
+        every request in-process.
     min_pairs:
         Below this many pairs the request runs in-process (dispatch
-        latency would dominate), identical to the multiprocess backend.
+        latency would dominate).
     shard_pairs:
         Pairs per shard; ``None`` asks the sizing policy per request.
     """
 
     name = "cluster"
-    description = "shards on remote workers over the binary wire protocol"
+    description = "shards on remote hosts (or local workers) over the wire protocol"
 
     def __init__(
         self,
         hosts=None,
+        workers: int | None = None,
         min_pairs: int = 256,
         shard_pairs: int | None = None,
-        loopback_workers: int | None = None,
         connect_timeout: float = 5.0,
         io_timeout: float = 60.0,
     ):
         if hosts is None:
             hosts = os.environ.get("REPRO_CLUSTER_HOSTS") or None
-        self._explicit_hosts = hosts is not None
         self._addresses = parse_hosts(hosts)
+        workers = default_workers() if workers is None else workers
+        if workers < 1:
+            raise ClusterConfigError(f"workers must be >= 1, got {workers}")
         if min_pairs < 1:
             raise ClusterConfigError(
                 f"min_pairs must be >= 1, got {min_pairs}"
@@ -364,17 +373,13 @@ class ClusterBackend(BackendLifecycle):
             raise ClusterConfigError(
                 f"shard_pairs must be >= 1 or None, got {shard_pairs}"
             )
-        if loopback_workers is not None and loopback_workers < 1:
-            raise ClusterConfigError(
-                f"loopback_workers must be >= 1, got {loopback_workers}"
-            )
+        self.workers = workers
         self.min_pairs = min_pairs
         self.shard_pairs = shard_pairs
-        self.loopback_workers = loopback_workers
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self._clients: list[WorkerClient] | None = None
-        self._loopback = None
+        self._processes: list = []
         self._lock = threading.Lock()
         # One remote dispatch at a time: the scheduler's copies own the
         # worker sockets for the duration of a request (the paper's exclusive
@@ -387,30 +392,39 @@ class ClusterBackend(BackendLifecycle):
     # Capabilities / lifecycle
     # ------------------------------------------------------------------
     def capabilities(self) -> BackendCapabilities:
-        n = len(self._addresses) or (
-            self.loopback_workers or _default_loopback_workers()
-        )
+        remote = bool(self._addresses)
         return BackendCapabilities(
             persistent_pooling=True,
             stateful_lifecycle=True,
             configurable_workers=True,
-            max_workers=n,
-            remote=self._explicit_hosts,
-            notes="hosts via REPRO_CLUSTER_HOSTS or hosts=...; "
-            "loopback workers when unset",
+            max_workers=len(self._addresses) if remote else self.workers,
+            remote=remote,
+            notes="remote hosts via hosts=... or REPRO_CLUSTER_HOSTS"
+            if remote
+            else "local worker processes; REPRO_WORKERS sets the default",
         )
+
+    @property
+    def hosts(self) -> list[str]:
+        """Remote worker addresses (``[]``: local worker processes)."""
+        return [f"{host}:{port}" for host, port in self._addresses]
+
+    @property
+    def _one_local_worker(self) -> bool:
+        return not self._addresses and self.workers == 1
+
+    def _in_process(self, n: int) -> bool:
+        """Whether an ``n``-pair request skips the workers."""
+        return n < self.min_pairs or self._one_local_worker
 
     def _ensure_clients(self) -> list[WorkerClient]:
         with self._lock:
             if self._clients is None:
                 addresses = self._addresses
                 if not addresses:
-                    from repro.cluster.loopback import LoopbackCluster
-
-                    self._loopback = LoopbackCluster(
-                        self.loopback_workers or _default_loopback_workers()
+                    self._processes, addresses = local.start(
+                        self.workers, self.io_timeout
                     )
-                    addresses = [w.address for w in self._loopback.workers]
                 self._clients = [
                     WorkerClient(
                         host, port, self.connect_timeout, self.io_timeout
@@ -419,37 +433,42 @@ class ClusterBackend(BackendLifecycle):
                 ]
             return self._clients
 
-    def warm(self) -> list[str]:
-        """Connect and handshake every reachable worker; returns addresses.
+    def warm(self) -> list:
+        """Start and handshake every worker; returns the ones reached.
 
-        With explicitly configured hosts, zero reachable workers is a
-        hard :class:`~repro.errors.ClusterError` — the service calls this
-        at startup, and a cluster that cannot serve anything should fail
+        Local workers are listed by process id, remote ones by address;
+        a single local worker starts nothing (requests run in-process).
+        Zero reachable workers is a hard
+        :class:`~repro.errors.ClusterError` — the service calls this at
+        startup, and a cluster that cannot serve anything should fail
         there, not on the first request.
         """
-        alive: list[str] = []
-        for client in self._ensure_clients():
+        if self._one_local_worker:
+            return []
+        clients = self._ensure_clients()
+        labels = [p.pid for p in self._processes] or list(map(str, clients))
+        alive = []
+        for client, label in zip(clients, labels):
             try:
                 client.connect()
-                alive.append(str(client))
+                alive.append(label)
             except ClusterError:
                 client.note_failure()
-        if not alive and self._explicit_hosts:
+        if not alive:
             raise ClusterError(
                 "no cluster workers reachable at "
-                + ",".join(str(c) for c in self._clients)
+                + ",".join(str(c) for c in clients)
             )
         return alive
 
     def close(self) -> None:
-        """Drop every connection and any owned loopback workers."""
+        """Drop every connection and stop any owned local workers."""
         with self._lock:
             clients, self._clients = self._clients, None
-            loopback, self._loopback = self._loopback, None
+            processes, self._processes = self._processes, []
         for client in clients or []:
             client.close()
-        if loopback is not None:
-            loopback.close()
+        local.stop(processes)
 
     def worker_stats(self) -> dict[str, dict]:
         """Per-worker observability counters, keyed by address.
@@ -502,11 +521,9 @@ class ClusterBackend(BackendLifecycle):
                 inter, _ = kernel.run_shard(tables, shard.lo, shard.hi, part)
             return ShardOutcome(inter=inter, stats=part)
 
-        if n < self.min_pairs:
+        if self._in_process(n):
             outcome = local_run(Shard(0, 0, n))
-            return tables.finalize(
-                BATCH_POLICY, outcome.inter, None, outcome.stats
-            )
+            return tables.finalize(BATCH_POLICY, outcome.inter, None, outcome.stats)
 
         bundle = tables.to_arrays()
         digest = wire.bundle_digest(bundle)
@@ -517,14 +534,6 @@ class ClusterBackend(BackendLifecycle):
                 Shard(index, lo, min(lo + size, n))
                 for index, lo in enumerate(range(0, n, size))
             ]
-
-            if not clients:
-                inter = np.zeros(n, dtype=np.int64)
-                for shard in shards:
-                    outcome = local_run(shard)
-                    inter[shard.lo : shard.hi] = outcome.inter
-                    stats.merge(outcome.stats)
-                return tables.finalize(BATCH_POLICY, inter, None, stats)
 
             def remote_run(client: WorkerClient, shard: Shard) -> ShardOutcome:
                 with span(
@@ -537,7 +546,8 @@ class ClusterBackend(BackendLifecycle):
 
             # A cancelled copy's socket is shut down at win time and the
             # scheduler waits for that copy to end, so nothing of this
-            # request touches a socket once execute returns.
+            # request touches a socket once execute returns.  With no
+            # live worker the scheduler runs every shard in-process.
             scheduler = ShardScheduler(remote_run, local_run, WorkerClient.abort)
             outcomes, report = scheduler.execute(shards, clients)
             self.last_report = report
@@ -577,17 +587,14 @@ class ClusterBackend(BackendLifecycle):
                 client.note_success()
                 outcomes[idx] = True
 
-        if len(candidates) == 1:
-            push(0, candidates[0])
-        else:
-            threads = [
-                threading.Thread(target=push, args=(i, c), daemon=True)
-                for i, c in enumerate(candidates)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        threads = [
+            threading.Thread(target=push, args=(i, c), daemon=True)
+            for i, c in enumerate(candidates)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         return [c for i, c in enumerate(candidates) if outcomes.get(i)]
 
     def _shard_size(
@@ -595,10 +602,10 @@ class ClusterBackend(BackendLifecycle):
     ) -> int:
         """Pairs per shard across ``workers`` — the live ones at dispatch,
         the configured count when omitted (``explain`` reports this too):
-        all of them below ``min_pairs``, which run in-process."""
+        all of them for a request that runs in-process."""
         if workers is None:
             workers = self.capabilities().max_workers
-        if len(pairs) < self.min_pairs:
+        if self._in_process(len(pairs)):
             return len(pairs)
         if self.shard_pairs is not None:
             return self.shard_pairs
@@ -628,8 +635,3 @@ def _valid_result(inter, stats, size: int) -> bool:
         and all(type(v) is int for v in stats.values())
     )
 
-
-def _default_loopback_workers() -> int:
-    from repro.backends.multiprocess import default_workers
-
-    return max(2, min(4, default_workers()))

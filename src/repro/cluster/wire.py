@@ -10,7 +10,10 @@ CSR edge tables and int64 area vectors, so the cluster speaks binary:
 The JSON header carries the small structured fields (digests, shard
 bounds, launch config, stats) plus a manifest describing each binary
 blob — ``[name, dtype, shape, nbytes]`` in transmission order — so NumPy
-arrays travel as raw bytes with zero re-encoding on either side.
+arrays travel as raw bytes with zero re-encoding on either side.  A
+sender hands each array's own memory to one gathered write (POSIX
+``sendmsg``), and a receiver reads the payload into one buffer whose
+arrays are views: a multi-MB table bundle is never copied to be framed.
 
 Every read is defensive: a bad magic, an unknown version, an oversized
 frame, a manifest that disagrees with the payload length — each raises
@@ -41,8 +44,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "FEATURE_TRACE",
     "bundle_digest",
-    "pack_frame",
-    "unpack_payload",
     "send_frame",
     "recv_frame",
     "config_to_wire",
@@ -96,49 +97,52 @@ def bundle_digest(arrays: dict[str, np.ndarray]) -> str:
         h.update(name.encode())
         h.update(arr.dtype.str.encode())
         h.update(repr(arr.shape).encode())
-        h.update(arr.tobytes())
+        h.update(arr.reshape(-1).view(np.uint8))
     return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
-def pack_frame(
+# Buffers handed to one ``sendmsg`` call (below every platform's IOV_MAX).
+_MAX_IOV = 512
+
+
+def _frame_buffers(
     msgtype: int,
-    header: dict[str, Any] | None = None,
-    arrays: dict[str, np.ndarray] | None = None,
-) -> bytes:
-    """One complete wire frame for ``header`` + ``arrays``."""
+    header: dict[str, Any] | None,
+    arrays: dict[str, np.ndarray] | None,
+) -> list:
+    """One frame as buffers: its header bytes, then each array's own
+    memory (no joined payload, no copy of a contiguous array).
+
+    Arrays go widest item first, so on a receiver that places the blob
+    region 8-byte aligned every array is aligned to its own item size.
+    """
     header = dict(header or {})
-    blobs: list[bytes] = []
-    manifest: list[list] = []
-    for name, arr in (arrays or {}).items():
-        arr = np.ascontiguousarray(arr)
-        raw = arr.tobytes()
-        manifest.append([name, arr.dtype.str, list(arr.shape), len(raw)])
-        blobs.append(raw)
-    header["arrays"] = manifest
+    named = [(name, np.ascontiguousarray(arr)) for name, arr in (arrays or {}).items()]
+    named.sort(key=lambda item: -item[1].dtype.itemsize)
+    header["arrays"] = [
+        [name, arr.dtype.str, list(arr.shape), arr.nbytes] for name, arr in named
+    ]
     head = json.dumps(header, separators=(",", ":")).encode()
-    payload = struct.pack(">I", len(head)) + head + b"".join(blobs)
-    if len(payload) > MAX_FRAME_BYTES:
+    length = 4 + len(head) + sum(arr.nbytes for _, arr in named)
+    if length > MAX_FRAME_BYTES:
         raise ClusterProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds the "
+            f"frame payload of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap"
         )
-    return (
-        _HEADER_STRUCT.pack(_MAGIC, _VERSION, msgtype, len(payload)) + payload
-    )
+    prefix = _HEADER_STRUCT.pack(_MAGIC, _VERSION, msgtype, length)
+    buffers = [prefix + struct.pack(">I", len(head)) + head]
+    buffers += [arr.reshape(-1).view(np.uint8) for _, arr in named if arr.nbytes]
+    return buffers
 
 
-def unpack_payload(payload: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """Decode one frame payload into ``(header, arrays)``."""
-    if len(payload) < 4:
-        raise ClusterProtocolError("truncated frame payload")
-    (head_len,) = struct.unpack_from(">I", payload)
-    if 4 + head_len > len(payload):
-        raise ClusterProtocolError("frame header overruns payload")
+def _decode(head: bytes, blobs: np.ndarray) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header JSON + the blob region -> ``(header, arrays)``; each array
+    is a view into ``blobs``."""
     try:
-        header = json.loads(payload[4 : 4 + head_len])
+        header = json.loads(head)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ClusterProtocolError(f"unparseable frame header: {exc}") from None
     if not isinstance(header, dict):
@@ -147,7 +151,7 @@ def unpack_payload(payload: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray
     if not isinstance(manifest, list):
         raise ClusterProtocolError("frame manifest must be a list")
     arrays: dict[str, np.ndarray] = {}
-    offset = 4 + head_len
+    offset = 0
     for entry in manifest:
         try:
             name, dtype, shape, nbytes = entry
@@ -157,7 +161,7 @@ def unpack_payload(payload: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray
             raise ClusterProtocolError(
                 f"malformed manifest entry {entry!r}: {exc}"
             ) from None
-        if nbytes < 0 or offset + nbytes > len(payload):
+        if nbytes < 0 or offset + nbytes > len(blobs):
             raise ClusterProtocolError("manifest blob overruns payload")
         try:
             dt = np.dtype(dtype)
@@ -166,11 +170,9 @@ def unpack_payload(payload: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray
                 raise ValueError(
                     f"dtype/shape disagree with {nbytes} blob bytes"
                 )
-            arrays[name] = (
-                np.frombuffer(payload, dtype=dt, count=count, offset=offset)
-                .reshape(shape)
-                .copy()
-            )
+            arrays[name] = np.frombuffer(
+                blobs, dtype=dt, count=count, offset=offset
+            ).reshape(shape)
         except (TypeError, ValueError) as exc:
             raise ClusterProtocolError(
                 f"undecodable blob {name!r}: {exc}"
@@ -179,17 +181,19 @@ def unpack_payload(payload: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray
     return header, arrays
 
 
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    """Fill ``view`` from the socket or raise ``ConnectionError`` on EOF."""
+    while view:
+        got = sock.recv_into(view)
+        if not got:
+            raise ConnectionError("peer closed mid-frame")
+        view = view[got:]
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     """Read exactly ``n`` bytes or raise ``ConnectionError`` on EOF."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    _recv_into(sock, memoryview(buf := bytearray(n)))
+    return bytes(buf)
 
 
 def send_frame(
@@ -198,10 +202,16 @@ def send_frame(
     header: dict[str, Any] | None = None,
     arrays: dict[str, np.ndarray] | None = None,
 ) -> int:
-    """Serialize and send one frame; returns the bytes transmitted."""
-    frame = pack_frame(msgtype, header, arrays)
-    sock.sendall(frame)
-    return len(frame)
+    """Send one frame by gathered writes; returns the bytes transmitted."""
+    views = [memoryview(buf) for buf in _frame_buffers(msgtype, header, arrays)]
+    total = sum(len(view) for view in views)
+    while views:
+        sent = sock.sendmsg(views[:_MAX_IOV])
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
+    return total
 
 
 def recv_frame(
@@ -209,7 +219,8 @@ def recv_frame(
 ) -> tuple[int, dict[str, Any], dict[str, np.ndarray]]:
     """Read one frame; returns ``(msgtype, header, arrays)``.
 
-    Raises :class:`ClusterProtocolError` for anything that is not a
+    The payload is read into one buffer, and the arrays are views into
+    it.  Raises :class:`ClusterProtocolError` for anything that is not a
     well-formed frame and ``ConnectionError`` when the peer goes away.
     """
     head = _recv_exact(sock, _HEADER_STRUCT.size)
@@ -228,7 +239,17 @@ def recv_frame(
         raise ClusterProtocolError(
             f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap"
         )
-    header, arrays = unpack_payload(_recv_exact(sock, length))
+    if length < 4:
+        raise ClusterProtocolError("truncated frame payload")
+    (head_len,) = struct.unpack(">I", _recv_exact(sock, 4))
+    if 4 + head_len > length:
+        raise ClusterProtocolError("frame header overruns payload")
+    # Offset the buffer so that the blob region after the header starts
+    # 8-byte aligned (NumPy allocations are at least 16-byte aligned).
+    pad = -head_len % 8
+    buf = np.empty(pad + length - 4, dtype=np.uint8)
+    _recv_into(sock, memoryview(buf)[pad:])
+    header, arrays = _decode(buf[pad : pad + head_len].tobytes(), buf[pad + head_len :])
     return msgtype, header, arrays
 
 

@@ -1,9 +1,9 @@
 """The shard worker: ``ChunkKernel.run_shard`` served over TCP.
 
 A worker is deliberately dumb: it owns no scheduling policy, no pair
-routing, no union algebra — exactly the same division of labor as the
-multiprocess backend's pool workers, lifted onto a socket.  Its whole
-contract is:
+routing, no union algebra.  The same loop serves a remote host
+(``repro worker``) and each local worker process a backend without hosts
+starts (:mod:`repro.cluster.local`).  Its whole contract is:
 
 * **table cache** — ``PUT_TABLES`` installs a content-addressed array
   bundle (the CSR edge tables, start boxes, and routing mask of one
@@ -68,6 +68,10 @@ class ShardWorker:
         self.max_tables = max_tables
         self._tables: OrderedDict[str, ShardInput] = OrderedDict()
         self._lock = threading.Lock()
+        # One shard at a time: a copy the coordinator cancelled still
+        # finishes its kernel here, and the next shard waits for it
+        # rather than share the GIL and hold a second kernel's memory.
+        self._run_lock = threading.Lock()
         self._stop = threading.Event()
         self._listener: socket.socket | None = None
         self._thread: threading.Thread | None = None
@@ -103,7 +107,7 @@ class ShardWorker:
         self._listener = listener
 
     def start(self) -> "ShardWorker":
-        """Serve in a daemon thread (the loopback transport); returns self."""
+        """Serve in a daemon thread; returns self."""
         self._bind()
         self._thread = threading.Thread(
             target=self._serve_loop, name="repro-worker", daemon=True
@@ -322,9 +326,10 @@ class ShardWorker:
     ) -> tuple[np.ndarray, dict]:
         """Run one shard through the kernel (a worker never memoizes)."""
         stats = KernelStats()
-        inter, _ = ChunkKernel(BATCH_POLICY, cfg).run_shard(
-            bundle, lo, hi, stats
-        )
+        with self._run_lock:
+            inter, _ = ChunkKernel(BATCH_POLICY, cfg).run_shard(
+                bundle, lo, hi, stats
+            )
         with self._lock:
             self.shards_run += 1
         return inter, stats.as_dict()

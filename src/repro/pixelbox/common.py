@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import KernelError
 
@@ -68,6 +68,10 @@ def split_grid(block_size: int) -> tuple[int, int]:
     return (max(nx, ny), min(nx, ny))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class LaunchConfig:
     """Kernel launch parameters shared by every PixelBox implementation.
@@ -102,6 +106,17 @@ class LaunchConfig:
     leaf_mode: str = "scan"
 
     def __post_init__(self) -> None:
+        # Types first: a float block size reaches the kernel's modulo, a
+        # float threshold or a truthy string would run a launch no caller
+        # asked for, and 64.0 would cache apart from 64.
+        if not _is_int(self.block_size):
+            raise KernelError(f"block_size must be an int, got {self.block_size!r}")
+        if self.pixel_threshold is not None and not _is_int(self.pixel_threshold):
+            raise KernelError(
+                f"pixel_threshold must be an int or None, got {self.pixel_threshold!r}"
+            )
+        if not isinstance(self.tight_mbr, bool):
+            raise KernelError(f"tight_mbr must be a bool, got {self.tight_mbr!r}")
         if self.block_size < 4:
             raise KernelError(f"block size must be >= 4, got {self.block_size}")
         if self.pixel_threshold is not None and self.pixel_threshold < 1:

@@ -8,7 +8,7 @@ fast as one executor can; everything in this package is about answering
 *many concurrent* calls from one warm executor:
 
 * :mod:`repro.service.core` — :class:`ComparisonService`: warm backend
-  pool (warm multiprocess workers included), bounded admission
+  pool (local worker processes started at startup), bounded admission
   queue with per-request timeout/cancellation, and the micro-batching
   coalescer (bounded by ``ServiceConfig.max_batch_pairs``);
 * :mod:`repro.service.protocol` — the JSON-lines wire format (WKT

@@ -2,8 +2,8 @@
 
 Why a service layer exists at all: every ``compare_pairs`` call through
 the registry constructs its executor from scratch — for the
-multiprocess backend that means forking a worker pool and packing
-shared-memory CSR tables *per call*.  Fine for batch jobs, fatal for an
+multiprocess backend that means starting worker processes and sending
+each one the CSR tables *per call*.  Fine for batch jobs, fatal for an
 interactive system answering many small concurrent requests.
 :class:`ComparisonService` inverts the lifecycle:
 
@@ -47,7 +47,6 @@ from repro.backends import get_backend
 from repro.backends.base import Backend, Pairs
 from repro.cache import LRUCacheStore, areas_nbytes, copy_areas, pairs_key
 from repro.errors import (
-    KernelError,
     ReproError,
     ServiceClosedError,
     ServiceError,
@@ -249,10 +248,9 @@ class ComparisonService:
             options = dict(self.config.backend_options)
             try:
                 self._backend = get_backend(self.config.backend, **options)
-            except (TypeError, KernelError) as exc:
-                # e.g. `repro serve --backend batch --workers 4`: the
-                # batch factory takes no options.  Fail with the real
-                # story, not a bare constructor TypeError.
+            except ReproError as exc:
+                # e.g. `repro serve --backend batch --workers 4` (the
+                # batch factory takes no options) or `--workers 0`.
                 raise ServiceError(
                     f"backend {self.config.backend!r} rejected options "
                     f"{sorted(options)}: {exc}"
@@ -260,24 +258,18 @@ class ComparisonService:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service"
         )
-        caps = getattr(self._backend, "capabilities", None)
-        if callable(caps) and caps().persistent_pooling:
-            # Pre-spawn pooled state off-loop — worker processes for the
-            # multiprocess backend, worker connections (and the HELLO
-            # handshake) for the cluster — so the first request does not
-            # pay the cost the warm pool exists to avoid.  A cluster
-            # with no reachable workers must fail here, at startup, not
-            # on the first request.
-            warm = getattr(self._backend, "warm", None)
-            if callable(warm):
-                try:
-                    await loop.run_in_executor(self._executor, warm)
-                except ReproError as exc:
-                    await self.close(drain=False)
-                    raise ServiceError(
-                        f"backend {self.config.backend!r} failed to warm: "
-                        f"{exc}"
-                    ) from exc
+        # Pre-spawn pooled state off-loop — worker processes and their
+        # connections (with the HELLO handshake) — so the first request
+        # does not pay the cost the warm pool exists to avoid.  A backend
+        # with no reachable workers must fail here, at startup, not on
+        # the first request.
+        try:
+            await loop.run_in_executor(self._executor, self._backend.warm)
+        except ReproError as exc:
+            await self.close(drain=False)
+            raise ServiceError(
+                f"backend {self.config.backend!r} failed to warm: {exc}"
+            ) from exc
         worker_stats = getattr(self._backend, "worker_stats", None)
         if callable(worker_stats):
             # Cluster backends: per-worker shard/table counters, read at
@@ -323,9 +315,7 @@ class ComparisonService:
                         stale.future.cancel()
             self._dispatcher = None
         if self._backend is not None:
-            close = getattr(self._backend, "close", None)
-            if callable(close):
-                close()
+            self._backend.close()
             self._backend = None
         if self._executor is not None:
             self._executor.shutdown(wait=True)

@@ -130,10 +130,7 @@ class Session:
         this pays the spin-up cost now instead of on the first request —
         and a cluster with no reachable workers fails here, not later.
         """
-        backend = self.backend
-        warm = getattr(backend, "warm", None)
-        if callable(warm):
-            warm()
+        self.backend.warm()
         return self
 
     def close(self) -> None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.backends import backend_registry, get_backend
+from repro.cluster.worker import ShardWorker
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
@@ -132,6 +133,32 @@ def implementation_areas(name, pairs, cfg=None, **options):
         return REFERENCES[name](pairs, cfg)
     with get_backend(name, **options) as backend:
         return backend.compare_pairs(pairs, cfg)
+
+
+class LoopbackCluster:
+    """N shard workers in this process behind real 127.0.0.1 sockets.
+
+    The cluster tests inspect and fault-inject the worker objects
+    themselves (counters, ``_before_shard`` hooks), which a worker in
+    another process would hide; every byte still crosses a real socket.
+    """
+
+    def __init__(self, workers: int = 2, max_tables: int = 8):
+        self.workers = [
+            ShardWorker(max_tables=max_tables).start() for _ in range(workers)
+        ]
+
+    @property
+    def hosts(self) -> list[str]:
+        """``host:port`` strings for the ``cluster`` backend's ``hosts``."""
+        return [f"{h}:{p}" for h, p in (w.address for w in self.workers)]
+
+    def __enter__(self) -> "LoopbackCluster":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for worker in self.workers:
+            worker.stop()
 
 
 @pytest.fixture

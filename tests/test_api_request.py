@@ -177,3 +177,57 @@ class TestFrontDoorEquivalence:
             request_from_wire({"op": "compare", "pairs": [["one"]]})
         with pytest.raises(RequestError):
             request_from_wire({"op": "compare"})
+
+
+# ----------------------------------------------------------------------
+# Launch parameters of the wrong type are refused at every entry point
+# ----------------------------------------------------------------------
+def _from_options(fields):
+    CompareOptions(**fields)
+
+
+def _from_service_wire(fields):
+    from repro.service.protocol import error_payload
+
+    message = {
+        "op": "compare",
+        "pairs": [[polygon_to_wkt(p), polygon_to_wkt(q)] for p, q in PAIRS],
+        "config": fields,
+    }
+    try:
+        request_from_wire(message)
+    except RequestError as exc:
+        assert error_payload(exc)["kind"] == "bad-request"
+        raise
+
+
+def _from_cluster_wire(fields):
+    from repro.cluster import wire
+    from repro.errors import ClusterProtocolError
+    from repro.pixelbox.common import LaunchConfig
+
+    try:
+        wire.config_from_wire({**wire.config_to_wire(LaunchConfig()), **fields})
+    except ClusterProtocolError as exc:
+        raise RequestError(str(exc)) from exc
+
+
+@pytest.mark.parametrize(
+    "entry", [_from_options, _from_service_wire, _from_cluster_wire],
+    ids=["options", "service-wire", "cluster-wire"],
+)
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"block_size": 64.5},  # reached the kernel's modulo
+        {"block_size": 64.0},  # cached apart from 64
+        {"block_size": True},
+        {"pixel_threshold": 100.5},
+        {"tight_mbr": "no"},  # ran tight
+    ],
+    ids=["block-float", "block-integral-float", "block-bool",
+         "threshold-float", "tight-str"],
+)
+def test_launch_parameters_of_the_wrong_type_are_refused(entry, fields):
+    with pytest.raises(RequestError, match="must be an? (int|bool)"):
+        entry(fields)

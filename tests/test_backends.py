@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from repro.backends.sizing import (
     profile_pairs,
     recommend_shard_pairs,
 )
-from repro.errors import KernelError
+from repro.errors import ClusterConfigError, KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.pixelbox.common import LaunchConfig
@@ -71,8 +75,51 @@ class TestRegistry:
 
 class TestMultiprocessBackend:
     def test_invalid_workers(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(ClusterConfigError):
             get_backend("multiprocess", workers=0)
+
+    def test_never_reads_hosts(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CLUSTER_HOSTS", "127.0.0.1:9")
+        backend = get_backend("multiprocess", workers=2)
+        assert not backend.capabilities().remote
+        with pytest.raises(KernelError, match="rejected options"):
+            get_backend("multiprocess", hosts="127.0.0.1:9")
+
+    def test_warm_starts_workers_that_answer_like_batch(self):
+        pairs = _pairs(40)
+        want = get_backend("batch").compare_pairs(pairs)
+        with get_backend("multiprocess", workers=2, min_pairs=1) as backend:
+            pids = backend.warm()
+            assert len(pids) == 2
+            assert set(pids) <= {p.pid for p in multiprocessing.active_children()}
+            got = backend.compare_pairs(pairs)
+        for field in ("intersection", "union", "area_p", "area_q"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert got.stats.as_dict() == want.stats.as_dict()
+
+    def test_a_killed_worker_process_is_redispatched_around(self):
+        pairs = _pairs(40)
+        want = get_backend("batch").compare_pairs(pairs)
+        with get_backend(
+            "multiprocess", workers=2, min_pairs=1, shard_pairs=8
+        ) as backend:
+            pids = backend.warm()
+            backend.compare_pairs(pairs)  # tables resident on both
+            os.kill(pids[0], signal.SIGKILL)
+            got = backend.compare_pairs(pairs)
+            report = backend.last_report
+        assert np.array_equal(got.intersection, want.intersection)
+        assert np.array_equal(got.union, want.union)
+        assert got.stats.as_dict() == want.stats.as_dict()
+        assert report.worker_failures == 1
+        assert report.dispatches > report.shards  # the lost shard ran again
+
+    def test_close_leaves_no_worker_process(self):
+        backend = get_backend("multiprocess", workers=2, min_pairs=1)
+        backend.warm()
+        backend.compare_pairs(_pairs(12))
+        backend.close()
+        assert not multiprocessing.active_children()
 
     def test_empty_pairs(self):
         result = get_backend("multiprocess").compare_pairs([])
@@ -164,8 +211,8 @@ class TestWiring:
     @pytest.mark.parametrize("site", ["jaccard_pairwise", "sdbms-plan"])
     def test_by_name_call_sites_close_their_backend(self, site):
         """Regression: both sites resolved a backend by name and never
-        closed it, so every call on ``cluster`` left its self-hosted
-        loopback worker threads running."""
+        closed it, so every call on ``cluster`` left its local workers
+        running."""
         import threading
         import time
 
@@ -173,7 +220,7 @@ class TestWiring:
         from repro.sdbms.queries import run_cross_compare
 
         # 400 one-to-one overlapping squares: above the cluster's
-        # min_pairs, so the loopback workers really start.
+        # min_pairs, so the local worker processes really start.
         grid = [(10 * i, 10 * j) for i in range(20) for j in range(20)]
         set_a = [RectilinearPolygon.from_box(Box(x, y, x + 6, y + 6))
                  for x, y in grid]
@@ -191,6 +238,7 @@ class TestWiring:
         while threading.active_count() > before and time.monotonic() < deadline:
             time.sleep(0.05)  # connection threads notice the close
         assert threading.active_count() == before
+        assert not multiprocessing.active_children()
 
     def test_sdbms_backend_plan_explain(self):
         from repro.sdbms.queries import build_backend_plan

@@ -327,9 +327,7 @@ def _assert_identical(a, b):
 
 def _backend_cache_options(name: str) -> CompareOptions:
     extra = {}
-    if name == "cluster":
-        extra = {"backend_options": {"min_pairs": 1, "loopback_workers": 2}}
-    elif name == "multiprocess":
+    if name in ("cluster", "multiprocess"):
         extra = {"backend_options": {"workers": 2, "min_pairs": 1}}
     return CompareOptions(backend=name, cache=True, **extra)
 
@@ -586,10 +584,10 @@ def test_service_request_cache_hit_and_isolation(pairs):
 
 
 def test_service_stampede_dedupes_within_batch(pairs):
-    from repro.backends import get_backend
+    from repro.backends import BackendLifecycle, get_backend
     from repro.service import ComparisonService, ServiceConfig
 
-    class CountingBackend:
+    class CountingBackend(BackendLifecycle):
         description = "counting test backend"
 
         def __init__(self):

@@ -12,6 +12,7 @@ the socket) that must degrade without changing a single output bit.
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
 
@@ -21,7 +22,6 @@ import pytest
 from repro.backends import get_backend
 from repro.cluster import (
     ClusterBackend,
-    LoopbackCluster,
     Shard,
     ShardScheduler,
     ShardWorker,
@@ -39,7 +39,7 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.pixelbox.common import KernelStats, LaunchConfig
 
-from conftest import batched_areas
+from conftest import LoopbackCluster, batched_areas
 
 
 def _pairs(count: int = 40, seed: int = 20260731):
@@ -71,19 +71,43 @@ def workload():
 # ----------------------------------------------------------------------
 # Wire protocol
 # ----------------------------------------------------------------------
+def _frame_bytes(msgtype, header, arrays=None) -> bytes:
+    """The bytes ``send_frame`` puts on the wire for one frame."""
+    a, b = socket.socketpair()
+    with a, b:
+        size = wire.send_frame(a, msgtype, header, arrays)
+        data = bytearray()
+        while len(data) < size:
+            data += b.recv(size - len(data))
+    return bytes(data)
+
+
+def _recv_bytes(data: bytes):
+    """``recv_frame`` over a peer that wrote ``data`` and hung up."""
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(data)
+        a.close()
+        return wire.recv_frame(b)
+
+
 def test_wire_roundtrip_arrays():
     arrays = {
         "a": np.arange(12, dtype=np.int64).reshape(3, 4),
         "b": np.zeros(0, dtype=np.int32),
         "c": np.array([True, False]),
+        "d": np.arange(5, dtype=np.int32),
     }
-    frame = wire.pack_frame(wire.MsgType.PUT_TABLES, {"digest": "x"}, arrays)
-    # Frame = fixed header + payload; strip the fixed header.
-    header, decoded = wire.unpack_payload(frame[8:])
-    assert header["digest"] == "x"
+    msgtype, header, decoded = _recv_bytes(
+        _frame_bytes(wire.MsgType.PUT_TABLES, {"digest": "x"}, arrays)
+    )
+    assert msgtype == wire.MsgType.PUT_TABLES
+    assert header == {"digest": "x"}
     for name, arr in arrays.items():
         assert np.array_equal(decoded[name], arr)
         assert decoded[name].dtype == arr.dtype
+        # Views into one receive buffer, each aligned to its item size.
+        assert decoded[name].flags.aligned
 
 
 @pytest.mark.parametrize(
@@ -96,19 +120,19 @@ def test_wire_roundtrip_arrays():
     ],
 )
 def test_wire_rejects_malformed_payloads(payload):
+    head = struct.pack(">2sBBI", b"RC", 1, wire.MsgType.PUT_TABLES, len(payload))
     with pytest.raises(ClusterProtocolError):
-        wire.unpack_payload(payload)
+        _recv_bytes(head + payload)
 
 
 def test_wire_rejects_lying_manifest():
-    frame = wire.pack_frame(
+    frame = _frame_bytes(
         wire.MsgType.PUT_TABLES, {}, {"a": np.arange(4, dtype=np.int64)}
     )
-    payload = bytearray(frame[8:])
     # Corrupt the declared blob size in the manifest.
-    mutated = bytes(payload).replace(b'32]', b'31]')
+    mutated = frame.replace(b"32]", b"31]")
     with pytest.raises(ClusterProtocolError):
-        wire.unpack_payload(mutated)
+        _recv_bytes(mutated)
 
 
 def test_bundle_digest_is_content_addressed():
@@ -503,7 +527,7 @@ def test_service_serves_from_cluster_backend(workload):
     async def main():
         config = ServiceConfig(
             backend="cluster",
-            backend_options={"min_pairs": 1, "loopback_workers": 2},
+            backend_options={"min_pairs": 1, "workers": 2},
         )
         async with ComparisonService(config) as service:
             assert service.backend.capabilities().persistent_pooling

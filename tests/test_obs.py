@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.api import CompareOptions, CompareRequest
 from repro.backends import get_backend
-from repro.cluster import LoopbackCluster
 from repro.geometry.polygon import Box, RectilinearPolygon
 from repro.obs import (
     EventLog,
@@ -48,6 +47,8 @@ from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy, ShardInput
 from repro.service.core import ComparisonService, ServiceConfig
 from repro.session import Session
+
+from conftest import LoopbackCluster
 
 
 def _pairs(count: int = 12, seed: int = 7):

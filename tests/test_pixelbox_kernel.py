@@ -158,7 +158,7 @@ def test_finalize_requires_measured_union_for_direct_policies():
 def test_default_workers_rejects_malformed_env(monkeypatch):
     """The CI parity matrix pins pool width via REPRO_WORKERS; a value
     that does not parse must fail loudly, never fall back silently."""
-    from repro.backends.multiprocess import default_workers
+    from repro.backends import default_workers
 
     monkeypatch.setenv("REPRO_WORKERS", "3")
     assert default_workers() == 3
@@ -309,7 +309,7 @@ def test_every_in_process_name_is_pinned():
         )
         for w in (1, 2)
     ]
-    + [  # six 5-pair shards on loopback workers
+    + [  # six 5-pair shards on local worker processes
         pytest.param(
             "cluster", {"min_pairs": 2, "shard_pairs": 5}, id="cluster"
         )

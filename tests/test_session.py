@@ -4,7 +4,7 @@ Covers the three contract families of :class:`repro.Session`:
 
 * **lifecycle** — lazy backend resolution, ``warm()``, idempotent
   ``close()``, a clear error on reuse-after-close, and no leaked worker
-  processes or shared-memory segments once a session is closed;
+  processes once a session is closed;
 * **parity** — session results are bit-for-bit equal to the legacy
   metrics-layer path on *every* registry backend (cluster included),
   and the incremental/async entry points equal the synchronous one.
@@ -101,7 +101,7 @@ class TestLifecycle:
 
     def test_warm_prespawns_and_close_reaps(self):
         options = CompareOptions(
-            backend="multiprocess", backend_options={"min_pairs": 1}
+            backend="multiprocess", backend_options={"workers": 2, "min_pairs": 1}
         )
         session = Session(options).warm()
         assert multiprocessing.active_children()  # pool is up
@@ -314,10 +314,12 @@ class TestExplain:
         assert plan.shard_pairs is not None
         assert plan.capabilities["configurable_workers"] is True
         assert plan.launch["tight_mbr"] is True
-        # The plan's shard size is the one compare_pairs would cut: two
-        # pool shards of 300, and the cluster's configured 50.
+        # The plan's shard size is the one compare_pairs would cut: the
+        # sizing policy keeps 600 tiny pairs in one shard (a dispatch
+        # would cost more than their compute), and the cluster's
+        # configured 50.
         for backend, backend_options, shard_pairs in (
-            ("multiprocess", {"workers": 2}, 300),
+            ("multiprocess", {"workers": 2}, 600),
             ("cluster", {"shard_pairs": 50}, 50),
         ):
             options = CompareOptions(
