@@ -279,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
             if caps.notes:
                 print(f"{'':14s} {'':26s} {caps.notes}")
             backend.close()
+        from repro.pixelbox import native
+
+        print(f"leaf pixelizer: {native.status()}")
         return 0
 
     if args.command == "run":

@@ -61,6 +61,7 @@ from repro.cluster.scheduler import (
 from repro.errors import ClusterConfigError, ClusterError
 from repro.obs.events import EVENTS
 from repro.obs.trace import current_context, current_tracer, span
+from repro.pixelbox import native
 from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import (
     BATCH_POLICY,
@@ -443,6 +444,8 @@ class ClusterBackend(BackendLifecycle):
         startup, and a cluster that cannot serve anything should fail
         there, not on the first request.
         """
+        # Local workers forked after this inherit the loaded library.
+        native.load()
         if self._one_local_worker:
             return []
         clients = self._ensure_clients()

@@ -36,6 +36,7 @@ import numpy as np
 from repro.cluster import wire
 from repro.errors import ClusterProtocolError, KernelError, ReproError
 from repro.obs.trace import Tracer, activate
+from repro.pixelbox import native
 from repro.pixelbox.common import KernelStats
 from repro.pixelbox.kernel import BATCH_POLICY, ChunkKernel, ShardInput
 
@@ -96,6 +97,9 @@ class ShardWorker:
     def _bind(self) -> None:
         if self._listener is not None:
             return
+        # Build the compiled leaf pixelizer before listening, so a first
+        # compile belongs to start-up and not to the first shard.
+        native.load()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self._requested_port))

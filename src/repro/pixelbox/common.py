@@ -93,11 +93,15 @@ class LaunchConfig:
     leaf_mode:
         How leaf boxes are pixelized.  ``"scan"`` (default) uses the
         XOR-scan fill — an O(pixels + edges) optimization this library
-        adds beyond the paper, used on the production path.  ``"crossing"``
-        evaluates the paper's per-pixel ray-cast (O(pixels x edges), the
-        cost profile of the GPU kernel's pixelization procedure); the
-        algorithm-variant experiments (Figures 8 and 10) use this mode so
-        the compute-intensity trade-off the paper studies is preserved.
+        adds beyond the paper — and is what every experiment and the
+        production path run; under the production policy
+        (``pixelbox.kernel.BATCH_POLICY``) its leaves run in the compiled
+        ``leafscan.c`` when a C compiler built it, in NumPy otherwise.
+        ``"crossing"`` evaluates the paper's per-pixel ray-cast
+        (O(pixels x edges), the cost profile of the GPU kernel's
+        pixelization procedure), always in NumPy; no experiment selects
+        it, only tests and explicit ``CompareOptions(leaf_mode=...)``
+        callers.  Both modes count the same pixels.
     """
 
     block_size: int = DEFAULT_BLOCK_SIZE

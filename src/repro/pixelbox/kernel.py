@@ -30,10 +30,13 @@ sequence lives here exactly once:
   function of its pairs and launch config alone.
 
 This module is the **only** caller of
-:func:`repro.pixelbox.vectorized.plan_levels` and
-:func:`repro.pixelbox.vectorized.stacked_leaf_counts` (reprolint RL701
+:func:`repro.pixelbox.vectorized.plan_levels`,
+:func:`repro.pixelbox.vectorized.stacked_leaf_counts` and
+:func:`repro.pixelbox.native.compiled_leaf_counts` (reprolint RL701
 enforces the seam), so an execution policy can never change results —
-only wall-clock.
+only wall-clock.  :data:`BATCH_POLICY`'s scan-mode leaves pixelize in
+the compiled ``leafscan.c`` when it loads, every other leaf in NumPy;
+both count the same pixels.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.polyset import PolygonSet
 from repro.obs.trace import current_tracer
+from repro.pixelbox import native
 from repro.pixelbox.common import (
     KernelStats,
     LaunchConfig,
@@ -231,6 +235,26 @@ _SIDES = ("p", "q")
 _EDGE_FIELDS = tuple(f.name for f in fields(EdgeTable))
 
 
+def _checked_table(side: str, arrays: dict[str, np.ndarray], n: int) -> EdgeTable:
+    """Side ``side``'s :class:`EdgeTable` of a bundle of ``n`` pairs,
+    or :class:`~repro.errors.KernelError` naming what is malformed."""
+    table = EdgeTable(*(arrays[f"{side}.{name}"] for name in _EDGE_FIELDS))
+    columns = [getattr(table, name) for name in _EDGE_FIELDS if name != "offsets"]
+    offsets = table.offsets
+    size = len(columns[0]) if columns[0].ndim == 1 else -1
+    if any(c.dtype != np.int32 or c.shape != (size,) for c in columns):
+        raise KernelError(
+            f"shard bundle: the {side} edge columns must be int32[m] of one length"
+        )
+    if offsets.dtype != np.int64 or offsets.shape != (n + 1,):
+        raise KernelError(f"shard bundle: {side}.offsets must be int64[{n + 1}]")
+    if offsets[0] != 0 or offsets[-1] != size or np.any(np.diff(offsets) < 0):
+        raise KernelError(
+            f"shard bundle: {side}.offsets must rise from 0 to the edge count {size}"
+        )
+    return table
+
+
 @dataclass(slots=True)
 class ShardInput:
     """What one kernel run consumes, and the one owner of its layout.
@@ -296,18 +320,31 @@ class ShardInput:
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ShardInput":
-        """Rebuild a (zero-copy) input from a :meth:`to_arrays` bundle."""
+        """Rebuild a (zero-copy) input from a :meth:`to_arrays` bundle.
+
+        A bundle may come from another host, and native code indexes it,
+        so its layout is checked in full: a malformed one raises
+        :class:`~repro.errors.KernelError` naming the first fault.
+        """
         required = [
             f"{side}.{name}" for side in _SIDES for name in _EDGE_FIELDS
         ] + ["boxes", "has_box"]
         missing = sorted(set(required) - set(arrays))
         if missing:
             raise KernelError(f"shard bundle missing arrays: {missing}")
-        tables = (
-            EdgeTable(*(arrays[f"{side}.{name}"] for name in _EDGE_FIELDS))
-            for side in _SIDES
-        )
-        return cls(*tables, arrays["boxes"], arrays["has_box"])
+        boxes, has_box = arrays["boxes"], arrays["has_box"]
+        if has_box.dtype != np.bool_ or has_box.ndim != 1:
+            raise KernelError("shard bundle: has_box must be bool[n]")
+        n = len(has_box)
+        if boxes.dtype != np.int64 or boxes.shape != (n, 4):
+            raise KernelError(f"shard bundle: boxes must be int64[{n}, 4]")
+        routed = boxes[has_box]
+        if np.any(routed[:, 0] >= routed[:, 2]) or np.any(
+            routed[:, 1] >= routed[:, 3]
+        ):
+            raise KernelError("shard bundle: an empty box is marked has_box")
+        tables = [_checked_table(side, arrays, n) for side in _SIDES]
+        return cls(*tables, boxes, has_box)
 
     def finalize(
         self,
@@ -360,7 +397,7 @@ class ChunkKernel:
       one prebuilt :class:`ShardInput`: what a worker process or remote
       worker calls after attaching the shared bundle.
     * :meth:`run_chunk` — one chunk of the sequence: the only code in the
-      repository invoking ``plan_levels`` / ``stacked_leaf_counts``.
+      repository invoking ``plan_levels`` and the leaf pixelizers.
 
     Work counters are charged identically on every altitude, so service
     metrics and the Figure 2/9 experiments see the same numbers for the
@@ -376,6 +413,19 @@ class ChunkKernel:
     # ------------------------------------------------------------------
     # The shared sequence
     # ------------------------------------------------------------------
+    def _compiled_leaves(self) -> bool:
+        """Whether leaves pixelize in ``leafscan.c`` rather than NumPy.
+
+        Only the production policy's scan-mode leaves do: it measures no
+        union, and the other policies are the references the experiments
+        time, so they keep the NumPy programs whose costs they study.
+        """
+        return (
+            self.policy == BATCH_POLICY
+            and self.cfg.leaf_mode == "scan"
+            and native.load() is not None
+        )
+
     def run_chunk(
         self,
         table_p: EdgeTable,
@@ -453,14 +503,17 @@ class ChunkKernel:
                 leaves[:, 3] - leaves[:, 1]
             )
             stats.pixel_tests += 2 * int(sizes.sum())
-            leaf_i, leaf_u = stacked_leaf_counts(
-                table_p,
-                table_q,
-                leaves,
-                leaf_rows,
-                want_union=policy.measures_union,
-                leaf_mode=cfg.leaf_mode,
-            )
+            if self._compiled_leaves():
+                leaf_i = native.compiled_leaf_counts(table_p, table_q, leaves, leaf_rows)
+            else:
+                leaf_i, leaf_u = stacked_leaf_counts(
+                    table_p,
+                    table_q,
+                    leaves,
+                    leaf_rows,
+                    want_union=policy.measures_union,
+                    leaf_mode=cfg.leaf_mode,
+                )
             np.add.at(inter, leaf_rows - row_base, leaf_i)
             if policy.measures_union:
                 np.add.at(uni, leaf_rows - row_base, leaf_u)

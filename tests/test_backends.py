@@ -256,6 +256,7 @@ class TestWiring:
         out = capsys.readouterr().out
         for name in ("batch", "multiprocess", "cluster"):
             assert name in out
+        assert "leaf pixelizer: " in out
 
     def test_cli_compare_with_backend(self, small_dataset, capsys):
         from repro.cli import main

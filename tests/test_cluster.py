@@ -466,6 +466,64 @@ def test_worker_rejects_a_bundle_with_a_missing_array(workload):
             assert header["kind"] == "missing-tables"
 
 
+def _reshape(key, fn):
+    """A bundle mutation replacing array ``key`` by ``fn(array)``."""
+    return lambda arrays: arrays.update({key: fn(arrays[key])})
+
+
+def _empty_routed_box(arrays):
+    boxes = arrays["boxes"].copy()
+    row = int(np.flatnonzero(arrays["has_box"])[0])
+    boxes[row, 2] = boxes[row, 0]
+    arrays["boxes"] = boxes
+
+
+_MALFORMED_BUNDLES = {
+    "xs-int64": _reshape("p.xs", lambda a: a.astype(np.int64)),
+    "xs-2d": _reshape("p.xs", lambda a: a.reshape(1, -1)),
+    "lo-short": _reshape("q.lo", lambda a: a[:-1]),
+    "xhi-long": _reshape("p.xhi", lambda a: np.append(a, a[:1])),
+    "offsets-int32": _reshape("q.offsets", lambda a: a.astype(np.int32)),
+    "offsets-not-from-0": _reshape("p.offsets", lambda a: a + 1),
+    "offsets-falling": _reshape("p.offsets", lambda a: a[[0, 2, 1, 3, 4]]),
+    "offsets-past-the-end": _reshape(
+        "q.offsets", lambda a: np.append(a[:-1], a[-1] + 5)
+    ),
+    "offsets-count": _reshape("p.offsets", lambda a: np.append(a, a[-1])),
+    "boxes-int32": _reshape("boxes", lambda a: a.astype(np.int32)),
+    "boxes-shape": _reshape("boxes", lambda a: a[:, :3]),
+    "has-box-uint8": _reshape("has_box", lambda a: a.astype(np.uint8)),
+    "has-box-count": _reshape("has_box", lambda a: a[:-1]),
+    "empty-routed-box": _empty_routed_box,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_MALFORMED_BUNDLES))
+def test_worker_rejects_a_malformed_bundle_and_keeps_serving(workload, bad):
+    """A PUT_TABLES bundle comes from outside the program and native code
+    indexes it: every malformed layout is a typed protocol error, and the
+    same worker then answers a valid shard bit for bit."""
+    from repro.pixelbox.kernel import BATCH_POLICY, ShardInput
+
+    pairs, ref = workload
+    arrays = ShardInput.build(pairs[:4], BATCH_POLICY, LaunchConfig()).to_arrays()
+    malformed = dict(arrays)
+    _MALFORMED_BUNDLES[bad](malformed)
+    with LoopbackCluster(1) as cluster:
+        worker = cluster.workers[0]
+        with pytest.raises(ClusterProtocolError, match="shard bundle"):
+            worker._put_tables({"digest": "bad"}, malformed)
+        with socket.create_connection(worker.address, timeout=5) as sock:
+            wire.send_frame(sock, wire.MsgType.PUT_TABLES, {"digest": "ok"}, arrays)
+            assert wire.recv_frame(sock)[1] == {"cached": True, "digest": "ok"}
+            wire.send_frame(
+                sock, wire.MsgType.RUN_SHARD, {"digest": "ok", "lo": 0, "hi": 4}
+            )
+            msgtype, header, result = wire.recv_frame(sock)
+    assert msgtype == wire.MsgType.SHARD_RESULT, header
+    assert result["inter"].tolist() == ref.intersection[:4].tolist()
+
+
 # ----------------------------------------------------------------------
 # Scheduler unit behavior (no sockets)
 # ----------------------------------------------------------------------

@@ -20,6 +20,14 @@ historical drift classes:
 
 from __future__ import annotations
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +36,7 @@ from repro.errors import GeometryError, KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
+from repro.pixelbox import native
 from repro.pixelbox.common import KernelStats, LaunchConfig, Method
 from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.kernel import (
@@ -38,6 +47,7 @@ from repro.pixelbox.kernel import (
     ShardInput,
     start_box,
 )
+from repro.pixelbox.vectorized import stacked_leaf_counts
 from repro.geometry.polyset import PolygonSet
 
 from conftest import (
@@ -436,3 +446,221 @@ def test_coordinates_beyond_int32_never_give_a_wrong_area(name):
             assert "polygon 0" in str(exc)
         else:
             assert result.intersection.tolist() == [8]
+
+
+# ----------------------------------------------------------------------
+# The compiled leaf pixelizer: the same pixels as the NumPy scan
+# ----------------------------------------------------------------------
+def _require_compiled():
+    """The compiled library; a host with a C compiler must load it."""
+    lib = native.load()
+    if lib is None:
+        if any(shutil.which(c) for c in native.COMPILERS):
+            pytest.fail(f"a C compiler is on PATH, yet {native.status()}")
+        pytest.skip(native.status())
+    return lib
+
+
+def _generated_leaves(rng):
+    """Polygon tables plus leaves around them: random boxes, 1-pixel
+    boxes, boxes wider than their polygon, boxes whose borders lie on
+    polygon edges, and boxes at the 64x64 skip bound."""
+    sides = [
+        [random_pair(rng, h=int(rng.integers(2, 40)), w=int(rng.integers(2, 70)))[0]
+         for _ in range(40)]
+        for _ in range(2)
+    ]
+    tables = [PolygonSet.from_polygons(polys).edges for polys in sides]
+    mbrs = PolygonSet.from_polygons(sides[0]).mbrs
+    leaves, owner = [], []
+    for row in range(40):
+        x0, y0, x1, y1 = (int(v) for v in mbrs[row])
+        xs = tables[0].xs[tables[0].offsets[row] : tables[0].offsets[row + 1]]
+        for _ in range(6):
+            ax, bx = sorted(rng.integers(x0 - 3, x1 + 4, 2))
+            ay, by = sorted(rng.integers(y0 - 3, y1 + 4, 2))
+            leaves.append((ax, ay, max(bx, ax + 1), max(by, ay + 1)))
+        px, py = int(rng.integers(x0, x1)), int(rng.integers(y0, y1))
+        ex = sorted(int(v) for v in rng.choice(xs, 2))
+        leaves += [
+            (px, py, px + 1, py + 1),
+            (x0 - 1, y0 - 1, x1 + 1, y1 + 1),
+            (x0 - 40, py, x1 + 40, py + 1),
+            (ex[0], y0, max(ex[1], ex[0] + 1), y1),
+            (x0, y0, x0 + 64, y0 + 64),
+            (x0 - 64, y0 - 64, x0, y0),
+        ]
+        owner += [row] * 12
+    return tables, np.array(leaves, dtype=np.int64), np.array(owner, dtype=np.int64)
+
+
+@pytest.mark.parametrize("leaf_mode", ["scan", "crossing"])
+def test_compiled_leaves_count_what_the_numpy_leaves_count(rng, leaf_mode):
+    _require_compiled()
+    (table_p, table_q), leaves, owner = _generated_leaves(rng)
+    want, _ = stacked_leaf_counts(table_p, table_q, leaves, owner, False, leaf_mode)
+    got = native.compiled_leaf_counts(table_p, table_q, leaves, owner)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert want.sum() > 0 and np.count_nonzero(want == 0) > 0
+
+
+@pytest.mark.parametrize(
+    "leaf, owner, match",
+    [
+        ((5, 5, 5, 9), 0, "extent"),
+        ((5, 9, 8, 4), 0, "extent"),
+        ((0, 0, 4, 4), 7, "owner row"),
+        ((0, 0, 4, 4), -1, "owner row"),
+        ((0, 0, 4), 0, "int64\\[n, 4\\]"),
+    ],
+)
+def test_compiled_leaves_reject_what_they_cannot_count(leaf, owner, match):
+    _require_compiled()
+    table = PolygonSet.from_polygons([rect(0, 0, 4, 4)]).edges
+    with pytest.raises(KernelError, match=match):
+        native.compiled_leaf_counts(
+            table, table, np.array([leaf]), np.array([owner])
+        )
+
+
+def test_only_the_production_scan_runs_compiled(rng, monkeypatch):
+    """BATCH_POLICY's scan leaves go to the compiled pixelizer; crossing
+    leaves and every other policy stay on the NumPy programs."""
+    _require_compiled()
+    calls = []
+    compiled = native.compiled_leaf_counts
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return compiled(*args)
+
+    monkeypatch.setattr(native, "compiled_leaf_counts", counting)
+    pairs = [random_pair(rng) for _ in range(6)]
+    batched_areas(pairs)
+    assert calls
+    calls.clear()
+    batched_areas(pairs, LaunchConfig(leaf_mode="crossing"))
+    chunked_areas(pairs)
+    ChunkKernel(ExecutionPolicy(skip_subdivision_max_dim=64, chunk_pairs=3)).compute(
+        pairs
+    )
+    assert calls == []
+
+
+_NO_COMPILER_RUN = """
+import json, sys
+from repro.backends import get_backend
+from repro.geometry.polygon import RectilinearPolygon
+from repro.pixelbox import native
+
+rings = json.load(open(sys.argv[1]))
+pairs = [(RectilinearPolygon(p), RectilinearPolygon(q)) for p, q in rings]
+with get_backend("batch") as backend:
+    backend.warm()
+    res = backend.compare_pairs(pairs)
+print(json.dumps({
+    "loaded": native.load() is not None,
+    "intersection": res.intersection.tolist(),
+    "union": res.union.tolist(),
+    "stats": res.stats.as_dict(),
+}))
+"""
+
+
+def test_a_host_without_a_c_compiler_gives_the_same_bits(rng, tmp_path):
+    """No ``cc``/``gcc`` on PATH and an empty build cache: ``batch`` runs
+    the NumPy leaves, with the same areas and counters, and ``repro
+    backends`` names the reason."""
+    pairs = [random_pair(rng) for _ in range(12)]
+    pairs += [random_pair(rng, h=90, w=110) for _ in range(4)]  # planner leaves
+    rings = tmp_path / "rings.json"
+    rings.write_text(
+        json.dumps([[p.vertices.tolist(), q.vertices.tolist()] for p, q in pairs])
+    )
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "cache").mkdir()
+    src = str(Path(native.__file__).resolve().parents[2])
+    env = dict(
+        os.environ,
+        PATH=str(tmp_path / "bin"),
+        XDG_CACHE_HOME=str(tmp_path / "cache"),
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], env=env, check=True, timeout=120,
+            capture_output=True, text=True,
+        ).stdout
+
+    got = json.loads(run("-c", _NO_COMPILER_RUN, str(rings)))
+    want = batched_areas(pairs)
+    assert got["loaded"] is False
+    assert got["intersection"] == want.intersection.tolist()
+    assert got["union"] == want.union.tolist()
+    assert got["stats"] == want.stats.as_dict()
+    assert list((tmp_path / "cache").iterdir()) == []
+    listing = run("-m", "repro", "backends")
+    assert "leaf pixelizer: NumPy XOR-scan (no C compiler (cc, gcc) on PATH)" in listing
+
+
+def _fresh_build(monkeypatch, cache):
+    """``native.load()`` as a new process runs it, building into ``cache``."""
+    monkeypatch.setattr(native, "_state", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return native.load()
+
+
+def test_a_failed_compile_is_recorded_not_raised(tmp_path, monkeypatch):
+    _require_compiled()
+    broken = tmp_path / "leafscan.c"
+    broken.write_text("int leafscan_intersections(void) { return }\n")
+    monkeypatch.setattr(native, "SOURCE", broken)
+    assert _fresh_build(monkeypatch, tmp_path / "cache") is None
+    assert "failed" in native.status()
+    assert [p.name for p in (tmp_path / "cache" / "repro").iterdir()] == []
+
+
+def test_a_library_that_does_not_load_is_recorded_not_raised(tmp_path, monkeypatch):
+    _require_compiled()
+
+    def refuse(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(native.ctypes, "CDLL", refuse)
+    assert _fresh_build(monkeypatch, tmp_path) is None
+    assert "did not load" in native.status()
+
+
+def test_an_unusable_cache_directory_falls_back_to_a_temporary_one(
+    tmp_path, monkeypatch
+):
+    """The library builds in a temporary directory, still loads and runs
+    after that directory is removed, and leaves nothing behind."""
+    _require_compiled()
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert _fresh_build(monkeypatch, not_a_dir) is not None
+    assert "compiled C leafscan" in native.status()
+    assert list((tmp_path / "tmp").iterdir()) == []
+    table = PolygonSet.from_polygons([rect(0, 0, 4, 4)]).edges
+    counts = native.compiled_leaf_counts(
+        table, table, np.array([[2, 2, 6, 6]]), np.array([0])
+    )
+    assert counts.tolist() == [4]
+
+
+def test_processes_compiling_at_once_share_one_library(tmp_path):
+    """Concurrent first uses of an empty cache all load, and leave one
+    library and no temporary file behind."""
+    _require_compiled()
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    code = "from repro.pixelbox import native; assert native.load(), native.status()"
+    procs = [
+        subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)
+    ]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
+    assert [p.suffix for p in (tmp_path / "repro").iterdir()] == [".so"]
