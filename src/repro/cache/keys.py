@@ -8,9 +8,9 @@ vertices and vertex counts of each pair's polygon, in pair order) and
 the :class:`LaunchConfig`.  The
 executor is not part of it: every registered backend runs the one
 production policy, so a result computed on any of them answers the same
-pairs on every other.  Both front doors — ``Session`` and
-``ComparisonService`` — key through it; ``sets`` and ``files`` requests
-key each tile's candidate pairs.
+pairs on every other.  The one launch path (``Session``'s) keys through
+it, and ``ComparisonService`` keys each request once, at admission;
+``sets`` and ``files`` requests key each tile's candidate pairs.
 
 The config token enumerates dataclass fields dynamically: adding a field
 to ``LaunchConfig`` changes the token automatically — there is no

@@ -5,10 +5,6 @@ A thread-safe LRU keyed by content-derived strings (see
 configurable byte budget is exceeded.  Values are opaque to the store —
 the front door that owns it is responsible for copying mutable values
 on the way in and out (see :mod:`repro.cache.values`).
-
-:class:`SingleFlight` is the companion stampede guard: concurrent
-callers asking for the same missing key share one computation instead
-of racing to fill the cache N times.
 """
 
 from __future__ import annotations
@@ -16,11 +12,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any
 
 from repro.errors import CacheError
 
-__all__ = ["CacheSnapshot", "CacheStore", "LRUCacheStore", "SingleFlight"]
+__all__ = ["CacheSnapshot", "LRUCacheStore"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,21 +52,6 @@ class CacheSnapshot:
         }
 
 
-@runtime_checkable
-class CacheStore(Protocol):
-    """What a front door expects from its result store."""
-
-    def get(self, key: str) -> Any | None: ...
-
-    def contains(self, key: str) -> bool: ...
-
-    def put(self, key: str, value: Any, nbytes: int) -> None: ...
-
-    def clear(self) -> None: ...
-
-    def snapshot(self) -> CacheSnapshot: ...
-
-
 class LRUCacheStore:
     """Thread-safe LRU cache bounded by a byte budget.
 
@@ -81,8 +62,9 @@ class LRUCacheStore:
         entries until the total fits again.  Must be positive — an
         owner that wants caching off simply does not construct a store.
     name:
-        Label carried into :class:`CacheSnapshot` so metrics can tell
-        stores apart (``"session.request"``, ``"service.request"``).
+        Label carried into :class:`CacheSnapshot`: the tier the store
+        reports as (``"session.request"``, or ``"service.request"`` for
+        the session a service owns).
     """
 
     def __init__(self, max_bytes: int, name: str = "cache") -> None:
@@ -163,54 +145,3 @@ class LRUCacheStore:
                 current_bytes=self._bytes,
                 max_bytes=self.max_bytes,
             )
-
-
-class _Flight:
-    __slots__ = ("done", "value", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.value: Any = None
-        self.error: BaseException | None = None
-
-
-class SingleFlight:
-    """Per-key computation dedup for concurrent threads.
-
-    ``do(key, fn)`` runs ``fn`` in exactly one of the threads that ask
-    for ``key`` concurrently; the others block until the leader finishes
-    and then share its result (or its exception).  Each completed flight
-    is forgotten, so a later call with the same key computes again —
-    persistence is the cache store's job, not this guard's.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._flights: dict[str, _Flight] = {}
-
-    def do(self, key: str, fn: Callable[[], Any]) -> tuple[Any, bool]:
-        """Returns ``(value, leader)`` — ``leader`` is True for the
-        thread that actually ran ``fn``."""
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = _Flight()
-                self._flights[key] = flight
-                leader = True
-            else:
-                leader = False
-        if not leader:
-            flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            return flight.value, False
-        try:
-            flight.value = fn()
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
-            with self._lock:
-                self._flights.pop(key, None)
-            flight.done.set()
-        return flight.value, True

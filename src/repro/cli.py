@@ -366,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.api import CompareOptions
         from repro.service import ServiceConfig, serve
 
-        # The service's execution substrate is the same spec `repro
+        # The service runs every request under the same spec `repro
         # compare` parses into; ServiceConfig adds only the serving
         # knobs (admission, coalescing, timeouts).
         backend_options = {}
@@ -382,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         serving_knobs = {}
         if args.max_batch_pairs is not None:
             serving_knobs["max_batch_pairs"] = args.max_batch_pairs
-        config = ServiceConfig.from_options(
+        config = ServiceConfig(
             compare_options,
             max_queue=args.max_queue,
             coalesce_window=args.coalesce_window,

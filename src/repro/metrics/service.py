@@ -164,7 +164,7 @@ class ServiceMetrics:
                 self._request_cache_misses += 1
 
     def attach_cache(self, name: str, store) -> None:
-        """Surface a :class:`repro.cache.CacheStore` in snapshots."""
+        """Surface a :class:`repro.cache.LRUCacheStore` in snapshots."""
         with self._lock:
             self._caches[name] = store
 

@@ -228,8 +228,28 @@ class PairBatch:
             sides += [PolygonSet.from_polygons(unique), np.array(idx, dtype=np.int64)]
         return cls(sides[0], sides[2], sides[1], sides[3])
 
+    @classmethod
+    def concat(cls, batches: "list[PairBatch]") -> "PairBatch":
+        """Every pair of ``batches``, in order, as one batch over one set
+        per side (a single batch as it is)."""
+        if len(batches) == 1:
+            return batches[0]
+        sides = []
+        for side, idx in (("left", "left_idx"), ("right", "right_idx")):
+            sets = [getattr(b, side) for b in batches]
+            counts = np.concatenate([np.diff(s.offsets) for s in sets])
+            offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=offsets[1:])
+            vertices = np.concatenate([s.vertices for s in sets])
+            starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
+            sides += [
+                PolygonSet._trusted(vertices, offsets),
+                np.concatenate([getattr(b, idx) + k for b, k in zip(batches, starts)]),
+            ]
+        return cls(sides[0], sides[2], sides[1], sides[3])
 
-Pairs = list[tuple[RectilinearPolygon, RectilinearPolygon]] | PairBatch
+
+Pairs =list[tuple[RectilinearPolygon, RectilinearPolygon]] | PairBatch
 
 _SIDES = ("p", "q")
 _EDGE_FIELDS = tuple(f.name for f in fields(EdgeTable))

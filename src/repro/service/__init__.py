@@ -3,14 +3,16 @@ an interactive system.
 
 Architecture note
 -----------------
-Everything below this package answers *one* ``compare_pairs`` call as
-fast as one executor can; everything in this package is about answering
-*many concurrent* calls from one warm executor:
+A :class:`~repro.session.Session` answers *one* comparison as fast as
+one warm executor can, through its one launch path (result cache,
+collapse of identical pair lists, one launch at a time); everything in
+this package is about answering *many concurrent* calls through one
+session:
 
-* :mod:`repro.service.core` — :class:`ComparisonService`: warm backend
-  pool (local worker processes started at startup), bounded admission
-  queue with per-request timeout/cancellation, and the micro-batching
-  coalescer (bounded by ``ServiceConfig.max_batch_pairs``);
+* :mod:`repro.service.core` — :class:`ComparisonService`: a queue in
+  front of the session it owns (whose backend is warmed at startup):
+  bounded admission with per-request timeout/cancellation, and the
+  micro-batching coalescer (bounded by ``ServiceConfig.max_batch_pairs``);
 * :mod:`repro.service.protocol` — the JSON-lines wire format (WKT
   polygons in, area arrays out);
 * :mod:`repro.service.server` — ``repro serve``: the protocol over
@@ -19,10 +21,9 @@ fast as one executor can; everything in this package is about answering
   smoke tests, and CI.
 
 Service metrics (queue depth, batch occupancy, latency quantiles) live
-with the other measurement code in :mod:`repro.metrics.service`.  The
-planned distributed-sharding backend (ROADMAP) slots in *behind* this
-queue: the service's admission and coalescing layer is transport-
-agnostic, it only sees the :class:`repro.backends.Backend` protocol.
+with the other measurement code in :mod:`repro.metrics.service`.  Every
+registered backend, the cluster included, slots in *behind* this queue:
+the admission and coalescing layer only sees its session.
 """
 
 from repro.service.client import ServiceClient

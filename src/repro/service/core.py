@@ -1,35 +1,31 @@
-"""The asyncio comparison service: warm backend pool + micro-batching.
+"""The asyncio comparison service: a queue in front of a ``Session``.
 
-Why a service layer exists at all: every ``compare_pairs`` call through
-the registry constructs its executor from scratch — for the
-multiprocess backend that means starting worker processes and sending
-each one the CSR tables *per call*.  Fine for batch jobs, fatal for an
-interactive system answering many small concurrent requests.
-:class:`ComparisonService` inverts the lifecycle:
+A :class:`~repro.session.Session` already answers one comparison as
+fast as one warm executor can: it owns the backend lifecycle, the result
+cache, and the one launch path (one launch at a time under its dispatch
+lock, the exclusive, non-preemptive device contract of the paper's §4).
+:class:`ComparisonService` owns one session and adds only what answering
+*many concurrent* requests needs:
 
-* **warm backend pool** — the executor is resolved once at
-  :meth:`~ComparisonService.start` and reused for every request; a
-  pooled backend's workers are pre-spawned there and live until the
-  service closes it, so process forking happens once per service
-  lifetime;
 * **admission control** — a bounded request queue; a full queue rejects
   immediately with :class:`~repro.errors.ServiceOverloadedError` instead
   of letting latency grow without bound, and every request can carry a
-  timeout (the default comes from :class:`ServiceConfig`);
+  timeout (the default comes from :class:`ServiceConfig`) or be
+  cancelled;
 * **micro-batching coalescer** — the dispatcher merges small concurrent
-  requests into one backend launch of at most about
-  ``ServiceConfig.max_batch_pairs`` pairs, then scatters the
-  result slices back to the awaiting futures.  Merging changes *when*
-  pairs are computed, never *what*: every pair's result is computed
-  independently, so a coalesced dispatch is bit-for-bit identical to
-  per-request calls (the service tests assert this).
+  requests into one session launch of at most about
+  ``ServiceConfig.max_batch_pairs`` pairs, then scatters the answers
+  back to the awaiting futures.  Merging changes *when* pairs are
+  computed, never *what*: every pair's result is computed independently,
+  so a coalesced dispatch is bit-for-bit identical to per-request calls
+  (the service tests assert this).
 
-The service is asyncio-native.  Backend launches are CPU-bound, so the
-dispatcher runs them on a single worker thread via
-``loop.run_in_executor`` — one launch at a time, the exclusive,
-non-preemptive device contract of the paper's §4 — which
-keeps the event loop free to accept, reject, and time out requests while
-a batch is in flight.
+Each request becomes a :class:`~repro.pixelbox.kernel.PairBatch` once, at
+admission; with the cache on, admission also looks its key up (without
+counting a miss) and answers a hit without a queue slot.  Launches are
+CPU-bound, so the dispatcher runs them off the event loop, which stays
+free to accept, reject, and time out requests while a batch is in
+flight.
 """
 
 from __future__ import annotations
@@ -37,15 +33,11 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Mapping
 
-import numpy as np
-
-from repro.backends import get_backend
+from repro.api.options import CompareOptions
 from repro.backends.base import Backend, Pairs
-from repro.cache import LRUCacheStore, areas_nbytes, copy_areas, pairs_key
+from repro.cache import copy_areas, pairs_key
 from repro.errors import (
     ReproError,
     ServiceClosedError,
@@ -55,8 +47,9 @@ from repro.errors import (
 from repro.metrics.service import ServiceMetrics, ServiceSnapshot
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_context, current_tracer
-from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.kernel import BatchAreas
+from repro.pixelbox.common import LaunchConfig
+from repro.pixelbox.kernel import BatchAreas, PairBatch
+from repro.session import Session
 
 __all__ = ["ServiceConfig", "ComparisonService"]
 
@@ -69,14 +62,15 @@ _UNSET = object()
 
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
-    """Tuning knobs of the comparison service.
+    """The service's :class:`CompareOptions` plus its serving knobs.
 
     Attributes
     ----------
-    backend:
-        Registry name of the warm executor (``repro backends``).
-    backend_options:
-        Factory keyword arguments (e.g. ``{"workers": 4}``).
+    options:
+        What every request runs under — backend, launch parameters,
+        result cache — the same spec ``repro compare`` and
+        :class:`~repro.session.Session` take.  A request's ``config``
+        overrides only the launch parameters.
     max_queue:
         Admission-control bound: requests beyond this many waiting are
         rejected with :class:`~repro.errors.ServiceOverloadedError`.
@@ -93,59 +87,19 @@ class ServiceConfig:
     default_timeout:
         Per-request timeout in seconds applied when ``submit`` is not
         given one; ``None`` means wait indefinitely.
-    cache:
-        Enable the service's content-addressed request cache: results
-        are keyed by pair geometry + launch parameters, repeat requests
-        are answered without a backend dispatch, and identical
-        concurrent requests within one coalesced batch are computed
-        once.  Off by default.
-    cache_bytes:
-        Byte budget of the request cache (LRU eviction past it).
     """
 
-    backend: str = "batch"
-    backend_options: Mapping[str, Any] = field(default_factory=dict)
+    options: CompareOptions = field(default_factory=CompareOptions)
     max_queue: int = 256
     max_batch_pairs: int = 4096
     coalesce_window: float = 0.002
     default_timeout: float | None = None
-    cache: bool = False
-    cache_bytes: int = 64 * 2**20
-    #: The CompareOptions this config was derived from (when built with
-    #: :meth:`from_options`); the wire front-end overlays per-request
-    #: launch parameters onto it so every service request parses into
-    #: the same CompareRequest spec the CLI and library build.
-    base_options: Any = None
-
-    @classmethod
-    def from_options(cls, options, **serving_knobs) -> "ServiceConfig":
-        """Build a service config from one :class:`repro.CompareOptions`.
-
-        The execution substrate (backend name, factory options, cluster
-        hosts) comes from the shared request spec; ``serving_knobs`` are
-        the service-only fields (``max_queue``, ``coalesce_window``,
-        ``max_batch_pairs``, ``default_timeout``).
-        """
-        return cls(
-            backend=options.backend,
-            backend_options=options.resolved_backend_options(),
-            cache=options.cache,
-            cache_bytes=options.cache_bytes,
-            base_options=options,
-            **serving_knobs,
-        )
-
-    def compare_options(self):
-        """The :class:`repro.CompareOptions` requests overlay onto."""
-        if self.base_options is not None:
-            return self.base_options
-        from repro.api.options import CompareOptions
-
-        return CompareOptions(
-            backend=self.backend, backend_options=dict(self.backend_options)
-        )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.options, CompareOptions):
+            raise ServiceError(
+                f"options must be a CompareOptions, got {self.options!r}"
+            )
         if self.max_queue < 1:
             raise ServiceError(f"max_queue must be >= 1, got {self.max_queue}")
         cap = self.max_batch_pairs
@@ -155,18 +109,14 @@ class ServiceConfig:
             raise ServiceError("coalesce_window cannot be negative")
         if self.default_timeout is not None and self.default_timeout <= 0:
             raise ServiceError("default_timeout must be positive")
-        if self.cache_bytes < 1:
-            raise ServiceError(
-                f"cache_bytes must be >= 1, got {self.cache_bytes}"
-            )
 
 
 @dataclass(slots=True)
 class _Request:
     """One queued ``compare_pairs`` request."""
 
-    pairs: Pairs
-    config: LaunchConfig | None
+    batch: PairBatch
+    config: LaunchConfig
     future: asyncio.Future
     enqueued: float
     #: Content-addressed request-cache key (``None`` with caching off).
@@ -178,37 +128,23 @@ class _Request:
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
-
-
-def _slice_result(areas: BatchAreas, lo: int, hi: int) -> BatchAreas:
-    """One request's slice of a merged dispatch.
-
-    Kernel work counters cannot be attributed to a single rider of a
-    merged batch, so each slice carries only its own pair count; the
-    dispatch-level totals go to the service metrics instead.
-    """
-    return BatchAreas(
-        np.ascontiguousarray(areas.intersection[lo:hi]),
-        np.ascontiguousarray(areas.union[lo:hi]),
-        np.ascontiguousarray(areas.area_p[lo:hi]),
-        np.ascontiguousarray(areas.area_q[lo:hi]),
-        KernelStats(pairs=hi - lo),
-    )
+        return len(self.batch)
 
 
 class ComparisonService:
-    """Async front-end serving ``compare_pairs`` from one warm backend.
+    """Async front-end serving ``compare_pairs`` through one warm session.
 
     Usage::
 
-        async with ComparisonService(ServiceConfig(backend="multiprocess")) as svc:
+        options = CompareOptions(backend="multiprocess")
+        async with ComparisonService(ServiceConfig(options)) as svc:
             areas = await svc.submit(pairs)
 
     ``submit`` calls may come from many tasks concurrently; the service
     coalesces them.  A custom ``backend`` instance can be injected for
     testing (it must satisfy the :class:`repro.backends.Backend`
-    protocol); the service still owns its lifecycle and closes it.
+    protocol); it becomes the session's backend, and the service still
+    closes it.
     """
 
     def __init__(
@@ -219,58 +155,39 @@ class ComparisonService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.metrics = metrics or ServiceMetrics()
-        self._injected_backend = backend
-        self._backend: Backend | None = None
+        self._session = Session(self.config.options)
+        self._session._backend = backend
+        self._session._cache_tier = "service.request"
+        self._store = self._session._store_for(self.config.options)
+        if self._store is not None:
+            self.metrics.attach_cache(self._store.name, self._store)
         self._queue: asyncio.Queue | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._executor: ThreadPoolExecutor | None = None
         self._closed = False
-        self._request_cache: LRUCacheStore | None = None
-        if self.config.cache:
-            self._request_cache = LRUCacheStore(
-                self.config.cache_bytes, name="service.request"
-            )
-            self.metrics.attach_cache("service.request", self._request_cache)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "ComparisonService":
-        """Resolve and warm the backend, start the dispatcher."""
+        """Warm the session's backend, start the dispatcher."""
         if self._dispatcher is not None:
             return self
         if self._closed:
             raise ServiceClosedError("service already closed")
         loop = asyncio.get_running_loop()
-        if self._injected_backend is not None:
-            self._backend = self._injected_backend
-        else:
-            options = dict(self.config.backend_options)
-            try:
-                self._backend = get_backend(self.config.backend, **options)
-            except ReproError as exc:
-                # e.g. `repro serve --backend batch --workers 4` (the
-                # batch factory takes no options) or `--workers 0`.
-                raise ServiceError(
-                    f"backend {self.config.backend!r} rejected options "
-                    f"{sorted(options)}: {exc}"
-                ) from None
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-service"
-        )
-        # Pre-spawn pooled state off-loop — worker processes and their
-        # connections (with the HELLO handshake) — so the first request
-        # does not pay the cost the warm pool exists to avoid.  A backend
-        # with no reachable workers must fail here, at startup, not on
-        # the first request.
+        # Resolve the backend and pre-spawn its pooled state off-loop —
+        # worker processes and their connections (with the HELLO
+        # handshake) — so the first request does not pay for it.  Options
+        # the backend rejects (`repro serve --backend batch --workers 4`)
+        # or no reachable workers must fail here, at startup.
         try:
-            await loop.run_in_executor(self._executor, self._backend.warm)
+            await loop.run_in_executor(None, self._session.warm)
         except ReproError as exc:
             await self.close(drain=False)
             raise ServiceError(
-                f"backend {self.config.backend!r} failed to warm: {exc}"
+                f"backend {self.config.options.backend!r} failed to warm: {exc}"
             ) from exc
-        worker_stats = getattr(self._backend, "worker_stats", None)
+        worker_stats = getattr(self._session.backend, "worker_stats", None)
         if callable(worker_stats):
             # Cluster backends: per-worker shard/table counters, read at
             # snapshot time so the stats op and the metrics export see
@@ -290,9 +207,9 @@ class ComparisonService:
         """Stop accepting requests, then shut down.
 
         ``drain=True`` (the default) answers every already-accepted
-        request before the backend is released; ``drain=False`` cancels
-        pending requests immediately (their submitters see
-        ``CancelledError``).
+        request before the session and its backend are released;
+        ``drain=False`` cancels pending requests immediately (their
+        submitters see ``CancelledError``).
         """
         if self._closed and self._dispatcher is None:
             return
@@ -314,12 +231,7 @@ class ComparisonService:
                     if stale is not _STOP and not stale.future.done():
                         stale.future.cancel()
             self._dispatcher = None
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self._session.close()
 
     # ------------------------------------------------------------------
     # Request path
@@ -331,6 +243,9 @@ class ComparisonService:
         timeout: float | None | object = _UNSET,
     ) -> BatchAreas:
         """Enqueue one comparison request and await its result.
+
+        ``config`` defaults to the launch parameters of the service's
+        options, as a wire request without a ``config`` object does.
 
         Raises
         ------
@@ -346,19 +261,27 @@ class ComparisonService:
             raise ServiceClosedError("service is not accepting requests")
         if timeout is _UNSET:
             timeout = self.config.default_timeout
+        if config is None:
+            config = self.config.options.launch_config()
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
-        pairs = list(pairs)
+        try:
+            batch = PairBatch.from_pairs(pairs)
+        except Exception:
+            # Pairs that are not polygon pairs fail this request alone.
+            self.metrics.note_failure()
+            raise
         tracer = current_tracer()
         ctx = current_context()
         trace = (tracer, ctx[1]) if tracer is not None else None
         key: str | None = None
-        if self._request_cache is not None:
-            key = pairs_key(pairs, config or LaunchConfig())
-            cached = self._request_cache.get(key)
+        if self._store is not None:
+            key = pairs_key(batch, config)
+            # Read-only: a miss is counted once, by the session's launch.
+            cached = self._store.get(key) if self._store.contains(key) else None
             EVENTS.record(
                 "cache.lookup",
-                tier="service.request",
+                tier=self._store.name,
                 hit=cached is not None,
                 **({"trace_id": tracer.trace_id} if tracer is not None else {}),
             )
@@ -372,7 +295,7 @@ class ComparisonService:
                 return copy_areas(cached)
             self.metrics.note_request_cache(False)
         request = _Request(
-            pairs=pairs,
+            batch=batch,
             config=config,
             future=loop.create_future(),
             enqueued=started,
@@ -384,14 +307,14 @@ class ComparisonService:
         except asyncio.QueueFull:
             self.metrics.note_rejected()
             EVENTS.record(
-                "service.reject", pairs=len(pairs), depth=self._queue.qsize()
+                "service.reject", pairs=len(batch), depth=self._queue.qsize()
             )
             raise ServiceOverloadedError(
                 f"request queue at capacity ({self.config.max_queue})"
             ) from None
         self.metrics.note_enqueued(self._queue.qsize())
         EVENTS.record(
-            "service.admit", pairs=len(pairs), depth=self._queue.qsize()
+            "service.admit", pairs=len(batch), depth=self._queue.qsize()
         )
         try:
             if timeout is None:
@@ -413,79 +336,48 @@ class ComparisonService:
     @property
     def backend(self) -> Backend | None:
         """The warm backend instance (``None`` before start/after close)."""
-        return self._backend
+        return self._session._backend if self._dispatcher is not None else None
 
     def clear_caches(self) -> None:
         """Drop every cached result."""
-        if self._request_cache is not None:
-            self._request_cache.clear()
+        self._session.clear_caches()
 
     # ------------------------------------------------------------------
     # Dispatcher
     # ------------------------------------------------------------------
-    def _serve_cached(self, live: list[_Request]) -> list[_Request]:
-        """Answer queued requests the cache can already satisfy."""
-        still: list[_Request] = []
-        now = time.perf_counter()
-        for r in live:
-            # contains() first so a request that missed at admission does
-            # not count a second store-level miss here.
-            if r.key is not None and self._request_cache.contains(r.key):
-                cached = self._request_cache.get(r.key)
-                if cached is not None:
-                    if not r.future.done():
-                        r.future.set_result(copy_areas(cached))
-                        self.metrics.note_request_cache(True)
-                        self.metrics.note_completed(now - r.enqueued)
-                    continue
-            still.append(r)
-        return still
-
-    @staticmethod
-    def _dedupe(
-        live: list[_Request],
-    ) -> tuple[list[_Request], dict[int, list[_Request]]]:
-        """Collapse identical keyed requests within one dispatch.
-
-        Returns ``(leaders, riders)``: the requests whose pairs actually
-        enter the merged launch, and for each leader (by identity) the
-        requests that will be answered with copies of its slice.
-        """
-        leaders: list[_Request] = []
-        riders: dict[int, list[_Request]] = {}
-        by_key: dict[str, _Request] = {}
-        for r in live:
-            leader = by_key.get(r.key) if r.key is not None else None
-            if leader is not None:
-                riders.setdefault(id(leader), []).append(r)
-                continue
-            if r.key is not None:
-                by_key[r.key] = r
-            leaders.append(r)
-        return leaders, riders
-
-    def _execute_batch(
-        self,
-        merged: Pairs,
-        config: LaunchConfig | None,
-        trace: tuple[Tracer, str | None] | None,
-        requests: int,
-    ) -> BatchAreas:
-        """One backend launch (executor thread), traced when requested.
+    def _launch(self, live: list[_Request]) -> list[tuple[BatchAreas, bool]]:
+        """One dispatch through the session's launch path (off-loop).
 
         The dispatcher task was created long before any request, so the
         submitter's trace context arrives here explicitly on the batch
-        leader; re-activating it makes the backend's spans (cluster
-        dispatch, remote worker kernels) children of the request tree.
+        head; re-activating it around the backend call makes the
+        backend's spans (cluster dispatch, remote worker kernels)
+        children of the request tree.
         """
-        if trace is None:
-            return self._backend.compare_pairs(merged, config)
-        tracer, parent = trace
-        with activate(tracer, parent):
-            with tracer.span(
-                "service.dispatch", requests=requests, pairs=len(merged)
-            ):
-                return self._backend.compare_pairs(merged, config)
+        head = live[0]
+
+        def around(run, requests: int, pairs: int) -> BatchAreas:
+            EVENTS.record("service.coalesce", requests=requests, pairs=pairs)
+            if head.trace is None:
+                areas = run()
+            else:
+                tracer, parent = head.trace
+                with activate(tracer, parent), tracer.span(
+                    "service.dispatch", requests=requests, pairs=pairs
+                ):
+                    areas = run()
+            self.metrics.note_batch(requests=requests, pairs=pairs)
+            self.metrics.note_kernel(areas.stats.as_dict())
+            return areas
+
+        session = self._session
+        with session._launcher(session.options) as launch:
+            return launch(
+                [r.batch for r in live],
+                head.config,
+                [r.key for r in live],
+                around,
+            )
 
     async def _coalesce(
         self, head: _Request, batch: list[_Request]
@@ -569,32 +461,12 @@ class ComparisonService:
                 live = [r for r in batch if not r.future.done()]
                 held = list(live)
                 self.metrics.note_queue_depth(self._queue.qsize())
-                if self._request_cache is not None:
-                    # Requests that missed at admission may have been
-                    # filled while they waited in the queue; serve them
-                    # now rather than recomputing.
-                    live = self._serve_cached(live)
-                    held = list(live)
                 if not live:
                     held = []
                     continue
-                # Within one dispatch, identical keyed requests collapse
-                # to a single leader; riders are answered with copies of
-                # the leader's slice after the launch.
-                leaders, riders = self._dedupe(live)
-                merged = [pair for r in leaders for pair in r.pairs]
-                EVENTS.record(
-                    "service.coalesce",
-                    requests=len(live),
-                    leaders=len(leaders),
-                    pairs=len(merged),
-                )
-                call = functools.partial(
-                    self._execute_batch, merged, leaders[0].config,
-                    leaders[0].trace, len(live),
-                )
+                call = functools.partial(self._launch, live)
                 try:
-                    areas = await loop.run_in_executor(self._executor, call)
+                    answers = await loop.run_in_executor(None, call)
                 except asyncio.CancelledError:
                     raise
                 except Exception as exc:  # noqa: BLE001 - goes to callers
@@ -604,26 +476,13 @@ class ComparisonService:
                             r.future.set_exception(exc)
                     held = []
                     continue
-                self.metrics.note_batch(requests=len(live), pairs=len(merged))
-                self.metrics.note_kernel(areas.stats.as_dict())
-                offset = 0
                 now = time.perf_counter()
-                for r in leaders:
-                    lo, offset = offset, offset + r.size
-                    part = _slice_result(areas, lo, offset)
-                    if self._request_cache is not None and r.key is not None:
-                        entry = copy_areas(part)
-                        self._request_cache.put(
-                            r.key, entry, areas_nbytes(entry)
-                        )
+                for r, (areas, hit) in zip(live, answers):
                     if not r.future.done():  # cancelled while batch ran
-                        r.future.set_result(part)
-                        self.metrics.note_completed(now - r.enqueued)
-                    for rider in riders.get(id(r), ()):
-                        if not rider.future.done():
-                            rider.future.set_result(copy_areas(part))
+                        r.future.set_result(areas)
+                        if hit:  # filled while queued, or a twin's copy
                             self.metrics.note_request_cache(True)
-                            self.metrics.note_completed(now - rider.enqueued)
+                        self.metrics.note_completed(now - r.enqueued)
                 held = []
         except asyncio.CancelledError:
             for r in held + ([carry] if carry is not None else []):

@@ -54,7 +54,7 @@ async def _answer(
     # Each compare line parses into the same declarative CompareRequest
     # the CLI and the library build; the service's own CompareOptions
     # are the base the per-request config overlays.
-    request = request_from_wire(message, service.config.compare_options())
+    request = request_from_wire(message, service.config.options)
     kwargs: dict[str, Any] = {}
     if "timeout" in message:
         kwargs["timeout"] = message["timeout"]

@@ -7,9 +7,13 @@ spatial result sets on whatever mix of CPU/GPU resources is available.
 * it owns the **backend lifecycle** — the executor named by its
   :class:`~repro.api.options.CompareOptions` is resolved lazily on first
   use, kept warm across calls (a pooled executor keeps its pool until
-  closed, exactly like the comparison service's warm pool),
-  pre-spawnable with :meth:`warm`, and released by :meth:`close` / the
-  context manager;
+  closed), pre-spawnable with :meth:`warm`, and released by
+  :meth:`close` / the context manager;
+* it owns the **one launch path** of both front doors — the result
+  cache, the collapse of identical pair lists, and one launch at a time
+  under the dispatch lock.  :class:`repro.ComparisonService` is a queue
+  in front of a session: it owns one, and its coalesced dispatches run
+  through the same path;
 * every comparison — explicit pairs (:meth:`compare`), two polygon sets
   (:meth:`compare_sets`), two result-set directories
   (:meth:`compare_files`), an incremental :meth:`stream`, an async
@@ -39,29 +43,47 @@ import asyncio
 import dataclasses
 import functools
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 from typing import AsyncIterator, Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro.api.options import CompareOptions
 from repro.api.plan import ResolvedPlan, explain as _explain
 from repro.api.request import CompareRequest, Pair
 from repro.api.result import CompareResult, PairOutcome
-from repro.cache import (
-    LRUCacheStore,
-    SingleFlight,
-    areas_nbytes,
-    copy_areas,
-    pairs_key,
-)
+from repro.cache import LRUCacheStore, areas_nbytes, copy_areas, pairs_key
 from repro.errors import RequestError, SessionClosedError
 from repro.metrics.jaccard import PairwiseJaccard, jaccard_tile
 from repro.obs.clock import StageClock
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_tracer, span
+from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import BatchAreas, PairBatch
 
 __all__ = ["Session"]
+
+#: ``launch(batches, config, keys=None, around=None)`` of one dispatch:
+#: ``(areas, hit)`` per batch, in order (see :meth:`Session._launcher`).
+Launch = Callable[..., list[tuple[BatchAreas, bool]]]
+
+
+def _slice_result(areas: BatchAreas, lo: int, hi: int) -> BatchAreas:
+    """One batch's slice of a merged launch.
+
+    Kernel work counters cannot be attributed to one batch of a merged
+    launch, so a slice carries only its own pair count; the launch-level
+    totals reach whoever wrapped the launch (the service's metrics).
+    """
+    return BatchAreas(
+        np.ascontiguousarray(areas.intersection[lo:hi]),
+        np.ascontiguousarray(areas.union[lo:hi]),
+        np.ascontiguousarray(areas.area_p[lo:hi]),
+        np.ascontiguousarray(areas.area_q[lo:hi]),
+        KernelStats(pairs=hi - lo),
+    )
+
 
 class Session:
     """One warm execution context for many comparisons.
@@ -85,15 +107,14 @@ class Session:
         self.options = base.replace(**overrides) if overrides else base
         self._backend = None
         self._closed = False
-        # The front-door result cache (created lazily by the first request
-        # whose options enable caching) plus the stampede guard that
-        # keeps N concurrent identical launches at one computation.
+        # The front-door result cache, created lazily by the first request
+        # whose options enable caching, and the tier it reports as (a
+        # service names its session's store "service.request").
         self._request_cache: LRUCacheStore | None = None
-        self._flight = SingleFlight()
+        self._cache_tier = "session.request"
         self._lock = threading.Lock()
-        # One launch at a time on the warm backend (the paper's
-        # exclusive-device contract, §4); concurrent submit()/compare()
-        # calls from many threads serialize here.
+        # One launch at a time (the paper's exclusive-device contract,
+        # §4): every backend launch, from any thread, serializes here.
         self._dispatch_lock = threading.Lock()
         # The tracer of the most recent traced request (None until a
         # request runs with CompareOptions(trace=True)).
@@ -231,68 +252,112 @@ class Session:
         with self._lock:
             if self._request_cache is None:
                 self._request_cache = LRUCacheStore(
-                    options.cache_bytes, name="session.request"
+                    options.cache_bytes, name=self._cache_tier
                 )
             return self._request_cache
 
     @contextmanager
-    def _launcher(
-        self, options: CompareOptions
-    ) -> Iterator[Callable[[list[Pair] | PairBatch], BatchAreas]]:
-        """The ``pairs -> BatchAreas`` launch of one request, cache in front
-        (a pair list converts to a :class:`PairBatch` once, here).
+    def _launcher(self, options: CompareOptions) -> Iterator[Launch]:
+        """The one launch path of both front doors.
 
-        Every request kind launches through this closure, so all three
-        are cached the same way: one entry per pair list (per tile for
-        ``sets`` and ``files``), keyed by :func:`repro.cache.pairs_key` —
-        the same key whichever backend computes it, since every backend
-        returns the same areas and counters.  The executor is resolved by
-        the first miss — the warm backend,
-        one launch at a time under the dispatch lock, or a throwaway one
-        closed on exit — so a request answered from the cache constructs
-        and locks no backend.
+        Yields ``launch(batches, config, keys=None, around=None)``, which
+        answers each :class:`PairBatch` of one dispatch — one for a
+        ``pairs`` request or a tile, N for a coalesced service dispatch —
+        with ``(areas, hit)``, in order; ``hit`` means no pairs were
+        computed for that batch itself.  With caching on, each batch is
+        looked up by :func:`repro.cache.pairs_key` (``keys`` when the
+        caller already has them) and identical keys collapse to one.  The
+        misses then take the dispatch lock — every launch takes it — and
+        are looked up again under it, since a concurrent caller may have
+        filled them meanwhile.  What is still missing runs as one backend
+        launch; its slices are stored, and copies answer the twins.  With
+        caching off no key is computed and the batches run as one launch.
+
+        ``around(run, requests, pairs)`` wraps the backend call (the
+        service's dispatch span and metrics).  The executor is resolved by
+        the first launch — the warm backend, or a throwaway one closed on
+        exit — so a request answered from the cache constructs none.
         """
-        config = options.launch_config()
         store = self._store_for(options)
         resolved = None  # (backend, throwaway) once a launch needed one
 
-        def execute(pairs: PairBatch) -> BatchAreas:
-            nonlocal resolved
-            if resolved is None:
-                resolved = self._backend_for(options)
-            backend, throwaway = resolved
-            lock = nullcontext() if throwaway else self._dispatch_lock
-            with span(
-                "backend.compare_pairs",
-                backend=options.backend,
-                pairs=len(pairs),
-            ), lock:
-                return backend.compare_pairs(pairs, config)
-
-        def launch(pairs: list[Pair] | PairBatch) -> BatchAreas:
-            pairs = PairBatch.from_pairs(pairs)
-            if store is None:
-                return execute(pairs)
-            key = pairs_key(pairs, config)
+        def lookup(key: str) -> BatchAreas | None:
             cached = store.get(key)
             tracer = current_tracer()
             if tracer is not None:
                 EVENTS.record(
                     "cache.lookup",
-                    tier="session.request",
+                    tier=store.name,
                     hit=cached is not None,
                     trace_id=tracer.trace_id,
                 )
-            if cached is not None:
-                return copy_areas(cached)
-            value, leader = self._flight.do(key, lambda: execute(pairs))
-            if leader:
-                entry = copy_areas(value)
-                store.put(key, entry, areas_nbytes(entry))
-                return value
-            # Followers share the leader's flight but must not share its
-            # arrays: a caller may mutate what it gets back.
-            return copy_areas(value)
+            return cached
+
+        def launch(
+            batches: list[PairBatch],
+            config: LaunchConfig,
+            keys: list[str] | None = None,
+            around: Callable | None = None,
+        ) -> list[tuple[BatchAreas, bool]]:
+            nonlocal resolved
+            answers: list = [None] * len(batches)
+            # Batch indices by key, first index first (the one computed).
+            misses: dict = {}
+            if store is None:
+                misses = {i: [i] for i in range(len(batches))}
+            else:
+                keys = keys or [pairs_key(b, config) for b in batches]
+                for i, key in enumerate(keys):
+                    cached = lookup(key)
+                    if cached is None:
+                        misses.setdefault(key, []).append(i)
+                    else:
+                        answers[i] = (copy_areas(cached), True)
+            if not misses:
+                return answers
+            with self._dispatch_lock:
+                for key in list(misses) if store is not None else ():
+                    # contains() first: this key's miss is counted already.
+                    cached = store.get(key) if store.contains(key) else None
+                    if cached is not None:
+                        for i in misses.pop(key):
+                            answers[i] = (copy_areas(cached), True)
+                if not misses:
+                    return answers
+                if resolved is None:
+                    resolved = self._backend_for(options)
+                backend = resolved[0]
+                merged = PairBatch.concat(
+                    [batches[group[0]] for group in misses.values()]
+                )
+
+                def run() -> BatchAreas:
+                    with span(
+                        "backend.compare_pairs",
+                        backend=options.backend,
+                        pairs=len(merged),
+                    ):
+                        return backend.compare_pairs(merged, config)
+
+                if around is None:
+                    areas = run()
+                else:
+                    requests = sum(map(len, misses.values()))
+                    areas = around(run, requests, len(merged))
+                hi = 0
+                for key, (first, *twins) in misses.items():
+                    lo, hi = hi, hi + len(batches[first])
+                    part = (
+                        areas if len(misses) == 1 else _slice_result(areas, lo, hi)
+                    )
+                    if store is not None:
+                        entry = copy_areas(part)
+                        store.put(key, entry, areas_nbytes(entry))
+                    answers[first] = (part, False)
+                    for i in twins:
+                        # A caller may mutate what it gets back.
+                        answers[i] = (copy_areas(part), True)
+            return answers
 
         try:
             yield launch
@@ -300,13 +365,24 @@ class Session:
             if resolved is not None and resolved[1]:
                 resolved[0].close()
 
+    @contextmanager
+    def _pairs_launcher(
+        self, options: CompareOptions
+    ) -> Iterator[Callable[[list[Pair] | PairBatch], BatchAreas]]:
+        """``pairs -> BatchAreas`` over :meth:`_launcher`, for this
+        session's own requests (a pair list converts to a
+        :class:`PairBatch` once, here)."""
+        config = options.launch_config()
+        with self._launcher(options) as launch:
+            yield lambda pairs: launch([PairBatch.from_pairs(pairs)], config)[0][0]
+
     def _run_pairs(self, request: CompareRequest) -> BatchAreas:
-        with self._launcher(request.options) as launch:
+        with self._pairs_launcher(request.options) as launch:
             return launch(list(request.pairs))
 
     def _run_sets(self, request: CompareRequest) -> CompareResult:
         clock = StageClock("pipeline.")
-        with self._launcher(request.options) as launch, clock.run():
+        with self._pairs_launcher(request.options) as launch, clock.run():
             pw = jaccard_tile(request.set_a, request.set_b, launch, clock)
         return CompareResult.from_pairwise(pw, wall_seconds=clock.wall_total)
 
@@ -323,7 +399,7 @@ class Session:
         clock = StageClock("pipeline.")
         total = PairwiseJaccard()
         input_bytes = 0
-        with self._launcher(request.options) as launch, span(
+        with self._pairs_launcher(request.options) as launch, span(
             "pipeline.run", backend=request.options.backend
         ), clock.run():
             for tile in tiles:
@@ -513,7 +589,7 @@ class Session:
             store = self._request_cache
         if store is None:
             return {}
-        return {"session.request": store.snapshot().as_dict()}
+        return {store.name: store.snapshot().as_dict()}
 
     def clear_caches(self) -> None:
         """Drop every cached result."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import shutil
+import sys
 import threading
 import time
 
@@ -28,12 +29,11 @@ from repro.backends import available_backends
 from repro.cache import (
     CacheSnapshot,
     LRUCacheStore,
-    SingleFlight,
     config_token,
     copy_areas,
     pairs_key,
 )
-from repro.errors import CacheError
+from repro.errors import CacheError, RequestError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.pixelbox.common import LaunchConfig, Method
@@ -129,66 +129,6 @@ class TestLRUCacheStore:
         d = snap.as_dict()
         assert d["name"] == "tier"
         assert d["hit_rate"] == pytest.approx(0.5)
-
-
-# ----------------------------------------------------------------------
-# SingleFlight
-# ----------------------------------------------------------------------
-class TestSingleFlight:
-    def test_stampede_computes_once(self):
-        flight = SingleFlight()
-        calls = []
-        gate = threading.Event()
-
-        def compute():
-            calls.append(1)
-            gate.wait(2.0)
-            return "answer"
-
-        results = []
-
-        def worker():
-            results.append(flight.do("k", compute))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        time.sleep(0.05)  # let every thread join the flight
-        gate.set()
-        for t in threads:
-            t.join(5.0)
-        assert len(calls) == 1
-        assert len(results) == 8
-        assert all(value == "answer" for value, _ in results)
-        assert sum(1 for _, leader in results if leader) == 1
-
-    def test_leader_exception_propagates_to_followers(self):
-        flight = SingleFlight()
-        gate = threading.Event()
-
-        def compute():
-            gate.wait(2.0)
-            raise ValueError("boom")
-
-        errors = []
-
-        def worker():
-            try:
-                flight.do("k", compute)
-            except ValueError as exc:
-                errors.append(str(exc))
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        time.sleep(0.05)
-        gate.set()
-        for t in threads:
-            t.join(5.0)
-        assert errors == ["boom"] * 4
-        # The failed flight is retired: the next call computes fresh.
-        value, leader = flight.do("k", lambda: "recovered")
-        assert (value, leader) == ("recovered", True)
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +358,85 @@ def test_session_stampede_computes_once(pairs):
             _assert_identical(results[0], r)
 
 
+def test_session_concurrent_launches_compute_each_key_once(rng):
+    """More threads than cores over three pair lists, switching often:
+    the dispatch lock and the lookup under it compute each list once,
+    and every caller gets the cold answer, counters included."""
+    lists = [[random_pair(rng) for _ in range(5)] for _ in range(3)]
+    with Session(CompareOptions(backend="batch")) as plain:
+        want = [plain.compare(p) for p in lists]
+    with Session(CompareOptions(backend="batch", cache=True)) as session:
+        launched = []
+        compare_pairs = session.backend.compare_pairs
+
+        def counting_compare_pairs(pairs, config=None):
+            launched.append(len(pairs))
+            time.sleep(0.02)  # long enough for the other threads to miss
+            return compare_pairs(pairs, config)
+
+        session.backend.compare_pairs = counting_compare_pairs
+        results = {}
+
+        def worker(t):
+            results[t] = session.compare(lists[t % 3])
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(12)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(20.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+    assert launched == [5, 5, 5]
+    assert sorted(results) == list(range(12))
+    for t, got in results.items():
+        _assert_identical(got, want[t % 3])
+
+
+def test_session_backend_failure_fails_every_caller_then_recovers(pairs):
+    """A launch that raises fails every concurrent caller of the same
+    pairs, stores nothing, and the session answers the next call."""
+    with Session(CompareOptions(backend="batch", cache=True)) as session:
+        gate = threading.Event()
+        broken = [True]
+        compare_pairs = session.backend.compare_pairs
+
+        def failing_compare_pairs(pairs, config=None):
+            gate.wait(2.0)
+            if broken[0]:
+                raise ValueError("boom")
+            return compare_pairs(pairs, config)
+
+        session.backend.compare_pairs = failing_compare_pairs
+        errors = []
+
+        def worker():
+            try:
+                session.compare(pairs)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        time.sleep(0.05)
+        gate.set()
+        for t in threads:
+            t.join(10.0)
+        assert errors == ["boom"] * 4
+        assert session.cache_stats()["session.request"]["entries"] == 0
+        broken[0] = False
+        recovered = session.compare(pairs)
+    with Session(CompareOptions(backend="batch")) as fresh:
+        _assert_identical(recovered, fresh.compare(pairs))
+
+
 def test_session_eviction_under_memory_bound(rng):
     """A budget smaller than two entries keeps exactly one resident."""
     batches = [[random_pair(rng) for _ in range(4)] for _ in range(3)]
@@ -566,7 +585,7 @@ def test_service_request_cache_hit_and_isolation(pairs):
     from repro.service import ComparisonService, ServiceConfig
 
     async def scenario():
-        config = ServiceConfig(backend="batch", cache=True)
+        config = ServiceConfig(CompareOptions(backend="batch", cache=True))
         async with ComparisonService(config) as service:
             cold = await service.submit(pairs)
             warm = await service.submit(pairs)
@@ -607,7 +626,7 @@ def test_service_stampede_dedupes_within_batch(pairs):
 
     async def scenario():
         config = ServiceConfig(
-            backend="batch", cache=True, coalesce_window=0.05
+            CompareOptions(backend="batch", cache=True), coalesce_window=0.05
         )
         async with ComparisonService(config, backend=backend) as service:
             results = await asyncio.gather(
@@ -626,23 +645,83 @@ def test_service_stampede_dedupes_within_batch(pairs):
 
 
 def test_service_config_carries_cache_knobs():
-    from repro.errors import ServiceError
-    from repro.service import ServiceConfig
+    from repro.service import ComparisonService, ServiceConfig
 
     options = CompareOptions(backend="batch", cache=True, cache_bytes=2**20)
-    config = ServiceConfig.from_options(options)
-    assert config.cache is True
-    assert config.cache_bytes == 2**20
-    assert ServiceConfig().cache is False
-    with pytest.raises(ServiceError):
-        ServiceConfig(cache_bytes=0)
+    config = ServiceConfig(options)
+    assert config.options is options
+    assert ServiceConfig().options == CompareOptions()
+    caches = ComparisonService(config).snapshot().caches
+    assert caches["service.request"]["max_bytes"] == 2**20
+    assert ComparisonService().snapshot().caches == {}
+    with pytest.raises(RequestError):
+        ServiceConfig(CompareOptions(cache_bytes=0))
+
+
+def test_library_and_wire_submits_share_launch_parameters(pairs):
+    """A library ``submit`` without a config runs the service options'
+    launch parameters, as the same pairs sent over the wire do: one
+    cache entry answers both, and the kernel counters are a Session's."""
+    from repro.api.request import request_from_wire
+    from repro.service import ComparisonService, ServiceConfig
+    from repro.service.protocol import pairs_to_wire
+
+    options = CompareOptions(block_size=32, cache=True)
+    message = {"op": "compare", "pairs": pairs_to_wire(pairs)}
+
+    async def scenario():
+        async with ComparisonService(ServiceConfig(options)) as service:
+            library = await service.submit(pairs)
+            request = request_from_wire(message, service.config.options)
+            wire = await service.submit(
+                list(request.pairs), request.launch_config()
+            )
+            return library, wire, service.snapshot()
+
+    library, wire, snap = _run(scenario())
+    assert (snap.request_cache_misses, snap.request_cache_hits) == (1, 1)
+    assert snap.batches == 1
+    with Session(options) as session:
+        want = session.compare(pairs)
+    assert dict(snap.kernel) == want.stats.as_dict()
+    for got in (library, wire):
+        assert np.array_equal(got.intersection, want.intersection)
+        assert np.array_equal(got.union, want.union)
+
+
+def test_service_converts_each_request_once(pairs, monkeypatch):
+    """A cache-enabled miss turns its pair list into a ``PairBatch``
+    once, at admission: the key, the merged launch and the kernel all
+    reuse it."""
+    from repro.pixelbox import kernel
+    from repro.service import ComparisonService, ServiceConfig
+
+    lists = []
+    from_pairs = kernel.PairBatch.from_pairs.__func__
+
+    def spy(cls, pairs):
+        if isinstance(pairs, list):
+            lists.append(len(pairs))
+        return from_pairs(cls, pairs)
+
+    monkeypatch.setattr(kernel.PairBatch, "from_pairs", classmethod(spy))
+
+    async def scenario():
+        config = ServiceConfig(CompareOptions(cache=True))
+        async with ComparisonService(config) as service:
+            await service.submit(pairs)
+            return service.snapshot()
+
+    snap = _run(scenario())
+    assert snap.request_cache_misses == 1
+    assert lists == [len(pairs)]
 
 
 def test_service_clear_caches(pairs):
     from repro.service import ComparisonService, ServiceConfig
 
     async def scenario():
-        config = ServiceConfig(backend="batch", cache=True)
+        config = ServiceConfig(CompareOptions(backend="batch", cache=True))
         async with ComparisonService(config) as service:
             await service.submit(pairs)
             service.clear_caches()

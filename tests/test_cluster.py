@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import CompareOptions
 from repro.backends import get_backend
 from repro.cluster import (
     ClusterBackend,
@@ -584,8 +585,10 @@ def test_service_serves_from_cluster_backend(workload):
 
     async def main():
         config = ServiceConfig(
-            backend="cluster",
-            backend_options={"min_pairs": 1, "workers": 2},
+            CompareOptions(
+                backend="cluster",
+                backend_options={"min_pairs": 1, "workers": 2},
+            )
         )
         async with ComparisonService(config) as service:
             assert service.backend.capabilities().persistent_pooling
@@ -608,9 +611,11 @@ def test_service_warm_failure_is_a_service_error():
 
     async def main():
         config = ServiceConfig(
-            backend="cluster",
-            # A port nothing listens on: startup must fail loudly.
-            backend_options={"hosts": "127.0.0.1:9", "connect_timeout": 0.2},
+            CompareOptions(
+                backend="cluster",
+                # A port nothing listens on: startup must fail loudly.
+                backend_options={"hosts": "127.0.0.1:9", "connect_timeout": 0.2},
+            )
         )
         with pytest.raises(ServiceError, match="failed to warm"):
             async with ComparisonService(config):

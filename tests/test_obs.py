@@ -407,11 +407,9 @@ def test_service_snapshot_feeds_prometheus_families():
     pairs = _pairs(8)
 
     async def main():
-        config = ServiceConfig(backend="batch")
+        config = ServiceConfig(CompareOptions(backend="batch"))
         async with ComparisonService(config) as service:
-            await service.submit(
-                pairs, config.compare_options().launch_config()
-            )
+            await service.submit(pairs, config.options.launch_config())
             return service.snapshot()
 
     snap = asyncio.run(main())
@@ -452,13 +450,13 @@ def test_stats_op_carries_worker_counters_and_metrics_op_renders():
     async def main():
         with LoopbackCluster(1) as cluster:
             config = ServiceConfig(
-                backend="cluster", backend_options={"min_pairs": 1,
-                                                    "hosts": cluster.hosts}
+                CompareOptions(
+                    backend="cluster",
+                    backend_options={"min_pairs": 1, "hosts": cluster.hosts},
+                )
             )
             async with ComparisonService(config) as service:
-                await service.submit(
-                    pairs, config.compare_options().launch_config()
-                )
+                await service.submit(pairs, config.options.launch_config())
                 return service.snapshot()
 
     snap = asyncio.run(main())

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import CompareOptions
 from repro.backends import get_backend
 from repro.backends.base import BackendLifecycle
 from repro.data.synth import generate_tile_pair
@@ -87,7 +88,7 @@ class TestConfigValidation:
 
         async def main():
             config = ServiceConfig(
-                backend="batch", backend_options={"workers": 4}
+                CompareOptions(backend="batch", backend_options={"workers": 4})
             )
             with pytest.raises(ServiceError, match="rejected options"):
                 await ComparisonService(config).start()
@@ -101,7 +102,9 @@ class TestCoalescedParity:
         chunks = _request_chunks()
 
         async def main():
-            config = ServiceConfig(backend="batch", coalesce_window=0.05)
+            config = ServiceConfig(
+                CompareOptions(backend="batch"), coalesce_window=0.05
+            )
             async with ComparisonService(config) as service:
                 results = await asyncio.gather(
                     *(service.submit(c) for c in chunks)
@@ -130,7 +133,9 @@ class TestCoalescedParity:
         cfg_b = LaunchConfig(block_size=16)
 
         async def main():
-            config = ServiceConfig(backend="batch", coalesce_window=0.05)
+            config = ServiceConfig(
+                CompareOptions(backend="batch"), coalesce_window=0.05
+            )
             async with ComparisonService(config) as service:
                 got_a, got_b = await asyncio.gather(
                     service.submit(chunks[0]),
@@ -278,8 +283,10 @@ class TestWarmMultiprocessService:
 
         async def main():
             config = ServiceConfig(
-                backend="multiprocess",
-                backend_options={"workers": 2, "min_pairs": 1},
+                CompareOptions(
+                    backend="multiprocess",
+                    backend_options={"workers": 2, "min_pairs": 1},
+                )
             )
             async with ComparisonService(config) as service:
                 warm_pids = service.backend.warm()  # already-warm pool

@@ -24,6 +24,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.api import CompareOptions
 from repro.backends import get_backend
 from repro.data.synth import generate_tile_pair
 from repro.errors import ServiceError
@@ -50,7 +51,9 @@ def server():
         try:
             asyncio.run(
                 serve(
-                    ServiceConfig(backend="batch", coalesce_window=0.02),
+                    ServiceConfig(
+                        CompareOptions(backend="batch"), coalesce_window=0.02
+                    ),
                     port=0,
                     announce=announced.put,
                 )
@@ -211,7 +214,8 @@ def cached_server():
             asyncio.run(
                 serve(
                     ServiceConfig(
-                        backend="batch", coalesce_window=0.02, cache=True
+                        CompareOptions(backend="batch", cache=True),
+                        coalesce_window=0.02,
                     ),
                     port=0,
                     announce=announced.put,
