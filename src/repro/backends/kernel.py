@@ -6,7 +6,7 @@ in the calling process under
 :data:`~repro.pixelbox.kernel.BATCH_POLICY`, the policy every executor
 runs: small pairs — the overwhelming majority in pathology workloads —
 pixelize directly over their start box.  :meth:`KernelBackend.warm`
-builds (or finds cached) the compiled leaf pixelizer, so a first compile
+builds (or finds cached) the compiled kernel chunk, so a first compile
 happens at warm-up and not inside a request.
 """
 
@@ -28,7 +28,7 @@ class KernelBackend(BackendLifecycle):
     description = "batched device kernel (the pipeline's production path)"
 
     def warm(self) -> list:
-        """Load the compiled leaf pixelizer now; starts no worker."""
+        """Load the compiled kernel chunk now; starts no worker."""
         native.load()
         return []
 

@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             backend.close()
         from repro.pixelbox import native
 
-        print(f"leaf pixelizer: {native.status()}")
+        print(f"kernel chunk: {native.status()}")
         return 0
 
     if args.command == "run":

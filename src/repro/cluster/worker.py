@@ -97,7 +97,7 @@ class ShardWorker:
     def _bind(self) -> None:
         if self._listener is not None:
             return
-        # Build the compiled leaf pixelizer before listening, so a first
+        # Build the compiled kernel chunk before listening, so a first
         # compile belongs to start-up and not to the first shard.
         native.load()
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

@@ -12,7 +12,6 @@ from repro.geometry.polyset import PolygonSet
 from repro.geometry.raster import (
     extract_polygons,
     fill_holes,
-    label_components,
     parity_fill,
     polygon_to_mask,
     trace_mask,
@@ -28,7 +27,6 @@ __all__ = [
     "trace_mask",
     "extract_polygons",
     "fill_holes",
-    "label_components",
     "polygon_from_wkt",
     "polygon_to_wkt",
 ]

@@ -45,15 +45,17 @@ def signed_areas(vertices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def ring_edges(vertices: np.ndarray, offsets: np.ndarray):
     """``(vertical, horizontal, v_offsets, h_offsets)`` of a vertex CSR:
-    ``(x, y_lo, y_hi)`` and ``(y, x_lo, x_hi)`` rows in ring order, ``lo <
-    hi`` whatever the traversal direction; offsets delimit each ring."""
-    nxt = vertices[_next_vertex(offsets)]
+    the columns ``(x, y_lo, y_hi)`` and ``(y, x_lo, x_hi)`` in ring order
+    and in the vertices' dtype, ``lo < hi`` whatever the traversal
+    direction; offsets delimit each ring."""
+    nxt = _next_vertex(offsets)
+    x, y = vertices[:, 0], vertices[:, 1]
     edges, spans = [], []
-    for axis in (0, 1):
-        along = vertices[:, axis] == nxt[:, axis]
-        a, b = vertices[along, 1 - axis], nxt[along, 1 - axis]
-        edges.append(np.column_stack([vertices[along, axis], np.minimum(a, b), np.maximum(a, b)]))
-        spans.append(np.concatenate([[0], np.cumsum(along)])[offsets])
+    for along, a, b in ((x, y, y[nxt]), (y, x, x[nxt])):
+        at = np.flatnonzero(along == along[nxt])
+        a, b = a[at], b[at]
+        edges.append((along[at], np.minimum(a, b), np.maximum(a, b)))
+        spans.append(np.searchsorted(at, offsets))
     return (*edges, *spans)
 
 
@@ -221,12 +223,12 @@ class RectilinearPolygon:
         vertical edges matter for the horizontal-ray parity test used
         throughout the library.
         """
-        return ring_edges(self._vertices, self._ring)[0]
+        return np.column_stack(ring_edges(self._vertices, self._ring)[0])
 
     @cached_property
     def horizontal_edges(self) -> np.ndarray:
         """``(k, 3)`` array of horizontal edges as ``(y, x_lo, x_hi)``."""
-        return ring_edges(self._vertices, self._ring)[1]
+        return np.column_stack(ring_edges(self._vertices, self._ring)[1])
 
     @property
     def orientation(self) -> int:

@@ -146,15 +146,14 @@ class PolygonSet(Sequence):
         hold every int64 coordinate: one outside raises, naming its
         polygon, rather than wrapping into a silently wrong area."""
         v = self.vertices
-        out = np.flatnonzero(np.any((v < _INT32.min) | (v > _INT32.max), axis=1))
-        if len(out):
+        if len(v) and (v.min() < _INT32.min or v.max() > _INT32.max):
+            out = np.flatnonzero(np.any((v < _INT32.min) | (v > _INT32.max), axis=1))
             ring = int(np.searchsorted(self.offsets, out[0], side="right")) - 1
             raise GeometryError(
                 f"polygon {ring}: vertex {tuple(v[out[0]].tolist())} is outside "
                 "the int32 coordinate range of the kernel's edge tables"
             )
-        vert, horz, offsets, h_offsets = ring_edges(v, self.offsets)
+        vert, horz, offsets, h_offsets = ring_edges(v.astype(np.int32), self.offsets)
         if not np.array_equal(offsets, h_offsets):
             raise RectilinearityError("rectilinear ring with unbalanced edge families")
-        columns = (*vert.T, *horz.T)
-        return EdgeTable(*(np.ascontiguousarray(c, dtype=np.int32) for c in columns), offsets)
+        return EdgeTable(*vert, *horz, offsets)

@@ -32,7 +32,6 @@ __all__ = [
     "trace_mask",
     "extract_polygons",
     "fill_holes",
-    "label_components",
 ]
 
 
@@ -272,33 +271,6 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
                     outside[ny, nx] = True
                     queue.append((ny, nx))
     return ~outside[1:-1, 1:-1]
-
-
-def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected component labelling.
-
-    Returns ``(labels, count)`` with labels in ``1..count`` and ``0`` for
-    background — a minimal stand-in for ``scipy.ndimage.label`` used by the
-    synthetic data generator and the test-suite.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    h, w = mask.shape
-    current = 0
-    for sy in range(h):
-        for sx in range(w):
-            if mask[sy, sx] and labels[sy, sx] == 0:
-                current += 1
-                queue: deque[tuple[int, int]] = deque([(sy, sx)])
-                labels[sy, sx] = current
-                while queue:
-                    y, x = queue.popleft()
-                    for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                        if 0 <= ny < h and 0 <= nx < w:
-                            if mask[ny, nx] and labels[ny, nx] == 0:
-                                labels[ny, nx] = current
-                                queue.append((ny, nx))
-    return labels, current
 
 
 def mask_bbox(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Box | None:

@@ -95,8 +95,9 @@ class LaunchConfig:
         XOR-scan fill — an O(pixels + edges) optimization this library
         adds beyond the paper — and is what every experiment and the
         production path run; under the production policy
-        (``pixelbox.kernel.BATCH_POLICY``) its leaves run in the compiled
-        ``leafscan.c`` when a C compiler built it, in NumPy otherwise.
+        (``pixelbox.kernel.BATCH_POLICY``) a whole chunk — sampling
+        boxes and leaves — runs in the compiled ``leafscan.c`` when a C
+        compiler built it, in NumPy otherwise.
         ``"crossing"`` evaluates the paper's per-pixel ray-cast
         (O(pixels x edges), the cost profile of the GPU kernel's
         pixelization procedure), always in NumPy; no experiment selects

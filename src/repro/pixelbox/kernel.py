@@ -32,11 +32,14 @@ sequence lives here exactly once:
 This module is the **only** caller of
 :func:`repro.pixelbox.vectorized.plan_levels`,
 :func:`repro.pixelbox.vectorized.stacked_leaf_counts` and
-:func:`repro.pixelbox.native.compiled_leaf_counts` (reprolint RL701
-enforces the seam), so an execution policy can never change results —
-only wall-clock.  :data:`BATCH_POLICY`'s scan-mode leaves pixelize in
-the compiled ``leafscan.c`` when it loads, every other leaf in NumPy;
-both count the same pixels.
+:func:`repro.pixelbox.native.compiled_chunk` (reprolint RL701 enforces
+the seam), so an execution policy can never change results — only
+wall-clock.  A :data:`BATCH_POLICY` chunk in scan mode runs in one call
+of the compiled ``leafscan.c`` when it loads — routing, the depth-first
+sampling-box walk and the leaves, as the paper's kernel runs one pair
+batch per launch; every other chunk runs the level-synchronous NumPy
+planner and stacked leaves.  Both visit the same boxes and count the
+same pixels.
 """
 
 from __future__ import annotations
@@ -417,7 +420,8 @@ class ChunkKernel:
       one prebuilt :class:`ShardInput`: what a worker process or remote
       worker calls after attaching the shared bundle.
     * :meth:`run_chunk` — one chunk of the sequence: the only code in the
-      repository invoking ``plan_levels`` and the leaf pixelizers.
+      repository invoking ``plan_levels``, the leaf pixelizer and the
+      compiled chunk.
 
     Work counters are charged identically on every altitude, so service
     metrics and the Figure 2/9 experiments see the same numbers for the
@@ -433,10 +437,10 @@ class ChunkKernel:
     # ------------------------------------------------------------------
     # The shared sequence
     # ------------------------------------------------------------------
-    def _compiled_leaves(self) -> bool:
-        """Whether leaves pixelize in ``leafscan.c`` rather than NumPy.
+    def _compiled_chunk(self) -> bool:
+        """Whether the chunk runs in ``leafscan.c`` rather than NumPy.
 
-        Only the production policy's scan-mode leaves do: it measures no
+        Only the production policy's scan-mode chunks do: it measures no
         union, and the other policies are the references the experiments
         time, so they keep the NumPy programs whose costs they study.
         """
@@ -468,6 +472,12 @@ class ChunkKernel:
         policy = self.policy
         cfg = self.cfg
         m = len(boxes)
+        if self._compiled_chunk():
+            inter = native.compiled_chunk(
+                table_p, table_q, boxes, has_box, row_base, cfg,
+                policy.skip_subdivision_max_dim, stats,
+            )
+            return inter, np.zeros(m, dtype=np.int64)
         stats.pairs += m
         inter = np.zeros(m, dtype=np.int64)
         uni = np.zeros(m, dtype=np.int64)
@@ -523,17 +533,14 @@ class ChunkKernel:
                 leaves[:, 3] - leaves[:, 1]
             )
             stats.pixel_tests += 2 * int(sizes.sum())
-            if self._compiled_leaves():
-                leaf_i = native.compiled_leaf_counts(table_p, table_q, leaves, leaf_rows)
-            else:
-                leaf_i, leaf_u = stacked_leaf_counts(
-                    table_p,
-                    table_q,
-                    leaves,
-                    leaf_rows,
-                    want_union=policy.measures_union,
-                    leaf_mode=cfg.leaf_mode,
-                )
+            leaf_i, leaf_u = stacked_leaf_counts(
+                table_p,
+                table_q,
+                leaves,
+                leaf_rows,
+                want_union=policy.measures_union,
+                leaf_mode=cfg.leaf_mode,
+            )
             np.add.at(inter, leaf_rows - row_base, leaf_i)
             if policy.measures_union:
                 np.add.at(uni, leaf_rows - row_base, leaf_u)

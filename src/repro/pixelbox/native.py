@@ -1,11 +1,13 @@
-"""The compiled leaf pixelizer: ``leafscan.c``, built on first use.
+"""The compiled chunk: ``leafscan.c``, built on first use.
 
 :meth:`ChunkKernel.run_chunk <repro.pixelbox.kernel.ChunkKernel.run_chunk>`
-pixelizes the leaves of the production policy with the C routine in
-``leafscan.c`` when this module can load it, and with the NumPy XOR-scan
-of :func:`repro.pixelbox.vectorized.stacked_leaf_counts` otherwise.  Both
-compute the same integer counts, so which one ran changes wall-clock,
-never a result.
+runs a whole chunk of the production policy — skip-routing, the
+sampling-box subdivision with its Lemma-1 classification, and the leaf
+pixelization — in one call of the C routine in ``leafscan.c`` when this
+module can load it, and with the NumPy programs of
+:mod:`repro.pixelbox.vectorized` otherwise.  Both visit the same boxes and
+count the same pixels, so which one ran changes wall-clock, never an
+area or a counter.
 
 The library is compiled once per source, compiler version and flag set
 with ``cc`` (or ``gcc``) from ``PATH`` into ``$XDG_CACHE_HOME/repro``
@@ -28,14 +30,16 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import KernelError
 from repro.geometry.polyset import EdgeTable
+from repro.pixelbox.common import KernelStats, LaunchConfig
 
-__all__ = ["compiled_leaf_counts", "load", "status"]
+__all__ = ["compiled_chunk", "load", "status"]
 
 SOURCE = Path(__file__).with_name("leafscan.c")
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -43,9 +47,10 @@ COMPILERS = ("cc", "gcc")
 
 # leafscan.c's return codes.
 _ERRORS = {
-    1: "a leaf with a non-positive or oversized extent",
-    2: "the leaf scratch buffer could not be allocated",
-    3: "a leaf owner row or edge span out of range",
+    1: "a start box with a non-positive or oversized extent, or an unusable grid",
+    2: "the chunk scratch could not be allocated",
+    3: "an owner row or edge span out of range",
+    4: "a sampling-box subdivision deeper than the stack bound",
 }
 
 # The loaded library is process-wide, as the dlopen behind it is:
@@ -116,11 +121,12 @@ def _compile_and_load(
                 os.unlink(tmp)
     try:
         lib = ctypes.CDLL(str(target))
-        fn = lib.leafscan_intersections
+        fn = lib.pixelbox_chunk
     except (OSError, AttributeError) as exc:
         return None, f"{target} did not load: {exc}"
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes = [i64, ptr, ptr] + [ptr, ptr, ptr, ptr, i64, i64] * 2 + [ptr]
+    side = [ptr] * 7 + [i64, i64]
+    fn.argtypes = [i64, ptr, ptr, i64, i64, i64, i64, i64, *side, *side, ptr, ptr]
     fn.restype = ctypes.c_int
     return lib, f"{target.name} built by {built_by}"
 
@@ -135,53 +141,70 @@ def load() -> ctypes.CDLL | None:
 
 
 def status() -> str:
-    """One line naming the leaf pixelizer the production policy runs, and why."""
-    kind = "NumPy XOR-scan" if load() is None else "compiled C leafscan"
+    """One line naming the chunk program the production policy runs, and why."""
+    kind = "NumPy planner and XOR-scan" if load() is None else "compiled C chunk"
     return f"{kind} ({_state[1]})"
 
 
 def _side(table: EdgeTable) -> list:
     """One side's arguments; the C side bounds every offset by ``len(xs)``."""
-    xs, lo, hi = (
-        np.ascontiguousarray(c, dtype=np.int32) for c in (table.xs, table.lo, table.hi)
-    )
+    columns = [
+        np.ascontiguousarray(getattr(table, name), dtype=np.int32)
+        for name in ("xs", "lo", "hi", "ys", "xlo", "xhi")
+    ]
     offsets = np.ascontiguousarray(table.offsets, dtype=np.int64)
-    if not xs.ndim == lo.ndim == hi.ndim == offsets.ndim == 1 or not (
-        len(xs) == len(lo) == len(hi)
+    if offsets.ndim != 1 or columns[0].ndim != 1 or any(
+        c.shape != columns[0].shape for c in columns
     ):
         raise KernelError("edge columns must be 1-D and of one length")
-    return [xs, lo, hi, offsets, len(offsets) - 1, len(xs)]
+    return [*columns, offsets, len(offsets) - 1, len(columns[0])]
 
 
-def compiled_leaf_counts(
+def compiled_chunk(
     table_p: EdgeTable,
     table_q: EdgeTable,
-    leaves: np.ndarray,
-    leaf_owner: np.ndarray,
+    boxes: np.ndarray,
+    has_box: np.ndarray,
+    row_base: int,
+    cfg: LaunchConfig,
+    skip_dim: int | None,
+    stats: KernelStats,
 ) -> np.ndarray:
-    """Pixel counts of ``p AND q`` per leaf, by the compiled XOR-scan.
+    """Intersection areas of one chunk of the PIXELBOX variant, in C.
 
-    Equal to the intersection counts of ``stacked_leaf_counts`` in either
-    leaf mode.  Raises :class:`~repro.errors.KernelError` when the library
+    Pair ``i`` of ``boxes``/``has_box`` owns row ``row_base + i`` of the
+    edge tables; start boxes of at most ``skip_dim`` pixels a side
+    pixelize whole (``None``: every start box subdivides).  Charges
+    ``stats`` exactly as :meth:`ChunkKernel.run_chunk
+    <repro.pixelbox.kernel.ChunkKernel.run_chunk>` charges the NumPy
+    programs.  Raises :class:`~repro.errors.KernelError` when the library
     is not loaded or rejects its input.
     """
     lib = load()
     if lib is None:
-        raise KernelError(f"compiled leaf pixelizer unavailable: {status()}")
-    leaves = np.ascontiguousarray(leaves, dtype=np.int64)
-    owner = np.ascontiguousarray(leaf_owner, dtype=np.int64)
-    if leaves.ndim != 2 or leaves.shape[1] != 4 or owner.shape != (len(leaves),):
+        raise KernelError(f"compiled chunk unavailable: {status()}")
+    boxes = np.ascontiguousarray(boxes, dtype=np.int64)
+    routed = np.ascontiguousarray(has_box, dtype=np.bool_)
+    m = len(routed)
+    if boxes.shape != (m, 4) or routed.ndim != 1:
         raise KernelError(
-            f"leaves must be int64[n, 4] with n owner rows, got {leaves.shape} "
-            f"and {owner.shape}"
+            f"boxes must be int64[n, 4] with n routing flags, got {boxes.shape} "
+            f"and {routed.shape}"
         )
-    out = np.zeros(len(leaves), dtype=np.int64)
-    args = [len(leaves), leaves, owner, *_side(table_p), *_side(table_q), out]
-    code = lib.leafscan_intersections(
+    nx, ny = cfg.grid
+    inter = np.zeros(m, dtype=np.int64)
+    counters = np.zeros(len(fields(KernelStats)), dtype=np.int64)
+    args = [
+        m, boxes, routed, int(row_base), cfg.threshold, nx, ny,
+        -1 if skip_dim is None else int(skip_dim),
+        *_side(table_p), *_side(table_q), inter, counters,
+    ]
+    code = lib.pixelbox_chunk(
         *(a.ctypes.data if isinstance(a, np.ndarray) else a for a in args)
     )
     if code:
         raise KernelError(
-            f"compiled leaf pixelizer rejected its input: {_ERRORS.get(code, code)}"
+            f"compiled chunk rejected its input: {_ERRORS.get(code, code)}"
         )
-    return out
+    stats.merge(KernelStats(*counters.tolist()))
+    return inter

@@ -209,7 +209,8 @@ class ComparisonService:
         ``drain=True`` (the default) answers every already-accepted
         request before the session and its backend are released;
         ``drain=False`` cancels pending requests immediately (their
-        submitters see ``CancelledError``).
+        submitters see ``CancelledError``), and releases the backend once
+        a launch already running on it returns.
         """
         if self._closed and self._dispatcher is None:
             return
@@ -231,7 +232,10 @@ class ComparisonService:
                     if stale is not _STOP and not stale.future.done():
                         stale.future.cancel()
             self._dispatcher = None
-        self._session.close()
+        # An abandoned launch may still run on the backend in an executor
+        # thread; the session closes it only once that launch returns, so
+        # wait for that off the loop.
+        await asyncio.get_running_loop().run_in_executor(None, self._session.close)
 
     # ------------------------------------------------------------------
     # Request path

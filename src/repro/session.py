@@ -155,12 +155,18 @@ class Session:
         return self
 
     def close(self) -> None:
-        """Release the backend; idempotent.  The session cannot be reused."""
+        """Release the backend; idempotent.  The session cannot be reused.
+
+        A launch already running on the backend (another thread's, or one
+        a service abandoned) finishes first: the backend is closed under
+        the dispatch lock, so this call waits for it.
+        """
         with self._lock:
             backend, self._backend = self._backend, None
             self._closed = True
         if backend is not None:
-            backend.close()
+            with self._dispatch_lock:
+                backend.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -203,33 +209,35 @@ class Session:
         event to a JSON-lines file.
         """
         self._check_open()
-        if request.options.trace:
-            return self._run_traced(request)
-        return self._dispatch(request)
+        return self._run(
+            request.options, request.kind, functools.partial(self._dispatch, request)
+        )
+
+    def _run(self, options: CompareOptions, kind: str, work: Callable):
+        """``work()``, under a tracer when ``options.trace`` asks for one."""
+        if options.trace:
+            return self._run_traced(options, kind, work)
+        return work()
 
     def _dispatch(self, request: CompareRequest):
         if request.kind == "pairs":
-            return self._run_pairs(request)
+            return self._run_pairs(list(request.pairs), request.options)
         if request.kind == "sets":
             return self._run_sets(request)
         return self._run_files(request)
 
-    def _run_traced(self, request: CompareRequest):
+    def _run_traced(self, options: CompareOptions, kind: str, work: Callable):
         """Run one request under a tracer (reusing any ambient one)."""
         ambient = current_tracer()
         tracer = ambient if ambient is not None else Tracer()
         sink = None
-        if request.options.trace_out is not None:
-            sink = open(request.options.trace_out, "a", encoding="utf-8")
+        if options.trace_out is not None:
+            sink = open(options.trace_out, "a", encoding="utf-8")
             EVENTS.add_sink(sink)
         try:
             with activate(tracer):
-                with tracer.span(
-                    "session.run",
-                    kind=request.kind,
-                    backend=request.options.backend,
-                ):
-                    result = self._dispatch(request)
+                with tracer.span("session.run", kind=kind, backend=options.backend):
+                    result = work()
         finally:
             self.last_trace = tracer
             if ambient is None:
@@ -376,9 +384,11 @@ class Session:
         with self._launcher(options) as launch:
             yield lambda pairs: launch([PairBatch.from_pairs(pairs)], config)[0][0]
 
-    def _run_pairs(self, request: CompareRequest) -> BatchAreas:
-        with self._pairs_launcher(request.options) as launch:
-            return launch(list(request.pairs))
+    def _run_pairs(
+        self, pairs: list[Pair] | PairBatch, options: CompareOptions
+    ) -> BatchAreas:
+        with self._pairs_launcher(options) as launch:
+            return launch(pairs)
 
     def _run_sets(self, request: CompareRequest) -> CompareResult:
         clock = StageClock("pipeline.")
@@ -488,11 +498,9 @@ class Session:
         guarantee), so consuming the whole stream equals one
         :meth:`compare` call bit for bit.
         """
-        pair_list, opts, shard_pairs = self._stream_plan(
-            pairs, options, shard_pairs
-        )
-        for lo in range(0, len(pair_list), shard_pairs):
-            areas = self.compare(pair_list[lo : lo + shard_pairs], opts)
+        batch, opts, shard_pairs = self._stream_plan(pairs, options, shard_pairs)
+        for lo in range(0, len(batch), shard_pairs):
+            areas = self._compare_shard(batch[lo : lo + shard_pairs], opts)
             yield from self._shard_outcomes(lo, areas)
 
     async def stream_async(
@@ -502,15 +510,13 @@ class Session:
         shard_pairs: int | None = None,
     ) -> AsyncIterator[PairOutcome]:
         """Async variant of :meth:`stream` (shards run off the loop)."""
-        pair_list, opts, shard_pairs = self._stream_plan(
-            pairs, options, shard_pairs
-        )
+        batch, opts, shard_pairs = self._stream_plan(pairs, options, shard_pairs)
         loop = asyncio.get_running_loop()
-        for lo in range(0, len(pair_list), shard_pairs):
+        for lo in range(0, len(batch), shard_pairs):
             areas = await loop.run_in_executor(
                 None,
                 functools.partial(
-                    self.compare, pair_list[lo : lo + shard_pairs], opts
+                    self._compare_shard, batch[lo : lo + shard_pairs], opts
                 ),
             )
             for outcome in self._shard_outcomes(lo, areas):
@@ -521,18 +527,28 @@ class Session:
         pairs: Sequence[Pair],
         options: CompareOptions | None,
         shard_pairs: int | None,
-    ) -> tuple[list[Pair], CompareOptions, int]:
-        """Shared setup of both stream variants (validated shard size)."""
+    ) -> tuple[PairBatch, CompareOptions, int]:
+        """Shared setup of both stream variants: the pairs, validated and
+        converted once (every shard is a slice of the one batch), and the
+        validated shard size."""
         self._check_open()
         opts = self._options_for(options)
-        pair_list = list(pairs)
+        request = CompareRequest.from_pairs(pairs, opts)
+        batch = PairBatch.from_pairs(list(request.pairs))
         if shard_pairs is None:
-            shard_pairs = self._stream_shard_pairs(pair_list, opts)
+            shard_pairs = self._stream_shard_pairs(batch, opts)
         if shard_pairs < 1:
             raise RequestError(
                 f"shard_pairs must be >= 1, got {shard_pairs}"
             )
-        return pair_list, opts, shard_pairs
+        return batch, opts, shard_pairs
+
+    def _compare_shard(self, batch: PairBatch, options: CompareOptions) -> BatchAreas:
+        """:meth:`compare` of one stream shard, already a batch."""
+        self._check_open()
+        return self._run(
+            options, "pairs", functools.partial(self._run_pairs, batch, options)
+        )
 
     @staticmethod
     def _shard_outcomes(lo: int, areas: BatchAreas) -> Iterator[PairOutcome]:
@@ -545,18 +561,16 @@ class Session:
                 area_q=int(areas.area_q[i]),
             )
 
-    def _stream_shard_pairs(
-        self, pairs: list[Pair], options: CompareOptions
-    ) -> int:
+    def _stream_shard_pairs(self, batch: PairBatch, options: CompareOptions) -> int:
         """:mod:`repro.backends.sizing` shard size for one stream."""
-        if not pairs:
+        if not len(batch):
             return 1
         from repro.backends.sizing import profile_pairs, recommend_shard_pairs
 
         cfg = options.launch_config()
-        mean_edges, mean_pixels = profile_pairs(PairBatch.from_pairs(pairs))
+        mean_edges, mean_pixels = profile_pairs(batch)
         return recommend_shard_pairs(
-            len(pairs),
+            len(batch),
             mean_edges,
             mean_pixels,
             cfg.threshold,

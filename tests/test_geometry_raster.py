@@ -1,5 +1,7 @@
 """Unit tests for repro.geometry.raster (mask <-> polygon conversions)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -10,13 +12,36 @@ from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import (
     extract_polygons,
     fill_holes,
-    label_components,
     mask_bbox,
     parity_fill,
     polygon_to_mask,
     trace_mask,
 )
 from tests.conftest import random_mask
+
+
+def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected component labelling by breadth-first flood: ``(labels,
+    count)`` with labels in ``1..count`` and ``0`` for background, pinned
+    against ``scipy.ndimage.label`` below."""
+    mask = np.asarray(mask, dtype=bool)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    h, w = mask.shape
+    current = 0
+    for sy in range(h):
+        for sx in range(w):
+            if mask[sy, sx] and labels[sy, sx] == 0:
+                current += 1
+                queue: deque[tuple[int, int]] = deque([(sy, sx)])
+                labels[sy, sx] = current
+                while queue:
+                    y, x = queue.popleft()
+                    for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                        if 0 <= ny < h and 0 <= nx < w:
+                            if mask[ny, nx] and labels[ny, nx] == 0:
+                                labels[ny, nx] = current
+                                queue.append((ny, nx))
+    return labels, current
 
 
 class TestPolygonToMask:

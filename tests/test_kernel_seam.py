@@ -23,7 +23,7 @@ from tools.reprolint.kernel_seam import SEAM_ALLOWLIST  # noqa: E402
 def test_kernel_sequence_is_invoked_from_exactly_one_module():
     found = KernelSeamChecker().check(Project(REPO_ROOT))
     assert not found, (
-        "plan_levels/stacked_leaf_counts used outside the kernel seam "
+        "plan_levels/stacked_leaf_counts/compiled_chunk used outside the kernel seam "
         f"(RL701, allowlist: {sorted(SEAM_ALLOWLIST)}) or repro.gpu "
         "imported outside the simulator seam (RL702): "
         + "; ".join(f"{f.code} {f.path}:{f.line}" for f in found)

@@ -20,6 +20,8 @@ historical drift classes:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import shutil
@@ -449,7 +451,7 @@ def test_coordinates_beyond_int32_never_give_a_wrong_area(name):
 
 
 # ----------------------------------------------------------------------
-# The compiled leaf pixelizer: the same pixels as the NumPy scan
+# The compiled chunk: the same boxes, pixels and counters as NumPy
 # ----------------------------------------------------------------------
 def _require_compiled():
     """The compiled library; a host with a C compiler must load it."""
@@ -494,15 +496,32 @@ def _generated_leaves(rng):
     return tables, np.array(leaves, dtype=np.int64), np.array(owner, dtype=np.int64)
 
 
+def _compiled(table_p, table_q, boxes, cfg=None, skip=64, row_base=0, has_box=None):
+    """``(inter, stats)`` of one compiled chunk over ``boxes``."""
+    stats = KernelStats()
+    if has_box is None:
+        has_box = np.ones(len(boxes), dtype=bool)
+    inter = native.compiled_chunk(
+        table_p, table_q, np.asarray(boxes), has_box, row_base,
+        cfg or LaunchConfig(), skip, stats,
+    )
+    return inter, stats
+
+
 @pytest.mark.parametrize("leaf_mode", ["scan", "crossing"])
 def test_compiled_leaves_count_what_the_numpy_leaves_count(rng, leaf_mode):
+    """Every start box under the skip bound is one leaf: the compiled
+    fill counts the pixels of the NumPy scan and the per-pixel ray cast."""
     _require_compiled()
     (table_p, table_q), leaves, owner = _generated_leaves(rng)
     want, _ = stacked_leaf_counts(table_p, table_q, leaves, owner, False, leaf_mode)
-    got = native.compiled_leaf_counts(table_p, table_q, leaves, owner)
+    got, stats = _compiled(
+        table_p.take(owner), table_q.take(owner), leaves, skip=1 << 20
+    )
     assert got.dtype == np.int64
     assert np.array_equal(got, want)
     assert want.sum() > 0 and np.count_nonzero(want == 0) > 0
+    assert stats.leaf_boxes == stats.batched_pairs == stats.pops == len(leaves)
 
 
 @pytest.mark.parametrize(
@@ -519,23 +538,117 @@ def test_compiled_leaves_reject_what_they_cannot_count(leaf, owner, match):
     _require_compiled()
     table = PolygonSet.from_polygons([rect(0, 0, 4, 4)]).edges
     with pytest.raises(KernelError, match=match):
-        native.compiled_leaf_counts(
-            table, table, np.array([leaf]), np.array([owner])
+        _compiled(table, table, np.array([leaf]), row_base=owner)
+
+
+@functools.cache
+def _differential_pairs():
+    """Pairs for the compiled-vs-NumPy planner check: disjoint and nested
+    MBRs, start boxes on both sides of the 64-pixel skip bound, tall
+    1-pixel-wide boxes (the deepest stacks), and coordinates at both
+    ends of the int32 range."""
+    rng = np.random.default_rng(20261018)
+    pairs = [random_pair(rng, h=90, w=110) for _ in range(3)]
+    pairs += [random_pair(rng, h=int(h), w=int(w)) for h, w in
+              ((63, 63), (64, 64), (65, 64), (64, 65), (66, 66), (70, 30))]
+    big, _ = random_pair(rng, h=100, w=100)
+    x0, y0 = big.mbr.x0, big.mbr.y0
+    pairs += [
+        (big, rect(x0 + 30, y0 + 30, x0 + 60, y0 + 70)),  # nested MBRs
+        (rect(x0 + 10, y0 + 10, x0 + 90, y0 + 95), big),
+        (rect(0, 0, 10, 10), rect(20, 20, 30, 30)),  # disjoint, one cover box
+        (rect(0, 0, 50, 50), rect(100, 100, 170, 160)),  # disjoint, planned
+        (rect(0, 0, 64, 40), rect(10, 20, 60, 64)),  # cover box 64 x 64
+        (rect(0, 0, 65, 40), rect(10, 20, 60, 64)),  # cover box 65 x 64
+    ]
+    for k in (0, 5, 333, 4000):
+        pairs.append((rect(7, 0, 8, 1 << 16), rect(7, k, 8, (1 << 16) - 3 * k - 1)))
+    pairs.append((rect(7, 0, 8, 1 << 16), rect(6, 100, 9, 900)))
+    limit = np.iinfo(np.int32)
+    for p, q in [random_pair(rng, h=80, w=90) for _ in range(2)]:
+        pairs.append((p.translate(limit.max - 200, limit.max - 200),
+                      q.translate(limit.max - 200, limit.max - 200)))
+        pairs.append((p.translate(limit.min + 5, limit.min), q.translate(limit.min + 5, limit.min)))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize("tight", [False, True], ids=["cover", "tight"])
+@pytest.mark.parametrize("block_size", [16, 32, 64, 128])
+def test_compiled_chunk_plans_what_the_numpy_planner_plans(
+    block_size, tight, monkeypatch
+):
+    """BATCH_POLICY's chunk in C against ``plan_levels`` +
+    ``stacked_leaf_counts``: equal areas and all nine counters."""
+    _require_compiled()
+    cfg = LaunchConfig(block_size=block_size, tight_mbr=tight)
+    shard = ShardInput.build(list(_differential_pairs()), BATCH_POLICY, cfg)
+    kernel = ChunkKernel(BATCH_POLICY, cfg)
+
+    def chunk():
+        stats = KernelStats()
+        inter, _ = kernel.run_chunk(
+            shard.table_p, shard.table_q, shard.boxes, shard.has_box, 0, stats
         )
+        return inter, stats.as_dict()
+
+    compiled = native.compiled_chunk
+    calls = []
+    monkeypatch.setattr(native, "compiled_chunk", lambda *a: calls.append(1) or compiled(*a))
+    got = chunk()
+    monkeypatch.setattr(native, "load", lambda: None)
+    want = chunk()
+    assert calls == [1]
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert want[1]["partitions"] > 0 and want[1]["batched_pairs"] > 0
+
+
+def test_compiled_chunk_rejects_a_malformed_bundle():
+    """Owner rows and edge spans are bounds-checked: a bad one is a
+    KernelError, never a read outside the tables."""
+    _require_compiled()
+    pairs = list(_differential_pairs()[:4])
+    shard = ShardInput.build(pairs, BATCH_POLICY, LaunchConfig())
+    tp, tq = shard.table_p, shard.table_q
+    for row_base in (1, -1, len(pairs)):
+        with pytest.raises(KernelError, match="owner row"):
+            _compiled(tp, tq, shard.boxes, row_base=row_base)
+    for offsets in (
+        tp.offsets + 1,  # the last span runs past the columns
+        tp.offsets[::-1].copy(),  # spans of negative length
+        tp.offsets - tp.offsets[1],  # a span starting before the columns
+    ):
+        bad = dataclasses.replace(tp, offsets=offsets)
+        with pytest.raises(KernelError, match="owner row or edge span"):
+            _compiled(bad, tq, shard.boxes)
+    with pytest.raises(KernelError, match="1-D and of one length"):
+        _compiled(dataclasses.replace(tp, ys=tp.ys[:-1]), tq, shard.boxes)
+    with pytest.raises(KernelError, match="extent"):
+        _compiled(tp, tq, np.array([[0, 0, 1 << 40, 2]] * 4))
+
+
+def test_a_subdivision_that_never_ends_is_refused():
+    """A 5-thread block splits 5 x 1, so a 1-pixel-wide box of 12 or more
+    pixels that hovers partitions into itself: the stack bound stops it."""
+    _require_compiled()
+    p = PolygonSet.from_polygons([rect(0, 0, 1, 100)]).edges
+    q = PolygonSet.from_polygons([rect(0, 10, 1, 90)]).edges
+    with pytest.raises(KernelError, match="deeper than the stack bound"):
+        _compiled(p, q, np.array([[0, 0, 1, 100]]), LaunchConfig(block_size=5))
 
 
 def test_only_the_production_scan_runs_compiled(rng, monkeypatch):
-    """BATCH_POLICY's scan leaves go to the compiled pixelizer; crossing
+    """BATCH_POLICY's scan chunks go to the compiled chunk; crossing
     leaves and every other policy stay on the NumPy programs."""
     _require_compiled()
     calls = []
-    compiled = native.compiled_leaf_counts
+    compiled = native.compiled_chunk
 
     def counting(*args):
         calls.append(len(args[2]))
         return compiled(*args)
 
-    monkeypatch.setattr(native, "compiled_leaf_counts", counting)
+    monkeypatch.setattr(native, "compiled_chunk", counting)
     pairs = [random_pair(rng) for _ in range(6)]
     batched_areas(pairs)
     assert calls
@@ -546,6 +659,64 @@ def test_only_the_production_scan_runs_compiled(rng, monkeypatch):
         pairs
     )
     assert calls == []
+
+
+_SANITIZED_RUN = """
+import sys
+import pytest
+from repro.pixelbox import native
+
+native.FLAGS = ("-O1", "-g", "-shared", "-fPIC",
+                "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+assert native.load(), native.status()
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+"""
+
+
+def test_the_compiled_chunk_is_clean_under_address_and_undefined_sanitizers(
+    tmp_path,
+):
+    """The shipped source built with ASan and UBSan, in a child process,
+    runs the compiled-chunk tests above without a report."""
+    compiler = shutil.which("gcc")
+    if compiler is None:
+        pytest.skip("no gcc on PATH")
+    runtimes = [
+        subprocess.run(
+            [compiler, f"-print-file-name={name}"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        for name in ("libasan.so", "libubsan.so")
+    ]
+    if not all(os.path.isabs(path) and os.path.exists(path) for path in runtimes):
+        pytest.skip(f"no sanitizer runtime next to {compiler}")
+    here = Path(__file__).resolve()
+    src = str(here.parents[1] / "src")
+    env = dict(
+        os.environ,
+        XDG_CACHE_HOME=str(tmp_path),
+        LD_PRELOAD=" ".join(runtimes),
+        ASAN_OPTIONS="detect_leaks=0",
+        PYTHONPATH=os.pathsep.join(
+            filter(None, [src, str(here.parent), os.environ.get("PYTHONPATH")])
+        ),
+    )
+    tests = [
+        f"{here}::{name}"
+        for name in (
+            "test_compiled_leaves_count_what_the_numpy_leaves_count[scan]",
+            "test_compiled_leaves_reject_what_they_cannot_count",
+            "test_compiled_chunk_plans_what_the_numpy_planner_plans",
+            "test_compiled_chunk_rejects_a_malformed_bundle",
+            "test_a_subdivision_that_never_ends_is_refused",
+        )
+    ]
+    done = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_RUN, *tests],
+        env=env, capture_output=True, text=True, timeout=600, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert [p.suffix for p in (tmp_path / "repro").iterdir()] == [".so"]
 
 
 _NO_COMPILER_RUN = """
@@ -602,7 +773,10 @@ def test_a_host_without_a_c_compiler_gives_the_same_bits(rng, tmp_path):
     assert got["stats"] == want.stats.as_dict()
     assert list((tmp_path / "cache").iterdir()) == []
     listing = run("-m", "repro", "backends")
-    assert "leaf pixelizer: NumPy XOR-scan (no C compiler (cc, gcc) on PATH)" in listing
+    assert (
+        "kernel chunk: NumPy planner and XOR-scan (no C compiler (cc, gcc) on PATH)"
+        in listing
+    )
 
 
 def _fresh_build(monkeypatch, cache):
@@ -615,7 +789,7 @@ def _fresh_build(monkeypatch, cache):
 def test_a_failed_compile_is_recorded_not_raised(tmp_path, monkeypatch):
     _require_compiled()
     broken = tmp_path / "leafscan.c"
-    broken.write_text("int leafscan_intersections(void) { return }\n")
+    broken.write_text("int pixelbox_chunk(void) { return }\n")
     monkeypatch.setattr(native, "SOURCE", broken)
     assert _fresh_build(monkeypatch, tmp_path / "cache") is None
     assert "failed" in native.status()
@@ -644,12 +818,10 @@ def test_an_unusable_cache_directory_falls_back_to_a_temporary_one(
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     assert _fresh_build(monkeypatch, not_a_dir) is not None
-    assert "compiled C leafscan" in native.status()
+    assert "compiled C chunk" in native.status()
     assert list((tmp_path / "tmp").iterdir()) == []
     table = PolygonSet.from_polygons([rect(0, 0, 4, 4)]).edges
-    counts = native.compiled_leaf_counts(
-        table, table, np.array([[2, 2, 6, 6]]), np.array([0])
-    )
+    counts, _ = _compiled(table, table, np.array([[2, 2, 6, 6]]))
     assert counts.tolist() == [4]
 
 

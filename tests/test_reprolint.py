@@ -506,6 +506,17 @@ def test_seam_checker_flags_out_of_seam_reference(tmp_path):
     assert idents(found, "RL701") == {"plan_levels"}
 
 
+def test_seam_checker_flags_the_compiled_chunk_outside_the_kernel(tmp_path):
+    caller = (
+        "from repro.pixelbox import native\n\n"
+        "def shortcut(*args):\n"
+        "    return native.compiled_chunk(*args)\n"
+    )
+    project = make_project(tmp_path, {"src/repro/backends/fast.py": caller})
+    found = KernelSeamChecker().check(project)
+    assert idents(found, "RL701") == {"compiled_chunk"}
+
+
 def test_seam_checker_ignores_comments_and_docstrings(tmp_path):
     # The legacy regex tripped on prose; the AST port must not.
     project = make_project(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -264,6 +265,43 @@ class TestShutdown:
 
         assert asyncio.run(main())
         assert backend.closed
+
+    def test_abort_close_waits_for_the_running_launch(self):
+        """``close(drain=False)`` abandons the launch in flight, but the
+        backend is closed only after that launch returns, and the event
+        loop keeps running meanwhile."""
+        chunk = _request_chunks(n_chunks=1)[0]
+        started, release = threading.Event(), threading.Event()
+        events = []
+
+        class BlockingBackend(SlowBackend):
+            def compare_pairs(self, pairs, config=None):
+                started.set()
+                assert release.wait(10)
+                events.append("launch returned")
+                return self._inner.compare_pairs(pairs, config)
+
+            def close(self):
+                events.append("close")
+                super().close()
+
+        backend = BlockingBackend()
+
+        async def main():
+            service = await ComparisonService(backend=backend).start()
+            in_flight = asyncio.ensure_future(service.submit(chunk))
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, started.wait, 10)
+            closing = asyncio.ensure_future(service.close(drain=False))
+            await asyncio.sleep(0.2)  # the loop is not blocked
+            assert events == [] and not closing.done()
+            release.set()
+            await closing
+            with pytest.raises(asyncio.CancelledError):
+                await in_flight
+
+        asyncio.run(main())
+        assert events == ["launch returned", "close"]
 
     def test_close_is_idempotent(self):
         async def main():

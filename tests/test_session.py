@@ -165,6 +165,36 @@ class TestParity:
             with pytest.raises(RequestError):
                 list(session.stream(PAIRS, shard_pairs=0))
 
+    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
+    def test_stream_converts_the_pair_list_once(self, cache, monkeypatch):
+        """Both stream variants turn the list into one ``PairBatch``:
+        the shard sizing profiles it and every shard is a slice of it."""
+        from repro.pixelbox import kernel
+
+        lists = []
+        from_pairs = kernel.PairBatch.from_pairs.__func__
+
+        def spy(cls, pairs):
+            if isinstance(pairs, list):
+                lists.append(len(pairs))
+            return from_pairs(cls, pairs)
+
+        monkeypatch.setattr(kernel.PairBatch, "from_pairs", classmethod(spy))
+
+        async def drain(session):
+            return [o async for o in session.stream_async(PAIRS, shard_pairs=3)]
+
+        with Session(cache=cache) as session:
+            assert len(list(session.stream(PAIRS))) == len(PAIRS)
+            assert len(list(session.stream(PAIRS, shard_pairs=1))) == len(PAIRS)
+            assert len(asyncio.run(drain(session))) == len(PAIRS)
+        assert lists == [len(PAIRS)] * 3
+
+    def test_a_stream_of_invalid_pairs_is_refused_before_any_shard_runs(self):
+        with Session() as session:
+            with pytest.raises(RequestError, match="RectilinearPolygon"):
+                list(session.stream([PAIRS[0], ("not", "polygons")]))
+
     @pytest.mark.parametrize("bad", [0, -5])
     def test_stream_async_validates_shard_pairs(self, bad):
         async def go():

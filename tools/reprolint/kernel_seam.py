@@ -1,14 +1,14 @@
 """RL701/RL702: the kernel seam and the simulator seam (AST port).
 
 ``repro.pixelbox.kernel`` must be the only module invoking
-``plan_levels`` or a leaf pixelizer (``stacked_leaf_counts``, and
-``compiled_leaf_counts``, the compiled one) — the structural guarantee
-that a fourth hand-rolled copy of the plan+stacked-pixelize sequence
-(the drift class behind the batched disjoint-pair crash and the
-counter misalignment) cannot land silently, and that the compiled
-leaves run only where the kernel chooses them.  ``vectorized.py`` is
-allowlisted as a definition site; ``native.py`` defines its entry point
-without referencing it.
+``plan_levels``, the leaf pixelizer ``stacked_leaf_counts``, or
+``compiled_chunk`` (the compiled chunk: planner and leaves in one C
+call) — the structural guarantee that a fourth hand-rolled copy of the
+plan+stacked-pixelize sequence (the drift class behind the batched
+disjoint-pair crash and the counter misalignment) cannot land silently,
+and that the compiled chunk runs only where the kernel chooses it.
+``vectorized.py`` is allowlisted as a definition site; ``native.py``
+defines its entry point without referencing it.
 
 The check matches actual ``Name`` / ``Attribute`` references, so a
 mention in a comment or docstring does not trip the guard while a real
@@ -34,7 +34,7 @@ __all__ = [
     "SIMULATOR_IMPORTERS",
 ]
 
-SEAM_NAMES = ("plan_levels", "stacked_leaf_counts", "compiled_leaf_counts")
+SEAM_NAMES = ("plan_levels", "stacked_leaf_counts", "compiled_chunk")
 
 # path (relative to src/) -> why it may name the kernel entry points
 SEAM_ALLOWLIST = {
