@@ -6,14 +6,15 @@ in the calling process under
 :data:`~repro.pixelbox.kernel.BATCH_POLICY`, the policy every executor
 runs: small pairs — the overwhelming majority in pathology workloads —
 pixelize directly over their start box.  :meth:`KernelBackend.warm`
-builds (or finds cached) the compiled kernel chunk, so a first compile
-happens at warm-up and not inside a request.
+builds (or finds cached) the compiled library — the kernel chunk and
+the parser scan — so a first compile happens at warm-up and not inside
+a request.
 """
 
 from __future__ import annotations
 
+from repro import native
 from repro.backends.base import BackendLifecycle, Pairs, register
-from repro.pixelbox import native
 from repro.pixelbox.common import LaunchConfig
 from repro.pixelbox.kernel import BATCH_POLICY, BatchAreas, ChunkKernel
 
@@ -28,7 +29,7 @@ class KernelBackend(BackendLifecycle):
     description = "batched device kernel (the pipeline's production path)"
 
     def warm(self) -> list:
-        """Load the compiled kernel chunk now; starts no worker."""
+        """Load the compiled library now; starts no worker."""
         native.load()
         return []
 

@@ -279,9 +279,9 @@ def main(argv: list[str] | None = None) -> int:
             if caps.notes:
                 print(f"{'':14s} {'':26s} {caps.notes}")
             backend.close()
-        from repro.pixelbox import native
+        from repro import native
 
-        print(f"kernel chunk: {native.status()}")
+        print(f"native library: {native.status()}")
         return 0
 
     if args.command == "run":

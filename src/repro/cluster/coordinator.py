@@ -42,6 +42,7 @@ import time
 
 import numpy as np
 
+from repro import native
 from repro.backends.base import (
     BackendCapabilities,
     BackendLifecycle,
@@ -61,7 +62,6 @@ from repro.cluster.scheduler import (
 from repro.errors import ClusterConfigError, ClusterError
 from repro.obs.events import EVENTS
 from repro.obs.trace import current_context, current_tracer, span
-from repro.pixelbox import native
 from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import (
     BATCH_POLICY,

@@ -33,10 +33,10 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro import native
 from repro.cluster import wire
 from repro.errors import ClusterProtocolError, KernelError, ReproError
 from repro.obs.trace import Tracer, activate
-from repro.pixelbox import native
 from repro.pixelbox.common import KernelStats
 from repro.pixelbox.kernel import BATCH_POLICY, ChunkKernel, ShardInput
 

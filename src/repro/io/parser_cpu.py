@@ -6,17 +6,24 @@ Two implementations of the pipeline's parser stage (paper §4.1, stage 1):
   structure the paper ascribes to text parsing ("text parsing requires
   implementing a finite state machine, which has been shown not very
   efficient for parallel execution").  Scalar reference.
-* :func:`parse_vectorized` — the production parser: tokenizes the whole
-  byte buffer with NumPy array operations (digit-run detection +
-  positional accumulation), validates every ring in one whole-array
-  pass, and emits a :class:`~repro.geometry.polyset.PolygonSet`, with
-  no per-polygon object.
+* :func:`parse_vectorized` — the production parser.  One byte scan
+  yields every integer value, the line number and value count of each
+  line holding data, and the first bad byte (a stray byte, a ``#`` after
+  data, or the 19th digit of a run) with its line; whole-array checks
+  then pair each line's values into >= 4 vertices, validate every ring
+  in one pass (:func:`~repro.geometry.polygon.first_invalid_ring`) and
+  emit a :class:`~repro.geometry.polyset.PolygonSet`, with no
+  per-polygon object.  The scan is :func:`compiled_scan` (``polyscan.c``
+  in the :mod:`repro.native` library) when the library loads, and the
+  NumPy scan (comment blanking, digit-run tokenizing, a stray-byte
+  mask) otherwise; both return the same arrays for the lines that
+  matter.
 
-For any text both return equal polygons, or both raise
-:class:`~repro.errors.ParseError` naming the same line.  The §4 model
+For any text both parsers return equal polygons, or both raise
+:class:`~repro.errors.ParseError` with the same message.  The §4 model
 (:mod:`repro.pipeline.model`) has no device parser of its own: a parse
-task migrated to a device costs the vectorized parser's measured seconds
-scaled by the device's speed, plus a launch.
+task migrated to a device costs the production parser's measured
+seconds scaled by the device's speed, plus a launch.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import native
 from repro.errors import ParseError
 from repro.geometry.polygon import RectilinearPolygon, first_invalid_ring
 from repro.geometry.polyset import PolygonSet
@@ -47,7 +55,7 @@ _ALLOWED[[9, 10, 13, 32, 44, *range(48, 58)]] = True
 def parse_fsm(text: str | bytes) -> list[RectilinearPolygon]:
     """Finite-state-machine parser (scalar reference implementation)."""
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = text.decode("latin-1")  # one character per byte
     polygons: list[RectilinearPolygon] = []
     state = _OUTSIDE
     value = digits = 0
@@ -139,30 +147,30 @@ def _tokens(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def parse_vectorized(raw: bytes | str | Path) -> PolygonSet:
     """Vectorized parser over raw bytes/str content or a path (production
     path); the first bad line raises what :func:`parse_fsm` raises."""
+    scan = compiled_scan if native.load() is not None else _numpy_scan
+    return _parse(raw, scan)
+
+
+def _parse(raw: bytes | str | Path, scan) -> PolygonSet:
+    """:func:`parse_vectorized` with the byte scan ``scan``."""
     if isinstance(raw, Path):
         raw = raw.read_bytes()
     elif isinstance(raw, str):
         raw = raw.encode("ascii")
     data = np.frombuffer(raw, dtype=np.uint8)
-    newlines = np.flatnonzero(data == 10)
-    data = _strip_comments(data, newlines)
-    values, positions, lengths = _tokens(data)
+    values, lines, counts, at, at_line = scan(data)
 
     # Byte-level errors, at the byte the FSM stops on: a stray byte (a
-    # ``#`` left after data is one), or the last digit of a too-long run.
-    stray = np.flatnonzero(~_ALLOWED[data])
-    too_long = (positions + lengths - 1)[lengths > _MAX_DIGITS]
-    at = min(stray[:1].tolist() + too_long[:1].tolist(), default=None)
-    limit, error = len(newlines) + 1, None
-    if at is not None:
-        limit, ch = int(np.searchsorted(newlines, at)), chr(data[at])
+    # ``#`` left after data is one), or the 19th digit of a run.
+    limit, error = len(data) + 1, None
+    if at >= 0:
+        limit, ch = at_line, chr(data[at])
         error = (
             "comment after data" if ch == "#"
             else _TOO_LONG if ch.isdigit() else f"unexpected character {ch!r}"
         )
 
     # Line-level errors: a line's coordinates must pair up into >= 4 vertices.
-    lines, counts = np.unique(np.searchsorted(newlines, positions), return_counts=True)
     short = np.flatnonzero((counts % 2 != 0) | (counts < 8))
     if len(short) and lines[short[0]] < limit:
         limit, count = int(lines[short[0]]), int(counts[short[0]])
@@ -177,6 +185,39 @@ def parse_vectorized(raw: bytes | str | Path) -> PolygonSet:
     if error is not None:
         raise ParseError(f"line {limit + 1}: {error}")
     return PolygonSet._trusted(vertices, offsets)
+
+
+def compiled_scan(data: np.ndarray) -> tuple:
+    """The byte scan in C (``polyscan.c``): every value, the line number
+    and value count of each line holding one, and the first bad byte
+    (-1 when none) with its line; lines after that line may be missing."""
+    lib = native.load()
+    if lib is None:
+        raise ParseError(f"compiled scan unavailable: {native.status()}")
+    data = np.ascontiguousarray(data, dtype=np.uint8).ravel()
+    cap = len(data) // 2 + 1
+    values = np.empty(cap, dtype=np.int64)
+    lines = np.empty(cap, dtype=np.int64)
+    counts = np.empty(cap, dtype=np.int64)
+    out = np.empty(4, dtype=np.int64)
+    lib.polyscan(
+        data.ctypes.data, len(data), values.ctypes.data, lines.ctypes.data,
+        counts.ctypes.data, out.ctypes.data,
+    )
+    n_values, n_lines, at, at_line = out.tolist()
+    return values[:n_values], lines[:n_lines], counts[:n_lines], at, at_line
+
+
+def _numpy_scan(data: np.ndarray) -> tuple:
+    """:func:`compiled_scan` in NumPy, for hosts without the library."""
+    newlines = np.flatnonzero(data == 10)
+    data = _strip_comments(data, newlines)
+    values, positions, lengths = _tokens(data)
+    lines, counts = np.unique(np.searchsorted(newlines, positions), return_counts=True)
+    stray = np.flatnonzero(~_ALLOWED[data])
+    too_long = (positions + _MAX_DIGITS)[lengths > _MAX_DIGITS]
+    at = min(stray[:1].tolist() + too_long[:1].tolist(), default=-1)
+    return values, lines, counts, at, int(np.searchsorted(newlines, at))
 
 
 def _strip_comments(data: np.ndarray, newlines: np.ndarray) -> np.ndarray:

@@ -32,10 +32,11 @@ sequence lives here exactly once:
 This module is the **only** caller of
 :func:`repro.pixelbox.vectorized.plan_levels`,
 :func:`repro.pixelbox.vectorized.stacked_leaf_counts` and
-:func:`repro.pixelbox.native.compiled_chunk` (reprolint RL701 enforces
-the seam), so an execution policy can never change results — only
-wall-clock.  A :data:`BATCH_POLICY` chunk in scan mode runs in one call
-of the compiled ``leafscan.c`` when it loads — routing, the depth-first
+:func:`compiled_chunk`, its typed wrapper of the compiled library's
+``pixelbox_chunk`` (reprolint RL701 enforces the seam), so an execution
+policy can never change results — only wall-clock.  A
+:data:`BATCH_POLICY` chunk in scan mode runs in one call of the compiled
+``leafscan.c`` when :mod:`repro.native` loads it — routing, the depth-first
 sampling-box walk and the leaves, as the paper's kernel runs one pair
 batch per launch; every other chunk runs the level-synchronous NumPy
 planner and stacked leaves.  Both visit the same boxes and count the
@@ -48,12 +49,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro import native
 from repro.errors import KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.polyset import PolygonSet
 from repro.obs.trace import current_tracer
-from repro.pixelbox import native
 from repro.pixelbox.common import (
     KernelStats,
     LaunchConfig,
@@ -406,6 +407,78 @@ class ShardInput:
         return BatchAreas(inter, uni, a_p, a_q, stats)
 
 
+# ``leafscan.c``'s return codes.
+_CHUNK_ERRORS = {
+    1: "a start box with a non-positive or oversized extent, or an unusable grid",
+    2: "the chunk scratch could not be allocated",
+    3: "an owner row or edge span out of range",
+    4: "a sampling-box subdivision deeper than the stack bound",
+}
+
+
+def _chunk_side(table: EdgeTable) -> list:
+    """One side's arguments; the C side bounds every offset by ``len(xs)``."""
+    columns = [
+        np.ascontiguousarray(getattr(table, name), dtype=np.int32)
+        for name in ("xs", "lo", "hi", "ys", "xlo", "xhi")
+    ]
+    offsets = np.ascontiguousarray(table.offsets, dtype=np.int64)
+    if offsets.ndim != 1 or columns[0].ndim != 1 or any(
+        c.shape != columns[0].shape for c in columns
+    ):
+        raise KernelError("edge columns must be 1-D and of one length")
+    return [*columns, offsets, len(offsets) - 1, len(columns[0])]
+
+
+def compiled_chunk(
+    table_p: EdgeTable,
+    table_q: EdgeTable,
+    boxes: np.ndarray,
+    has_box: np.ndarray,
+    row_base: int,
+    cfg: LaunchConfig,
+    skip_dim: int | None,
+    stats: KernelStats,
+) -> np.ndarray:
+    """Intersection areas of one chunk of the PIXELBOX variant, in C.
+
+    Pair ``i`` of ``boxes``/``has_box`` owns row ``row_base + i`` of the
+    edge tables; start boxes of at most ``skip_dim`` pixels a side
+    pixelize whole (``None``: every start box subdivides).  Charges
+    ``stats`` exactly as :meth:`ChunkKernel.run_chunk` charges the NumPy
+    programs.  Raises :class:`~repro.errors.KernelError` when the library
+    is not loaded or rejects its input.
+    """
+    lib = native.load()
+    if lib is None:
+        raise KernelError(f"compiled chunk unavailable: {native.status()}")
+    boxes = np.ascontiguousarray(boxes, dtype=np.int64)
+    routed = np.ascontiguousarray(has_box, dtype=np.bool_)
+    m = len(routed)
+    if boxes.shape != (m, 4) or routed.ndim != 1:
+        raise KernelError(
+            f"boxes must be int64[n, 4] with n routing flags, got {boxes.shape} "
+            f"and {routed.shape}"
+        )
+    nx, ny = cfg.grid
+    inter = np.zeros(m, dtype=np.int64)
+    counters = np.zeros(len(fields(KernelStats)), dtype=np.int64)
+    args = [
+        m, boxes, routed, int(row_base), cfg.threshold, nx, ny,
+        -1 if skip_dim is None else int(skip_dim),
+        *_chunk_side(table_p), *_chunk_side(table_q), inter, counters,
+    ]
+    code = lib.pixelbox_chunk(
+        *(a.ctypes.data if isinstance(a, np.ndarray) else a for a in args)
+    )
+    if code:
+        raise KernelError(
+            f"compiled chunk rejected its input: {_CHUNK_ERRORS.get(code, code)}"
+        )
+    stats.merge(KernelStats(*counters.tolist()))
+    return inter
+
+
 class ChunkKernel:
     """The plan + stacked-pixelize sequence, parameterized by a policy.
 
@@ -473,7 +546,7 @@ class ChunkKernel:
         cfg = self.cfg
         m = len(boxes)
         if self._compiled_chunk():
-            inter = native.compiled_chunk(
+            inter = compiled_chunk(
                 table_p, table_q, boxes, has_box, row_base, cfg,
                 policy.skip_subdivision_max_dim, stats,
             )

@@ -36,6 +36,12 @@ _HOVER = BoxPosition.HOVER.value
 # Cap on leaves * H * W cells materialized per stacked chunk.
 _CHUNK_CELLS = 1 << 23
 
+# leafscan.c's MAX_DEPTH: with nx, ny >= 2 a partition at least halves
+# both extents of an int32 box, so no tree is deeper than 33 levels; a
+# grid with ny == 1 (a prime block size) partitions a hovering 1-pixel-
+# wide box into itself forever, and this bound stops it.
+_MAX_DEPTH = 64
+
 
 def _expand(owner: np.ndarray, table: EdgeTable):
     """Ragged (box, edge) expansion.
@@ -271,7 +277,9 @@ def plan_levels(
     leaf_owner_parts: list[np.ndarray] = []
 
     frontier, fowner = boxes, owner
-    while len(frontier):
+    for depth in range(_MAX_DEPTH + 1):
+        if not len(frontier):
+            break
         sizes = (frontier[:, 2] - frontier[:, 0]) * (frontier[:, 3] - frontier[:, 1])
         stats.pops += len(frontier)
         is_leaf = (sizes < threshold) | (sizes == 1)
@@ -281,6 +289,11 @@ def plan_levels(
         frontier, fowner = frontier[~is_leaf], fowner[~is_leaf]
         if not len(frontier):
             break
+        if depth == _MAX_DEPTH:
+            raise KernelError(
+                f"a sampling-box subdivision deeper than the stack bound "
+                f"({_MAX_DEPTH} levels)"
+            )
 
         stats.partitions += len(frontier)
         k = len(frontier)

@@ -256,7 +256,7 @@ class TestWiring:
         out = capsys.readouterr().out
         for name in ("batch", "multiprocess", "cluster"):
             assert name in out
-        assert "kernel chunk: " in out
+        assert "native library: " in out and "pixelbox_chunk, polyscan" in out
 
     def test_cli_compare_with_backend(self, small_dataset, capsys):
         from repro.cli import main

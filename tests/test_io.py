@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import native
 from repro.errors import DatasetError, ParseError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
+from repro.io import parser_cpu
 from repro.io.parser_cpu import parse_fsm, parse_vectorized, tokenize_numbers
 from repro.io.polyfile import (
     format_polygon,
@@ -94,6 +96,22 @@ class TestParsers:
             np.frombuffer(b", , \n", dtype=np.uint8)
         )
         assert len(values) == 0 and len(positions) == 0
+
+    def test_the_scan_runs_compiled_when_the_library_loads(self, rng, monkeypatch):
+        """``parse_vectorized`` scans in C whenever the library loads, and
+        in NumPy, with the same polygons, when it does not."""
+        polys, text = self._sample_text(rng, 10)
+        calls = []
+        compiled = parser_cpu.compiled_scan
+        monkeypatch.setattr(
+            parser_cpu, "compiled_scan", lambda data: calls.append(1) or compiled(data)
+        )
+        assert parse_vectorized(text) == polys
+        assert calls == ([1] if native.load() is not None else [])
+        calls.clear()
+        monkeypatch.setattr(native, "load", lambda: None)
+        assert parse_vectorized(text) == polys
+        assert calls == []
 
     def test_vectorized_from_path(self, tmp_path, rng):
         polys, text = self._sample_text(rng, 10)

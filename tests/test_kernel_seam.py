@@ -23,17 +23,29 @@ from tools.reprolint.kernel_seam import SEAM_ALLOWLIST  # noqa: E402
 def test_kernel_sequence_is_invoked_from_exactly_one_module():
     found = KernelSeamChecker().check(Project(REPO_ROOT))
     assert not found, (
-        "plan_levels/stacked_leaf_counts/compiled_chunk used outside the kernel seam "
-        f"(RL701, allowlist: {sorted(SEAM_ALLOWLIST)}) or repro.gpu "
+        "a seam name used outside its one caller "
+        f"(RL701, allowlist: {SEAM_ALLOWLIST}) or repro.gpu "
         "imported outside the simulator seam (RL702): "
         + "; ".join(f"{f.code} {f.path}:{f.line}" for f in found)
     )
 
 
 def test_allowlist_is_the_kernel_and_its_definition_site():
-    assert sorted(SEAM_ALLOWLIST) == [
-        "repro/pixelbox/kernel.py",
-        "repro/pixelbox/vectorized.py",
-    ]
-    for rel in SEAM_ALLOWLIST:
-        assert (REPO_ROOT / "src" / rel).is_file(), rel
+    """The kernel calls the planner, the leaves and the compiled chunk;
+    the parser calls the compiled scan; each name is defined where the
+    allowlist expects it."""
+    kernel, parser = "repro/pixelbox/kernel.py", "repro/io/parser_cpu.py"
+    assert SEAM_ALLOWLIST == {
+        "plan_levels": kernel,
+        "stacked_leaf_counts": kernel,
+        "compiled_chunk": kernel,
+        "compiled_scan": parser,
+    }
+    defined_in = {
+        "plan_levels": "repro/pixelbox/vectorized.py",
+        "stacked_leaf_counts": "repro/pixelbox/vectorized.py",
+        "compiled_chunk": kernel,
+        "compiled_scan": parser,
+    }
+    for name, rel in defined_in.items():
+        assert f"\ndef {name}(" in (REPO_ROOT / "src" / rel).read_text(), (name, rel)

@@ -33,12 +33,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import native
 from repro.backends import available_backends, get_backend
 from repro.errors import GeometryError, KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes
-from repro.pixelbox import native
+from repro.pixelbox import kernel as kernel_module
 from repro.pixelbox.common import KernelStats, LaunchConfig, Method
 from repro.pixelbox.engine import compute_pair
 from repro.pixelbox.kernel import (
@@ -47,6 +48,7 @@ from repro.pixelbox.kernel import (
     ChunkKernel,
     ExecutionPolicy,
     ShardInput,
+    compiled_chunk,
     start_box,
 )
 from repro.pixelbox.vectorized import stacked_leaf_counts
@@ -501,7 +503,7 @@ def _compiled(table_p, table_q, boxes, cfg=None, skip=64, row_base=0, has_box=No
     stats = KernelStats()
     if has_box is None:
         has_box = np.ones(len(boxes), dtype=bool)
-    inter = native.compiled_chunk(
+    inter = compiled_chunk(
         table_p, table_q, np.asarray(boxes), has_box, row_base,
         cfg or LaunchConfig(), skip, stats,
     )
@@ -591,9 +593,10 @@ def test_compiled_chunk_plans_what_the_numpy_planner_plans(
         )
         return inter, stats.as_dict()
 
-    compiled = native.compiled_chunk
     calls = []
-    monkeypatch.setattr(native, "compiled_chunk", lambda *a: calls.append(1) or compiled(*a))
+    monkeypatch.setattr(
+        kernel_module, "compiled_chunk", lambda *a: calls.append(1) or compiled_chunk(*a)
+    )
     got = chunk()
     monkeypatch.setattr(native, "load", lambda: None)
     want = chunk()
@@ -637,18 +640,28 @@ def test_a_subdivision_that_never_ends_is_refused():
         _compiled(p, q, np.array([[0, 0, 1, 100]]), LaunchConfig(block_size=5))
 
 
+@pytest.mark.parametrize(
+    "policy", [ExecutionPolicy(), BATCH_POLICY], ids=["numpy", "production"]
+)
+def test_every_policy_refuses_a_subdivision_that_never_ends(policy):
+    """The NumPy planner stops at the compiled chunk's stack bound, so a
+    prime block size is refused on every policy and host, not a hang."""
+    pair = (rect(0, 0, 1, 100), rect(0, 10, 1, 90))
+    with pytest.raises(KernelError, match="deeper than the stack bound"):
+        ChunkKernel(policy, LaunchConfig(block_size=5)).compute([pair])
+
+
 def test_only_the_production_scan_runs_compiled(rng, monkeypatch):
     """BATCH_POLICY's scan chunks go to the compiled chunk; crossing
     leaves and every other policy stay on the NumPy programs."""
     _require_compiled()
     calls = []
-    compiled = native.compiled_chunk
 
     def counting(*args):
         calls.append(len(args[2]))
-        return compiled(*args)
+        return compiled_chunk(*args)
 
-    monkeypatch.setattr(native, "compiled_chunk", counting)
+    monkeypatch.setattr(kernel_module, "compiled_chunk", counting)
     pairs = [random_pair(rng) for _ in range(6)]
     batched_areas(pairs)
     assert calls
@@ -664,20 +677,21 @@ def test_only_the_production_scan_runs_compiled(rng, monkeypatch):
 _SANITIZED_RUN = """
 import sys
 import pytest
-from repro.pixelbox import native
+from repro import native
 
 native.FLAGS = ("-O1", "-g", "-shared", "-fPIC",
                 "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 assert native.load(), native.status()
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "--capture=sys", *sys.argv[1:]]))
 """
 
 
 def test_the_compiled_chunk_is_clean_under_address_and_undefined_sanitizers(
     tmp_path,
 ):
-    """The shipped source built with ASan and UBSan, in a child process,
-    runs the compiled-chunk tests above without a report."""
+    """The shipped library built with ASan and UBSan, in a child process,
+    runs the compiled-chunk tests above and the parser differentials
+    (both entry points) without a report."""
     compiler = shutil.which("gcc")
     if compiler is None:
         pytest.skip("no gcc on PATH")
@@ -698,7 +712,8 @@ def test_the_compiled_chunk_is_clean_under_address_and_undefined_sanitizers(
         LD_PRELOAD=" ".join(runtimes),
         ASAN_OPTIONS="detect_leaks=0",
         PYTHONPATH=os.pathsep.join(
-            filter(None, [src, str(here.parent), os.environ.get("PYTHONPATH")])
+            filter(None, [src, str(here.parents[1]), str(here.parent),
+                          os.environ.get("PYTHONPATH")])
         ),
     )
     tests = [
@@ -709,7 +724,12 @@ def test_the_compiled_chunk_is_clean_under_address_and_undefined_sanitizers(
             "test_compiled_chunk_plans_what_the_numpy_planner_plans",
             "test_compiled_chunk_rejects_a_malformed_bundle",
             "test_a_subdivision_that_never_ends_is_refused",
+            "test_every_policy_refuses_a_subdivision_that_never_ends",
         )
+    ] + [
+        str(here.parent / "test_io.py"),
+        f"{here.parent / 'test_properties.py'}::test_parsers_agree",
+        f"{here.parent / 'test_properties.py'}::test_parsers_accept_and_reject_alike",
     ]
     done = subprocess.run(
         [sys.executable, "-c", _SANITIZED_RUN, *tests],
@@ -723,7 +743,7 @@ _NO_COMPILER_RUN = """
 import json, sys
 from repro.backends import get_backend
 from repro.geometry.polygon import RectilinearPolygon
-from repro.pixelbox import native
+from repro import native
 
 rings = json.load(open(sys.argv[1]))
 pairs = [(RectilinearPolygon(p), RectilinearPolygon(q)) for p, q in rings]
@@ -751,7 +771,7 @@ def test_a_host_without_a_c_compiler_gives_the_same_bits(rng, tmp_path):
     )
     (tmp_path / "bin").mkdir()
     (tmp_path / "cache").mkdir()
-    src = str(Path(native.__file__).resolve().parents[2])
+    src = str(Path(native.__file__).resolve().parents[1])
     env = dict(
         os.environ,
         PATH=str(tmp_path / "bin"),
@@ -774,7 +794,8 @@ def test_a_host_without_a_c_compiler_gives_the_same_bits(rng, tmp_path):
     assert list((tmp_path / "cache").iterdir()) == []
     listing = run("-m", "repro", "backends")
     assert (
-        "kernel chunk: NumPy planner and XOR-scan (no C compiler (cc, gcc) on PATH)"
+        "native library: NumPy in place of pixelbox_chunk, polyscan "
+        "(no C compiler (cc, gcc) on PATH)"
         in listing
     )
 
@@ -790,7 +811,7 @@ def test_a_failed_compile_is_recorded_not_raised(tmp_path, monkeypatch):
     _require_compiled()
     broken = tmp_path / "leafscan.c"
     broken.write_text("int pixelbox_chunk(void) { return }\n")
-    monkeypatch.setattr(native, "SOURCE", broken)
+    monkeypatch.setattr(native, "SOURCES", (broken,))
     assert _fresh_build(monkeypatch, tmp_path / "cache") is None
     assert "failed" in native.status()
     assert [p.name for p in (tmp_path / "cache" / "repro").iterdir()] == []
@@ -818,7 +839,7 @@ def test_an_unusable_cache_directory_falls_back_to_a_temporary_one(
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     assert _fresh_build(monkeypatch, not_a_dir) is not None
-    assert "compiled C chunk" in native.status()
+    assert "compiled C pixelbox_chunk, polyscan" in native.status()
     assert list((tmp_path / "tmp").iterdir()) == []
     table = PolygonSet.from_polygons([rect(0, 0, 4, 4)]).edges
     counts, _ = _compiled(table, table, np.array([[2, 2, 6, 6]]))
@@ -830,7 +851,7 @@ def test_processes_compiling_at_once_share_one_library(tmp_path):
     library and no temporary file behind."""
     _require_compiled()
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
-    code = "from repro.pixelbox import native; assert native.load(), native.status()"
+    code = "from repro import native; assert native.load(), native.status()"
     procs = [
         subprocess.Popen([sys.executable, "-c", code], env=env) for _ in range(3)
     ]

@@ -11,11 +11,14 @@ These encode the correctness arguments of the paper:
 * text serialization round-trips.
 """
 
-import re
+import functools
+import shutil
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import native
 from repro.backends import get_backend
 from repro.errors import ParseError
 from repro.exact.boolean import intersection_area, union_area
@@ -26,6 +29,7 @@ from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes, polygon_to_mask
 from repro.index.hilbert import d_to_xy, xy_to_d
 from repro.index.join import mbr_pair_join
+from repro.io import parser_cpu
 from repro.io.parser_cpu import parse_fsm, parse_vectorized
 from repro.io.polyfile import format_polygon, parse_line
 from repro.pixelbox.common import BoxPosition, LaunchConfig, Method
@@ -230,23 +234,35 @@ def test_text_roundtrip(poly):
     assert parse_line(format_polygon(poly)) == poly
 
 
+def _parsers():
+    """The FSM reference, then the production parser under each byte
+    scan: NumPy always, C whenever a compiler is on PATH."""
+    parsers = [parse_fsm, functools.partial(parser_cpu._parse, scan=parser_cpu._numpy_scan)]
+    if native.load() is not None:
+        parsers.append(functools.partial(parser_cpu._parse, scan=parser_cpu.compiled_scan))
+    elif any(shutil.which(c) for c in native.COMPILERS):
+        pytest.fail(f"a C compiler is on PATH, yet {native.status()}")
+    return parsers
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(polygon_strategy(), min_size=0, max_size=6))
 def test_parsers_agree(polys):
     text = "\n".join(format_polygon(p) for p in polys)
-    assert parse_fsm(text) == polys
+    for parse in _parsers():
+        assert parse(text) == polys
     assert parse_vectorized(text) == polys
 
 
-_TEXT_BYTES = b"0123456789, \t\r\n-#ab;"
+_TEXT_BYTES = b"0123456789, \t\r\n-#ab;\x00\x80\xff"
 
 
 def _parse_outcome(parse, raw):
-    """Polygons, or the line number a ParseError names."""
+    """Polygons, or the message of the ParseError raised."""
     try:
         return list(parse(raw))
     except ParseError as exc:
-        return ("ParseError", re.match(r"line (\d+): ", str(exc)).group(1))
+        return ("ParseError", str(exc))
 
 
 @st.composite
@@ -266,7 +282,18 @@ def polygon_text(draw):
 @example(b"0,0 -4,0 -4,4 0,4")
 @example(b"0,0 4,0 4,4 0,4\n1,1 3,1 3,3 1,3 # note")
 @example(b"0,0 4,0 4;4 0,4")
+@example(b"0,0 100000000000000000,0 100000000000000000,4 0,4")  # 18 digits
+@example(b"0,0 1000000000000000000,0 1000000000000000000,4 0,4")  # 19 digits
+@example(b"0,0 4,0 4,4 0,4\n1,1 3,1 3,3 1,3")  # last line without a newline
+@example(b"0,0 4,0 4,4 0,4#")  # a ``#`` directly after a digit
+@example(b"# head\r\n0,0 4,0 4,4 0,4\r\n1,1 3,1 3,3 1,3\r\n")  # CRLF
+@example(b"")
+@example(b"# only\n\n  # comments")
+@example(b"0,0 4,0\x00 4,4 0,4")  # NUL
+@example(b"0,0 4,0 4,4 0,4\n\x80\xff")  # bytes of 0x80 and above
 def test_parsers_accept_and_reject_alike(raw):
-    """The production parser accepts exactly what the FSM accepts: equal
-    polygons, or a ParseError naming the same line."""
-    assert _parse_outcome(parse_vectorized, raw) == _parse_outcome(parse_fsm, raw)
+    """The production parser, under either byte scan, accepts exactly
+    what the FSM accepts: equal polygons, or a ParseError with the same
+    message."""
+    fsm, *vectorized = (_parse_outcome(parse, raw) for parse in _parsers())
+    assert vectorized == [fsm] * len(vectorized)

@@ -508,13 +508,37 @@ def test_seam_checker_flags_out_of_seam_reference(tmp_path):
 
 def test_seam_checker_flags_the_compiled_chunk_outside_the_kernel(tmp_path):
     caller = (
-        "from repro.pixelbox import native\n\n"
+        "from repro.pixelbox import kernel\n\n"
         "def shortcut(*args):\n"
-        "    return native.compiled_chunk(*args)\n"
+        "    return kernel.compiled_chunk(*args)\n"
     )
     project = make_project(tmp_path, {"src/repro/backends/fast.py": caller})
     found = KernelSeamChecker().check(project)
     assert idents(found, "RL701") == {"compiled_chunk"}
+
+
+def test_seam_checker_flags_the_compiled_scan_outside_the_parser(tmp_path):
+    caller = (
+        "from repro.io.parser_cpu import compiled_scan\n\n"
+        "def fast_tokens(data):\n"
+        "    return compiled_scan(data)\n"
+    )
+    project = make_project(
+        tmp_path,
+        {
+            "src/repro/pipeline/measure.py": caller,
+            "src/repro/io/parser_cpu.py": "def parse(d):\n    return compiled_scan(d)\n",
+        },
+    )
+    found = KernelSeamChecker().check(project)
+    assert {(f.path, f.ident) for f in found if f.code == "RL701"} == {
+        ("src/repro/pipeline/measure.py", "compiled_scan")
+    }
+    # The kernel is the caller of the chunk, not of the scan.
+    project = make_project(
+        tmp_path / "kernel", {"src/repro/pixelbox/kernel.py": caller}
+    )
+    assert idents(KernelSeamChecker().check(project), "RL701") == {"compiled_scan"}
 
 
 def test_seam_checker_ignores_comments_and_docstrings(tmp_path):
