@@ -59,9 +59,7 @@ def main() -> None:
     workers = [start_worker() for _ in range(WORKERS)]
     hosts = ",".join(addr for _, addr in workers)
     print(f"workers: {hosts}")
-    backend = get_backend(
-        "cluster", hosts=hosts, min_pairs=1, shard_pairs=64
-    )
+    backend = get_backend("cluster", hosts=hosts, min_pairs=1)
     try:
         result = backend.compare_pairs(pairs)
         assert np.array_equal(result.intersection, reference.intersection)

@@ -49,7 +49,7 @@ def main() -> None:
 
     # `explain` resolves a request into its plan without executing it:
     # the executor's capabilities, the effective launch parameters, and
-    # the shard size the sizing policy recommends.
+    # the shard size the backend would cut.
     request = CompareRequest.from_sets(
         result_a, result_b, CompareOptions(backend="multiprocess")
     )

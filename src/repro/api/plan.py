@@ -3,7 +3,7 @@
 Given a :class:`~repro.api.request.CompareRequest`, :func:`explain`
 reports everything the execution layer *would* decide — the named
 backend's structured capabilities, the effective launch parameters,
-the shard sizing the policy recommends and the cluster host resolution —
+the shard size the backend would cut and the cluster host resolution —
 as one serializable :class:`ResolvedPlan`.
 
 Nothing is executed: no kernel runs, no worker process forks, no socket
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.api.request import CompareRequest
 from repro.errors import ReproError
@@ -118,6 +120,23 @@ def _profile(request: CompareRequest):
     return None, None
 
 
+def _profile_pairs(pairs) -> tuple[float, float]:
+    """``(mean edges per pair, mean MBR pixels per pair)`` of a
+    :class:`~repro.pixelbox.kernel.PairBatch`.
+
+    Edges are both polygons' vertical-edge families (what every inner
+    loop walks); the MBR is the pair cover box, Algorithm 1's first box.
+    """
+    n = len(pairs)
+    if not n:
+        return 0.0, 0.0
+    left, right = pairs.left, pairs.right
+    edges = left.edges.counts()[pairs.left_idx] + right.edges.counts()[pairs.right_idx]
+    mp, mq = left.mbrs[pairs.left_idx], right.mbrs[pairs.right_idx]
+    extent = np.maximum(mp[:, 2:], mq[:, 2:]) - np.minimum(mp[:, :2], mq[:, :2])
+    return int(edges.sum()) / n, int(np.prod(extent, axis=1).sum()) / n
+
+
 def _resolve_cache(request: CompareRequest, request_cache) -> dict[str, Any]:
     """The plan's cache section — key and hit prediction included.
 
@@ -158,7 +177,6 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
     the plan's ``would_hit`` is ``None``.
     """
     from repro.backends import get_backend
-    from repro.backends.sizing import profile_pairs
 
     options = request.options
     cfg = options.launch_config()
@@ -167,7 +185,7 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
     pairs, n_pairs = _profile(request)
     mean_edges = mean_pixels = None
     if pairs is not None:
-        mean_edges, mean_pixels = profile_pairs(pairs)
+        mean_edges, mean_pixels = _profile_pairs(pairs)
 
     # Capability check: instantiate (lazily — no pools, no sockets),
     # read the report and the backend's own shard sizing — what its
@@ -180,7 +198,7 @@ def explain(request: CompareRequest, request_cache=None) -> ResolvedPlan:
         caps = backend.capabilities()
         shard_size = getattr(backend, "_shard_size", None)
         if pairs is not None and shard_size is not None:
-            shard = shard_size(pairs, cfg)
+            shard = shard_size(n_pairs)
         if options.backend == "cluster":
             hosts = tuple(backend.hosts) or ("loopback",)
     finally:

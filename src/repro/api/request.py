@@ -29,6 +29,7 @@ from repro.api.options import CompareOptions
 from repro.errors import RequestError
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.wkt import polygon_from_wkt, polygon_to_wkt
+from repro.pixelbox.common import LAUNCH_FIELDS
 
 __all__ = [
     "CompareRequest",
@@ -281,12 +282,6 @@ def request_from_cli(
     return CompareRequest.from_files(dir_a, dir_b, options)
 
 
-# Wire config fields accepted on a service `compare` line.  Identical to
-# the launch-parameter fields of CompareOptions by construction (the
-# round-trip test pins this).
-WIRE_CONFIG_FIELDS = ("block_size", "pixel_threshold", "tight_mbr", "leaf_mode")
-
-
 def request_from_wire(
     message: Mapping[str, Any],
     base_options: CompareOptions | None = None,
@@ -311,7 +306,7 @@ def request_from_wire(
     if config is not None:
         if not isinstance(config, Mapping):
             raise RequestError("'config' must be an object")
-        unknown = set(config) - set(WIRE_CONFIG_FIELDS)
+        unknown = set(config) - set(LAUNCH_FIELDS)
         if unknown:
             raise RequestError(f"unknown config fields: {sorted(unknown)}")
         options = options.replace(**dict(config))

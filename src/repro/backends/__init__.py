@@ -23,7 +23,9 @@ seam that makes the claim structural instead of incidental:
 
   ``multiprocess`` and ``cluster`` are one executor,
   :class:`repro.cluster.coordinator.ClusterBackend`: one scheduler, one
-  wire and one worker loop serve every multi-process request.
+  wire and one worker loop serve every multi-process request, cut by
+  pair count into about four shards per worker, none smaller than
+  ``min_pairs``.
 
 * consumers — the session (:class:`repro.Session`), the §4 experiment's
   stage-cost measurement (:func:`repro.pipeline.measure.measure_tiles`),
@@ -68,7 +70,6 @@ from repro.backends.base import (
 # cluster coordinator registers through lazy shims).
 from repro.backends import cluster as _cluster  # noqa: E402,F401
 from repro.backends import kernel as _kernel  # noqa: E402,F401
-from repro.backends.sizing import default_workers
 
 __all__ = [
     "Backend",
@@ -78,5 +79,4 @@ __all__ = [
     "get_backend",
     "available_backends",
     "backend_registry",
-    "default_workers",
 ]

@@ -16,9 +16,10 @@ Either way every shard crosses the same wire:
   speculation, failure re-dispatch and the first-result-wins merge; a
   lost speculative copy is cancelled at win time (its socket is shut
   down), never counted as its worker's failure;
-* shard size comes from the sizing policy
-  (:func:`repro.backends.sizing.recommend_shard_pairs`), so the dispatch
-  round trip stays amortized over each shard's compute;
+* a request is cut by count into about ``_SHARDS_PER_WORKER`` shards
+  per live worker, slack for speculation and re-dispatch, and no shard
+  is smaller than ``min_pairs``, the size below which a dispatch costs
+  more than it saves;
 * the coordinator routes pairs and every worker runs shards under
   :data:`~repro.pixelbox.kernel.BATCH_POLICY`, the policy every executor
   runs, so a result is bit-for-bit the ``batch`` backend's, work
@@ -35,6 +36,7 @@ in-process through the same
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import socket
 import threading
@@ -48,21 +50,16 @@ from repro.backends.base import (
     BackendLifecycle,
     Pairs,
 )
-from repro.backends.sizing import (
-    default_workers,
-    profile_pairs,
-    recommend_shard_pairs,
-)
 from repro.cluster import local, wire
 from repro.cluster.scheduler import (
     Shard,
     ShardOutcome,
     ShardScheduler,
 )
-from repro.errors import ClusterConfigError, ClusterError
+from repro.errors import ClusterConfigError, ClusterError, KernelError
 from repro.obs.events import EVENTS
 from repro.obs.trace import current_context, current_tracer, span
-from repro.pixelbox.common import KernelStats, LaunchConfig
+from repro.pixelbox.common import KernelStats, LaunchConfig, _is_int
 from repro.pixelbox.kernel import (
     BATCH_POLICY,
     BatchAreas,
@@ -77,6 +74,31 @@ __all__ = ["ClusterBackend", "WorkerClient", "parse_hosts"]
 # out ``min(_BACKOFF_CAP, _BACKOFF_BASE * 2**(f-1))`` seconds.
 _BACKOFF_BASE = 0.5
 _BACKOFF_CAP = 30.0
+# Shards per live worker in one request: slack for speculation and
+# re-dispatch.
+_SHARDS_PER_WORKER = 4
+
+
+def default_workers() -> int:
+    """Worker-count default: the host's cores, capped at 4.
+
+    The ``REPRO_WORKERS`` environment variable overrides the default —
+    CI uses it to run the parity suite at several worker counts.  A value
+    that does not parse is an error, not a silent fallback: the parity
+    matrix must never report green for a width it did not test.
+    """
+    env = os.environ.get("REPRO_WORKERS")
+    if env is not None:
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise KernelError(
+                f"REPRO_WORKERS must be a positive integer, got {env!r}"
+            )
+        return workers
+    return max(1, min(4, os.cpu_count() or 1))
 
 
 def parse_hosts(hosts) -> list[tuple[str, int]]:
@@ -339,13 +361,13 @@ class ClusterBackend(BackendLifecycle):
         empty list) the backend runs local worker processes.
     workers:
         Local worker processes when there are no hosts; defaults to
-        :func:`~repro.backends.sizing.default_workers`.  One worker runs
-        every request in-process.
+        :func:`default_workers`.  One worker runs every request
+        in-process.
     min_pairs:
         Below this many pairs the request runs in-process (dispatch
-        latency would dominate).
-    shard_pairs:
-        Pairs per shard; ``None`` asks the sizing policy per request.
+        latency would dominate), and no shard is cut smaller.  A
+        sharded request is cut by count into about four shards
+        (``_SHARDS_PER_WORKER``) per live worker.
     """
 
     name = "cluster"
@@ -356,7 +378,6 @@ class ClusterBackend(BackendLifecycle):
         hosts=None,
         workers: int | None = None,
         min_pairs: int = 256,
-        shard_pairs: int | None = None,
         connect_timeout: float = 5.0,
         io_timeout: float = 60.0,
     ):
@@ -364,19 +385,13 @@ class ClusterBackend(BackendLifecycle):
             hosts = os.environ.get("REPRO_CLUSTER_HOSTS") or None
         self._addresses = parse_hosts(hosts)
         workers = default_workers() if workers is None else workers
-        if workers < 1:
-            raise ClusterConfigError(f"workers must be >= 1, got {workers}")
-        if min_pairs < 1:
-            raise ClusterConfigError(
-                f"min_pairs must be >= 1, got {min_pairs}"
-            )
-        if shard_pairs is not None and shard_pairs < 1:
-            raise ClusterConfigError(
-                f"shard_pairs must be >= 1 or None, got {shard_pairs}"
-            )
+        for name, value in (("workers", workers), ("min_pairs", min_pairs)):
+            if not _is_int(value) or value < 1:
+                raise ClusterConfigError(
+                    f"{name} must be an int >= 1, got {value!r}"
+                )
         self.workers = workers
         self.min_pairs = min_pairs
-        self.shard_pairs = shard_pairs
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self._clients: list[WorkerClient] | None = None
@@ -532,7 +547,7 @@ class ClusterBackend(BackendLifecycle):
         digest = wire.bundle_digest(bundle)
         with self._dispatch_lock:
             clients = self._live_clients(digest, bundle)
-            size = self._shard_size(pairs, cfg, workers=len(clients))
+            size = self._shard_size(n, workers=len(clients))
             shards = [
                 Shard(index, lo, min(lo + size, n))
                 for index, lo in enumerate(range(0, n, size))
@@ -600,27 +615,17 @@ class ClusterBackend(BackendLifecycle):
             t.join()
         return [c for i, c in enumerate(candidates) if outcomes.get(i)]
 
-    def _shard_size(
-        self, pairs: Pairs, cfg: LaunchConfig, workers: int | None = None
-    ) -> int:
-        """Pairs per shard across ``workers`` — the live ones at dispatch,
-        the configured count when omitted (``explain`` reports this too):
-        all of them for a request that runs in-process."""
+    def _shard_size(self, n: int, workers: int | None = None) -> int:
+        """Pairs per shard of an ``n``-pair request across ``workers`` —
+        the live ones at dispatch, the configured count when omitted
+        (``explain`` reports this too): all of them for a request that
+        runs in-process."""
         if workers is None:
             workers = self.capabilities().max_workers
-        if self._in_process(len(pairs)):
-            return len(pairs)
-        if self.shard_pairs is not None:
-            return self.shard_pairs
-        mean_edges, mean_pixels = profile_pairs(pairs)
-        return recommend_shard_pairs(
-            len(pairs),
-            mean_edges,
-            mean_pixels,
-            cfg.threshold,
-            cfg.block_size,
-            workers=max(1, workers),
-        )
+        if self._in_process(n):
+            return n
+        target = math.ceil(n / (max(1, workers) * _SHARDS_PER_WORKER))
+        return min(n, max(self.min_pairs, target))
 
 
 _STATS_FIELDS = frozenset(f.name for f in dataclasses.fields(KernelStats))

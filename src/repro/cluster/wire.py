@@ -38,6 +38,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ClusterProtocolError
+from repro.pixelbox.common import LAUNCH_FIELDS
 
 __all__ = [
     "MsgType",
@@ -256,12 +257,9 @@ def recv_frame(
 # ----------------------------------------------------------------------
 # Launch-config transport
 # ----------------------------------------------------------------------
-_CONFIG_FIELDS = ("block_size", "pixel_threshold", "tight_mbr", "leaf_mode")
-
-
 def config_to_wire(config) -> dict[str, Any]:
     """``LaunchConfig`` -> JSON-safe dict for the RUN_SHARD header."""
-    return {f: getattr(config, f) for f in _CONFIG_FIELDS}
+    return {f: getattr(config, f) for f in LAUNCH_FIELDS}
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +305,7 @@ def config_from_wire(raw: dict[str, Any] | None):
 
     if raw is None:
         return LaunchConfig()
-    if not isinstance(raw, dict) or set(raw) - set(_CONFIG_FIELDS):
+    if not isinstance(raw, dict) or set(raw) - set(LAUNCH_FIELDS):
         raise ClusterProtocolError(f"bad launch config on the wire: {raw!r}")
     try:
         return LaunchConfig(**raw)

@@ -4,7 +4,7 @@ Used by the architecture-level experiments (Figure 9's implementation
 optimizations, the §5.4 block-size observation), which interpret only
 normalized cycle ratios.  Nothing that decides how work is run imports
 this package: inside ``repro`` only ``repro.experiments`` may (reprolint
-RL702); shard sizing lives in :mod:`repro.backends.sizing`.
+RL702); the cluster cuts shards by pair count.
 """
 
 from repro.gpu.cost import CostModel, CycleBreakdown, OptimizationFlags

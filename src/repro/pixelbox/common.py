@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.errors import KernelError
 
@@ -144,6 +144,11 @@ class LaunchConfig:
     def grid(self) -> tuple[int, int]:
         """Sub-box split grid derived from the block size."""
         return split_grid(self.block_size)
+
+
+#: ``LaunchConfig``'s field names: what a service ``compare`` line's
+#: ``config`` and a worker's RUN_SHARD header may carry.
+LAUNCH_FIELDS = tuple(f.name for f in fields(LaunchConfig))
 
 
 @dataclass(frozen=True, slots=True)

@@ -59,8 +59,8 @@ from repro.metrics.jaccard import PairwiseJaccard, jaccard_tile
 from repro.obs.clock import StageClock
 from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_tracer, span
-from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.kernel import BatchAreas, PairBatch
+from repro.pixelbox.common import KernelStats, LaunchConfig, _is_int
+from repro.pixelbox.kernel import DEFAULT_CHUNK_PAIRS, BatchAreas, PairBatch
 
 __all__ = ["Session"]
 
@@ -491,12 +491,14 @@ class Session:
     ) -> Iterator[PairOutcome]:
         """Yield per-pair results incrementally as shards complete.
 
-        The request is cut into policy-sized shards (overridable
-        with ``shard_pairs``); each shard is one backend launch, and its
-        pairs are yielded in input order as soon as it returns.  Chunk
-        boundaries never change results (the kernel's shard-invariance
-        guarantee), so consuming the whole stream equals one
-        :meth:`compare` call bit for bit.
+        The request is cut into shards of ``shard_pairs`` pairs — one
+        kernel chunk (:data:`~repro.pixelbox.kernel.DEFAULT_CHUNK_PAIRS`)
+        by default, a smaller count for results that arrive more often;
+        each shard is one backend launch, and its pairs are yielded in
+        input order as soon as it returns.  Chunk boundaries never
+        change results (the kernel's shard-invariance guarantee), so
+        consuming the whole stream equals one :meth:`compare` call bit
+        for bit.
         """
         batch, opts, shard_pairs = self._stream_plan(pairs, options, shard_pairs)
         for lo in range(0, len(batch), shard_pairs):
@@ -536,10 +538,10 @@ class Session:
         request = CompareRequest.from_pairs(pairs, opts)
         batch = PairBatch.from_pairs(list(request.pairs))
         if shard_pairs is None:
-            shard_pairs = self._stream_shard_pairs(batch, opts)
-        if shard_pairs < 1:
+            shard_pairs = DEFAULT_CHUNK_PAIRS
+        if not _is_int(shard_pairs) or shard_pairs < 1:
             raise RequestError(
-                f"shard_pairs must be >= 1, got {shard_pairs}"
+                f"shard_pairs must be an int >= 1, got {shard_pairs!r}"
             )
         return batch, opts, shard_pairs
 
@@ -560,22 +562,6 @@ class Session:
                 area_p=int(areas.area_p[i]),
                 area_q=int(areas.area_q[i]),
             )
-
-    def _stream_shard_pairs(self, batch: PairBatch, options: CompareOptions) -> int:
-        """:mod:`repro.backends.sizing` shard size for one stream."""
-        if not len(batch):
-            return 1
-        from repro.backends.sizing import profile_pairs, recommend_shard_pairs
-
-        cfg = options.launch_config()
-        mean_edges, mean_pixels = profile_pairs(batch)
-        return recommend_shard_pairs(
-            len(batch),
-            mean_edges,
-            mean_pixels,
-            cfg.threshold,
-            cfg.block_size,
-        )
 
     # ------------------------------------------------------------------
     # Planning

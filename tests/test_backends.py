@@ -9,23 +9,19 @@ import signal
 import numpy as np
 import pytest
 
+from repro.api.plan import _profile_pairs
 from repro.backends import (
     Backend,
     available_backends,
-    default_workers,
     get_backend,
     register,
 )
 from repro.backends.base import backend_registry
-from repro.backends.sizing import (
-    estimate_comparison_cycles,
-    profile_pairs,
-    recommend_shard_pairs,
-)
+from repro.cluster.coordinator import default_workers
 from repro.errors import ClusterConfigError, KernelError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
-from repro.pixelbox.common import LaunchConfig
+from repro.pixelbox.kernel import PairBatch
 
 
 def _pairs(n: int = 8):
@@ -75,8 +71,12 @@ class TestRegistry:
 
 class TestMultiprocessBackend:
     def test_invalid_workers(self):
-        with pytest.raises(ClusterConfigError):
-            get_backend("multiprocess", workers=0)
+        # A float, a bool or a string count fails at construction, not
+        # later inside worker start-up or a shard cut.
+        for option in ("workers", "min_pairs"):
+            for bad in (0, 1.5, True, "2"):
+                with pytest.raises(ClusterConfigError, match=option):
+                    get_backend("multiprocess", **{option: bad})
 
     def test_never_reads_hosts(self, monkeypatch):
         monkeypatch.setenv("REPRO_CLUSTER_HOSTS", "127.0.0.1:9")
@@ -100,9 +100,7 @@ class TestMultiprocessBackend:
     def test_a_killed_worker_process_is_redispatched_around(self):
         pairs = _pairs(40)
         want = get_backend("batch").compare_pairs(pairs)
-        with get_backend(
-            "multiprocess", workers=2, min_pairs=1, shard_pairs=8
-        ) as backend:
+        with get_backend("multiprocess", workers=2, min_pairs=1) as backend:
             pids = backend.warm()
             backend.compare_pairs(pairs)  # tables resident on both
             os.kill(pids[0], signal.SIGKILL)
@@ -164,29 +162,12 @@ class TestMultiprocessBackend:
         assert np.array_equal(out["result"].intersection, ref.intersection)
 
 
-class TestCostModelSelection:
-    CFG = LaunchConfig()
-
-    def test_zero_pairs_cost_nothing(self):
-        assert estimate_comparison_cycles(0, 30, 500, self.CFG.threshold) == 0.0
-
-    def test_cost_grows_with_pairs_and_edges(self):
-        base = estimate_comparison_cycles(100, 30, 500, self.CFG.threshold)
-        assert estimate_comparison_cycles(200, 30, 500, self.CFG.threshold) > base
-        assert estimate_comparison_cycles(100, 60, 500, self.CFG.threshold) > base
-
-    def test_shard_pairs_bounds(self):
-        assert recommend_shard_pairs(0, 1.0, 1.0, 64) == 1
-        n = 1000
-        size = recommend_shard_pairs(n, 40.0, 900.0, 2048, workers=4)
-        assert 1 <= size <= n
-
+class TestWorkloadProfile:
     def test_profile_pairs(self):
-        pairs = _pairs(3)
-        mean_edges, mean_pixels = profile_pairs(pairs)
+        mean_edges, mean_pixels = _profile_pairs(PairBatch.from_pairs(_pairs(3)))
         assert mean_edges == 4.0  # two boxes, two vertical edges each
         assert mean_pixels == 64.0  # 8x8 cover MBR
-        assert profile_pairs([]) == (0.0, 0.0)
+        assert _profile_pairs(PairBatch.from_pairs([])) == (0.0, 0.0)
 
 
 class TestWiring:

@@ -64,6 +64,7 @@ def _pairs(count: int = 40, seed: int = 20260731):
 
 @pytest.fixture(scope="module")
 def workload():
+    # 40 pairs: with min_pairs=1, two workers get 8 shards of 5 pairs.
     pairs = _pairs()
     # Cluster shards run the batch policy: the same counters.
     return pairs, batched_areas(pairs)
@@ -269,12 +270,7 @@ def test_worker_crash_mid_shard_does_not_change_results(workload):
         "%s:%d" % crasher.address,
         "%s:%d" % healthy.address,
     ]
-    backend = get_backend(
-        "cluster",
-        hosts=hosts,
-        min_pairs=1,
-        shard_pairs=8,
-    )
+    backend = get_backend("cluster", hosts=hosts, min_pairs=1)
     try:
         result = backend.compare_pairs(pairs)
         assert np.array_equal(result.intersection, ref.intersection)
@@ -293,9 +289,7 @@ def test_all_workers_dead_falls_back_to_local(workload):
     crasher_a = _CrashingWorker().start()
     crasher_b = _CrashingWorker().start()
     hosts = ["%s:%d" % crasher_a.address, "%s:%d" % crasher_b.address]
-    backend = get_backend(
-        "cluster", hosts=hosts, min_pairs=1, shard_pairs=16
-    )
+    backend = get_backend("cluster", hosts=hosts, min_pairs=1)
     try:
         result = backend.compare_pairs(pairs)  # must not hang or fail
         assert np.array_equal(result.intersection, ref.intersection)
@@ -312,12 +306,7 @@ def test_slow_worker_triggers_speculative_redispatch(workload):
     slow = _SlowWorker().start()
     fast = ShardWorker().start()
     hosts = ["%s:%d" % slow.address, "%s:%d" % fast.address]
-    backend = get_backend(
-        "cluster",
-        hosts=hosts,
-        min_pairs=1,
-        shard_pairs=len(pairs) // 2,
-    )
+    backend = get_backend("cluster", hosts=hosts, min_pairs=1)
     try:
         t0 = time.perf_counter()
         result = backend.compare_pairs(pairs)
@@ -341,9 +330,7 @@ def test_a_lost_copy_leaves_every_worker_available(workload):
     slow = _SlowWorker().start()
     fast = ShardWorker().start()
     hosts = ["%s:%d" % slow.address, "%s:%d" % fast.address]
-    backend = get_backend(
-        "cluster", hosts=hosts, min_pairs=1, shard_pairs=len(pairs) // 2
-    )
+    backend = get_backend("cluster", hosts=hosts, min_pairs=1)
     try:
         result = backend.compare_pairs(pairs)
         assert np.array_equal(result.intersection, ref.intersection)
@@ -386,7 +373,7 @@ def test_a_malformed_shard_result_fails_its_worker(workload, bad_worker):
     bad = bad_worker().start()
     healthy = ShardWorker().start()
     hosts = ["%s:%d" % bad.address, "%s:%d" % healthy.address]
-    backend = get_backend("cluster", hosts=hosts, min_pairs=1, shard_pairs=8)
+    backend = get_backend("cluster", hosts=hosts, min_pairs=1)
     try:
         result = backend.compare_pairs(pairs)
         assert np.array_equal(result.intersection, ref.intersection)

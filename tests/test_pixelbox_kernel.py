@@ -172,7 +172,7 @@ def test_finalize_requires_measured_union_for_direct_policies():
 def test_default_workers_rejects_malformed_env(monkeypatch):
     """The CI parity matrix pins pool width via REPRO_WORKERS; a value
     that does not parse must fail loudly, never fall back silently."""
-    from repro.backends import default_workers
+    from repro.cluster.coordinator import default_workers
 
     monkeypatch.setenv("REPRO_WORKERS", "3")
     assert default_workers() == 3
@@ -323,10 +323,8 @@ def test_every_in_process_name_is_pinned():
         )
         for w in (1, 2)
     ]
-    + [  # six 5-pair shards on local worker processes
-        pytest.param(
-            "cluster", {"min_pairs": 2, "shard_pairs": 5}, id="cluster"
-        )
+    + [  # shards cut for the default local worker count (REPRO_WORKERS)
+        pytest.param("cluster", {"min_pairs": 2}, id="cluster")
     ],
 )
 def test_kernel_stats_are_bit_for_bit_what_they_were(name, options, tight):

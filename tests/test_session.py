@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import multiprocessing
 import subprocess
 import sys
@@ -29,11 +30,12 @@ from repro.api import (
     Session,
     explain,
 )
-from repro.backends import available_backends
+from repro.backends import available_backends, get_backend
 from repro.errors import RequestError, SessionClosedError
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.metrics.jaccard import jaccard_pairwise
+from repro.pixelbox.kernel import DEFAULT_CHUNK_PAIRS
 
 
 def _square(x: int, y: int, side: int = 6) -> RectilinearPolygon:
@@ -155,10 +157,20 @@ class TestParity:
             [o.area_q for o in streamed], whole.area_q
         )
 
-    def test_stream_sizes_shards_from_cost_model(self):
+    def test_stream_cuts_one_kernel_chunk_per_shard_by_default(self, monkeypatch):
+        pairs = PAIRS * (DEFAULT_CHUNK_PAIRS // len(PAIRS) + 1)
         with Session() as session:
-            streamed = list(session.stream(PAIRS))
-        assert len(streamed) == len(PAIRS)
+            sizes = []
+            compare_shard = session._compare_shard
+
+            def spy(batch, options):
+                sizes.append(len(batch))
+                return compare_shard(batch, options)
+
+            monkeypatch.setattr(session, "_compare_shard", spy)
+            streamed = list(session.stream(pairs))
+        assert len(streamed) == len(pairs)
+        assert sizes == [DEFAULT_CHUNK_PAIRS, len(pairs) - DEFAULT_CHUNK_PAIRS]
         with Session() as session:
             assert list(session.stream([])) == []
         with Session() as session:
@@ -168,7 +180,7 @@ class TestParity:
     @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
     def test_stream_converts_the_pair_list_once(self, cache, monkeypatch):
         """Both stream variants turn the list into one ``PairBatch``:
-        the shard sizing profiles it and every shard is a slice of it."""
+        every shard is a slice of it."""
         from repro.pixelbox import kernel
 
         lists = []
@@ -195,7 +207,7 @@ class TestParity:
             with pytest.raises(RequestError, match="RectilinearPolygon"):
                 list(session.stream([PAIRS[0], ("not", "polygons")]))
 
-    @pytest.mark.parametrize("bad", [0, -5])
+    @pytest.mark.parametrize("bad", [0, -5, 2.5, "3", True])
     def test_stream_async_validates_shard_pairs(self, bad):
         async def go():
             with Session() as session:
@@ -344,19 +356,32 @@ class TestExplain:
         assert plan.shard_pairs is not None
         assert plan.capabilities["configurable_workers"] is True
         assert plan.launch["tight_mbr"] is True
-        # The plan's shard size is the one compare_pairs would cut: the
-        # sizing policy keeps 600 tiny pairs in one shard (a dispatch
-        # would cost more than their compute), and the cluster's
-        # configured 50.
-        for backend, backend_options, shard_pairs in (
-            ("multiprocess", {"workers": 2}, 600),
-            ("cluster", {"shard_pairs": 50}, 50),
-        ):
+        # The plan's shard size is the one compare_pairs would cut:
+        # 600 pairs over two workers would make 75-pair shards, so no
+        # shard is cut under min_pairs (256); one worker runs them all
+        # in-process.
+        for workers, shard_pairs in ((2, 256), (1, 600)):
             options = CompareOptions(
-                backend=backend, backend_options=backend_options
+                backend="multiprocess", backend_options={"workers": workers}
             )
             plan = explain(CompareRequest.from_pairs(PAIRS * 150, options))
             assert (plan.n_pairs, plan.shard_pairs) == (600, shard_pairs)
+        assert not multiprocessing.active_children()
+
+    def test_explain_reports_the_cut_compare_pairs_makes(self):
+        """About four shards per worker once that is over min_pairs:
+        2400 pairs over two workers in 300-pair shards."""
+        pairs = PAIRS * 600
+        options = CompareOptions(
+            backend="multiprocess", backend_options={"workers": 2}
+        )
+        plan = explain(CompareRequest.from_pairs(pairs, options))
+        assert plan.shard_pairs == math.ceil(len(pairs) / (2 * 4)) == 300
+        with get_backend("multiprocess", workers=2) as backend:
+            backend.compare_pairs(pairs)
+            report = backend.last_report
+        assert report.shards == math.ceil(len(pairs) / plan.shard_pairs) == 8
+        assert report.local_shards == 0
         assert not multiprocessing.active_children()
 
     def test_explain_cluster_reports_hosts(self):

@@ -46,7 +46,6 @@ PUBLIC_MODULES = (
     "repro.session",
     "repro.errors",
     "repro.backends",
-    "repro.backends.sizing",
     "repro.cache",
     "repro.service",
     "repro.cluster",

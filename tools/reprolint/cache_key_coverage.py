@@ -13,12 +13,14 @@ has two statically checkable halves:
    failing test until someone compares results.  The checker flags the
    rewrite itself.
 
-2. **Hard-coded mirror lists stay complete** (RL401).  Three places
-   intentionally enumerate ``LaunchConfig``'s fields:
-   ``wire._CONFIG_FIELDS`` and ``api/request.py WIRE_CONFIG_FIELDS``
-   mirror them, and ``CompareOptions.launch_config()`` must forward
-   every one.  A field added on one side but not the
-   other ships configs that silently drop a knob over the wire.
+2. **Hard-coded mirror lists stay complete** (RL401).
+   ``CompareOptions.launch_config()`` enumerates ``LaunchConfig``'s
+   fields and must forward every one.  Both wires take their field
+   list from the dataclass (``pixelbox.common.LAUNCH_FIELDS``); should
+   a literal ``wire._CONFIG_FIELDS`` or ``api/request.py
+   WIRE_CONFIG_FIELDS`` come back, it is held to the same rule.  A
+   field added on one side but not the other ships configs that
+   silently drop a knob over the wire.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ call through an alias does.
 RL702 keeps the Fig. 9 cycle simulator out of everything that decides
 how work is run: under ``src/repro/`` only the package itself and the
 experiments may import ``repro.gpu`` (modeled GTX 580 cycles are
-meaningful as normalized ratios, not as a sizing input — that policy
-lives in ``repro/backends/sizing.py``).
+meaningful as normalized ratios, not as a sizing input — the cluster
+cuts shards by pair count in ``repro/cluster/coordinator.py``).
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ class KernelSeamChecker:
                             ident=module,
                             message=(
                                 f"{module} imported outside the simulator "
-                                f"seam — sizing policy belongs in "
-                                f"repro/backends/sizing.py"
+                                f"seam — modeled cycles are not an "
+                                f"input to how work is run"
                             ),
                         )
                     )
