@@ -8,7 +8,8 @@ pathology-scale comparison through the ``cluster`` backend, verifies
 every area and work counter bit-for-bit against the ``batch`` backend
 in this process, asserts tables traveled once per worker, then kills
 one worker mid-service and checks a second request still completes
-exactly.  CI runs this as the cluster smoke job.
+exactly, dispatching each shard once, to the survivor.  CI runs this as
+the cluster smoke job.
 
 Run:  PYTHONPATH=src python examples/cluster_smoke.py
 """
@@ -73,8 +74,9 @@ def main() -> None:
             f"report={backend.last_report}"
         )
 
-        # Kill one worker; the next request must re-dispatch its shards
-        # and still answer bit-for-bit.
+        # Kill one worker; the next request must notice it is gone
+        # before dispatch, run every shard on the survivor once, and
+        # still answer bit-for-bit.
         victim_proc, victim_addr = workers[0]
         victim_proc.kill()
         victim_proc.wait(timeout=10)
@@ -82,7 +84,10 @@ def main() -> None:
         result = backend.compare_pairs(pairs)
         assert np.array_equal(result.intersection, reference.intersection)
         assert np.array_equal(result.union, reference.union)
-        print(f"post-kill parity ok, report={backend.last_report}")
+        report = backend.last_report
+        assert report.dispatches == report.shards, report
+        assert not report.failed, report
+        print(f"post-kill parity ok, report={report}")
     finally:
         backend.close()
         for proc, _ in workers:

@@ -9,7 +9,8 @@ Public API tour
 * :mod:`repro.exact` — exact vector overlay (the GEOS/PostGIS stand-in).
 * :mod:`repro.pixelbox` — the paper's PixelBox algorithm (all variants).
 * :mod:`repro.gpu` — SIMT GPU simulator used for architecture experiments.
-* :mod:`repro.index` — Hilbert R-tree and the MBR pair join.
+* :mod:`repro.index` — the sort-and-sweep MBR pair join; the Hilbert
+  R-tree of the SDBMS baseline.
 * :mod:`repro.sdbms` — mini spatial DBMS with per-operator profiling.
 * :mod:`repro.io` / :mod:`repro.data` — polygon files and synthetic slides.
 * :mod:`repro.pipeline` — the paper's §4 schemes (pipelined, NoPipe-S/M,

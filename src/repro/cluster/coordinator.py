@@ -217,6 +217,35 @@ class WorkerClient:
             } if isinstance(features, list) else set()
             self._sock = sock
 
+    def _drop_if_closed(self) -> None:
+        """Forget a connection the worker has closed, so the next
+        ``connect`` dials afresh (and fails for a dead worker).
+
+        A worker process that died leaves our end of its socket open
+        until something reads it: a non-blocking peek that reads EOF (or
+        a reset) tells.  Skipped while an exchange holds the socket —
+        that exchange sees the same EOF itself.
+        """
+        if not self._io_lock.acquire(blocking=False):
+            return
+        try:
+            sock = self._sock
+            if sock is None:
+                return
+            try:
+                sock.settimeout(0)
+                closed = sock.recv(1, socket.MSG_PEEK) == b""
+            except BlockingIOError:
+                closed = False  # nothing to read: the peer is there
+            except OSError:
+                closed = True
+            if closed:
+                self.abort()
+            else:
+                sock.settimeout(self.io_timeout)
+        finally:
+            self._io_lock.release()
+
     def abort(self) -> None:
         """Hard-close the connection, waking a call blocked on it at once.
 
@@ -264,6 +293,7 @@ class WorkerClient:
         a RUN_SHARD answered ``missing-tables`` (eviction, a restarted
         worker) drops the digest from it, so a push is never redundant.
         """
+        self._drop_if_closed()
         self.connect()  # a fresh connection learns the worker's cache
         if digest in self.pushed:
             return

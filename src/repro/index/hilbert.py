@@ -1,8 +1,9 @@
 """Hilbert space-filling curve (2-D).
 
-The builder stage uses a Hilbert R-tree (paper §4.1, citing Kamel &
+The paper's builder stage uses a Hilbert R-tree (§4.1, citing Kamel &
 Faloutsos) because bulk-loading small polygons in Hilbert order is fast
-and yields well-clustered leaves.  This module provides the curve itself:
+and yields well-clustered leaves; here that tree indexes the SDBMS
+baseline's tables.  This module provides the curve itself:
 a bijection between ``(x, y)`` cells of a ``2**order x 2**order`` grid and
 positions along the curve.
 """

@@ -1,11 +1,13 @@
 """Hilbert R-tree bulk loading (Kamel & Faloutsos, VLDB'94).
 
-The pipeline's builder stage indexes every parsed tile with this loader
-(paper §4.1: "Since polygons are small, Hilbert R-Tree is used to
-accelerate index building").  Entries are sorted by the Hilbert key of
-their MBR center and packed bottom-up into full nodes, producing a
+The paper's builder stage indexes every parsed tile with this loader
+(§4.1: "Since polygons are small, Hilbert R-Tree is used to accelerate
+index building"); here the SDBMS baseline's tables do
+(:mod:`repro.sdbms`), while the pipeline joins MBR arrays by a sort and
+sweep (:mod:`repro.index.join`).  Entries are sorted by the Hilbert key
+of their MBR center and packed bottom-up into full nodes, producing a
 balanced tree in O(n log n) with excellent leaf clustering for the
-MBR-join that follows.
+index scans that follow.
 """
 
 from __future__ import annotations

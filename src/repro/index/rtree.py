@@ -1,8 +1,9 @@
 """R-tree over integer boxes: batched search and validation.
 
-The filter stage performs MBR-overlap joins (the ``&&`` operator of the
-optimized query, Figure 1(b)); the SDBMS uses the same tree for its
-GiST-style index scans.  Every tree is built by the Hilbert bulk loader
+The SDBMS baseline uses this tree for its GiST-style index scans (the
+``&&`` operator of the optimized query, Figure 1(b)); the pipeline's
+filter stage joins MBR arrays without one (:mod:`repro.index.join`).
+Every tree is built by the Hilbert bulk loader
 in :mod:`repro.index.hilbert_rtree`; this module is the tree structure
 itself.
 

@@ -25,8 +25,7 @@ from repro.exact.decompose import decompose
 from repro.exact.measure import union_area_of_boxes
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.polyset import PolygonSet
-from repro.index.hilbert_rtree import bulk_load
-from repro.index.join import mbr_pair_join
+from repro.index.join import SortedMBRs, sweep_join
 from repro.obs.clock import StageClock
 from repro.pixelbox.common import LaunchConfig
 from repro.pixelbox.kernel import BatchAreas, PairBatch
@@ -116,19 +115,20 @@ def jaccard_tile(
     """One tile's two polygon sets -> its ``J'`` partial.
 
     The pipeline's builder, filter and aggregator stages for one tile
-    (paper §4.1), each charged to ``clock``: Hilbert R-tree over
-    ``set_b``'s MBR array, MBR join of ``set_a``'s against it, one
-    ``areas_for`` launch over the candidate :class:`PairBatch`,
-    :func:`jaccard_from_areas`.  Every set- and file-level comparison is
-    this function, once per tile.
+    (paper §4.1), each charged to ``clock``: ``set_b``'s MBR array sorted
+    on both axes (:class:`SortedMBRs`, where §4.1 bulk-loads a Hilbert
+    R-tree), ``set_a``'s sorted likewise and swept against it
+    (:func:`sweep_join`), one ``areas_for`` launch over the candidate
+    :class:`PairBatch`, :func:`jaccard_from_areas`.  Every set- and
+    file-level comparison is this function, once per tile.
     """
     if clock is None:
         clock = StageClock("pipeline.")
     set_a, set_b = PolygonSet.from_polygons(set_a), PolygonSet.from_polygons(set_b)
     with clock.measure("builder"):
-        tree = bulk_load(set_b.mbrs)
+        right = SortedMBRs.of(set_b.mbrs)
     with clock.measure("filter"):
-        join = mbr_pair_join(set_a, set_b, tree=tree)
+        join = sweep_join(SortedMBRs.of(set_a.mbrs), right)
         pairs = PairBatch(set_a, set_b, join.left_idx, join.right_idx)
     with clock.measure("aggregator", tiles=1, pairs=len(pairs)):
         return jaccard_from_areas(

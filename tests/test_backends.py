@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -104,13 +105,20 @@ class TestMultiprocessBackend:
             pids = backend.warm()
             backend.compare_pairs(pairs)  # tables resident on both
             os.kill(pids[0], signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while pids[0] in [p.pid for p in multiprocessing.active_children()]:
+                assert time.monotonic() < deadline, "killed worker still running"
+                time.sleep(0.01)
             got = backend.compare_pairs(pairs)
             report = backend.last_report
         assert np.array_equal(got.intersection, want.intersection)
         assert np.array_equal(got.union, want.union)
         assert got.stats.as_dict() == want.stats.as_dict()
-        assert report.worker_failures == 1
-        assert report.dispatches > report.shards  # the lost shard ran again
+        # The dead worker's open socket reads EOF before dispatch: the
+        # request is cut for the one live worker and sends nothing twice.
+        assert len(report.workers_used) == 1
+        assert report.worker_failures == 0
+        assert report.dispatches == report.shards
 
     def test_close_leaves_no_worker_process(self):
         backend = get_backend("multiprocess", workers=2, min_pairs=1)

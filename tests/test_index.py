@@ -1,5 +1,8 @@
 """Unit tests for repro.index: Hilbert curve, R-tree, MBR join."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.index.hilbert import d_to_xy, hilbert_keys, xy_to_d
 from repro.index.hilbert_rtree import bulk_load, bulk_load_polygons
-from repro.index.join import mbr_pair_join
+from repro.index.join import SortedMBRs, mbr_pair_join, sweep_join
 from repro.index.rtree import RTree
 from tests.conftest import mbr_pair_join_bruteforce
 
@@ -121,9 +124,8 @@ class TestPairJoin:
         right = [RectilinearPolygon.from_box(b) for b in _random_boxes(rng, 140)]
         a = mbr_pair_join(left, right)
         b = mbr_pair_join_bruteforce(left, right)
-        assert sorted(zip(a.left_idx.tolist(), a.right_idx.tolist())) == sorted(
-            zip(b.left_idx.tolist(), b.right_idx.tolist())
-        )
+        assert np.array_equal(a.left_idx, b.left_idx)
+        assert np.array_equal(a.right_idx, b.right_idx)
 
     def test_join_pairs_materialization(self, rng):
         left = [RectilinearPolygon.from_box(b) for b in _random_boxes(rng, 20)]
@@ -137,6 +139,51 @@ class TestPairJoin:
     def test_empty_inputs(self):
         res = mbr_pair_join([], [])
         assert len(res) == 0
+
+
+def _column(count, x0=0):
+    """``count`` 10-wide boxes stacked up one x-range, each overlapping
+    its two neighbours (y steps of 10, heights of 12)."""
+    y = np.arange(count, dtype=np.int64) * 10
+    return np.stack([np.full(count, x0), y, np.full(count, x0 + 10), y + 12], axis=1)
+
+
+class TestSkewedJoin:
+    """Boxes that pile up on one axis must not make the sweep quadratic
+    in time, nor its scratch memory quadratic in space."""
+
+    def test_a_shared_column_sweeps_the_other_axis(self):
+        # Swept along x, 20 000 boxes per side sharing one x-range would
+        # make 4 * 10**8 candidates; along y they make about 6 * 10**4.
+        boxes = _column(20_000)
+        start = time.perf_counter()
+        join = sweep_join(SortedMBRs.of(boxes), SortedMBRs.of(boxes))
+        elapsed = time.perf_counter() - start
+        assert len(join) == 3 * 20_000 - 2
+        assert np.abs(join.left_idx - join.right_idx).max() == 1
+        assert elapsed < 1.0
+
+    def test_dense_on_both_axes_stays_in_bounded_memory(self):
+        # 2000 columns share one x-range and 2000 rows one y-range, per
+        # side: either axis yields 4 * 10**6 candidates, several hundred
+        # MiB if expanded at once.  Each box overlaps only its own copy.
+        stripes = np.arange(2000, dtype=np.int64) * 20 + 1000
+        columns = np.stack(
+            [np.zeros_like(stripes), stripes, np.full_like(stripes, 10), stripes + 10],
+            axis=1,
+        )
+        rows = columns[:, [1, 0, 3, 2]]
+        boxes = np.vstack([columns, rows])
+        left, right = SortedMBRs.of(boxes), SortedMBRs.of(boxes)
+        tracemalloc.start()
+        try:
+            join = sweep_join(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(join.left_idx, np.arange(4000))
+        assert np.array_equal(join.right_idx, np.arange(4000))
+        assert peak < 32 * 2**20
 
 
 def _brute_pairs(probes, boxes):

@@ -7,7 +7,8 @@ These encode the correctness arguments of the paper:
   PostGIS cross-validation);
 * the indirect-union identity |p u q| = |p| + |q| - |p n q|;
 * Lemma 1 box positions agree with brute-force pixel classification;
-* the Hilbert curve is a bijection; the R-tree equals brute-force search;
+* the Hilbert curve is a bijection; the MBR join equals brute-force
+  search, pair for pair and in order;
 * text serialization round-trips.
 """
 
@@ -28,7 +29,7 @@ from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 from repro.geometry.raster import extract_polygons, fill_holes, polygon_to_mask
 from repro.index.hilbert import d_to_xy, xy_to_d
-from repro.index.join import mbr_pair_join
+from repro.index.join import SortedMBRs, mbr_pair_join, sweep_join
 from repro.io import parser_cpu
 from repro.io.parser_cpu import parse_fsm, parse_vectorized
 from repro.io.polyfile import format_polygon, parse_line
@@ -221,8 +222,57 @@ def test_join_equals_bruteforce(boxes_a, boxes_b):
     right = [RectilinearPolygon.from_box(b) for b in boxes_b]
     fast = mbr_pair_join(left, right)
     slow = mbr_pair_join_bruteforce(left, right)
-    assert sorted(zip(fast.left_idx.tolist(), fast.right_idx.tolist())) == \
-        sorted(zip(slow.left_idx.tolist(), slow.right_idx.tolist()))
+    assert fast.left_idx.tolist() == slow.left_idx.tolist()
+    assert fast.right_idx.tolist() == slow.right_idx.tolist()
+
+
+# Shared coordinates make boxes touch, repeat and collapse to zero width
+# or height; the outer ones sit at the int32 limits and one past them.
+_COORDS = st.sampled_from((-(2**31), -(2**31) + 1, 2**31 - 1, 2**31)) | st.integers(
+    -4, 4
+)
+_SPAN_ALL = (-(2**31) - 1, -(2**31) - 1, 2**31 + 1, 2**31 + 1)
+
+
+@st.composite
+def mbr_array_strategy(draw, max_size=20):
+    """An ``(n, 4)`` MBR array, maybe empty, maybe with repeated rows and
+    one box that spans every other box."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x0, x1 = sorted(draw(st.tuples(_COORDS, _COORDS)))
+        y0, y1 = sorted(draw(st.tuples(_COORDS, _COORDS)))
+        rows.append((x0, y0, x1, y1))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), _SPAN_ALL)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def _overlapping_rows(a, b):
+    """Every ``(i, j)`` whose rows overlap strictly, ``i`` then ``j``
+    ascending, in Python integers."""
+    return [
+        (i, j)
+        for i, (ax0, ay0, ax1, ay1) in enumerate(a.tolist())
+        for j, (bx0, by0, bx1, by1) in enumerate(b.tolist())
+        if ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mbr_array_strategy(), mbr_array_strategy())
+@example(np.zeros((0, 4), dtype=np.int64), np.array([_SPAN_ALL]))
+@example(  # a shared edge, a zero-width and a zero-area box
+    np.array([(0, 0, 2, 2), (2, 0, 4, 2), (0, 0, 0, 2)]),
+    np.array([(2, 0, 4, 2), (1, 1, 1, 1)]),
+)
+def test_mbr_array_join_equals_bruteforce(boxes_a, boxes_b):
+    join = sweep_join(SortedMBRs.of(boxes_a), SortedMBRs.of(boxes_b))
+    assert join.left_idx.dtype == join.right_idx.dtype == np.int64
+    got = list(zip(join.left_idx.tolist(), join.right_idx.tolist()))
+    assert got == _overlapping_rows(boxes_a, boxes_b)
 
 
 # ----------------------------------------------------------------------
