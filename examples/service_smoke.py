@@ -188,10 +188,10 @@ def main() -> None:
                 f"occupancy={stats['mean_batch_requests']:.1f} req/batch "
                 f"p99={stats['p99_ms']:.1f}ms"
             )
-            hits = stats["request_cache_hits"]
+            cache = stats["caches"]["service.request"]
+            hits = cache["hits"]
             print(
-                f"request cache: hits={hits} "
-                f"misses={stats['request_cache_misses']} "
+                f"request cache: hits={hits} misses={cache['misses']} "
                 f"tiers={sorted(stats['caches'])}"
             )
             assert hits >= CLIENTS, (

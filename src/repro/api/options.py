@@ -76,8 +76,9 @@ class CompareOptions:
         and the result carries the trace id.  Off by default — the off
         path adds zero allocations to the kernel hot loop.
     trace_out:
-        Path of a JSON-lines sink for span records and lifecycle
-        events (``repro compare --trace-out``).  Setting it implies
+        Path of a JSON-lines file the request's span records are
+        appended to, one per line, once its trace is whole
+        (``repro compare --trace-out``).  Setting it implies
         ``trace=True``.
     """
 

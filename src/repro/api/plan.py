@@ -62,8 +62,8 @@ class ResolvedPlan:
         for ``sets`` / ``files`` requests, which are cached per tile).
     trace:
         Resolved observability configuration: whether request-scoped
-        tracing is ``enabled`` and the ``trace_out`` JSONL sink path
-        (``None`` for ring-buffer-only tracing).
+        tracing is ``enabled`` and the ``trace_out`` JSONL file path
+        (``None`` when the records stay on ``Session.last_trace``).
     notes:
         Human-readable capability-check observations (non-fatal).
     """

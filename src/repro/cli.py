@@ -15,6 +15,10 @@ Subcommands::
     repro stats [--prometheus] [--host H] [--port N]
     repro trace show FILE
 
+``repro stats --prometheus`` renders the server's ``stats`` reply here,
+with the same function the ``/metrics`` endpoint of ``repro serve
+--metrics`` serves, so both print the same text.
+
 Every comparison-shaped subcommand parses into the same declarative
 :class:`repro.api.CompareRequest` the library and the service protocol
 use — the CLI is a thin adapter over that one spec.
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument(
         "--trace-out", type=Path, default=None,
         help=(
-            "append span + lifecycle events as JSONL to this file "
+            "append the request's span records as JSONL to this file "
             "(render it with `repro trace show`)"
         ),
     )
@@ -434,21 +438,7 @@ def main(argv: list[str] | None = None) -> int:
                     client.cache_clear()
                     print("caches cleared")
                     return 0
-                stats = client.stats()
-                print(
-                    json.dumps(
-                        {
-                            "request_cache_hits": stats.get(
-                                "request_cache_hits", 0
-                            ),
-                            "request_cache_misses": stats.get(
-                                "request_cache_misses", 0
-                            ),
-                            "caches": stats.get("caches", {}),
-                        },
-                        indent=2,
-                    )
-                )
+                print(json.dumps({"caches": client.stats()["caches"]}, indent=2))
         except (OSError, ServiceError) as exc:
             print(f"cannot reach server: {exc}", file=sys.stderr)
             return 1
@@ -458,14 +448,17 @@ def main(argv: list[str] | None = None) -> int:
         import json
 
         from repro.errors import ServiceError
+        from repro.metrics.service import ServiceSnapshot
+        from repro.obs.export import render_snapshot
         from repro.service import ServiceClient
 
         try:
             with ServiceClient(host=args.host, port=args.port) as client:
+                stats = client.stats()
                 if args.prometheus:
-                    sys.stdout.write(client.metrics())
+                    sys.stdout.write(render_snapshot(ServiceSnapshot(**stats)))
                 else:
-                    print(json.dumps(client.stats(), indent=2))
+                    print(json.dumps(stats, indent=2))
         except (OSError, ServiceError) as exc:
             print(f"cannot reach server: {exc}", file=sys.stderr)
             return 1

@@ -57,7 +57,6 @@ from repro.cluster.scheduler import (
     ShardScheduler,
 )
 from repro.errors import ClusterConfigError, ClusterError, KernelError
-from repro.obs.events import EVENTS
 from repro.obs.trace import current_context, current_tracer, span
 from repro.pixelbox.common import KernelStats, LaunchConfig, _is_int
 from repro.pixelbox.kernel import (
@@ -148,9 +147,6 @@ class WorkerClient:
         self._io_lock = threading.Lock()
         #: Digests this client believes are resident on the worker.
         self.pushed: set[str] = set()
-        #: Capabilities the worker advertised in HELLO_ACK (trace
-        #: propagation is only used when listed — old workers interop).
-        self.features: set[str] = set()
         #: Actual table transmissions (the transfer counter the protocol
         #: tests assert: at most one per worker per table version).
         self.tables_sent = 0
@@ -173,12 +169,6 @@ class WorkerClient:
         self.failures += 1
         delay = min(_BACKOFF_CAP, _BACKOFF_BASE * (2 ** (self.failures - 1)))
         self.down_until = time.monotonic() + delay
-        EVENTS.record(
-            "worker.backoff",
-            worker=str(self),
-            failures=self.failures,
-            delay=delay,
-        )
 
     def note_success(self) -> None:
         self.failures = 0
@@ -197,7 +187,7 @@ class WorkerClient:
                     (self.host, self.port), timeout=self.connect_timeout
                 )
                 sock.settimeout(self.io_timeout)
-                wire.send_frame(sock, wire.MsgType.HELLO, {"version": 1})
+                wire.send_frame(sock, wire.MsgType.HELLO, {})
                 msgtype, header, _ = wire.recv_frame(sock)
             except (OSError, ClusterError) as exc:
                 raise ClusterError(
@@ -211,10 +201,6 @@ class WorkerClient:
             # The worker's cache survives our reconnects; trust its view.
             cached = header.get("cached", [])
             self.pushed = {d for d in cached if isinstance(d, str)}
-            features = header.get("features", [])
-            self.features = {
-                f for f in features if isinstance(f, str)
-            } if isinstance(features, list) else set()
             self._sock = sock
 
     def _drop_if_closed(self) -> None:
@@ -323,12 +309,12 @@ class WorkerClient:
             "task": shard.index,
             "config": wire.config_to_wire(config),
         }
-        # Trace propagation, gated on the worker's advertised features:
-        # the ambient context (set by the scheduler's dispatch span)
-        # crosses the wire as two ids; the worker's finished spans come
-        # back in the reply and are adopted into the same tracer.
+        # Trace propagation: the ambient context (set by the remote
+        # shard span) crosses the wire as two ids; the worker's finished
+        # spans come back in the reply and are adopted into the same
+        # tracer.
         ctx = current_context()
-        if ctx is not None and wire.FEATURE_TRACE in self.features:
+        if ctx is not None:
             header["trace"] = wire.trace_to_wire(ctx[0], ctx[1])
         for attempt in (0, 1):
             msgtype, reply, arrays = self._call(wire.MsgType.RUN_SHARD, header)
@@ -597,7 +583,16 @@ class ClusterBackend(BackendLifecycle):
             # request touches a socket once execute returns.  With no
             # live worker the scheduler runs every shard in-process.
             scheduler = ShardScheduler(remote_run, local_run, WorkerClient.abort)
-            outcomes, report = scheduler.execute(shards, clients)
+            with span(
+                "cluster.schedule", shards=len(shards), workers=len(clients)
+            ) as scheduled:
+                outcomes, report = scheduler.execute(shards, clients)
+                scheduled.set(
+                    dispatches=report.dispatches,
+                    speculative=report.speculative,
+                    local_shards=report.local_shards,
+                    failed=[str(c) for c in report.failed],
+                )
             self.last_report = report
             for client in report.failed:
                 client.note_failure()

@@ -29,7 +29,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.obs.events import EVENTS
 from repro.obs.trace import context_thread
 from repro.pixelbox.common import KernelStats
 
@@ -251,10 +250,8 @@ class ShardScheduler:
             if event.kind == RESULT and event.shard in state.done - before.done:
                 outcomes[event.shard] = outcome
             if state.workers.count(DEAD) > before.workers.count(DEAD):
-                report.failed.append(worker := workers[event.worker])
-                EVENTS.record("worker.failure", worker=str(worker))
+                report.failed.append(workers[event.worker])
             for action in actions:
-                EVENTS.record(f"shard.{action.kind}", shard=action.shard)
                 shard = shards[action.shard]
                 if action.kind == LOCAL:
                     outcomes[shard.index] = self.local_run(shard)

@@ -43,7 +43,6 @@ from repro.pixelbox.common import LAUNCH_FIELDS
 __all__ = [
     "MsgType",
     "MAX_FRAME_BYTES",
-    "FEATURE_TRACE",
     "bundle_digest",
     "send_frame",
     "recv_frame",
@@ -263,14 +262,12 @@ def config_to_wire(config) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Trace-context transport (version-gated by capability advertisement)
+# Trace-context transport
 # ----------------------------------------------------------------------
-# Workers that understand trace propagation list this token in their
-# HELLO_ACK ``features``; the coordinator only attaches a ``trace``
-# header key (and only expects ``spans`` back) when the worker
-# advertised it.  Old peers in either direction read headers with
-# ``.get()`` and simply never see the extra keys — interop is free.
-FEATURE_TRACE = "trace"
+# With a tracer active the coordinator adds a ``trace`` key to the
+# RUN_SHARD header and the worker returns its finished spans under
+# ``spans`` in SHARD_RESULT; headers are read with ``.get()``, so an
+# untraced shard simply carries neither.
 
 
 def trace_to_wire(trace_id: str, parent_id: str | None) -> dict[str, Any]:

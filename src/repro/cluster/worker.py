@@ -200,15 +200,7 @@ class ShardWorker:
                 wire.send_frame(
                     conn,
                     wire.MsgType.HELLO_ACK,
-                    {
-                        "version": 1,
-                        "cached": self._cached_digests(),
-                        # Capability advertisement: the coordinator only
-                        # sends a trace context (and expects spans back)
-                        # when this worker lists the feature.  Old
-                        # coordinators ignore the key.
-                        "features": [wire.FEATURE_TRACE],
-                    },
+                    {"cached": self._cached_digests()},
                 )
             elif msgtype == wire.MsgType.STATS:
                 wire.send_frame(
@@ -301,7 +293,7 @@ class ShardWorker:
             )
         cfg = wire.config_from_wire(header.get("config"))
         self._before_shard(header)
-        # Trace context shipped by a feature-aware coordinator: run the
+        # Trace context shipped by a traced coordinator: run the
         # shard under a local tracer seeded with the remote trace id and
         # return the finished span records in the reply header, where
         # the coordinator adopts them into one stitched tree.

@@ -48,8 +48,6 @@ class ServiceSnapshot:
     mean_batch_pairs: float
     p50_ms: float
     p99_ms: float
-    request_cache_hits: int = 0
-    request_cache_misses: int = 0
     caches: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     latency_histogram: Mapping[str, Any] = field(default_factory=dict)
     kernel: Mapping[str, int] = field(default_factory=dict)
@@ -74,15 +72,11 @@ class ServiceSnapshot:
                 f"peak={self.max_queue_depth}",
                 f"latency   p50={self.p50_ms:.2f}ms p99={self.p99_ms:.2f}ms",
             ]
-            + (
-                [
-                    f"cache     hits={self.request_cache_hits} "
-                    f"misses={self.request_cache_misses} "
-                    f"tiers={','.join(sorted(self.caches)) or 'none'}"
-                ]
-                if self.caches or self.request_cache_hits or self.request_cache_misses
-                else []
-            )
+            + [
+                f"cache     {tier} hits={c['hits']} misses={c['misses']} "
+                f"entries={c['entries']}"
+                for tier, c in sorted(self.caches.items())
+            ]
         )
 
 
@@ -111,8 +105,6 @@ class ServiceMetrics:
             "repro_service_request_latency_seconds",
             "End-to-end request latency observed by the service.",
         )
-        self._request_cache_hits = 0
-        self._request_cache_misses = 0
         # Kernel work counters accumulated across every dispatched batch
         # (the paper's compute-intensity counters: pairs, pops, ...).
         self._kernel: dict[str, int] = {}
@@ -154,14 +146,6 @@ class ServiceMetrics:
     def note_failure(self) -> None:
         with self._lock:
             self._failures += 1
-
-    def note_request_cache(self, hit: bool) -> None:
-        """One request-cache lookup (hit or miss)."""
-        with self._lock:
-            if hit:
-                self._request_cache_hits += 1
-            else:
-                self._request_cache_misses += 1
 
     def attach_cache(self, name: str, store) -> None:
         """Surface a :class:`repro.cache.LRUCacheStore` in snapshots."""
@@ -236,8 +220,6 @@ class ServiceMetrics:
                 mean_batch_pairs=self._pairs / batches if batches else 0.0,
                 p50_ms=p50,
                 p99_ms=p99,
-                request_cache_hits=self._request_cache_hits,
-                request_cache_misses=self._request_cache_misses,
                 caches={
                     name: store.snapshot().as_dict()
                     for name, store in self._caches.items()

@@ -65,16 +65,10 @@ def snapshot_families(snap: Any) -> list[Family]:
             name, "histogram", "End-to-end request latency in seconds.", samples,
         ))
 
-    # The request cache (and any other attached store), all under one
-    # family pair with a ``tier`` label.
-    hits: list[Sample] = [(
-        "repro_cache_hits_total", {"tier": "service.request"},
-        float(getattr(snap, "request_cache_hits", 0)),
-    )]
-    misses: list[Sample] = [(
-        "repro_cache_misses_total", {"tier": "service.request"},
-        float(getattr(snap, "request_cache_misses", 0)),
-    )]
+    # Every attached store's own counters, one family per counter with
+    # a ``tier`` label.
+    hits: list[Sample] = []
+    misses: list[Sample] = []
     entries: list[Sample] = []
     sizes: list[Sample] = []
     for tier, counters in sorted((getattr(snap, "caches", None) or {}).items()):
@@ -88,12 +82,14 @@ def snapshot_families(snap: Any) -> list[Family]:
         if "current_bytes" in counters:
             sizes.append(("repro_cache_bytes", {"tier": tier},
                           float(counters["current_bytes"])))
-    families.append((
-        "repro_cache_hits_total", "counter", "Cache hits per tier.", hits,
-    ))
-    families.append((
-        "repro_cache_misses_total", "counter", "Cache misses per tier.", misses,
-    ))
+    if hits:
+        families.append((
+            "repro_cache_hits_total", "counter", "Cache hits per tier.", hits,
+        ))
+        families.append((
+            "repro_cache_misses_total", "counter", "Cache misses per tier.",
+            misses,
+        ))
     if entries:
         families.append((
             "repro_cache_entries", "gauge", "Entries resident per tier.", entries,

@@ -91,10 +91,6 @@ class ServiceClient:
         """Service-metrics snapshot (see :mod:`repro.metrics.service`)."""
         return self._call("stats")["stats"]
 
-    def metrics(self) -> str:
-        """Prometheus text exposition of the server's metrics snapshot."""
-        return self._call("metrics")["metrics"]
-
     def cache_clear(self) -> bool:
         """Drop every cached result on the server."""
         return bool(self._call("cache_clear").get("cleared"))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.api.options import CompareOptions
@@ -45,8 +46,13 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.metrics.service import ServiceMetrics, ServiceSnapshot
-from repro.obs.events import EVENTS
-from repro.obs.trace import Tracer, activate, current_context, current_tracer
+from repro.obs.trace import (
+    Tracer,
+    activate,
+    current_context,
+    current_tracer,
+    span,
+)
 from repro.pixelbox.common import LaunchConfig
 from repro.pixelbox.kernel import BatchAreas, PairBatch
 from repro.session import Session
@@ -281,23 +287,19 @@ class ComparisonService:
         key: str | None = None
         if self._store is not None:
             key = pairs_key(batch, config)
-            # Read-only: a miss is counted once, by the session's launch.
-            cached = self._store.get(key) if self._store.contains(key) else None
-            EVENTS.record(
-                "cache.lookup",
-                tier=self._store.name,
-                hit=cached is not None,
-                **({"trace_id": tracer.trace_id} if tracer is not None else {}),
-            )
+            # Read-only: a miss is counted once, by the session's launch
+            # (its own cache.lookup span), so the spans' hits and misses
+            # add up to the store's counters.
+            with span("cache.lookup", tier=self._store.name) as lookup:
+                cached = self._store.get(key) if self._store.contains(key) else None
+                lookup.set(hits=int(cached is not None), misses=0)
             if cached is not None:
                 # Served at admission: no queue slot, no dispatch.  The
                 # request still counts as accepted + completed so the
                 # throughput counters describe real traffic.
-                self.metrics.note_request_cache(True)
                 self.metrics.note_enqueued(self._queue.qsize())
                 self.metrics.note_completed(time.perf_counter() - started)
                 return copy_areas(cached)
-            self.metrics.note_request_cache(False)
         request = _Request(
             batch=batch,
             config=config,
@@ -310,16 +312,10 @@ class ComparisonService:
             self._queue.put_nowait(request)
         except asyncio.QueueFull:
             self.metrics.note_rejected()
-            EVENTS.record(
-                "service.reject", pairs=len(batch), depth=self._queue.qsize()
-            )
             raise ServiceOverloadedError(
                 f"request queue at capacity ({self.config.max_queue})"
             ) from None
         self.metrics.note_enqueued(self._queue.qsize())
-        EVENTS.record(
-            "service.admit", pairs=len(batch), depth=self._queue.qsize()
-        )
         try:
             if timeout is None:
                 return await request.future
@@ -349,33 +345,27 @@ class ComparisonService:
     # ------------------------------------------------------------------
     # Dispatcher
     # ------------------------------------------------------------------
-    def _launch(self, live: list[_Request]) -> list[tuple[BatchAreas, bool]]:
+    def _launch(self, live: list[_Request]) -> list[BatchAreas]:
         """One dispatch through the session's launch path (off-loop).
 
         The dispatcher task was created long before any request, so the
         submitter's trace context arrives here explicitly on the batch
-        head; re-activating it around the backend call makes the
-        backend's spans (cluster dispatch, remote worker kernels)
+        head; re-activating it around the launch makes its spans (cache
+        lookup, dispatch, cluster shards, remote worker kernels)
         children of the request tree.
         """
         head = live[0]
 
         def around(run, requests: int, pairs: int) -> BatchAreas:
-            EVENTS.record("service.coalesce", requests=requests, pairs=pairs)
-            if head.trace is None:
+            with span("service.dispatch", requests=requests, pairs=pairs):
                 areas = run()
-            else:
-                tracer, parent = head.trace
-                with activate(tracer, parent), tracer.span(
-                    "service.dispatch", requests=requests, pairs=pairs
-                ):
-                    areas = run()
             self.metrics.note_batch(requests=requests, pairs=pairs)
             self.metrics.note_kernel(areas.stats.as_dict())
             return areas
 
         session = self._session
-        with session._launcher(session.options) as launch:
+        traced = activate(*head.trace) if head.trace is not None else nullcontext()
+        with session._launcher(session.options) as launch, traced:
             return launch(
                 [r.batch for r in live],
                 head.config,
@@ -481,11 +471,9 @@ class ComparisonService:
                     held = []
                     continue
                 now = time.perf_counter()
-                for r, (areas, hit) in zip(live, answers):
+                for r, areas in zip(live, answers):
                     if not r.future.done():  # cancelled while batch ran
                         r.future.set_result(areas)
-                        if hit:  # filled while queued, or a twin's copy
-                            self.metrics.note_request_cache(True)
                         self.metrics.note_completed(now - r.enqueued)
                 held = []
         except asyncio.CancelledError:

@@ -9,13 +9,19 @@ Request shape::
 
     {"id": 7, "op": "compare", "pairs": [[wkt_p, wkt_q], ...],
      "config": {"block_size": 64}, "timeout": 5.0}
-    {"id": 8, "op": "ping" | "stats" | "metrics" | "cache_clear" | "shutdown"}
+    {"id": 8, "op": "ping" | "stats" | "cache_clear" | "shutdown"}
 
 Response shape::
 
     {"id": 7, "ok": true, "intersection": [...], "union": [...],
      "area_p": [...], "area_q": [...], "jaccard": [...]}
     {"id": 8, "ok": false, "kind": "overloaded", "error": "..."}
+
+``stats`` answers the service's
+:class:`~repro.metrics.service.ServiceSnapshot` as a plain dict; there is
+no separate metrics op: ``repro stats --prometheus`` renders that reply
+with :func:`repro.obs.export.render_snapshot`, the function the
+``/metrics`` HTTP endpoint serves.
 
 ``kind`` classifies failures so clients can retry sensibly:
 ``bad-request`` (malformed input — do not retry), ``overloaded``
@@ -55,7 +61,7 @@ __all__ = [
     "error_payload",
 ]
 
-OPS = ("compare", "ping", "stats", "metrics", "cache_clear", "shutdown")
+OPS = ("compare", "ping", "stats", "cache_clear", "shutdown")
 
 
 def encode(message: dict[str, Any]) -> bytes:

@@ -43,8 +43,6 @@ async def _answer(
         return {"ok": True, "pong": True}
     if op == "stats":
         return {"ok": True, "stats": service.snapshot().as_dict()}
-    if op == "metrics":
-        return {"ok": True, "metrics": render_snapshot(service.snapshot())}
     if op == "cache_clear":
         service.clear_caches()
         return {"ok": True, "cleared": True}

@@ -42,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import json
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,7 +58,6 @@ from repro.cache import LRUCacheStore, areas_nbytes, copy_areas, pairs_key
 from repro.errors import RequestError, SessionClosedError
 from repro.metrics.jaccard import PairwiseJaccard, jaccard_tile
 from repro.obs.clock import StageClock
-from repro.obs.events import EVENTS
 from repro.obs.trace import Tracer, activate, current_tracer, span
 from repro.pixelbox.common import KernelStats, LaunchConfig, _is_int
 from repro.pixelbox.kernel import DEFAULT_CHUNK_PAIRS, BatchAreas, PairBatch
@@ -65,8 +65,8 @@ from repro.pixelbox.kernel import DEFAULT_CHUNK_PAIRS, BatchAreas, PairBatch
 __all__ = ["Session"]
 
 #: ``launch(batches, config, keys=None, around=None)`` of one dispatch:
-#: ``(areas, hit)`` per batch, in order (see :meth:`Session._launcher`).
-Launch = Callable[..., list[tuple[BatchAreas, bool]]]
+#: the areas of each batch, in order (see :meth:`Session._launcher`).
+Launch = Callable[..., list[BatchAreas]]
 
 
 def _slice_result(areas: BatchAreas, lo: int, hi: int) -> BatchAreas:
@@ -205,8 +205,9 @@ class Session:
         ``options.trace`` the request runs under a request-scoped
         :class:`~repro.obs.Tracer`; the finished tracer is kept on
         :attr:`last_trace`, ``CompareResult`` answers carry its trace
-        id, and ``options.trace_out`` appends every span and lifecycle
-        event to a JSON-lines file.
+        id, and ``options.trace_out`` appends the trace's span records
+        to a JSON-lines file once its root span has closed (a file that
+        cannot be opened fails the request before any work runs).
         """
         self._check_open()
         return self._run(
@@ -232,23 +233,27 @@ class Session:
         tracer = ambient if ambient is not None else Tracer()
         sink = None
         if options.trace_out is not None:
-            sink = open(options.trace_out, "a", encoding="utf-8")
-            EVENTS.add_sink(sink)
+            try:
+                sink = open(options.trace_out, "a", encoding="utf-8")
+            except OSError as exc:
+                raise RequestError(
+                    f"cannot open trace_out {options.trace_out!r}: "
+                    f"{exc.strerror or exc}"
+                ) from None
         try:
             with activate(tracer):
                 with tracer.span("session.run", kind=kind, backend=options.backend):
                     result = work()
         finally:
             self.last_trace = tracer
-            if ambient is None:
-                # Root of the trace: publish the finished span records
-                # to the event log (ring + any attached sinks).
-                EVENTS.extend(
-                    [{"kind": "span", **r.as_dict()} for r in tracer.records()]
-                )
             if sink is not None:
-                EVENTS.remove_sink(sink)
-                sink.close()
+                with sink:
+                    if ambient is None:
+                        # The root span has closed: the trace is whole.
+                        sink.writelines(
+                            json.dumps(r.as_dict(), sort_keys=True) + "\n"
+                            for r in tracer.records()
+                        )
         if isinstance(result, CompareResult):
             result = dataclasses.replace(result, trace_id=tracer.trace_id)
         return result
@@ -271,10 +276,10 @@ class Session:
         Yields ``launch(batches, config, keys=None, around=None)``, which
         answers each :class:`PairBatch` of one dispatch — one for a
         ``pairs`` request or a tile, N for a coalesced service dispatch —
-        with ``(areas, hit)``, in order; ``hit`` means no pairs were
-        computed for that batch itself.  With caching on, each batch is
-        looked up by :func:`repro.cache.pairs_key` (``keys`` when the
-        caller already has them) and identical keys collapse to one.  The
+        with its areas, in order.  With caching on, each batch is looked
+        up by :func:`repro.cache.pairs_key` (``keys`` when the caller
+        already has them), in one ``cache.lookup`` span carrying the
+        hits and misses, and identical keys collapse to one.  The
         misses then take the dispatch lock — every launch takes it — and
         are looked up again under it, since a concurrent caller may have
         filled them meanwhile.  What is still missing runs as one backend
@@ -289,24 +294,12 @@ class Session:
         store = self._store_for(options)
         resolved = None  # (backend, throwaway) once a launch needed one
 
-        def lookup(key: str) -> BatchAreas | None:
-            cached = store.get(key)
-            tracer = current_tracer()
-            if tracer is not None:
-                EVENTS.record(
-                    "cache.lookup",
-                    tier=store.name,
-                    hit=cached is not None,
-                    trace_id=tracer.trace_id,
-                )
-            return cached
-
         def launch(
             batches: list[PairBatch],
             config: LaunchConfig,
             keys: list[str] | None = None,
             around: Callable | None = None,
-        ) -> list[tuple[BatchAreas, bool]]:
+        ) -> list[BatchAreas]:
             nonlocal resolved
             answers: list = [None] * len(batches)
             # Batch indices by key, first index first (the one computed).
@@ -315,12 +308,15 @@ class Session:
                 misses = {i: [i] for i in range(len(batches))}
             else:
                 keys = keys or [pairs_key(b, config) for b in batches]
-                for i, key in enumerate(keys):
-                    cached = lookup(key)
-                    if cached is None:
-                        misses.setdefault(key, []).append(i)
-                    else:
-                        answers[i] = (copy_areas(cached), True)
+                with span("cache.lookup", tier=store.name) as lookup:
+                    for i, key in enumerate(keys):
+                        cached = store.get(key)
+                        if cached is None:
+                            misses.setdefault(key, []).append(i)
+                        else:
+                            answers[i] = copy_areas(cached)
+                    missed = sum(map(len, misses.values()))
+                    lookup.set(hits=len(keys) - missed, misses=missed)
             if not misses:
                 return answers
             with self._dispatch_lock:
@@ -329,7 +325,7 @@ class Session:
                     cached = store.get(key) if store.contains(key) else None
                     if cached is not None:
                         for i in misses.pop(key):
-                            answers[i] = (copy_areas(cached), True)
+                            answers[i] = copy_areas(cached)
                 if not misses:
                     return answers
                 if resolved is None:
@@ -361,10 +357,10 @@ class Session:
                     if store is not None:
                         entry = copy_areas(part)
                         store.put(key, entry, areas_nbytes(entry))
-                    answers[first] = (part, False)
+                    answers[first] = part
                     for i in twins:
                         # A caller may mutate what it gets back.
-                        answers[i] = (copy_areas(part), True)
+                        answers[i] = copy_areas(part)
             return answers
 
         try:
@@ -382,7 +378,7 @@ class Session:
         :class:`PairBatch` once, here)."""
         config = options.launch_config()
         with self._launcher(options) as launch:
-            yield lambda pairs: launch([PairBatch.from_pairs(pairs)], config)[0][0]
+            yield lambda pairs: launch([PairBatch.from_pairs(pairs)], config)[0]
 
     def _run_pairs(
         self, pairs: list[Pair] | PairBatch, options: CompareOptions

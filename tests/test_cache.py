@@ -594,9 +594,9 @@ def test_service_request_cache_hit_and_isolation(pairs):
             again = await service.submit(pairs)
             _assert_identical(warm, again)
             snap = service.snapshot()
-            assert snap.request_cache_hits == 2
-            assert snap.request_cache_misses == 1
-            assert snap.caches["service.request"]["entries"] == 1
+            store = snap.caches["service.request"]
+            assert (store["hits"], store["misses"]) == (2, 1)
+            assert store["entries"] == 1
             assert snap.batches == 1  # one real dispatch for three requests
 
     _run(scenario())
@@ -636,9 +636,13 @@ def test_service_stampede_dedupes_within_batch(pairs):
                 _assert_identical(results[0], r)
             snap = service.snapshot()
             # All six coalesced into one dispatch carrying ONE copy of
-            # the pairs: identical requests collapse to a leader.
+            # the pairs: identical requests collapse to a leader.  Each
+            # request was looked up once, at the launch, and missed.
             assert backend.pairs_seen == len(pairs)
-            assert snap.request_cache_hits >= 5
+            assert snap.batches == 1
+            store = snap.caches["service.request"]
+            assert (store["hits"], store["misses"]) == (0, 6)
+            assert store["insertions"] == 1
 
     _run(scenario())
     assert backend.calls == 1
@@ -679,7 +683,8 @@ def test_library_and_wire_submits_share_launch_parameters(pairs):
             return library, wire, service.snapshot()
 
     library, wire, snap = _run(scenario())
-    assert (snap.request_cache_misses, snap.request_cache_hits) == (1, 1)
+    store = snap.caches["service.request"]
+    assert (store["misses"], store["hits"]) == (1, 1)
     assert snap.batches == 1
     with Session(options) as session:
         want = session.compare(pairs)
@@ -713,7 +718,8 @@ def test_service_converts_each_request_once(pairs, monkeypatch):
             return service.snapshot()
 
     snap = _run(scenario())
-    assert snap.request_cache_misses == 1
+    assert snap.caches["service.request"]["misses"] == 1
+    assert snap.batches == 1
     assert lists == [len(pairs)]
 
 
@@ -730,7 +736,8 @@ def test_service_clear_caches(pairs):
             )
             await service.submit(pairs)
             snap = service.snapshot()
-            assert snap.request_cache_hits == 0
-            assert snap.request_cache_misses == 2
+            store = snap.caches["service.request"]
+            assert (store["hits"], store["misses"]) == (0, 2)
+            assert snap.batches == 2
 
     _run(scenario())

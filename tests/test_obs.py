@@ -1,16 +1,18 @@
-"""The observability layer: tracing, events, metrics, and their seams.
+"""The observability layer: tracing, metrics, and their seams.
 
 Four families of guarantees:
 
-* the :mod:`repro.obs` primitives themselves (span nesting, the event
-  ring, Prometheus text exposition validity);
+* the :mod:`repro.obs` primitives themselves (span nesting, Prometheus
+  text exposition validity, one series per name and labels);
 * cross-process span stitching — one traced cluster request against a
   real loopback worker yields a single tree under one trace id, remote
-  worker/kernel spans included;
+  worker/kernel spans included, and a ``trace_out`` file holds exactly
+  that request's spans;
 * the tracing-off hot path — ``ChunkKernel.run_shard`` without an
   active tracer must not allocate a single byte in ``repro/obs``;
 * the satellite seams: per-worker counters surfaced through the
-  coordinator, the service's kernel/latency/worker metric families.
+  coordinator, the service's kernel/latency/worker metric families, and
+  ``repro stats --prometheus`` printing what ``/metrics`` serves.
 """
 
 from __future__ import annotations
@@ -18,20 +20,24 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import queue
 import re
 import threading
 import tracemalloc
 import urllib.request
 
 import numpy as np
+import pytest
 
 from repro.api import CompareOptions, CompareRequest
 from repro.backends import get_backend
+from repro.cli import main
+from repro.errors import RequestError
 from repro.geometry.polygon import Box, RectilinearPolygon
 from repro.obs import (
-    EventLog,
     Histogram,
     MetricsServer,
+    SpanRecord,
     Tracer,
     activate,
     current_context,
@@ -45,6 +51,7 @@ from repro.obs import (
 from repro.obs.export import render_families
 from repro.pixelbox.common import KernelStats, LaunchConfig
 from repro.pixelbox.kernel import ChunkKernel, ExecutionPolicy, ShardInput
+from repro.service import ServiceClient, serve
 from repro.service.core import ComparisonService, ServiceConfig
 from repro.session import Session
 
@@ -131,35 +138,6 @@ def test_span_records_roundtrip_as_dicts():
 
 
 # ----------------------------------------------------------------------
-# Event log
-# ----------------------------------------------------------------------
-def test_event_ring_and_sink():
-    log = EventLog(ring_size=4)
-    sink = io.StringIO()
-    log.add_sink(sink)
-    for i in range(6):
-        log.record("tick", n=i)
-    tail = log.tail(10)
-    assert len(tail) == 4  # ring bound
-    assert [e["n"] for e in tail] == [2, 3, 4, 5]
-    assert all(e["kind"] == "tick" and "ts" in e for e in tail)
-    # Sinks see every event, not just the ring's survivors.
-    lines = [json.loads(l) for l in sink.getvalue().splitlines()]
-    assert [e["n"] for e in lines] == list(range(6))
-    log.remove_sink(sink)
-    log.record("tick", n=99)
-    assert len(sink.getvalue().splitlines()) == 6
-
-
-def test_event_tail_filters_by_kind():
-    log = EventLog(ring_size=16)
-    log.record("a", x=1)
-    log.record("b", x=2)
-    log.record("a", x=3)
-    assert [e["x"] for e in log.tail(10, kind="a")] == [1, 3]
-
-
-# ----------------------------------------------------------------------
 # Prometheus text exposition
 # ----------------------------------------------------------------------
 _SAMPLE_LINE = re.compile(
@@ -211,7 +189,7 @@ def test_render_spans_tree_percentages_and_orphans():
         dict(rows[0], span_id="ffff", parent_id="missing", name="lost")
     )
     fh = io.StringIO(
-        "\n".join(json.dumps(dict(r, kind="span")) for r in rows) + "\n"
+        "\n".join(json.dumps(r) for r in rows) + "\n"
         + "not json\n"  # garbage lines are tolerated
         + json.dumps({"kind": "cache.lookup", "tier": "x"}) + "\n"
     )
@@ -275,6 +253,61 @@ def test_untraced_sessions_share_no_state():
     with Session() as session:
         session.run(CompareRequest.from_pairs(_pairs(4)))
         assert session.last_trace is None
+
+
+def test_trace_out_holds_only_the_request_spans(tmp_path):
+    """Every row of a ``trace_out`` file is a span of the request's own
+    trace, also on a sharded backend while an untraced request runs
+    beside it; the scheduler's report rides on one span."""
+    out = tmp_path / "trace.jsonl"
+    options = CompareOptions(
+        backend="multiprocess",
+        backend_options={"workers": 2, "min_pairs": 5},
+    )
+    pairs = _pairs(40)
+    with Session(options) as session:
+        session.warm()
+        stop = threading.Event()
+
+        def untraced():
+            while not stop.is_set():
+                session.compare(_pairs(40, seed=8))
+
+        beside = threading.Thread(target=untraced)
+        beside.start()
+        try:
+            session.run(
+                CompareRequest.from_pairs(
+                    pairs, options.replace(trace_out=str(out))
+                )
+            )
+        finally:
+            stop.set()
+            beside.join(timeout=60)
+        trace_id = session.last_trace.trace_id
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    records = [SpanRecord.from_dict(row) for row in rows]
+    assert [r.as_dict() for r in records] == rows
+    assert {r.trace_id for r in records} == {trace_id}
+    (schedule,) = [r for r in records if r.name == "cluster.schedule"]
+    assert schedule.attrs["shards"] >= 4
+    assert schedule.attrs["dispatches"] >= schedule.attrs["shards"]
+    assert schedule.attrs["failed"] == []
+    remote = [r for r in records if r.name == "cluster.remote_shard"]
+    assert len(remote) == schedule.attrs["dispatches"]
+    assert all(r.parent_id == schedule.span_id for r in remote)
+
+
+def test_trace_out_that_cannot_be_opened_fails_before_work(tmp_path):
+    path = str(tmp_path / "missing" / "trace.jsonl")
+    with Session() as session:
+        with pytest.raises(RequestError, match=re.escape(path)):
+            session.run(
+                CompareRequest.from_pairs(
+                    _pairs(4), CompareOptions(trace_out=path)
+                )
+            )
+        assert session._backend is None  # no launch resolved a backend
 
 
 def test_traced_compare_files_has_stage_spans_matching_the_clock(tmp_path):
@@ -426,6 +459,33 @@ def test_service_snapshot_feeds_prometheus_families():
         assert family in text, f"missing family {family}"
 
 
+def test_cached_service_renders_one_series_per_name_and_labels():
+    """The store's counters are the one hit/miss record: every
+    (name, labels) series appears once, with the store's values."""
+    first, second = _pairs(6, seed=1), _pairs(6, seed=2)
+
+    async def main():
+        config = ServiceConfig(CompareOptions(backend="batch", cache=True))
+        async with ComparisonService(config) as service:
+            for pairs in (first, first, second, first):
+                await service.submit(pairs)
+            return service.snapshot()
+
+    snap = asyncio.run(main())
+    text = render_snapshot(snap)
+    assert_valid_exposition(text)
+    series = [
+        line.rpartition(" ")[0]
+        for line in text.splitlines()
+        if line and not line.startswith("#")
+    ]
+    assert len(series) == len(set(series))
+    store = snap.caches["service.request"]
+    assert (store["hits"], store["misses"]) == (2, 2)
+    assert 'repro_cache_hits_total{tier="service.request"} 2' in text
+    assert 'repro_cache_misses_total{tier="service.request"} 2' in text
+
+
 def test_metrics_http_endpoint_serves_exposition():
     server = MetricsServer(lambda: "# HELP x y\n# TYPE x counter\nx 1\n")
     server.start()
@@ -444,25 +504,43 @@ def test_metrics_http_endpoint_serves_exposition():
     assert body == "# HELP x y\n# TYPE x counter\nx 1\n"
 
 
-def test_stats_op_carries_worker_counters_and_metrics_op_renders():
-    pairs = _pairs(8)
-
-    async def main():
-        with LoopbackCluster(1) as cluster:
-            config = ServiceConfig(
-                CompareOptions(
-                    backend="cluster",
-                    backend_options={"min_pairs": 1, "hosts": cluster.hosts},
-                )
+def test_stats_prometheus_prints_what_metrics_serves(capsys):
+    """``repro stats --prometheus`` renders the ``stats`` reply with the
+    renderer ``/metrics`` serves: the same text, worker counters and
+    cache tier included."""
+    announced: queue.Queue[str] = queue.Queue()
+    with LoopbackCluster(1) as cluster:
+        config = ServiceConfig(
+            CompareOptions(
+                backend="cluster",
+                backend_options={"min_pairs": 1, "hosts": cluster.hosts},
+                cache=True,
             )
-            async with ComparisonService(config) as service:
-                await service.submit(pairs, config.options.launch_config())
-                return service.snapshot()
-
-    snap = asyncio.run(main())
-    workers = snap.as_dict()["workers"]
-    assert workers, "stats op must surface per-worker counters"
-    assert all("shards_run" in c for c in workers.values())
-    text = render_snapshot(snap)
-    assert_valid_exposition(text)
-    assert "repro_worker_shards_run_total" in text
+        )
+        thread = threading.Thread(
+            target=asyncio.run,
+            args=(serve(config, announce=announced.put, metrics=True),),
+            daemon=True,
+        )
+        thread.start()
+        _, _, host, port = announced.get(timeout=20).split()
+        _, _, mhost, mport = announced.get(timeout=20).split()
+        try:
+            with ServiceClient(host, int(port)) as client:
+                client.compare(_pairs(8))
+                workers = client.stats()["workers"]
+            with urllib.request.urlopen(
+                f"http://{mhost}:{mport}/metrics", timeout=10
+            ) as resp:
+                served = resp.read().decode()
+            assert main(["stats", "--prometheus", "--port", port]) == 0
+            printed = capsys.readouterr().out
+        finally:
+            with ServiceClient(host, int(port)) as client:
+                client.shutdown()
+            thread.join(timeout=20)
+    assert workers and all("shards_run" in c for c in workers.values())
+    assert printed == served
+    assert_valid_exposition(printed)
+    assert "repro_worker_shards_run_total" in printed
+    assert 'repro_cache_misses_total{tier="service.request"} 1' in printed

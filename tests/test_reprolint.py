@@ -192,9 +192,6 @@ def test_lock_checker_passes_disciplined_class(tmp_path):
 # RL3xx protocol exhaustiveness
 # ----------------------------------------------------------------------
 _WIRE_FIXTURE = """
-FEATURE_TRACE = "trace"
-FEATURE_GHOST = "ghost"
-
 class MsgType:
     HELLO = 1
     DATA = 2
@@ -206,24 +203,21 @@ from repro.cluster import wire
 
 def serve(sock, frame):
     if frame == wire.MsgType.HELLO:
-        send_frame(sock, wire.MsgType.DATA, {"features": [wire.FEATURE_TRACE, wire.FEATURE_GHOST]})
+        send_frame(sock, wire.MsgType.DATA, {})
     send_frame(sock, wire.MsgType.HELLO, {})
 """
 
 _COORD_FIXTURE = """
 from repro.cluster import wire
 
-def run(sock, features):
+def run(sock):
     msgtype = recv(sock)
     if msgtype == wire.MsgType.DATA:
-        if wire.FEATURE_TRACE in features:
-            pass
+        pass
 """
 
 
-def test_protocol_checker_flags_unused_msgtype_and_ungated_feature(
-    tmp_path,
-):
+def test_protocol_checker_flags_unused_msgtype(tmp_path):
     project = make_project(
         tmp_path,
         {
@@ -238,9 +232,6 @@ def test_protocol_checker_flags_unused_msgtype_and_ungated_feature(
     # HELLO and DATA each have an encode and a decode site.
     assert "MsgType.HELLO:encode" not in idents(found)
     assert "MsgType.DATA:decode" not in idents(found)
-    # FEATURE_GHOST is advertised but the coordinator never gates on it.
-    assert "FEATURE_GHOST:gate" in idents(found, "RL322")
-    assert "FEATURE_TRACE:gate" not in idents(found)
 
 
 _PROTOCOL_FIXTURE = 'OPS = ("ping", "compare")\n'

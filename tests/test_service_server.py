@@ -250,16 +250,19 @@ class TestCachedServer:
             for field in ("intersection", "union", "area_p", "area_q"):
                 assert np.array_equal(cold[field], warm[field])
             stats = client.stats()
-            assert stats["request_cache_hits"] == 1
-            assert stats["request_cache_misses"] == 1
-            assert stats["caches"]["service.request"]["entries"] == 1
+            store = stats["caches"]["service.request"]
+            assert (store["hits"], store["misses"]) == (1, 1)
+            assert store["entries"] == 1
+            assert stats["batches"] == 1
             assert client.cache_clear()
             stats = client.stats()
             assert stats["caches"]["service.request"]["entries"] == 0
             # Recomputed after the clear — and bit-for-bit identical.
             again = client.compare(pairs)
             assert np.array_equal(cold["intersection"], again["intersection"])
-            assert client.stats()["request_cache_misses"] == 2
+            stats = client.stats()
+            assert stats["caches"]["service.request"]["misses"] == 2
+            assert stats["batches"] == 2
 
 
 class TestStdioServer:

@@ -1,6 +1,6 @@
 """RL3xx: every protocol vocabulary entry has both of its ends.
 
-Three vocabularies define what the distributed system can say, and each
+Two vocabularies define what the distributed system can say, and each
 entry needs a speaker *and* a listener or it is dead weight — or worse,
 a silently unimplemented capability:
 
@@ -11,10 +11,6 @@ a silently unimplemented capability:
 * service ``OPS`` entries (the JSON-lines vocabulary) need a server
   handler (the op literal compared in ``server.py``) and a
   ``ServiceClient`` method (``self._call("<op>", ...)``).  RL311 / RL312.
-* ``wire.FEATURE_*`` constants (capability negotiation) must be
-  advertised by the worker and gated by the coordinator with an ``in``
-  check — a feature nobody gates is used against workers that never
-  advertised it.  RL321 / RL322.
 
 Deliberate asymmetries (ops reserved for external tooling) are baseline
 entries, each with its reason — visible, reviewed, and fenced off from
@@ -55,18 +51,6 @@ def _msgtype_members(tree: ast.Module) -> list[str]:
                 ):
                     members.append(target.id)
     return members
-
-
-def _feature_constants(tree: ast.Module) -> list[str]:
-    out = []
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id.startswith(
-                    "FEATURE_"
-                ):
-                    out.append(target.id)
-    return out
 
 
 def _is_msgtype_ref(node: ast.expr, member: str) -> bool:
@@ -137,34 +121,9 @@ def _client_ops(tree: ast.Module) -> set[str]:
     return out
 
 
-def _feature_refs(tree: ast.Module, feature: str) -> bool:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == feature:
-            return True
-        if isinstance(node, ast.Name) and node.id == feature:
-            return True
-    return False
-
-
-def _feature_gated(tree: ast.Module, feature: str) -> bool:
-    """A membership test (``FEATURE_X in ...``) guards the capability."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        if not any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
-            continue
-        for expr in (node.left, *node.comparators):
-            for sub in ast.walk(expr):
-                if isinstance(sub, ast.Attribute) and sub.attr == feature:
-                    return True
-                if isinstance(sub, ast.Name) and sub.id == feature:
-                    return True
-    return False
-
-
 class ProtocolExhaustivenessChecker:
     name = "protocol-exhaustiveness"
-    codes = ("RL301", "RL302", "RL311", "RL312", "RL321", "RL322")
+    codes = ("RL301", "RL302", "RL311", "RL312")
 
     def check(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
@@ -207,40 +166,6 @@ class ProtocolExhaustivenessChecker:
                         message=(
                             f"MsgType.{member} is never handled by "
                             f"worker.py/coordinator.py (no decode site)"
-                        ),
-                    )
-                )
-        features = _feature_constants(wire_tree)
-        worker_tree = project.tree(_WIRE_USERS[0])
-        coord_tree = project.tree(_WIRE_USERS[1])
-        for feature in features:
-            if worker_tree is not None and not _feature_refs(
-                worker_tree, feature
-            ):
-                findings.append(
-                    Finding(
-                        code="RL321",
-                        path=_WIRE,
-                        line=0,
-                        ident=f"{feature}:advertise",
-                        message=(
-                            f"wire.{feature} is never advertised by the "
-                            f"worker (HELLO_ACK features list)"
-                        ),
-                    )
-                )
-            if coord_tree is not None and not _feature_gated(
-                coord_tree, feature
-            ):
-                findings.append(
-                    Finding(
-                        code="RL322",
-                        path=_WIRE,
-                        line=0,
-                        ident=f"{feature}:gate",
-                        message=(
-                            f"wire.{feature} has no coordinator gate "
-                            f"(`{feature} in ...` membership check)"
                         ),
                     )
                 )
